@@ -11,24 +11,24 @@ __version__ = "1.0.0"
 
 from .certificate import (Certificate, VerifyResult, deserialize_certificate,
                           serialize_certificate, verify)
-from .diagram import Adjacency, Crossing, Diagram, Strand, parse_pd, serialize_pd
+from .diagram import Crossing, Diagram, Strand, parse_pd
 from .dual import DualGraph, Face, build_dual, trace_faces
 from .engine import (PLAINSPHERE, WIRTINGER, ColoringState, Move,
                      loop_colorable_now, omega, rho, saturate,
-                     saturate_random, wirtinger_colorable_now)
+                     wirtinger_colorable_now)
 from .errors import (BridgeDetected, CertificateError, ClosedOverComponent,
                      ComputeTimeout, DisconnectedProjection, EulerViolation,
                      FileUnreadable, MalformedPD, MissingColumns,
                      PlainSphereError, SchemaError, VersionMismatch)
 
 __all__ = [
-    "Adjacency", "BridgeDetected", "Certificate", "CertificateError",
+    "BridgeDetected", "Certificate", "CertificateError",
     "ClosedOverComponent", "ColoringState", "ComputeTimeout", "Crossing",
     "Diagram", "DisconnectedProjection", "DualGraph", "EulerViolation",
     "Face", "FileUnreadable", "MalformedPD", "MissingColumns", "Move",
     "PLAINSPHERE", "PlainSphereError", "SchemaError", "Strand",
     "VerifyResult", "VersionMismatch", "WIRTINGER", "build_dual",
     "deserialize_certificate", "loop_colorable_now", "omega", "parse_pd",
-    "rho", "saturate", "saturate_random", "serialize_certificate",
-    "serialize_pd", "trace_faces", "verify", "wirtinger_colorable_now",
+    "rho", "saturate", "serialize_certificate", "trace_faces", "verify",
+    "wirtinger_colorable_now",
 ]

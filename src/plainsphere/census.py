@@ -2,8 +2,9 @@
 
 Input tables carry columns ``name`` and ``pd_notation``, optionally
 ``bridge_number``.  Each diagram is processed independently: parse
-failures skip the row with a reason, a per-diagram timeout marks the
-row timed out, and neither produces fabricated numbers in the output.
+failures and non-integer bridge numbers skip the row with a reason, a
+per-diagram timeout marks the row timed out, and neither produces
+fabricated numbers in the output.
 Records land in a CSV with the columns
 
     name,n,strands,omega,rho,beta_ref,strict_gap,bound_ok,millis
@@ -38,6 +39,7 @@ class TableRow:
     pd_text: str
     beta_ref: int | None
     line: int
+    problem: str = ""  # why the row must be skipped, when it must
 
 
 @dataclass
@@ -61,20 +63,24 @@ def ingest(path: str) -> list[TableRow]:
                 )
             rows = []
             for i, raw in enumerate(reader, start=2):
+                name = (raw.get("name") or "").strip()
+                pd_text = (raw.get("pd_notation") or "").strip()
                 beta_text = (raw.get("bridge_number") or "").strip()
-                beta = int(beta_text) if beta_text else None
-                rows.append(TableRow(
-                    name=(raw.get("name") or "").strip(),
-                    pd_text=(raw.get("pd_notation") or "").strip(),
-                    beta_ref=beta,
-                    line=i,
-                ))
+                beta, problem = None, ""
+                if not name or not pd_text:
+                    problem = "missing name or pd_notation"
+                elif beta_text:
+                    try:
+                        beta = int(beta_text)
+                    except ValueError:
+                        problem = f"bad bridge_number {beta_text!r}"
+                rows.append(TableRow(name, pd_text, beta, i, problem))
             return rows
     except MissingColumns:
         raise
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    except (csv.Error, UnicodeDecodeError, ValueError) as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot parse {path}: {exc}") from exc
 
 
@@ -90,8 +96,8 @@ def _process_row(args: tuple[int, str, str, int | None, int | None]) -> dict:
     try:
         d = parse_pd(pd_text)
         g = build_dual(d)
-        w, _ = omega(d, deadline=deadline)
-        r, _ = rho(d, dual=g, deadline=deadline)
+        w, wcert = omega(d, deadline=deadline)
+        r, _ = rho(d, dual=g, deadline=deadline, omega_result=(w, wcert))
     except ComputeTimeout:
         return {"index": index, "name": name, "status": "timeout"}
     except PlainSphereError as exc:
@@ -128,9 +134,9 @@ def run_census(rows: list[TableRow],
     skipped: list[dict] = []
     tasks: list[tuple[int, str, str, int | None, int | None]] = []
     for idx, row in enumerate(rows):
-        if not row.name or not row.pd_text:
+        if row.problem:
             skipped.append({"name": row.name or f"line {row.line}",
-                            "reason": "missing name or pd_notation"})
+                            "reason": row.problem})
             continue
         if row.name in options.resume_names:
             skipped.append({"name": row.name, "reason": "already in records"})

@@ -1,4 +1,4 @@
-"""Planar diagram codes, strands, and strand adjacency.
+"""Planar diagram codes, strands, and the crossing table.
 
 A diagram with n crossings is given by n tuples X(a,b,c,d) listing the
 four edge labels around each crossing counterclockwise, starting at the
@@ -10,9 +10,9 @@ A strand is a maximal over-arc: walk an edge away from an under-end;
 whenever the walk meets a crossing at an over slot it continues out the
 opposite over slot; it stops at the next under slot.  Every crossing
 consumes two under-ends, so a valid diagram decomposes into exactly n
-strands.  Two strands are adjacent when they are the two under-strands
-of a common crossing; the strand passing over that crossing is recorded
-alongside, because it is what a Wirtinger move conditions on.
+strands.  Each crossing is recorded as its two under-strands and its
+over-strand, the triple a Wirtinger move conditions on, and each strand
+lists the crossings it meets in either role.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ class Crossing:
     id: int
     pd: tuple[int, int, int, int]
 
-    @property
-    def under_pair(self) -> tuple[int, int]:
-        return (self.pd[0], self.pd[2])
-
-    @property
-    def over_pair(self) -> tuple[int, int]:
-        return (self.pd[1], self.pd[3])
-
 
 @dataclass(frozen=True)
 class Strand:
@@ -61,13 +53,23 @@ class Strand:
     endpoints: tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Adjacency:
-    """One crossing witnessing that `other` shares an under-pair with a strand."""
+class UnionFind:
+    """Union-find with path halving; edges are only ever added."""
 
-    other: int
-    crossing: int
-    over: int
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
 
 
 class Diagram:
@@ -92,45 +94,33 @@ class Diagram:
         for s in self.strands:
             for e in s.edges:
                 self.edge_to_strand[e] = s.id
-        self._strand_at_terminal: dict[tuple[int, int], int] = {}
-        for s in self.strands:
-            for term in s.endpoints:
-                self._strand_at_terminal[term] = s.id
+        at_terminal = {t: s.id for s in self.strands for t in s.endpoints}
         self.under_strands: tuple[tuple[int, int], ...] = tuple(
-            (self._strand_at_terminal[(c.id, 0)], self._strand_at_terminal[(c.id, 2)])
+            (at_terminal[(c.id, 0)], at_terminal[(c.id, 2)])
             for c in self.crossings
         )
         self.over_strand: tuple[int, ...] = tuple(
             self.edge_to_strand[c.pd[1]] for c in self.crossings
         )
-        self.adjacency: frozenset[tuple[int, int]] = frozenset(
-            tuple(sorted(p)) for p in self.under_strands
-        )
-        self._adjacency_of: list[list[Adjacency]] = [[] for _ in self.strands]
-        for c in self.crossings:
-            u1, u2 = self.under_strands[c.id]
-            o = self.over_strand[c.id]
-            self._adjacency_of[u1].append(Adjacency(u2, c.id, o))
-            if u2 != u1:
-                self._adjacency_of[u2].append(Adjacency(u1, c.id, o))
+        # strand_crossings[s]: ascending ids of the crossings where s is an
+        # under-strand or the over-strand
+        incident: list[list[int]] = [[] for _ in self.strands]
+        for c, ((u1, u2), o) in enumerate(zip(self.under_strands,
+                                              self.over_strand)):
+            for s in {u1, u2, o}:
+                incident[s].append(c)
+        self.strand_crossings: tuple[tuple[int, ...], ...] = tuple(
+            map(tuple, incident))
         self.components: dict[int, int] = self._link_components()
         self.n_components = len(set(self.components.values()))
 
     # -- construction helpers -------------------------------------------
 
     def _check_connected(self) -> None:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pair in self.occurrences.values():
-            (c1, _), (c2, _) = pair
-            parent[find(c1)] = find(c2)
-        roots = {find(i) for i in range(self.n)}
+        uf = UnionFind(self.n)
+        for (c1, _), (c2, _) in self.occurrences.values():
+            uf.union(c1, c2)
+        roots = {uf.find(i) for i in range(self.n)}
         if len(roots) > 1:
             raise DisconnectedProjection(
                 f"projection splits into {len(roots)} pieces"
@@ -176,34 +166,20 @@ class Diagram:
 
     def _link_components(self) -> dict[int, int]:
         """Partition edges into link components (glue at both strand kinds)."""
-        labels = sorted(self.occurrences)
-        parent = {e: e for e in labels}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind(2 * self.n + 1)  # labels run 1..2n
         for c in self.crossings:
-            parent[find(c.pd[0])] = find(c.pd[2])
-            parent[find(c.pd[1])] = find(c.pd[3])
-        return {e: find(e) for e in labels}
+            uf.union(c.pd[0], c.pd[2])
+            uf.union(c.pd[1], c.pd[3])
+        return {e: uf.find(e) for e in sorted(self.occurrences)}
 
     # -- queries ---------------------------------------------------------
-
-    def adjacency_of(self, strand: int) -> tuple[Adjacency, ...]:
-        """All (other strand, crossing, over-strand) records for `strand`."""
-        return tuple(self._adjacency_of[strand])
-
-    def strand_at(self, terminal: tuple[int, int]) -> int:
-        return self._strand_at_terminal[terminal]
 
     def over_degree(self, strand: int) -> int:
         """Number of crossings at which `strand` is the over-strand."""
         return sum(1 for o in self.over_strand if o == strand)
 
     def serialize(self) -> str:
+        """Canonical one-line form; ``parse_pd`` round-trips it."""
         return " ".join(
             "X({},{},{},{})".format(*c.pd) for c in self.crossings
         )
@@ -247,8 +223,3 @@ def parse_pd(text: str) -> Diagram:
             f"labels must be exactly 1..{2 * n}, got {sorted(counts)}"
         )
     return Diagram(tuples)
-
-
-def serialize_pd(d: Diagram) -> str:
-    """Canonical one-line form; ``parse_pd`` round-trips it."""
-    return d.serialize()

@@ -59,23 +59,10 @@ class DualGraph:
             self.strand_edges.append(
                 tuple((e,) + edge_faces[e] for e in s.edges)
             )
-        self.neighbors: list[list[tuple[int, int]]] = [[] for _ in faces]
-        for e in sorted(edge_faces):
-            f1, f2 = edge_faces[e]
-            self.neighbors[f1].append((f2, e))
-            self.neighbors[f2].append((f1, e))
         self.pair_edges: dict[frozenset[int], list[int]] = {}
         for e in sorted(edge_faces):
             key = frozenset(edge_faces[e])
             self.pair_edges.setdefault(key, []).append(e)
-
-    def export_edge_list(self) -> str:
-        """Diagnostic dump: one ``face face edge strand`` line per edge."""
-        lines = []
-        for e in sorted(self.edge_faces):
-            f1, f2 = self.edge_faces[e]
-            lines.append(f"{f1} {f2} {e} {self.edge_strand[e]}")
-        return "\n".join(lines) + "\n"
 
 
 def trace_faces(d: Diagram) -> tuple[Face, ...]:

@@ -17,9 +17,25 @@ Two move kinds color one new strand each:
   when a move object is actually built.
 
 Every Wirtinger move is dominated by a loop move (circle the crossing),
-so plain-sphere saturation may test connectivity alone.  Both move
-families are monotone in the colored set, hence saturation reaches the
-same fixpoint in any order; the searches below exploit that freely.
+and both move families are monotone in the colored set, so saturation
+reaches the same fixpoint in any order.  The code computes that one
+closure two ways:
+
+* ``closure`` is the fast path the search runs on every seed set.  It
+  spreads Wirtinger moves from each newly colored strand through the
+  crossings that strand meets; in plain-sphere mode it then colors every
+  strand that passes the loop test and repeats until nothing changes.
+
+* ``saturate`` builds the move log a certificate replays, with a fixed
+  policy: sweep the uncolored strands in id order, applying each one's
+  Wirtinger move at its lowest-id qualifying crossing, until a sweep
+  finds none; only then apply one loop move (the first uncolored strand
+  that has one, at its first edge in walk order, with the BFS witness)
+  and start sweeping again.
+
+omega and rho share one search: seed sets by size, then in strand
+search order; the first whose closure colors every strand is logged by
+``saturate`` into its certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
-from .diagram import Diagram
+from .diagram import Diagram, UnionFind
 from .dual import DualGraph, build_dual
 from .errors import ComputeTimeout
 
@@ -61,25 +77,6 @@ class Move:
     @property
     def cycle_length(self) -> int:
         return len(self.cycle_faces) if self.cycle_faces else 0
-
-
-class UnionFind:
-    """Union-find with path halving; edges are only ever added."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 class ColoringState:
@@ -129,11 +126,14 @@ def wirtinger_colorable_now(state: ColoringState, strand: int) -> Move | None:
     """A Wirtinger move for `strand` at the current state, if any exists."""
     if strand in state.colored:
         raise ValueError(f"strand {strand} is already colored")
-    for adj in state.diagram.adjacency_of(strand):
-        if adj.other == strand:
-            continue  # self-adjacent crossing never enables a move
-        if adj.other in state.colored and adj.over in state.colored:
-            return Move("W", strand, crossing=adj.crossing)
+    d, colored = state.diagram, state.colored
+    for c in d.strand_crossings[strand]:
+        u1, u2 = d.under_strands[c]
+        if strand not in (u1, u2) or u1 == u2:
+            continue  # over here, or self-adjacent: never enables a move
+        other = u2 if u1 == strand else u1
+        if other in colored and d.over_strand[c] in colored:
+            return Move("W", strand, crossing=c)
     return None
 
 
@@ -232,66 +232,61 @@ def saturate(d: Diagram, seeds: Iterable[int], mode: str,
     return frozenset(state.colored), tuple(state.move_log)
 
 
-def saturate_random(d: Diagram, seeds: Iterable[int], mode: str, rng,
-                    dual: DualGraph | None = None) -> frozenset[int]:
-    """Saturate picking uniformly among currently available targets.
+def closure(d: Diagram, seeds: Iterable[int], mode: str,
+            dual: DualGraph | None = None) -> set[int]:
+    """The colored set `saturate` reaches from `seeds`, without the log.
 
-    Exercises confluence: the result must equal ``saturate``'s for every
-    random order.
+    The hot path of the seed-set search.  Wirtinger moves spread from
+    each newly colored strand through the crossings it meets.  In
+    plain-sphere mode, once they stall, every uncolored strand with an
+    edge whose two faces are joined through colored strands' dual edges
+    is colored at once, and the spread resumes from those strands.
+    Face labels live in a flat parent list with inline root walks,
+    which is faster here than calling ``UnionFind`` methods.  `dual` is
+    required in plain-sphere mode.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == PLAINSPHERE and dual is None:
-        dual = build_dual(d)
-    state = ColoringState(d, dual if mode == PLAINSPHERE else None, seeds)
-    while True:
-        available = []
-        for s in state.uncolored():
-            if mode == WIRTINGER:
-                move = wirtinger_colorable_now(state, s)
-            else:
-                move = loop_colorable_now(state, s)
-            if move is not None:
-                available.append(move)
-        if not available:
-            return frozenset(state.colored)
-        state.apply(rng.choice(available))
-
-
-def _saturate_set(d: Diagram, dual: DualGraph | None, seeds: Iterable[int],
-                  mode: str) -> set[int]:
-    """Fixpoint colored set only; the hot path of both searches."""
+    n, under, over = d.n, d.under_strands, d.over_strand
+    incident = d.strand_crossings
     colored = set(seeds)
-    if mode == PLAINSPHERE:
-        uf = UnionFind(dual.n_faces)
-        pending = list(colored)
-        while pending:
-            for s in pending:
-                for _, f1, f2 in dual.strand_edges[s]:
-                    uf.union(f1, f2)
-            pending = []
-            for s in range(d.n):
-                if s in colored:
-                    continue
-                for _, f1, f2 in dual.strand_edges[s]:
-                    if uf.find(f1) == uf.find(f2):
-                        colored.add(s)
-                        pending.append(s)
-                        break
-        return colored
-    changed = True
-    while changed:
-        changed = False
-        for s in range(d.n):
+    stack = list(colored)
+    fresh = list(colored)  # colored but not yet joined into the faces
+    parent = list(range(dual.n_faces)) if mode == PLAINSPHERE else None
+    while True:
+        while stack:
+            for c in incident[stack.pop()]:
+                if over[c] in colored:
+                    u1, u2 = under[c]
+                    if (u1 in colored) != (u2 in colored):
+                        t = u2 if u1 in colored else u1
+                        colored.add(t)
+                        stack.append(t)
+                        fresh.append(t)
+        if mode != PLAINSPHERE or len(colored) == n:
+            return colored
+        for s in fresh:
+            for _, f1, f2 in dual.strand_edges[s]:
+                while parent[f1] != f1:
+                    f1 = parent[f1]
+                while parent[f2] != f2:
+                    f2 = parent[f2]
+                if f1 != f2:
+                    parent[f1] = f2
+        fresh = []
+        for s in range(n):
             if s in colored:
                 continue
-            for adj in d.adjacency_of(s):
-                if (adj.other != s and adj.other in colored
-                        and adj.over in colored):
-                    colored.add(s)
-                    changed = True
+            for _, f1, f2 in dual.strand_edges[s]:
+                while parent[f1] != f1:
+                    f1 = parent[f1]
+                while parent[f2] != f2:
+                    f2 = parent[f2]
+                if f1 == f2:
+                    fresh.append(s)
                     break
-    return colored
+        if not fresh:
+            return colored
+        colored.update(fresh)
+        stack = list(fresh)
 
 
 def strand_search_order(d: Diagram) -> list[int]:
@@ -304,9 +299,25 @@ def strand_search_order(d: Diagram) -> list[int]:
     return sorted(range(d.n), key=lambda s: (-d.over_degree(s), s))
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise ComputeTimeout("seed-set search exceeded its deadline")
+def _search(d: Diagram, mode: str, dual: DualGraph | None,
+            sizes: Iterable[int], deadline: float | None):
+    """(k, certificate) for the first seed set, by size from `sizes` and
+    then in search order, whose closure colors every strand; else None."""
+    from .certificate import Certificate
+
+    order = strand_search_order(d)
+    for k in sizes:
+        for combo in combinations(order, k):
+            if deadline is not None and time.monotonic() > deadline:
+                raise ComputeTimeout("seed-set search exceeded its deadline")
+            if len(closure(d, combo, mode, dual)) == d.n:
+                colored, log = saturate(d, combo, mode, dual)
+                assert len(colored) == d.n
+                return k, Certificate(
+                    diagram_hash=d.content_hash, mode=mode,
+                    seeds=tuple(sorted(combo)), moves=log,
+                )
+    return None
 
 
 def omega(d: Diagram, deadline: float | None = None):
@@ -315,20 +326,9 @@ def omega(d: Diagram, deadline: float | None = None):
     Returns (k, certificate).  k = n always succeeds, so the search
     terminates.
     """
-    from .certificate import Certificate
-
-    order = strand_search_order(d)
-    for k in range(1, d.n + 1):
-        for combo in combinations(order, k):
-            _check_deadline(deadline)
-            if len(_saturate_set(d, None, combo, WIRTINGER)) == d.n:
-                colored, log = saturate(d, combo, WIRTINGER)
-                assert len(colored) == d.n
-                return k, Certificate(
-                    diagram_hash=d.content_hash, mode=WIRTINGER,
-                    seeds=tuple(sorted(combo)), moves=log,
-                )
-    raise AssertionError("unreachable: the full strand set saturates")
+    found = _search(d, WIRTINGER, None, range(1, d.n + 1), deadline)
+    assert found is not None, "unreachable: the full strand set saturates"
+    return found
 
 
 def rho(d: Diagram, dual: DualGraph | None = None,
@@ -345,17 +345,9 @@ def rho(d: Diagram, dual: DualGraph | None = None,
     if dual is None:
         dual = build_dual(d)
     w, wcert = omega_result if omega_result is not None else omega(d, deadline)
-    order = strand_search_order(d)
-    for k in range(1, w):
-        for combo in combinations(order, k):
-            _check_deadline(deadline)
-            if len(_saturate_set(d, dual, combo, PLAINSPHERE)) == d.n:
-                colored, log = saturate(d, combo, PLAINSPHERE, dual)
-                assert len(colored) == d.n
-                return k, Certificate(
-                    diagram_hash=d.content_hash, mode=PLAINSPHERE,
-                    seeds=tuple(sorted(combo)), moves=log,
-                )
+    found = _search(d, PLAINSPHERE, dual, range(1, w), deadline)
+    if found is not None:
+        return found
     return w, Certificate(
         diagram_hash=d.content_hash, mode=PLAINSPHERE,
         seeds=wcert.seeds, moves=wcert.moves,

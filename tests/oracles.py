@@ -7,6 +7,10 @@ subgraph) and checking the definition directly, and Wirtinger moves are
 re-derived from the raw crossing tuples.  Seed-set searches run in
 plain strand-id order with no heuristics.  Practical only for small
 diagrams, which is the point.
+
+The one exception is ``saturate_random``: it drives the engine's own
+move finders in random order, to check that the order of moves does not
+change the fixpoint.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from plainsphere.diagram import Diagram
-from plainsphere.dual import DualGraph
+from plainsphere.dual import DualGraph, build_dual
+from plainsphere.engine import (PLAINSPHERE, WIRTINGER, ColoringState,
+                                loop_colorable_now, wirtinger_colorable_now)
 
 
 def crossing_tables(d: Diagram) -> list[tuple[int, int, int]]:
@@ -132,3 +138,25 @@ def oracle_rho(d: Diagram, g: DualGraph,
             if len(plainsphere_fixpoint(g, cycles, combo)) == d.n:
                 return k
     raise AssertionError("unreachable")
+
+
+def saturate_random(d: Diagram, seeds, mode: str, rng,
+                    dual: DualGraph | None = None) -> frozenset[int]:
+    """Saturate with the engine's moves, picking uniformly among the
+    currently available targets; confluence says the result is the
+    engine's fixpoint for every random order."""
+    if mode == PLAINSPHERE and dual is None:
+        dual = build_dual(d)
+    state = ColoringState(d, dual if mode == PLAINSPHERE else None, seeds)
+    while True:
+        available = []
+        for s in state.uncolored():
+            if mode == WIRTINGER:
+                move = wirtinger_colorable_now(state, s)
+            else:
+                move = loop_colorable_now(state, s)
+            if move is not None:
+                available.append(move)
+        if not available:
+            return frozenset(state.colored)
+        state.apply(rng.choice(available))

@@ -17,8 +17,7 @@ from plainsphere.certificate import (HASH_MISMATCH, REASONS, Certificate,
                                      deserialize_certificate,
                                      serialize_certificate, verify)
 from plainsphere.engine import (MODES, PLAINSPHERE, WIRTINGER, ColoringState,
-                                Move, _saturate_set, loop_colorable_now,
-                                saturate, saturate_random,
+                                Move, closure, loop_colorable_now, saturate,
                                 wirtinger_colorable_now)
 from plainsphere.errors import CertificateError
 
@@ -142,10 +141,10 @@ def test_criterion_6_confluence(engine_results):
         d, g, _, _, _, _ = engine_results[name]
         mode = rng.choice(MODES)
         seeds = tuple(rng.sample(range(d.n), rng.randint(1, d.n)))
-        expected = frozenset(_saturate_set(d, g, seeds, mode))
+        expected = frozenset(closure(d, seeds, mode, g))
         dual = g if mode == PLAINSPHERE else None
         for _ in range(100):
-            got = saturate_random(d, seeds, mode, rng, dual)
+            got = oracles.saturate_random(d, seeds, mode, rng, dual)
             if got != expected:
                 failures += 1
     _report(6, "saturation reaches one fixpoint across 100 random orders "

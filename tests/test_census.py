@@ -41,6 +41,18 @@ class TestIngest:
         with pytest.raises(MissingColumns):
             ingest(str(path))
 
+    def test_bad_bridge_number_skips_only_its_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "name,pd_notation,bridge_number\n"
+            f'ok,"{TREFOIL_PD}",2\n'
+            f'worded,"{TREFOIL_PD}",two\n'
+        )
+        records, summary = run_census(ingest(str(path)), small_options())
+        assert [r["name"] for r in records] == ["ok"]
+        assert summary["skipped_rows"] == [
+            {"name": "worded", "reason": "bad bridge_number 'two'"}]
+
     def test_missing_bridge_column_is_fine(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(f'name,pd_notation\ntrefoil,"{TREFOIL_PD}"\n')
@@ -63,6 +75,23 @@ class TestRunCensus:
         for rec in records:
             assert 1 <= rec["rho"] <= rec["omega"] <= rec["strands"]
             assert rec["strict_gap"] == rec["omega"] - rec["rho"]
+
+    def test_omega_searched_once_per_row(self, monkeypatch):
+        import plainsphere.census
+        import plainsphere.engine
+        calls = []
+        real = plainsphere.engine.omega
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # rho would reach omega through the engine's global, not the census's
+        monkeypatch.setattr(plainsphere.census, "omega", counted)
+        monkeypatch.setattr(plainsphere.engine, "omega", counted)
+        rows = ingest(table_path("fixtures_small.csv"))
+        records, _ = run_census(rows, small_options(jobs=1))
+        assert len(calls) == len(records) == 25
 
     def test_results_independent_of_jobs(self):
         rows = ingest(table_path("fixtures_small.csv"))

@@ -1,10 +1,10 @@
-"""PD parsing, strand decomposition, adjacency, and input validation."""
+"""PD parsing, strands, the crossing table, and input validation."""
 
 from __future__ import annotations
 
 import pytest
 
-from plainsphere import parse_pd, serialize_pd
+from plainsphere import parse_pd
 from plainsphere.errors import (ClosedOverComponent, DisconnectedProjection,
                                 MalformedPD)
 
@@ -28,13 +28,13 @@ class TestParsing:
         assert parse_pd(text).content_hash == trefoil.content_hash
 
     def test_serialize_round_trip(self, trefoil):
-        assert serialize_pd(trefoil) == TREFOIL_PD
-        again = parse_pd(serialize_pd(trefoil))
+        assert trefoil.serialize() == TREFOIL_PD
+        again = parse_pd(trefoil.serialize())
         assert again.content_hash == trefoil.content_hash == TREFOIL_HASH
 
     def test_round_trip_all_fixtures(self, all_diagrams):
         for name, d in all_diagrams.items():
-            again = parse_pd(serialize_pd(d))
+            again = parse_pd(d.serialize())
             assert again.content_hash == d.content_hash, name
 
 
@@ -71,17 +71,25 @@ class TestAdjacency:
     def test_trefoil_under_over_tables(self, trefoil):
         assert trefoil.under_strands == ((2, 0), (0, 1), (1, 2))
         assert trefoil.over_strand == (1, 2, 0)
-        assert sorted(trefoil.adjacency) == [(0, 1), (0, 2), (1, 2)]
+        assert trefoil.strand_crossings == ((0, 1, 2), (0, 1, 2), (0, 1, 2))
 
     def test_trefoil_adjacency_records(self, trefoil):
-        recs = trefoil.adjacency_of(0)
-        assert {(a.other, a.crossing, a.over) for a in recs} == {
-            (2, 0, 1), (1, 1, 2)}
+        recs = {(u2 if u1 == 0 else u1, c, trefoil.over_strand[c])
+                for c in trefoil.strand_crossings[0]
+                for u1, u2 in [trefoil.under_strands[c]] if 0 in (u1, u2)}
+        assert recs == {(2, 0, 1), (1, 1, 2)}
+
+    def test_crossing_index(self, all_diagrams):
+        for name, d in all_diagrams.items():
+            for s, cs in enumerate(d.strand_crossings):
+                assert list(cs) == [c for c in range(d.n)
+                                    if s in d.under_strands[c]
+                                    or s == d.over_strand[c]], name
 
     def test_self_adjacency_on_kink(self):
         d = parse_pd("X(1,2,2,1)")
-        (rec,) = d.adjacency_of(0)
-        assert rec.other == 0 and rec.over == 0
+        assert d.strand_crossings == ((0,),)
+        assert d.under_strands == ((0, 0),) and d.over_strand == (0,)
 
     def test_over_degree(self, trefoil):
         assert [trefoil.over_degree(s) for s in range(3)] == [1, 1, 1]

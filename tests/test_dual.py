@@ -7,15 +7,6 @@ import pytest
 from plainsphere import build_dual, parse_pd, trace_faces
 from plainsphere.errors import EulerViolation
 
-TREFOIL_EDGE_LIST = """\
-0 3 1 2
-1 2 2 0
-3 4 3 0
-0 1 4 1
-2 3 5 1
-1 4 6 2
-"""
-
 
 class TestFaces:
     def test_trefoil_face_count_and_degrees(self, trefoil):
@@ -59,8 +50,11 @@ class TestDualGraph:
     def test_vertex_degree_matches_face_degree(self, all_diagrams):
         for name, d in all_diagrams.items():
             g = build_dual(d)
-            for f in g.faces:
-                assert len(g.neighbors[f.id]) == f.degree, name
+            degree = [0] * g.n_faces
+            for f1, f2 in g.edge_faces.values():
+                degree[f1] += 1
+                degree[f2] += 1
+            assert degree == [f.degree for f in g.faces], name
 
     def test_parallel_edges_kept(self):
         # edges 2 and 4 of this kinked unknot border the same two faces
@@ -74,17 +68,22 @@ class TestDualGraph:
             listed = tuple(e for e, _, _ in k14_dual.strand_edges[s.id])
             assert listed == s.edges
 
-    def test_export_edge_list_golden(self, trefoil_dual):
-        assert trefoil_dual.export_edge_list() == TREFOIL_EDGE_LIST
+    def test_trefoil_edge_table_golden(self, trefoil_dual):
+        # edge -> (its two faces, its strand)
+        table = {e: (fs, trefoil_dual.edge_strand[e])
+                 for e, fs in trefoil_dual.edge_faces.items()}
+        assert table == {1: ((0, 3), 2), 2: ((1, 2), 0), 3: ((3, 4), 0),
+                         4: ((0, 1), 1), 5: ((2, 3), 1), 6: ((1, 4), 2)}
 
     def test_dual_connected(self, all_diagrams):
         for name, d in all_diagrams.items():
             g = build_dual(d)
             seen = {0}
-            stack = [0]
-            while stack:
-                for nbr, _ in g.neighbors[stack.pop()]:
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        stack.append(nbr)
+            grew = True
+            while grew:
+                grew = False
+                for f1, f2 in g.edge_faces.values():
+                    if (f1 in seen) != (f2 in seen):
+                        seen.update((f1, f2))
+                        grew = True
             assert len(seen) == g.n_faces, name

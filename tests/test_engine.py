@@ -9,7 +9,7 @@ import pytest
 from plainsphere import omega, rho
 from plainsphere.certificate import verify
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, ColoringState,
-                                _saturate_set, loop_colorable_now, saturate,
+                                closure, loop_colorable_now, saturate,
                                 strand_search_order, wirtinger_colorable_now)
 from plainsphere.errors import ComputeTimeout
 
@@ -33,10 +33,12 @@ class TestMoves:
         assert wirtinger_colorable_now(state, 2) is None
 
     def test_self_adjacent_crossing_never_fires(self, all_diagrams):
-        # both Hopf crossings pair a strand with itself; those records
+        # both Hopf crossings pair a strand with itself; those crossings
         # must never enable a move, hence omega(hopf) = 2
         d = all_diagrams["hopf"]
-        assert d.adjacency_of(1)
+        assert d.strand_crossings[1]
+        assert all(d.under_strands[c] in ((0, 0), (1, 1))
+                   for c in d.strand_crossings[1])
         state = ColoringState(d, None, (0,))
         assert wirtinger_colorable_now(state, 1) is None
 
@@ -97,7 +99,7 @@ class TestSaturation:
         assert verify(k14, cert, k14_dual).ok
 
     def test_k14_stage_wirtinger_fixpoint(self, k14):
-        got = _saturate_set(k14, None, K14_STAGE_SEEDS, WIRTINGER)
+        got = closure(k14, K14_STAGE_SEEDS, WIRTINGER)
         assert frozenset(got) == K14_STAGE_FIXPOINT
 
     def test_k14_stage_loop_moves_unlock(self, k14, k14_dual):
@@ -106,18 +108,21 @@ class TestSaturation:
         movable = [s for s in state.uncolored()
                    if loop_colorable_now(state, s) is not None]
         assert movable  # Wirtinger alone is stuck, loops are not
-        got = _saturate_set(k14, k14_dual, K14_STAGE_SEEDS, PLAINSPHERE)
+        got = closure(k14, K14_STAGE_SEEDS, PLAINSPHERE, k14_dual)
         assert len(got) == k14.n
 
     def test_fast_and_logged_saturation_agree(self, all_diagrams):
+        """Every seed set of size <= 3 on every bundled diagram."""
+        from itertools import combinations
         from plainsphere import build_dual
         for name, d in all_diagrams.items():
             g = build_dual(d)
-            seeds = (0, d.n // 2) if d.n > 1 else (0,)
-            for mode, dual in ((WIRTINGER, None), (PLAINSPHERE, g)):
-                fast = _saturate_set(d, g, seeds, mode)
-                slow, _ = saturate(d, seeds, mode, dual)
-                assert frozenset(fast) == slow, (name, mode)
+            for k in range(1, 4):
+                for seeds in combinations(range(d.n), k):
+                    for mode, dual in ((WIRTINGER, None), (PLAINSPHERE, g)):
+                        fast = closure(d, seeds, mode, dual)
+                        slow, _ = saturate(d, seeds, mode, dual)
+                        assert frozenset(fast) == slow, (name, mode, seeds)
 
 
 class TestSearch:

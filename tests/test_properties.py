@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from plainsphere import build_dual, parse_pd
 from plainsphere.certificate import Certificate, deserialize_certificate, \
     serialize_certificate, verify
-from plainsphere.engine import (MODES, PLAINSPHERE, WIRTINGER, _saturate_set,
-                                saturate, saturate_random)
+from plainsphere.engine import MODES, PLAINSPHERE, WIRTINGER, closure, saturate
 
 import oracles
 from conftest import load_table
@@ -41,9 +40,9 @@ def diagram_and_seeds(draw):
 def test_monotonicity(case, mode):
     """Enlarging the seed set never shrinks the fixpoint."""
     name, d, g, _, seeds = case
-    base = _saturate_set(d, g, seeds, mode)
+    base = closure(d, seeds, mode, g)
     for extra in range(d.n):
-        bigger = _saturate_set(d, g, set(seeds) | {extra}, mode)
+        bigger = closure(d, set(seeds) | {extra}, mode, g)
         assert base <= bigger, (name, mode, seeds, extra)
 
 
@@ -52,9 +51,10 @@ def test_monotonicity(case, mode):
 def test_confluence_random_orders(case, mode, rng_seed):
     """Uniformly random move choice reaches the canonical fixpoint."""
     name, d, g, _, seeds = case
-    expected = frozenset(_saturate_set(d, g, seeds, mode))
+    expected = frozenset(closure(d, seeds, mode, g))
     dual = g if mode == PLAINSPHERE else None
-    got = saturate_random(d, seeds, mode, random.Random(rng_seed), dual)
+    got = oracles.saturate_random(d, seeds, mode, random.Random(rng_seed),
+                                  dual)
     assert got == expected, (name, mode, seeds, rng_seed)
 
 
@@ -62,8 +62,8 @@ def test_confluence_random_orders(case, mode, rng_seed):
 @given(diagram_and_seeds())
 def test_wirtinger_dominated_by_loops(case):
     name, d, g, _, seeds = case
-    w = _saturate_set(d, None, seeds, WIRTINGER)
-    p = _saturate_set(d, g, seeds, PLAINSPHERE)
+    w = closure(d, seeds, WIRTINGER)
+    p = closure(d, seeds, PLAINSPHERE, g)
     assert w <= p, (name, seeds)
 
 
@@ -71,7 +71,7 @@ def test_wirtinger_dominated_by_loops(case):
 @given(diagram_and_seeds(), st.sampled_from(MODES))
 def test_fixpoints_match_oracle(case, mode):
     name, d, g, cycles, seeds = case
-    got = _saturate_set(d, g, seeds, mode)
+    got = closure(d, seeds, mode, g)
     if mode == WIRTINGER:
         want = oracles.wirtinger_fixpoint(d, seeds)
     else:
