@@ -9,12 +9,12 @@ answer ships with a replayable certificate.
 
 __version__ = "1.0.0"
 
-from .certificate import (Certificate, VerifyResult, deserialize_certificate,
+from .certificate import (PLAINSPHERE, WIRTINGER, Certificate, Move,
+                          VerifyResult, deserialize_certificate,
                           serialize_certificate, verify)
-from .diagram import Crossing, Diagram, Strand, parse_pd
-from .dual import DualGraph, Face, build_dual, trace_faces
-from .engine import (PLAINSPHERE, WIRTINGER, ColoringState, Move,
-                     loop_colorable_now, omega, rho, saturate,
+from .diagram import Diagram, parse_pd
+from .dual import DualGraph, build_dual, trace_faces
+from .engine import (ColoringState, loop_colorable_now, omega, rho, saturate,
                      wirtinger_colorable_now)
 from .errors import (BridgeDetected, CertificateError, ClosedOverComponent,
                      ComputeTimeout, DisconnectedProjection, EulerViolation,
@@ -23,11 +23,11 @@ from .errors import (BridgeDetected, CertificateError, ClosedOverComponent,
 
 __all__ = [
     "BridgeDetected", "Certificate", "CertificateError",
-    "ClosedOverComponent", "ColoringState", "ComputeTimeout", "Crossing",
-    "Diagram", "DisconnectedProjection", "DualGraph", "EulerViolation",
-    "Face", "FileUnreadable", "MalformedPD", "MissingColumns", "Move",
-    "PLAINSPHERE", "PlainSphereError", "SchemaError", "Strand",
-    "VerifyResult", "VersionMismatch", "WIRTINGER", "build_dual",
+    "ClosedOverComponent", "ColoringState", "ComputeTimeout", "Diagram",
+    "DisconnectedProjection", "DualGraph", "EulerViolation",
+    "FileUnreadable", "MalformedPD", "MissingColumns", "Move",
+    "PLAINSPHERE", "PlainSphereError", "SchemaError", "VerifyResult",
+    "VersionMismatch", "WIRTINGER", "build_dual",
     "deserialize_certificate", "loop_colorable_now", "omega", "parse_pd",
     "rho", "saturate", "serialize_certificate", "trace_faces", "verify",
     "wirtinger_colorable_now",

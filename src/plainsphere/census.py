@@ -2,9 +2,10 @@
 
 Input tables carry columns ``name`` and ``pd_notation``, optionally
 ``bridge_number``.  Each diagram is processed independently: parse
-failures and non-integer bridge numbers skip the row with a reason, a
-per-diagram timeout marks the row timed out, and neither produces
-fabricated numbers in the output.
+failures, non-integer bridge numbers, a name already used by an earlier
+row and any unexpected error while computing skip the row with a
+reason, a per-diagram timeout marks the row timed out, and none of them
+produces fabricated numbers in the output.
 Records land in a CSV with the columns
 
     name,n,strands,omega,rho,beta_ref,strict_gap,bound_ok,millis
@@ -62,6 +63,7 @@ def ingest(path: str) -> list[TableRow]:
                     f"{path}: missing columns {sorted(missing)}"
                 )
             rows = []
+            first_line: dict[str, int] = {}
             for i, raw in enumerate(reader, start=2):
                 name = (raw.get("name") or "").strip()
                 pd_text = (raw.get("pd_notation") or "").strip()
@@ -69,6 +71,10 @@ def ingest(path: str) -> list[TableRow]:
                 beta, problem = None, ""
                 if not name or not pd_text:
                     problem = "missing name or pd_notation"
+                elif first_line.setdefault(name, i) != i:
+                    # records and resume are keyed by name
+                    problem = (f"duplicate name {name!r} "
+                               f"(first on line {first_line[name]})")
                 elif beta_text:
                     try:
                         beta = int(beta_text)
@@ -98,13 +104,16 @@ def _process_row(args: tuple[int, str, str, int | None, int | None]) -> dict:
         g = build_dual(d)
         w, wcert = omega(d, deadline=deadline)
         r, _ = rho(d, dual=g, deadline=deadline, omega_result=(w, wcert))
+        assert r <= w <= d.n
     except ComputeTimeout:
         return {"index": index, "name": name, "status": "timeout"}
     except PlainSphereError as exc:
         return {"index": index, "name": name, "status": "skipped",
                 "reason": f"{type(exc).__name__}: {exc}"}
+    except Exception as exc:  # one faulty row must not cost the others
+        return {"index": index, "name": name, "status": "skipped",
+                "reason": f"error: {type(exc).__name__}: {exc}"}
     millis = (time.monotonic() - started) * 1000.0
-    assert r <= w <= d.n
     bound_ok = ""
     if beta_ref is not None:
         bound_ok = "true" if (r >= beta_ref and w >= beta_ref) else "false"

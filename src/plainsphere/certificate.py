@@ -1,4 +1,4 @@
-"""Serializable coloring certificates and their independent verifier.
+"""The certificate format, its moves and modes, and the independent verifier.
 
 Format ``psk-cert/1`` (one item per line)::
 
@@ -11,7 +11,8 @@ Format ``psk-cert/1`` (one item per line)::
 
 A loop line asserts a dual cycle through faces f0..fk: the named target
 edge joins fk back to f0, and each hop fi -> fi+1 crosses some edge of a
-strand that is colored at that point of the replay.
+strand that is colored at that point of the replay.  ``Move`` and the
+mode names live here; the engine imports them to build certificates.
 
 The verifier replays moves with direct edge-table scans and never
 touches the engine's union-find or search code, so an engine bug cannot
@@ -22,14 +23,39 @@ vouch for itself.  Rejections carry one of the fixed reason strings in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagram import Diagram
 from .dual import DualGraph, build_dual
-from .engine import MODES, PLAINSPHERE, WIRTINGER, Move
 from .errors import SchemaError, VersionMismatch
 
 FORMAT_VERSION = "psk-cert/1"
+
+WIRTINGER = "wirtinger"
+PLAINSPHERE = "plainsphere"
+MODES = (WIRTINGER, PLAINSPHERE)
+
+
+@dataclass(frozen=True)
+class Move:
+    """One coloring step.
+
+    Wirtinger moves carry the witnessing crossing.  Loop moves carry the
+    edge where the loop crosses the target strand plus the face cycle
+    f0..fk: the target edge joins fk back to f0, and every hop fi->fi+1
+    crosses some edge of an already-colored strand.  ``cycle_edges``
+    records one such edge per hop for internal checks; it is not part of
+    the serialized form, which a verifier re-derives independently.
+    """
+
+    kind: str  # "W" or "L"
+    target: int
+    crossing: int | None = None
+    edge: int | None = None
+    cycle_faces: tuple[int, ...] | None = None
+    # Witness bookkeeping, not part of the certificate contract.
+    cycle_edges: tuple[int, ...] | None = field(default=None, compare=False)
+
 
 UNKNOWN_STRAND = "UnknownStrand"
 TARGET_ALREADY_COLORED = "TargetAlreadyColored"
@@ -67,7 +93,8 @@ class Certificate:
     @property
     def tau(self) -> int:
         """Total loop complexity: the summed cycle lengths of all loop moves."""
-        return sum(m.cycle_length for m in self.moves if m.kind == "L")
+        return sum(len(m.cycle_faces or ()) for m in self.moves
+                   if m.kind == "L")
 
 
 @dataclass(frozen=True)
@@ -224,10 +251,10 @@ def _check_loop(d: Diagram, dual: DualGraph, colored: set[int], m: Move,
     if m.edge is None or m.edge not in dual.edge_faces:
         return _reject(CYCLE_TARGET_COUNT_NEQ1,
                        f"{where}: no such edge {m.edge}")
-    if dual.edge_strand[m.edge] != m.target:
+    if d.edge_to_strand[m.edge] != m.target:
         return _reject(CYCLE_TARGET_COUNT_NEQ1,
                        f"{where}: edge {m.edge} belongs to strand "
-                       f"{dual.edge_strand[m.edge]}, not the target")
+                       f"{d.edge_to_strand[m.edge]}, not the target")
     faces = m.cycle_faces or ()
     if len(faces) < 2 or len(set(faces)) != len(faces):
         return _reject(CYCLE_NOT_SIMPLE,
@@ -240,7 +267,7 @@ def _check_loop(d: Diagram, dual: DualGraph, colored: set[int], m: Move,
                        f"cycle's end faces")
     for f1, f2 in zip(faces, faces[1:]):
         hop = dual.pair_edges.get(frozenset((f1, f2)), [])
-        if not any(dual.edge_strand[e] in colored for e in hop):
+        if not any(d.edge_to_strand[e] in colored for e in hop):
             return _reject(CYCLE_EDGE_UNCOLORED,
                            f"{where}: no colored edge between faces "
                            f"{f1} and {f2}")

@@ -1,4 +1,4 @@
-"""Planar diagram codes, strands, and the crossing table.
+"""Planar diagram codes and the flat tables the moves read.
 
 A diagram with n crossings is given by n tuples X(a,b,c,d) listing the
 four edge labels around each crossing counterclockwise, starting at the
@@ -10,16 +10,21 @@ A strand is a maximal over-arc: walk an edge away from an under-end;
 whenever the walk meets a crossing at an over slot it continues out the
 opposite over slot; it stops at the next under slot.  Every crossing
 consumes two under-ends, so a valid diagram decomposes into exactly n
-strands.  Each crossing is recorded as its two under-strands and its
-over-strand, the triple a Wirtinger move conditions on, and each strand
-lists the crossings it meets in either role.
+strands.
+
+A ``Diagram`` keeps each fact in one flat table indexed by id: ``pd``
+holds the tuples as given, ``strands[s]`` is strand s's edges in walk
+order, ``edge_to_strand`` inverts it, ``under_strands[c]`` and
+``over_strand[c]`` give crossing c's two under-strands and its
+over-strand (the triple a Wirtinger move conditions on), and
+``strand_crossings[s]`` lists the crossings strand s meets in either
+role.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 
 from .errors import ClosedOverComponent, DisconnectedProjection, MalformedPD
 
@@ -27,30 +32,6 @@ _TUPLE_RE = re.compile(
     r"X\s*[\(\[]\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*[\)\]]"
 )
 _SEPARATOR_RE = re.compile(r"^[\s,]*$")
-
-# Under-ends sit at slots 0 and 2; the over-strand occupies 1 and 3.
-UNDER_SLOTS = (0, 2)
-OVER_SLOTS = (1, 3)
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """One crossing: its index and the counterclockwise slot labels."""
-
-    id: int
-    pd: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class Strand:
-    """A maximal over-arc: its edges in walk order and its two under-ends.
-
-    Each endpoint is a (crossing id, slot) pair with slot in {0, 2}.
-    """
-
-    id: int
-    edges: tuple[int, ...]
-    endpoints: tuple[tuple[int, int], tuple[int, int]]
 
 
 class UnionFind:
@@ -76,9 +57,7 @@ class Diagram:
     """An immutable link diagram built from validated PD tuples."""
 
     def __init__(self, tuples: list[tuple[int, int, int, int]]):
-        self.crossings: tuple[Crossing, ...] = tuple(
-            Crossing(i, t) for i, t in enumerate(tuples)
-        )
+        self.pd: tuple[tuple[int, int, int, int], ...] = tuple(tuples)
         self.n = len(tuples)
         # occurrences[label] -> the two (crossing, slot) positions
         occ: dict[int, list[tuple[int, int]]] = {}
@@ -89,18 +68,17 @@ class Diagram:
             e: tuple(v) for e, v in occ.items()
         }
         self._check_connected()
-        self.strands: tuple[Strand, ...] = self._build_strands()
-        self.edge_to_strand: dict[int, int] = {}
-        for s in self.strands:
-            for e in s.edges:
-                self.edge_to_strand[e] = s.id
-        at_terminal = {t: s.id for s in self.strands for t in s.endpoints}
+        self.strands: tuple[tuple[int, ...], ...] = self._build_strands()
+        self.edge_to_strand: dict[int, int] = {
+            e: s for s, edges in enumerate(self.strands) for e in edges
+        }
+        # The edge at an under slot belongs to the strand that ends there.
         self.under_strands: tuple[tuple[int, int], ...] = tuple(
-            (at_terminal[(c.id, 0)], at_terminal[(c.id, 2)])
-            for c in self.crossings
+            (self.edge_to_strand[t[0]], self.edge_to_strand[t[2]])
+            for t in self.pd
         )
         self.over_strand: tuple[int, ...] = tuple(
-            self.edge_to_strand[c.pd[1]] for c in self.crossings
+            self.edge_to_strand[t[1]] for t in self.pd
         )
         # strand_crossings[s]: ascending ids of the crossings where s is an
         # under-strand or the over-strand
@@ -130,10 +108,10 @@ class Diagram:
         a, b = self.occurrences[edge]
         return b if a == at else a
 
-    def _build_strands(self) -> tuple[Strand, ...]:
-        pd = [c.pd for c in self.crossings]
+    def _build_strands(self) -> tuple[tuple[int, ...], ...]:
+        pd = self.pd
         seen_terminals: set[tuple[int, int]] = set()
-        strands: list[Strand] = []
+        strands: list[tuple[int, ...]] = []
         # Walking from slot-2 ends first makes strand i start at crossing
         # i's outgoing under-edge whenever the code is consistently
         # oriented; slot-0 starts only mop up unoriented input.
@@ -144,18 +122,17 @@ class Diagram:
             edges = []
             here = start
             edge = pd[here[0]][here[1]]
+            seen_terminals.add(start)
             while True:
                 edges.append(edge)
                 c, slot = self._other_occurrence(edge, here)
-                if slot in UNDER_SLOTS:
-                    end = (c, slot)
+                if slot % 2 == 0:  # under-ends sit at slots 0 and 2
+                    seen_terminals.add((c, slot))
                     break
                 here = (c, 4 - slot)  # cross over: slot 1 <-> slot 3
                 edge = pd[c][4 - slot]
-            seen_terminals.add(start)
-            seen_terminals.add(end)
-            strands.append(Strand(len(strands), tuple(edges), (start, end)))
-        claimed = {e for s in strands for e in s.edges}
+            strands.append(tuple(edges))
+        claimed = {e for edges in strands for e in edges}
         leftover = sorted(set(self.occurrences) - claimed)
         if leftover:
             raise ClosedOverComponent(
@@ -167,9 +144,9 @@ class Diagram:
     def _link_components(self) -> dict[int, int]:
         """Partition edges into link components (glue at both strand kinds)."""
         uf = UnionFind(2 * self.n + 1)  # labels run 1..2n
-        for c in self.crossings:
-            uf.union(c.pd[0], c.pd[2])
-            uf.union(c.pd[1], c.pd[3])
+        for a, b, c, d in self.pd:
+            uf.union(a, c)
+            uf.union(b, d)
         return {e: uf.find(e) for e in sorted(self.occurrences)}
 
     # -- queries ---------------------------------------------------------
@@ -180,9 +157,7 @@ class Diagram:
 
     def serialize(self) -> str:
         """Canonical one-line form; ``parse_pd`` round-trips it."""
-        return " ".join(
-            "X({},{},{},{})".format(*c.pd) for c in self.crossings
-        )
+        return " ".join("X({},{},{},{})".format(*t) for t in self.pd)
 
     @property
     def content_hash(self) -> str:

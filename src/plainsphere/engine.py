@@ -41,42 +41,13 @@ search order; the first whose closure colors every strand is logged by
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
+from .certificate import MODES, PLAINSPHERE, WIRTINGER, Certificate, Move
 from .diagram import Diagram, UnionFind
 from .dual import DualGraph, build_dual
 from .errors import ComputeTimeout
-
-WIRTINGER = "wirtinger"
-PLAINSPHERE = "plainsphere"
-MODES = (WIRTINGER, PLAINSPHERE)
-
-
-@dataclass(frozen=True)
-class Move:
-    """One coloring step.
-
-    Wirtinger moves carry the witnessing crossing.  Loop moves carry the
-    edge where the loop crosses the target strand plus the face cycle
-    f0..fk: the target edge joins fk back to f0, and every hop fi->fi+1
-    crosses some edge of an already-colored strand.  ``cycle_edges``
-    records one such edge per hop for internal checks; it is not part of
-    the serialized form, which a verifier re-derives independently.
-    """
-
-    kind: str  # "W" or "L"
-    target: int
-    crossing: int | None = None
-    edge: int | None = None
-    cycle_faces: tuple[int, ...] | None = None
-    # Witness bookkeeping, not part of the certificate contract.
-    cycle_edges: tuple[int, ...] | None = field(default=None, compare=False)
-
-    @property
-    def cycle_length(self) -> int:
-        return len(self.cycle_faces) if self.cycle_faces else 0
 
 
 class ColoringState:
@@ -92,7 +63,6 @@ class ColoringState:
         for s in seed_list:
             if not 0 <= s < diagram.n:
                 raise ValueError(f"unknown strand id {s}")
-        self.seeds = tuple(seed_list)
         self.colored: set[int] = set(seed_list)
         self.move_log: list[Move] = []
         self._uf: UnionFind | None = None
@@ -303,8 +273,6 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             sizes: Iterable[int], deadline: float | None):
     """(k, certificate) for the first seed set, by size from `sizes` and
     then in search order, whose closure colors every strand; else None."""
-    from .certificate import Certificate
-
     order = strand_search_order(d)
     for k in sizes:
         for combo in combinations(order, k):
@@ -340,8 +308,6 @@ def rho(d: Diagram, dual: DualGraph | None = None,
     reissued as a plain-sphere certificate (its Wirtinger moves remain
     valid there).
     """
-    from .certificate import Certificate
-
     if dual is None:
         dual = build_dual(d)
     w, wcert = omega_result if omega_result is not None else omega(d, deadline)

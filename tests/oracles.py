@@ -26,11 +26,11 @@ from plainsphere.engine import (PLAINSPHERE, WIRTINGER, ColoringState,
 def crossing_tables(d: Diagram) -> list[tuple[int, int, int]]:
     """(under strand, under strand, over strand) per crossing, from raw tuples."""
     out = []
-    for c in d.crossings:
-        u1 = d.edge_to_strand[c.pd[0]]
-        u2 = d.edge_to_strand[c.pd[2]]
-        over = d.edge_to_strand[c.pd[1]]
-        assert over == d.edge_to_strand[c.pd[3]]
+    for t in d.pd:
+        u1 = d.edge_to_strand[t[0]]
+        u2 = d.edge_to_strand[t[2]]
+        over = d.edge_to_strand[t[1]]
+        assert over == d.edge_to_strand[t[3]]
         out.append((u1, u2, over))
     return out
 
@@ -98,7 +98,7 @@ def loop_available(g: DualGraph, cycles: list[tuple[int, ...]],
     """Definition check: some simple cycle crosses `target` exactly once
     and otherwise crosses only colored strands."""
     for cycle in cycles:
-        strands = [g.edge_strand[e] for e in cycle]
+        strands = [g.diagram.edge_to_strand[e] for e in cycle]
         if strands.count(target) != 1:
             continue
         if all(s == target or s in colored for s in strands):

@@ -160,7 +160,7 @@ def test_criterion_7_structural_invariants(engine_results):
             problems.append((name, "euler"))
         if any(f1 == f2 for f1, f2 in g.edge_faces.values()):
             problems.append((name, "dual self-loop"))
-        claimed = sorted(e for s in d.strands for e in s.edges)
+        claimed = sorted(e for edges in d.strands for e in edges)
         if claimed != list(range(1, 2 * d.n + 1)):
             problems.append((name, "strand partition"))
         # every emitted loop move crosses each link component evenly
@@ -225,8 +225,7 @@ def _mutants(d, g, cert):
             if wrong:
                 yield swap(Move("W", m.target, crossing=wrong[0])), {W_FAIL}
         else:
-            foreign = next(e for e in sorted(g.edge_strand)
-                           if g.edge_strand[e] == seeds[0])
+            foreign = min(d.strands[seeds[0]])
             yield swap(Move("L", m.target, edge=foreign,
                             cycle_faces=m.cycle_faces)), \
                 {"CycleTargetCountNeq1"}

@@ -10,6 +10,7 @@ import pytest
 from plainsphere.census import (RECORD_COLUMNS, CensusOptions,
                                 existing_record_names, ingest, run_census,
                                 write_records, write_summary)
+from plainsphere.diagram import parse_pd
 from plainsphere.errors import FileUnreadable, MissingColumns
 
 from conftest import TREFOIL_PD, table_path
@@ -53,6 +54,18 @@ class TestIngest:
         assert summary["skipped_rows"] == [
             {"name": "worded", "reason": "bad bridge_number 'two'"}]
 
+    def test_duplicate_name_skips_the_later_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "name,pd_notation,bridge_number\n"
+            f'k,"{TREFOIL_PD}",2\n'
+            'k,"X(2,1,3,4) X(4,3,1,2)",2\n'
+        )
+        records, summary = run_census(ingest(str(path)), small_options())
+        assert [(r["name"], r["n"]) for r in records] == [("k", 3)]
+        assert summary["skipped_rows"] == [
+            {"name": "k", "reason": "duplicate name 'k' (first on line 2)"}]
+
     def test_missing_bridge_column_is_fine(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(f'name,pd_notation\ntrefoil,"{TREFOIL_PD}"\n')
@@ -92,6 +105,26 @@ class TestRunCensus:
         rows = ingest(table_path("fixtures_small.csv"))
         records, _ = run_census(rows, small_options(jobs=1))
         assert len(calls) == len(records) == 25
+
+    def test_unexpected_error_skips_only_its_row(self, monkeypatch):
+        import plainsphere.census
+        rows = ingest(table_path("fixtures_small.csv"))
+        target = parse_pd(
+            next(r.pd_text for r in rows if r.name == "trefoil")).content_hash
+        real = plainsphere.census.rho
+
+        def faulty(d, **kwargs):
+            if d.content_hash == target:
+                raise AssertionError("engine invariant broken")
+            return real(d, **kwargs)
+
+        monkeypatch.setattr(plainsphere.census, "rho", faulty)
+        records, summary = run_census(rows, small_options(jobs=1))
+        assert len(records) == 24
+        assert "trefoil" not in {r["name"] for r in records}
+        assert summary["skipped_rows"] == [
+            {"name": "trefoil",
+             "reason": "error: AssertionError: engine invariant broken"}]
 
     def test_results_independent_of_jobs(self):
         rows = ingest(table_path("fixtures_small.csv"))

@@ -40,31 +40,36 @@ class TestParsing:
 
 class TestStrands:
     def test_trefoil_strand_walks(self, trefoil):
-        assert [s.edges for s in trefoil.strands] == [(2, 3), (4, 5), (6, 1)]
-        assert trefoil.strands[0].endpoints == ((0, 2), (1, 0))
-        assert trefoil.strands[1].endpoints == ((1, 2), (2, 0))
-        assert trefoil.strands[2].endpoints == ((2, 2), (0, 0))
+        assert trefoil.strands == ((2, 3), (4, 5), (6, 1))
 
     def test_one_crossing_unknot_single_strand(self):
         d = parse_pd("X(1,2,2,1)")
         assert len(d.strands) == 1
-        assert sorted(d.strands[0].edges) == [1, 2]
+        assert sorted(d.strands[0]) == [1, 2]
         # both ends of the lone strand land on the same crossing
-        assert {slot for _, slot in d.strands[0].endpoints} == {0, 2}
+        assert d.under_strands == ((0, 0),)
 
     def test_edge_partition(self, all_diagrams):
         for name, d in all_diagrams.items():
-            claimed = [e for s in d.strands for e in s.edges]
+            claimed = [e for edges in d.strands for e in edges]
             assert sorted(claimed) == list(range(1, 2 * d.n + 1)), name
 
     def test_strand_count_equals_crossing_count(self, all_diagrams):
         for name, d in all_diagrams.items():
             assert len(d.strands) == d.n, name
 
-    def test_endpoints_are_under_slots(self, all_diagrams):
+    def test_strands_end_at_under_slots(self, all_diagrams):
+        # A walk leaves its last edge's near end through an over slot
+        # (unless the strand has one edge, whose both ends are under
+        # slots); the far end is an under slot of a crossing that lists
+        # the strand among its under-strands.
         for name, d in all_diagrams.items():
-            for s in d.strands:
-                assert all(slot in (0, 2) for _, slot in s.endpoints), name
+            for s, edges in enumerate(d.strands):
+                unders = [(c, slot) for c, slot in d.occurrences[edges[-1]]
+                          if slot in (0, 2)]
+                assert len(unders) == (2 if len(edges) == 1 else 1), name
+                for c, _ in unders:
+                    assert s in d.under_strands[c], (name, s, c)
 
 
 class TestAdjacency:
