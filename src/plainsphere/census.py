@@ -8,11 +8,13 @@ reason, a per-diagram timeout marks the row timed out, and none of them
 produces fabricated numbers in the output.
 Records land in a CSV with the columns
 
-    name,n,strands,omega,rho,beta_ref,strict_gap,bound_ok,millis
+    name,n,strands,omega,rho,beta_ref,strict_gap,bound_ok,millis,diagram_hash
 
-plus a JSON summary of totals.  Re-runs resume by skipping names that
-already appear in the records file, so long sweeps can run in
-append-only slices.  The tabulated bridge number is never consulted by
+plus a JSON summary of totals.  Re-runs resume by skipping rows whose
+name and diagram hash already appear together in the records file, so
+long sweeps can run in append-only slices; a row whose name is recorded
+for another diagram is skipped with its own reason and never computed
+under that name.  The tabulated bridge number is never consulted by
 the search itself; it is only compared against the results afterwards,
 keeping the lower-bound check honest.
 """
@@ -31,7 +33,9 @@ from .engine import omega, rho
 from .errors import ComputeTimeout, FileUnreadable, MissingColumns, PlainSphereError
 
 RECORD_COLUMNS = ("name", "n", "strands", "omega", "rho", "beta_ref",
-                  "strict_gap", "bound_ok", "millis")
+                  "strict_gap", "bound_ok", "millis", "diagram_hash")
+ALREADY_RECORDED = "already in records"
+NAME_TAKEN = "name already in records for another diagram"
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class CensusOptions:
     max_crossings: int | None = None
     jobs: int = 1
     timeout_ms: int | None = None
-    resume_names: frozenset[str] = field(default_factory=frozenset)
+    resume: dict[str, str] = field(default_factory=dict)  # name -> hash
 
 
 def ingest(path: str) -> list[TableRow]:
@@ -72,7 +76,7 @@ def ingest(path: str) -> list[TableRow]:
                 if not name or not pd_text:
                     problem = "missing name or pd_notation"
                 elif first_line.setdefault(name, i) != i:
-                    # records and resume are keyed by name
+                    # records are keyed by name
                     problem = (f"duplicate name {name!r} "
                                f"(first on line {first_line[name]})")
                 elif beta_text:
@@ -92,6 +96,13 @@ def ingest(path: str) -> list[TableRow]:
 
 def _crossing_count(pd_text: str) -> int:
     return len(_TUPLE_RE.findall(pd_text))
+
+
+def _diagram_hash(pd_text: str) -> str | None:
+    try:
+        return parse_pd(pd_text).content_hash
+    except PlainSphereError:
+        return None  # a record always comes from a diagram that parsed
 
 
 def _process_row(args: tuple[int, str, str, int | None, int | None]) -> dict:
@@ -130,6 +141,7 @@ def _process_row(args: tuple[int, str, str, int | None, int | None]) -> dict:
             "strict_gap": w - r,
             "bound_ok": bound_ok,
             "millis": round(millis, 1),
+            "diagram_hash": d.content_hash,
         },
     }
 
@@ -147,8 +159,10 @@ def run_census(rows: list[TableRow],
             skipped.append({"name": row.name or f"line {row.line}",
                             "reason": row.problem})
             continue
-        if row.name in options.resume_names:
-            skipped.append({"name": row.name, "reason": "already in records"})
+        if row.name in options.resume:
+            same = options.resume[row.name] == _diagram_hash(row.pd_text)
+            skipped.append({"name": row.name,
+                            "reason": ALREADY_RECORDED if same else NAME_TAKEN})
             continue
         if (options.max_crossings is not None
                 and _crossing_count(row.pd_text) > options.max_crossings):
@@ -189,16 +203,25 @@ def run_census(rows: list[TableRow],
     return records, summary
 
 
-def existing_record_names(path: str) -> frozenset[str]:
-    """Names already present in a records CSV (for append-only resume)."""
+def existing_records(path: str) -> dict[str, str]:
+    """Name -> diagram hash of each row of a records CSV (for resume)."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return frozenset(row["name"] for row in csv.DictReader(fh)
-                             if row.get("name"))
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                return {}  # empty file: nothing was recorded
+            if "diagram_hash" not in reader.fieldnames:
+                raise FileUnreadable(
+                    f"{path}: records have no diagram_hash column; "
+                    "rerun with --fresh")
+            return {row["name"]: row["diagram_hash"] for row in reader
+                    if row.get("name")}
     except FileNotFoundError:
-        return frozenset()
+        return {}
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FileUnreadable(f"cannot parse {path}: {exc}") from exc
 
 
 def write_records(path: str, records: list[dict], append: bool) -> None:

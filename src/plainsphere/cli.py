@@ -25,8 +25,9 @@ import sys
 import time
 
 from . import __version__
-from .census import (CensusOptions, existing_record_names, ingest, run_census,
-                     write_records, write_summary)
+from .census import (ALREADY_RECORDED, NAME_TAKEN, CensusOptions,
+                     existing_records, ingest, run_census, write_records,
+                     write_summary)
 from .certificate import (HASH_MISMATCH, deserialize_certificate,
                           serialize_certificate, verify)
 from .diagram import parse_pd
@@ -150,20 +151,18 @@ def _print_compute(result: dict, fmt: str) -> None:
 def cmd_census(args) -> int:
     try:
         rows = ingest(args.input)
+        resume = {} if args.fresh else existing_records(args.records)
     except (FileUnreadable, MissingColumns) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    resume = frozenset()
-    if not args.fresh:
-        resume = existing_record_names(args.records)
     options = CensusOptions(
         max_crossings=args.max_crossings,
         jobs=args.jobs or 1,
         timeout_ms=args.timeout_ms,
-        resume_names=resume,
+        resume=resume,
     )
     records, summary = run_census(rows, options)
     resumed = sum(1 for s in summary["skipped_rows"]
-                  if s["reason"] == "already in records")
+                  if s["reason"] in (ALREADY_RECORDED, NAME_TAKEN))
     if summary["totals"]["eligible"] == 0 and resumed == 0:
         return _fail(EXIT_EMPTY_CENSUS, "census input has no processable rows")
     append = bool(resume) and os.path.exists(args.records)
@@ -231,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="run omega/rho over a CSV knot table")
     p.add_argument("--input", required=True)
     p.add_argument("--records", required=True,
-                   help="output CSV; re-runs append rows for new names only")
+                   help="output CSV; re-runs append rows for new names only "
+                        "and skip names recorded for another diagram")
     p.add_argument("--summary", help="output JSON summary path")
     p.add_argument("--jobs", type=int, default=_env_int("PSK_JOBS"))
     p.add_argument("--timeout-ms", type=int, default=_env_int("PSK_TIMEOUT_MS"))

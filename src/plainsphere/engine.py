@@ -21,10 +21,9 @@ and both move families are monotone in the colored set, so saturation
 reaches the same fixpoint in any order.  The code computes that one
 closure two ways:
 
-* ``closure`` is the fast path the search runs on every seed set.  It
-  spreads Wirtinger moves from each newly colored strand through the
-  crossings that strand meets; in plain-sphere mode it then colors every
-  strand that passes the loop test and repeats until nothing changes.
+* ``GrowingClosure`` is the fast path: a colored set kept closed while
+  seeds are added one at a time, with undo.  ``closure`` adds a seed
+  set to a fresh one.
 
 * ``saturate`` builds the move log a certificate replays, with a fixed
   policy: sweep the uncolored strands in id order, applying each one's
@@ -34,14 +33,21 @@ closure two ways:
   and start sweeping again.
 
 omega and rho share one search: seed sets by size, then in strand
-search order; the first whose closure colors every strand is logged by
-``saturate`` into its certificate.
+search order (the order of ``itertools.combinations`` over it),
+enumerated depth first on one ``GrowingClosure`` that extends each
+prefix's closure by the next seed and undoes it on backtrack.  A
+candidate the prefix already colors is skipped: adding it changes
+nothing, so a set through it saturates only if a smaller set does, and
+every smaller size already failed.  omega starts at the number of link
+components: a Wirtinger move colors a strand from the other under-strand
+of its crossing, on the same component, so each component needs a seed
+of its own.  The first set whose closure colors every strand is logged
+by ``saturate`` into its certificate.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations
 from typing import Iterable
 
 from .certificate import MODES, PLAINSPHERE, WIRTINGER, Certificate, Move
@@ -202,61 +208,134 @@ def saturate(d: Diagram, seeds: Iterable[int], mode: str,
     return frozenset(state.colored), tuple(state.move_log)
 
 
+class GrowingClosure:
+    """A colored set kept closed under one mode's moves, grown one seed at
+    a time and rolled back to any earlier mark.
+
+    ``add(s)`` colors s, saturates from the current closed set and
+    returns a mark; ``undo(mark)`` rolls back every change made since,
+    in O(changes).  Each newly colored strand spreads Wirtinger moves
+    through the crossings it meets and, in plain-sphere mode, joins the
+    two faces of each of its dual edges.  Face classes are a union-find
+    with union by size and no path compression, so a union is undone by
+    unlinking one root, and each class is also a circular member list.
+    A strand passes the loop test once the two faces of one of its edges
+    share a class, which happens only when a union merges their classes,
+    so each union tests just the edges between the two: it walks the
+    smaller class and looks at the other face of every edge it borders.
+    An edge whose two faces coincide would pass with nothing colored;
+    its strand is colored on the first ``add``.
+    """
+
+    def __init__(self, d: Diagram, mode: str, dual: DualGraph | None = None):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        self.colored = [False] * d.n
+        self.count = 0
+        self._trail: list[int] = []  # strand s colored, or ~r: root r linked
+        # per strand, (u1, u2, over) of each crossing it meets that can fire
+        self._crossings = tuple(
+            tuple(d.under_strands[c] + (d.over_strand[c],) for c in cs
+                  if d.under_strands[c][0] != d.under_strands[c][1])
+            for cs in d.strand_crossings)
+        # Wirtinger mode joins no faces: no strand has a dual edge there
+        plain = mode == PLAINSPHERE
+        faces = dual.n_faces if plain else 0
+        self._edges = dual.strand_edges if plain else ((),) * d.n
+        self._parent = list(range(faces))
+        self._size = [1] * faces
+        self._next = list(range(faces))
+        # per face, (other face, strand) of each edge it borders
+        self._border: list[list[tuple[int, int]]] = [[] for _ in range(faces)]
+        for s, edges in enumerate(self._edges):
+            for _, f1, f2 in edges:
+                self._border[f1].append((f2, s))
+                self._border[f2].append((f1, s))
+        self._free = [s for s, edges in enumerate(self._edges)
+                      if any(f1 == f2 for _, f1, f2 in edges)]
+
+    def add(self, s: int) -> int:
+        """Color `s` (uncolored) and saturate; returns the mark to undo to."""
+        colored, trail, crossings, edges = (self.colored, self._trail,
+                                            self._crossings, self._edges)
+        parent, size, nxt, border = (self._parent, self._size, self._next,
+                                     self._border)
+        mark = len(trail)
+        stack = [s]
+        if not self.count:
+            stack += [t for t in self._free if t != s]
+        for t in stack:
+            colored[t] = True
+        trail += stack
+        count = self.count + len(stack)
+        while stack:
+            t = stack.pop()
+            for u1, u2, o in crossings[t]:
+                if colored[o] and colored[u1] != colored[u2]:
+                    u = u2 if colored[u1] else u1
+                    colored[u] = True
+                    trail.append(u)
+                    stack.append(u)
+                    count += 1
+            for _, a, b in edges[t]:
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a == b:
+                    continue
+                if size[a] > size[b]:
+                    a, b = b, a
+                f = a
+                while True:  # edges between class a and class b pass
+                    for g, u in border[f]:
+                        if not colored[u]:
+                            while parent[g] != g:
+                                g = parent[g]
+                            if g == b:
+                                colored[u] = True
+                                trail.append(u)
+                                stack.append(u)
+                                count += 1
+                    f = nxt[f]
+                    if f == a:
+                        break
+                parent[a] = b
+                size[b] += size[a]
+                nxt[a], nxt[b] = nxt[b], nxt[a]
+                trail.append(~a)
+        self.count = count
+        return mark
+
+    def undo(self, mark: int) -> None:
+        """Roll back to the state `add` returned `mark` from."""
+        colored, trail, parent, size, nxt = (self.colored, self._trail,
+                                             self._parent, self._size,
+                                             self._next)
+        for x in reversed(trail[mark:]):
+            if x >= 0:
+                colored[x] = False
+                self.count -= 1
+            else:
+                a = ~x
+                b = parent[a]
+                parent[a] = a
+                size[b] -= size[a]
+                nxt[a], nxt[b] = nxt[b], nxt[a]
+        del trail[mark:]
+
+
 def closure(d: Diagram, seeds: Iterable[int], mode: str,
             dual: DualGraph | None = None) -> set[int]:
     """The colored set `saturate` reaches from `seeds`, without the log.
 
-    The hot path of the seed-set search.  Wirtinger moves spread from
-    each newly colored strand through the crossings it meets.  In
-    plain-sphere mode, once they stall, every uncolored strand with an
-    edge whose two faces are joined through colored strands' dual edges
-    is colored at once, and the spread resumes from those strands.
-    Face labels live in a flat parent list with inline root walks,
-    which is faster here than calling ``UnionFind`` methods.  `dual` is
-    required in plain-sphere mode.
+    `dual` is required in plain-sphere mode.
     """
-    n, under, over = d.n, d.under_strands, d.over_strand
-    incident = d.strand_crossings
-    colored = set(seeds)
-    stack = list(colored)
-    fresh = list(colored)  # colored but not yet joined into the faces
-    parent = list(range(dual.n_faces)) if mode == PLAINSPHERE else None
-    while True:
-        while stack:
-            for c in incident[stack.pop()]:
-                if over[c] in colored:
-                    u1, u2 = under[c]
-                    if (u1 in colored) != (u2 in colored):
-                        t = u2 if u1 in colored else u1
-                        colored.add(t)
-                        stack.append(t)
-                        fresh.append(t)
-        if mode != PLAINSPHERE or len(colored) == n:
-            return colored
-        for s in fresh:
-            for _, f1, f2 in dual.strand_edges[s]:
-                while parent[f1] != f1:
-                    f1 = parent[f1]
-                while parent[f2] != f2:
-                    f2 = parent[f2]
-                if f1 != f2:
-                    parent[f1] = f2
-        fresh = []
-        for s in range(n):
-            if s in colored:
-                continue
-            for _, f1, f2 in dual.strand_edges[s]:
-                while parent[f1] != f1:
-                    f1 = parent[f1]
-                while parent[f2] != f2:
-                    f2 = parent[f2]
-                if f1 == f2:
-                    fresh.append(s)
-                    break
-        if not fresh:
-            return colored
-        colored.update(fresh)
-        stack = list(fresh)
+    state = GrowingClosure(d, mode, dual)
+    for s in seeds:
+        if not state.colored[s]:
+            state.add(s)
+    return {s for s, c in enumerate(state.colored) if c}
 
 
 def strand_search_order(d: Diagram) -> list[int]:
@@ -272,19 +351,36 @@ def strand_search_order(d: Diagram) -> list[int]:
 def _search(d: Diagram, mode: str, dual: DualGraph | None,
             sizes: Iterable[int], deadline: float | None):
     """(k, certificate) for the first seed set, by size from `sizes` and
-    then in search order, whose closure colors every strand; else None."""
+    then in search order, whose closure colors every strand; else None.
+    Every size before those in `sizes` must be known to fail."""
     order = strand_search_order(d)
-    for k in sizes:
-        for combo in combinations(order, k):
+    state = GrowingClosure(d, mode, dual)
+    colored, n = state.colored, d.n
+    chosen: list[int] = []
+
+    def extend(start: int, left: int) -> bool:
+        for i in range(start, n - left + 1):
+            s = order[i]
+            if colored[s]:
+                continue  # the prefix colors it: see the module docstring
             if deadline is not None and time.monotonic() > deadline:
                 raise ComputeTimeout("seed-set search exceeded its deadline")
-            if len(closure(d, combo, mode, dual)) == d.n:
-                colored, log = saturate(d, combo, mode, dual)
-                assert len(colored) == d.n
-                return k, Certificate(
-                    diagram_hash=d.content_hash, mode=mode,
-                    seeds=tuple(sorted(combo)), moves=log,
-                )
+            mark = state.add(s)
+            chosen.append(s)
+            if state.count == n if left == 1 else extend(i + 1, left - 1):
+                return True
+            chosen.pop()
+            state.undo(mark)
+        return False
+
+    for k in sizes:
+        if extend(0, k):
+            colored_set, log = saturate(d, chosen, mode, dual)
+            assert len(colored_set) == d.n
+            return k, Certificate(
+                diagram_hash=d.content_hash, mode=mode,
+                seeds=tuple(sorted(chosen)), moves=log,
+            )
     return None
 
 
@@ -294,7 +390,8 @@ def omega(d: Diagram, deadline: float | None = None):
     Returns (k, certificate).  k = n always succeeds, so the search
     terminates.
     """
-    found = _search(d, WIRTINGER, None, range(1, d.n + 1), deadline)
+    found = _search(d, WIRTINGER, None, range(d.n_components, d.n + 1),
+                    deadline)
     assert found is not None, "unreachable: the full strand set saturates"
     return found
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,19 @@ K14_PD = (
     "X(19,12,20,13) X(8,4,9,3) X(14,8,15,7) X(2,10,3,9) X(10,16,11,15) "
     "X(11,18,12,19) X(22,18,23,17) X(26,22,27,21) X(16,24,17,23)"
 )
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name: str):
+    """Load ``perfbench/<name>.py`` (standard library only) without
+    putting perfbench on the import path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def table_path(filename: str) -> str:

@@ -8,9 +8,12 @@ re-derived from the raw crossing tuples.  Seed-set searches run in
 plain strand-id order with no heuristics.  Practical only for small
 diagrams, which is the point.
 
-The one exception is ``saturate_random``: it drives the engine's own
-move finders in random order, to check that the order of moves does not
-change the fixpoint.
+Two exceptions reuse engine parts on purpose.  ``saturate_random``
+drives the engine's own move finders in random order, to check that the
+order of moves does not change the fixpoint.  ``reference_search`` is
+the engine's seed-set search in its plain form, every set of each size
+in ``combinations`` order with a fresh closure each, to check that the
+depth-first search finds the same first set.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from itertools import combinations
 from plainsphere.diagram import Diagram
 from plainsphere.dual import DualGraph, build_dual
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, ColoringState,
-                                loop_colorable_now, wirtinger_colorable_now)
+                                closure, loop_colorable_now,
+                                strand_search_order, wirtinger_colorable_now)
 
 
 def crossing_tables(d: Diagram) -> list[tuple[int, int, int]]:
@@ -160,3 +164,16 @@ def saturate_random(d: Diagram, seeds, mode: str, rng,
         if not available:
             return frozenset(state.colored)
         state.apply(rng.choice(available))
+
+
+def reference_search(d: Diagram, mode: str, dual: DualGraph | None,
+                     sizes) -> tuple[int, tuple[int, ...]] | None:
+    """(k, sorted seeds) of the first seed set, by size from `sizes` and
+    then in ``combinations`` order over the strand search order, whose
+    closure colors every strand; else None."""
+    order = strand_search_order(d)
+    for k in sizes:
+        for combo in combinations(order, k):
+            if len(closure(d, combo, mode, dual)) == d.n:
+                return k, tuple(sorted(combo))
+    return None

@@ -7,9 +7,9 @@ import json
 
 import pytest
 
-from plainsphere.census import (RECORD_COLUMNS, CensusOptions,
-                                existing_record_names, ingest, run_census,
-                                write_records, write_summary)
+from plainsphere.census import (ALREADY_RECORDED, NAME_TAKEN, RECORD_COLUMNS,
+                                CensusOptions, existing_records, ingest,
+                                run_census, write_records, write_summary)
 from plainsphere.diagram import parse_pd
 from plainsphere.errors import FileUnreadable, MissingColumns
 
@@ -193,16 +193,40 @@ class TestPersistence:
             assert tuple(reader.fieldnames) == RECORD_COLUMNS
             assert len(list(reader)) == 5
 
-        names = existing_record_names(str(rec_path))
-        assert names == {"k14n1527", "t37", "sum77", "sum5_9", "turk14"}
+        done = existing_records(str(rec_path))
+        assert set(done) == {"k14n1527", "t37", "sum77", "sum5_9", "turk14"}
+        assert done == {r.name: parse_pd(r.pd_text).content_hash
+                        for r in rows}
 
         # a resumed run recomputes nothing
-        again, summary2 = run_census(
-            rows, small_options(resume_names=names))
+        again, summary2 = run_census(rows, small_options(resume=done))
         assert again == []
         assert summary2["totals"]["eligible"] == 0
-        assert all(s["reason"] == "already in records"
+        assert all(s["reason"] == ALREADY_RECORDED
                    for s in summary2["skipped_rows"])
+
+    def test_resume_needs_the_same_diagram(self, tmp_path):
+        rows = ingest(table_path("slice14.csv"))
+        records, _ = run_census(rows, small_options(jobs=1))
+        rec_path = tmp_path / "records.csv"
+        write_records(str(rec_path), records, append=False)
+        done = existing_records(str(rec_path))
+        done["t37"] = done["k14n1527"]
+        again, summary = run_census(rows, small_options(resume=done))
+        assert again == []
+        reasons = {s["name"]: s["reason"] for s in summary["skipped_rows"]}
+        assert reasons["t37"] == NAME_TAKEN
+        assert reasons["k14n1527"] == ALREADY_RECORDED
+
+    def test_unusable_records_refused(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("name,n,strands,omega,rho,beta_ref,strict_gap,"
+                        "bound_ok,millis\nk,3,3,2,2,2,0,true,1.0\n")
+        with pytest.raises(FileUnreadable):
+            existing_records(str(path))
+        path.write_bytes(b"\xff\xfename,diagram_hash\n")
+        with pytest.raises(FileUnreadable):
+            existing_records(str(path))
 
     def test_append_mode(self, tmp_path):
         rec_path = tmp_path / "records.csv"
@@ -210,11 +234,13 @@ class TestPersistence:
         records, _ = run_census(rows, small_options(jobs=4))
         write_records(str(rec_path), records[:2], append=False)
         write_records(str(rec_path), records[2:], append=True)
-        assert existing_record_names(str(rec_path)) == {
-            "k14n1527", "t37", "sum77", "sum5_9", "turk14"}
+        assert existing_records(str(rec_path)) == {
+            r["name"]: r["diagram_hash"] for r in records}
 
     def test_existing_names_missing_file(self, tmp_path):
-        assert existing_record_names(str(tmp_path / "none.csv")) == frozenset()
+        assert existing_records(str(tmp_path / "none.csv")) == {}
+        (tmp_path / "empty.csv").write_text("")
+        assert existing_records(str(tmp_path / "empty.csv")) == {}
 
     def test_summary_json(self, tmp_path):
         rows = ingest(table_path("slice14.csv"))

@@ -190,6 +190,36 @@ class TestCensusCommand:
         assert "0 completed" in out
         assert records.read_text() == before
 
+    def test_resume_keys_name_and_diagram(self, capsys, tmp_path):
+        records = tmp_path / "records.csv"
+        summary = tmp_path / "summary.json"
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_text(f'name,pd_notation\nk,"{TREFOIL_PD}"\n')
+        second.write_text(f'name,pd_notation\nk,"{HOPF_PD}"\n')
+        for table in (first, second):
+            code, _, _ = run(capsys, "census", "--input", str(table),
+                             "--records", str(records),
+                             "--summary", str(summary))
+            assert code == EXIT_OK
+        with open(records, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["name"], r["n"]) for r in rows] == [("k", "3")]
+        doc = json.loads(summary.read_text())
+        assert doc["skipped_rows"] == [
+            {"name": "k",
+             "reason": "name already in records for another diagram"}]
+
+    def test_records_without_hash_exit_two(self, capsys, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_text("name,n,strands,omega,rho,beta_ref,strict_gap,"
+                           "bound_ok,millis\n")
+        code, _, err = run(capsys, "census",
+                           "--input", table_path("slice14.csv"),
+                           "--records", str(records))
+        assert code == EXIT_PARSE and "--fresh" in err
+        assert run(capsys, "census", "--input", table_path("slice14.csv"),
+                   "--records", str(records), "--fresh")[0] == EXIT_OK
+
     def test_fresh_recomputes(self, capsys, tmp_path):
         records = tmp_path / "records.csv"
         args = ("census", "--input", table_path("slice14.csv"),

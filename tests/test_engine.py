@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import time
+import types
 
 import pytest
 
-from plainsphere import omega, rho
+from plainsphere import DualGraph, build_dual, omega, parse_pd, rho
 from plainsphere.certificate import verify
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, ColoringState,
-                                closure, loop_colorable_now, saturate,
-                                strand_search_order, wirtinger_colorable_now)
+                                GrowingClosure, closure, loop_colorable_now,
+                                saturate, strand_search_order,
+                                wirtinger_colorable_now)
 from plainsphere.errors import ComputeTimeout
+
+from conftest import perfbench_module
+
+braids = perfbench_module("braids")
 
 # the three strands colored in the reference staged coloring of k14n1527,
 # and the ten-strand set its Wirtinger closure sticks at
@@ -125,6 +132,60 @@ class TestSaturation:
                         assert frozenset(fast) == slow, (name, mode, seeds)
 
 
+class TestGrowingClosure:
+    @pytest.mark.parametrize("pd", [
+        "X(1,2,2,1)",
+        braids.braid_pd([1, 1, 1, 2], 3),   # trefoil plus a kink
+        braids.braid_pd([1, 1, 1, -2], 3),  # ... kinked the other way
+    ])
+    def test_kinked_closure_matches_saturate(self, pd):
+        d = parse_pd(pd)
+        g = build_dual(d)
+        for k in range(1, d.n + 1):
+            for seeds in itertools.combinations(range(d.n), k):
+                for mode in (WIRTINGER, PLAINSPHERE):
+                    slow, _ = saturate(d, seeds, mode, g)
+                    assert closure(d, seeds, mode, g) == slow, (pd, seeds)
+
+    def test_edge_with_one_face_colors_on_first_add(self, trefoil,
+                                                    trefoil_dual):
+        """A dual self-loop through strand 2 is a loop move with nothing
+        colored; ``build_dual`` never makes one, so the dual is forged."""
+        e = trefoil.strands[2][0]
+        f = trefoil_dual.edge_faces[e][0]
+        forged = DualGraph(trefoil, trefoil_dual.n_faces,
+                           {**trefoil_dual.edge_faces, e: (f, f)})
+        state = GrowingClosure(trefoil, PLAINSPHERE, forged)
+        for seed in (0, 1):
+            mark = state.add(seed)
+            assert state.colored == [True] * 3  # seed, 2, then a W move
+            state.undo(mark)
+            assert state.count == 0 and not any(state.colored)
+        assert closure(trefoil, (0,), WIRTINGER, forged) == {0}
+
+    def test_undo_restores_every_table(self, k14, k14_dual):
+        state = GrowingClosure(k14, PLAINSPHERE, k14_dual)
+
+        def snapshot():
+            return (list(state.colored), state.count, list(state._parent),
+                    list(state._size), list(state._next))
+
+        marks, seeds, shots = [], [], []
+        for s in (13, 2, 7, 0):
+            if state.colored[s]:
+                continue
+            shots.append(snapshot())
+            marks.append(state.add(s))
+            seeds.append(s)
+            want = closure(k14, seeds, PLAINSPHERE, k14_dual)
+            assert {t for t, c in enumerate(state.colored) if c} == want
+            assert state.count == len(want)
+        assert len(marks) >= 2
+        while marks:
+            state.undo(marks.pop())
+            assert snapshot() == shots.pop()
+
+
 class TestSearch:
     def test_search_order_prefers_high_over_degree(self, k14):
         order = strand_search_order(k14)
@@ -165,6 +226,21 @@ class TestSearch:
     def test_rho_deadline_raises(self, k14, k14_dual):
         with pytest.raises(ComputeTimeout):
             rho(k14, dual=k14_dual, deadline=time.monotonic() - 1.0)
+
+    def test_deadline_expires_mid_search(self, monkeypatch):
+        import plainsphere.engine
+        d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(5)))
+        g = build_dual(d)
+        known = omega(d)
+        for run in (lambda: omega(d, deadline=100),
+                    lambda: rho(d, dual=g, deadline=100, omega_result=known)):
+            ticks = itertools.count()  # one tick per clock read
+            monkeypatch.setattr(plainsphere.engine, "time",
+                                types.SimpleNamespace(
+                                    monotonic=lambda: next(ticks)))
+            with pytest.raises(ComputeTimeout):
+                run()
+            assert next(ticks) == 102  # 101 seeds added, then the expiry
 
     def test_values_on_known_rows(self, all_rows, all_diagrams):
         """omega == rho on every bundled diagram except the gap witness."""

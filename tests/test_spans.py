@@ -7,25 +7,15 @@ otherwise break only the traced benchmark run.
 
 from __future__ import annotations
 
-import importlib.util
 import inspect
 import re
 from importlib import import_module
-from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def load_wrapped():
-    # spans.py imports only the standard library
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WRAPPED
+from conftest import perfbench_module
 
 
 def test_wrapped_names_are_called_module_globals():
-    wrapped = load_wrapped()
+    wrapped = perfbench_module("spans").WRAPPED
     assert wrapped
     for module, attr, _, _ in wrapped:
         mod = import_module(f"plainsphere.{module}")
