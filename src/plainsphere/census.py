@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .diagram import _TUPLE_RE, parse_pd
@@ -172,6 +171,8 @@ def run_census(rows: list[TableRow],
         tasks.append((idx, row.name, row.pd_text, row.beta_ref,
                       options.timeout_ms))
     if options.jobs > 1 and len(tasks) > 1:
+        # imported here: a serial run never pays for the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
             results = list(pool.map(_process_row, tasks))
     else:

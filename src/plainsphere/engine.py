@@ -38,11 +38,26 @@ enumerated depth first on one ``GrowingClosure`` that extends each
 prefix's closure by the next seed and undoes it on backtrack.  A
 candidate the prefix already colors is skipped: adding it changes
 nothing, so a set through it saturates only if a smaller set does, and
-every smaller size already failed.  omega starts at the number of link
-components: a Wirtinger move colors a strand from the other under-strand
-of its crossing, on the same component, so each component needs a seed
-of its own.  The first set whose closure colors every strand is logged
-by ``saturate`` into its certificate.
+every smaller size already failed.
+
+Each search also keeps a memo of failures keyed by closed set
+(``GrowingClosure.mask``): the most further seeds known not to saturate
+it.  A prefix whose closed set is stored with at least as many seeds as
+the prefix has left is skipped.  When the subtree of a prefix P with
+closed set M and j seeds left fails, no j strands at all complete M.
+Were T such a set, either T meets M, and P with T - M is a smaller set
+that saturates, though every smaller size failed; or P + T is a set of
+this size in P's subtree or before P in ``combinations`` order, and
+each of those has already failed.  That depends only on M and j, so an
+entry holds for every later size of the same search; the other mode's
+search keeps its own memo.  Only failing subtrees are cut, so the first
+saturating set and its certificate are unchanged.
+
+omega starts at the number of link components: a Wirtinger move
+colors a strand from the other under-strand of its crossing, on the same
+component, so each component needs a seed of its own.  The first set
+whose closure colors every strand is logged by ``saturate`` into its
+certificate.
 """
 
 from __future__ import annotations
@@ -231,7 +246,8 @@ class GrowingClosure:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.colored = [False] * d.n
-        self.count = 0
+        self.mask = 0  # bit s set iff strand s is colored
+        self._bit = tuple(1 << s for s in range(d.n))  # cheaper than shifts
         self._trail: list[int] = []  # strand s colored, or ~r: root r linked
         # per strand, (u1, u2, over) of each crossing it meets that can fire
         self._crossings = tuple(
@@ -261,22 +277,23 @@ class GrowingClosure:
         parent, size, nxt, border = (self._parent, self._size, self._next,
                                      self._border)
         mark = len(trail)
+        mask, bit = self.mask, self._bit
         stack = [s]
-        if not self.count:
+        if not mask:
             stack += [t for t in self._free if t != s]
         for t in stack:
             colored[t] = True
+            mask |= bit[t]
         trail += stack
-        count = self.count + len(stack)
         while stack:
             t = stack.pop()
             for u1, u2, o in crossings[t]:
                 if colored[o] and colored[u1] != colored[u2]:
                     u = u2 if colored[u1] else u1
                     colored[u] = True
+                    mask |= bit[u]
                     trail.append(u)
                     stack.append(u)
-                    count += 1
             for _, a, b in edges[t]:
                 while parent[a] != a:
                     a = parent[a]
@@ -294,9 +311,9 @@ class GrowingClosure:
                                 g = parent[g]
                             if g == b:
                                 colored[u] = True
+                                mask |= bit[u]
                                 trail.append(u)
                                 stack.append(u)
-                                count += 1
                     f = nxt[f]
                     if f == a:
                         break
@@ -304,7 +321,7 @@ class GrowingClosure:
                 size[b] += size[a]
                 nxt[a], nxt[b] = nxt[b], nxt[a]
                 trail.append(~a)
-        self.count = count
+        self.mask = mask
         return mark
 
     def undo(self, mark: int) -> None:
@@ -312,10 +329,11 @@ class GrowingClosure:
         colored, trail, parent, size, nxt = (self.colored, self._trail,
                                              self._parent, self._size,
                                              self._next)
+        mask, bit = self.mask, self._bit
         for x in reversed(trail[mark:]):
             if x >= 0:
                 colored[x] = False
-                self.count -= 1
+                mask ^= bit[x]
             else:
                 a = ~x
                 b = parent[a]
@@ -323,6 +341,7 @@ class GrowingClosure:
                 size[b] -= size[a]
                 nxt[a], nxt[b] = nxt[b], nxt[a]
         del trail[mark:]
+        self.mask = mask
 
 
 def closure(d: Diagram, seeds: Iterable[int], mode: str,
@@ -355,8 +374,11 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     Every size before those in `sizes` must be known to fail."""
     order = strand_search_order(d)
     state = GrowingClosure(d, mode, dual)
-    colored, n = state.colored, d.n
+    colored, n, full = state.colored, d.n, (1 << d.n) - 1
     chosen: list[int] = []
+    # closed set's mask -> most further seeds known not to saturate it;
+    # valid for this mode and diagram only: see the module docstring
+    failed: dict[int, int] = {}
 
     def extend(start: int, left: int) -> bool:
         for i in range(start, n - left + 1):
@@ -367,8 +389,14 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
                 raise ComputeTimeout("seed-set search exceeded its deadline")
             mark = state.add(s)
             chosen.append(s)
-            if state.count == n if left == 1 else extend(i + 1, left - 1):
-                return True
+            mask = state.mask
+            if left == 1:
+                if mask == full:
+                    return True
+            elif failed.get(mask, -1) < left - 1:
+                if extend(i + 1, left - 1):
+                    return True
+                failed[mask] = left - 1
             chosen.pop()
             state.undo(mark)
         return False

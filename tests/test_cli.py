@@ -5,9 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plainsphere
 from plainsphere.cli import (EXIT_EMPTY_CENSUS, EXIT_HASH_MISMATCH, EXIT_OK,
                              EXIT_PARSE, EXIT_REJECTED, EXIT_TIMEOUT,
                              EXIT_UNSUPPORTED, main)
@@ -257,3 +262,16 @@ class TestCensusCommand:
                          "--input", table_path("slice14.csv"),
                          "--records", str(tmp_path / "r.csv"))
         assert code == EXIT_OK
+
+
+def test_import_loads_no_process_pool():
+    """The pool modules load only when ``--jobs`` asks for workers, so a
+    serial run never pays their import time or memory."""
+    src = Path(plainsphere.__file__).resolve().parents[1]
+    probe = ("import sys, plainsphere.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"

@@ -159,16 +159,21 @@ class TestGrowingClosure:
         for seed in (0, 1):
             mark = state.add(seed)
             assert state.colored == [True] * 3  # seed, 2, then a W move
+            assert state.mask == 0b111
             state.undo(mark)
-            assert state.count == 0 and not any(state.colored)
+            assert state.mask == 0 and not any(state.colored)
         assert closure(trefoil, (0,), WIRTINGER, forged) == {0}
 
     def test_undo_restores_every_table(self, k14, k14_dual):
         state = GrowingClosure(k14, PLAINSPHERE, k14_dual)
 
         def snapshot():
-            return (list(state.colored), state.count, list(state._parent),
+            return (list(state.colored), state.mask, list(state._parent),
                     list(state._size), list(state._next))
+
+        def mask_matches_colored():
+            return state.mask == sum(1 << s for s, c in
+                                     enumerate(state.colored) if c)
 
         marks, seeds, shots = [], [], []
         for s in (13, 2, 7, 0):
@@ -179,10 +184,11 @@ class TestGrowingClosure:
             seeds.append(s)
             want = closure(k14, seeds, PLAINSPHERE, k14_dual)
             assert {t for t, c in enumerate(state.colored) if c} == want
-            assert state.count == len(want)
+            assert mask_matches_colored()
         assert len(marks) >= 2
         while marks:
             state.undo(marks.pop())
+            assert mask_matches_colored()
             assert snapshot() == shots.pop()
 
 

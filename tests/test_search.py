@@ -16,7 +16,8 @@ import pytest
 
 from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import Certificate, serialize_certificate
-from plainsphere.engine import PLAINSPHERE, WIRTINGER, _search, saturate
+from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
+                                _search, saturate)
 from plainsphere.errors import PlainSphereError
 
 import oracles
@@ -46,10 +47,10 @@ def small_braid(index: int, max_crossings: int = 15):
 
 @pytest.fixture(scope="module")
 def search_cases(all_diagrams):
-    """(name, diagram, dual): bundled rows, trefoil sums #1-#4 and 40
+    """(name, diagram, dual): bundled rows, trefoil sums #1-#5 and 40
     random braid closures."""
     cases = [(name, d, build_dual(d)) for name, d in all_diagrams.items()]
-    for k in range(1, 5):
+    for k in range(1, 6):
         d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(k)))
         cases.append((f"trefoil-sum-{k}", d, build_dual(d)))
     for i in range(40):
@@ -81,6 +82,23 @@ def test_values_match_brute_force_oracle(search_cases):
             assert r == oracles.oracle_rho(d, g), name
             checked += 1
     assert checked >= 40
+
+
+def test_failure_memo_prunes(monkeypatch):
+    """Trefoil sum #5 takes 4927 adds for omega and 4036 for rho when
+    every prefix the colored-skip rule lets through is visited; the memo
+    of failed closed sets brings that to 3311 and 2089."""
+    d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(5)))
+    g = build_dual(d)
+    adds = []
+    add = GrowingClosure.add
+    monkeypatch.setattr(GrowingClosure, "add",
+                        lambda state, s: adds.append(s) or add(state, s))
+    w, wcert = omega(d)
+    omega_adds = len(adds)
+    r, _ = rho(d, dual=g, omega_result=(w, wcert))
+    assert (w, r) == (6, 6)
+    assert omega_adds < 4927 and len(adds) - omega_adds < 4036
 
 
 @pytest.mark.parametrize("name", ["hopf", "borromean", "chain3"])
