@@ -14,8 +14,7 @@ from .certificate import (PLAINSPHERE, WIRTINGER, Certificate, Move,
                           serialize_certificate, verify)
 from .diagram import Diagram, parse_pd
 from .dual import DualGraph, build_dual, trace_faces
-from .engine import (ColoringState, loop_colorable_now, omega, rho, saturate,
-                     wirtinger_colorable_now)
+from .engine import omega, rho, saturate
 from .errors import (BridgeDetected, CertificateError, ClosedOverComponent,
                      ComputeTimeout, DisconnectedProjection, EulerViolation,
                      FileUnreadable, MalformedPD, MissingColumns,
@@ -23,12 +22,11 @@ from .errors import (BridgeDetected, CertificateError, ClosedOverComponent,
 
 __all__ = [
     "BridgeDetected", "Certificate", "CertificateError",
-    "ClosedOverComponent", "ColoringState", "ComputeTimeout", "Diagram",
+    "ClosedOverComponent", "ComputeTimeout", "Diagram",
     "DisconnectedProjection", "DualGraph", "EulerViolation",
     "FileUnreadable", "MalformedPD", "MissingColumns", "Move",
     "PLAINSPHERE", "PlainSphereError", "SchemaError", "VerifyResult",
     "VersionMismatch", "WIRTINGER", "build_dual",
-    "deserialize_certificate", "loop_colorable_now", "omega", "parse_pd",
-    "rho", "saturate", "serialize_certificate", "trace_faces", "verify",
-    "wirtinger_colorable_now",
+    "deserialize_certificate", "omega", "parse_pd", "rho", "saturate",
+    "serialize_certificate", "trace_faces", "verify",
 ]

@@ -79,8 +79,10 @@ REASONS = (
 
 _HASH_RE = re.compile(r"^hash: ([0-9a-f]{64})$")
 _MODE_RE = re.compile(r"^mode: (\w+)$")
-_SEEDS_RE = re.compile(r"^seeds: (\d+(?:,\d+)*)$")
-_INT_LIST_RE = re.compile(r"^\d+(?:,\d+)*$")
+# ASCII digits only: \d and int() also take other Unicode digits, and
+# int() a sign, which would not serialize back to the same text
+_SEEDS_RE = re.compile(r"^seeds: ([0-9]+(?:,[0-9]+)*)$")
+_INT_LIST_RE = re.compile(r"^[0-9]+(?:,[0-9]+)*$")
 
 
 @dataclass(frozen=True)
@@ -151,22 +153,18 @@ def deserialize_certificate(text: str) -> Certificate:
         parts = line.split()
         if not parts:
             raise SchemaError("blank line inside move list")
+        if not all(x.isascii() and x.isdigit() for x in parts[1:3]):
+            raise SchemaError(f"bad move line: {line!r}")
         if parts[0] == "W" and len(parts) == 3:
-            try:
-                moves.append(Move("W", int(parts[1]), crossing=int(parts[2])))
-            except ValueError as exc:
-                raise SchemaError(f"bad move line: {line!r}") from exc
+            moves.append(Move("W", int(parts[1]), crossing=int(parts[2])))
         elif parts[0] == "L" and len(parts) == 4:
             if mode == WIRTINGER:
                 raise SchemaError("loop move in a wirtinger-mode certificate")
             if not _INT_LIST_RE.match(parts[3]):
                 raise SchemaError(f"bad face list: {line!r}")
-            try:
-                faces = tuple(int(x) for x in parts[3].split(","))
-                moves.append(Move("L", int(parts[1]), edge=int(parts[2]),
-                                  cycle_faces=faces))
-            except ValueError as exc:
-                raise SchemaError(f"bad move line: {line!r}") from exc
+            faces = tuple(int(x) for x in parts[3].split(","))
+            moves.append(Move("L", int(parts[1]), edge=int(parts[2]),
+                              cycle_faces=faces))
         else:
             raise SchemaError(f"bad move line: {line!r}")
     return Certificate(diagram_hash, mode, seeds, tuple(moves))

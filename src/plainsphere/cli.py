@@ -70,27 +70,24 @@ def _read_pd(args) -> str:
 
 
 def _load_diagram(args):
-    """Returns (diagram, None) or (None, exit_code)."""
+    """Returns (diagram, dual, None) or (None, None, exit_code)."""
     try:
         text = _read_pd(args)
     except OSError as exc:
-        return None, _fail(EXIT_PARSE, f"cannot read PD file: {exc}")
+        return None, None, _fail(EXIT_PARSE, f"cannot read PD file: {exc}")
     try:
-        return parse_pd(text), None
+        d = parse_pd(text)
+        return d, build_dual(d), None
     except (MalformedPD, EulerViolation) as exc:
-        return None, _fail(EXIT_PARSE, str(exc))
+        return None, None, _fail(EXIT_PARSE, str(exc))
     except (DisconnectedProjection, ClosedOverComponent) as exc:
-        return None, _fail(EXIT_UNSUPPORTED, str(exc))
+        return None, None, _fail(EXIT_UNSUPPORTED, str(exc))
 
 
 def cmd_compute(args) -> int:
-    d, code = _load_diagram(args)
+    d, dual, code = _load_diagram(args)
     if d is None:
         return code
-    try:
-        dual = build_dual(d)
-    except EulerViolation as exc:
-        return _fail(EXIT_PARSE, str(exc))
     deadline = None
     if args.timeout_ms:
         deadline = time.monotonic() + args.timeout_ms / 1000.0
@@ -178,7 +175,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    d, code = _load_diagram(args)
+    d, dual, code = _load_diagram(args)
     if d is None:
         return code
     try:
@@ -188,7 +185,7 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_REJECTED, f"cannot read certificate: {exc}")
     except CertificateError as exc:
         return _fail(EXIT_REJECTED, f"{type(exc).__name__}: {exc}")
-    result = verify(d, cert)
+    result = verify(d, cert, dual)
     if result.ok:
         print(f"certificate accepted: mode={cert.mode} "
               f"seeds={','.join(map(str, cert.seeds))} "

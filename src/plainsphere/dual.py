@@ -27,7 +27,6 @@ class DualGraph:
 
     def __init__(self, diagram: Diagram, n_faces: int,
                  edge_faces: dict[int, tuple[int, int]]):
-        self.diagram = diagram
         self.n_faces = n_faces
         self.edge_faces = edge_faces
         self.strand_edges: list[tuple[tuple[int, int, int], ...]] = [

@@ -12,9 +12,7 @@ Two move kinds color one new strand each:
   restricting to them loses nothing.  A dual cycle through exactly one
   edge of the target exists if and only if the two faces of some target
   edge are connected inside the subgraph spanned by dual edges of
-  colored strands; that subgraph only grows, so the test is incremental
-  union-find, and an explicit witness cycle is recovered by BFS only
-  when a move object is actually built.
+  colored strands.
 
 Every Wirtinger move is dominated by a loop move (circle the crossing),
 and both move families are monotone in the colored set, so saturation
@@ -23,14 +21,19 @@ closure two ways:
 
 * ``GrowingClosure`` is the fast path: a colored set kept closed while
   seeds are added one at a time, with undo.  ``closure`` adds a seed
-  set to a fresh one.
+  set to a fresh one.  It only decides loop moves, so it tracks the
+  connected face classes of that subgraph with a union-find.
 
 * ``saturate`` builds the move log a certificate replays, with a fixed
   policy: sweep the uncolored strands in id order, applying each one's
   Wirtinger move at its lowest-id qualifying crossing, until a sweep
-  finds none; only then apply one loop move (the first uncolored strand
-  that has one, at its first edge in walk order, with the BFS witness)
-  and start sweeping again.
+  finds none; only then apply one loop move and start sweeping again.
+  The loop move needs a witness cycle, so one breadth-first search both
+  decides and builds it: for the first uncolored strand that has a loop
+  move, from one face of its first such edge in walk order to the other,
+  through the colored strands' dual edges in the order they were
+  colored.  It runs once per found certificate, where the search's
+  closures run once per seed set, so it keeps no union-find.
 
 omega and rho share one search: seed sets by size, then in strand
 search order (the order of ``itertools.combinations`` over it),
@@ -66,115 +69,12 @@ import time
 from typing import Iterable
 
 from .certificate import MODES, PLAINSPHERE, WIRTINGER, Certificate, Move
-from .diagram import Diagram, UnionFind
+from .diagram import Diagram
 from .dual import DualGraph, build_dual
 from .errors import ComputeTimeout
 
 
-class ColoringState:
-    """Colored strand set plus the structures both move tests need."""
-
-    def __init__(self, diagram: Diagram, dual: DualGraph | None,
-                 seeds: Iterable[int]):
-        self.diagram = diagram
-        self.dual = dual
-        seed_list = sorted(set(seeds))
-        if not seed_list:
-            raise ValueError("seed set must be nonempty")
-        for s in seed_list:
-            if not 0 <= s < diagram.n:
-                raise ValueError(f"unknown strand id {s}")
-        self.colored: set[int] = set(seed_list)
-        self.move_log: list[Move] = []
-        self._uf: UnionFind | None = None
-        self._adj: list[list[tuple[int, int]]] | None = None
-        if dual is not None:
-            self._uf = UnionFind(dual.n_faces)
-            self._adj = [[] for _ in range(dual.n_faces)]
-            for s in seed_list:
-                self._absorb(s)
-
-    def _absorb(self, strand: int) -> None:
-        assert self.dual is not None and self._uf is not None
-        for e, f1, f2 in self.dual.strand_edges[strand]:
-            self._uf.union(f1, f2)
-            self._adj[f1].append((f2, e))
-            self._adj[f2].append((f1, e))
-
-    def apply(self, move: Move) -> None:
-        if move.target in self.colored:
-            raise ValueError(f"strand {move.target} is already colored")
-        self.colored.add(move.target)
-        if self._uf is not None:
-            self._absorb(move.target)
-        self.move_log.append(move)
-
-    def uncolored(self) -> list[int]:
-        return [s for s in range(self.diagram.n) if s not in self.colored]
-
-
-def wirtinger_colorable_now(state: ColoringState, strand: int) -> Move | None:
-    """A Wirtinger move for `strand` at the current state, if any exists."""
-    if strand in state.colored:
-        raise ValueError(f"strand {strand} is already colored")
-    d, colored = state.diagram, state.colored
-    for c in d.strand_crossings[strand]:
-        u1, u2 = d.under_strands[c]
-        if strand not in (u1, u2) or u1 == u2:
-            continue  # over here, or self-adjacent: never enables a move
-        other = u2 if u1 == strand else u1
-        if other in colored and d.over_strand[c] in colored:
-            return Move("W", strand, crossing=c)
-    return None
-
-
-def loop_colorable_now(state: ColoringState, strand: int) -> Move | None:
-    """A loop move for `strand` at the current state, if any exists.
-
-    Tests whether the two faces of some edge of `strand` are already
-    connected through colored strands' dual edges, then extracts the
-    witness path.
-    """
-    if strand in state.colored:
-        raise ValueError(f"strand {strand} is already colored")
-    if state.dual is None or state._uf is None:
-        raise ValueError("loop moves require a dual graph; none was supplied")
-    for e, f1, f2 in state.dual.strand_edges[strand]:
-        if state._uf.find(f1) == state._uf.find(f2):
-            faces, edges = _bfs_path(state._adj, f1, f2)
-            move = Move("L", strand, edge=e,
-                        cycle_faces=tuple(faces), cycle_edges=tuple(edges))
-            _assert_even_component_parity(state, move)
-            return move
-    return None
-
-
-def _bfs_path(adj: list[list[tuple[int, int]]], src: int,
-              dst: int) -> tuple[list[int], list[int]]:
-    """Shortest face path src..dst through colored dual edges."""
-    if src == dst:
-        return [src], []
-    prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
-    queue = [src]
-    for f in queue:
-        for g, e in adj[f]:
-            if g not in prev:
-                prev[g] = (f, e)
-                if g == dst:
-                    faces = [dst]
-                    edges = []
-                    while faces[-1] != src:
-                        pf, pe = prev[faces[-1]]
-                        edges.append(pe)
-                        faces.append(pf)
-                    faces.reverse()
-                    edges.reverse()
-                    return faces, edges
-                queue.append(g)
-    raise AssertionError("union-find and BFS disagree on connectivity")
-
-
-def _assert_even_component_parity(state: ColoringState, move: Move) -> None:
+def _assert_even_component_parity(d: Diagram, move: Move) -> None:
     """Any embedded circle crosses each link component an even number of times.
 
     A dual cycle is a cut of the projection; every closed component
@@ -182,45 +82,102 @@ def _assert_even_component_parity(state: ColoringState, move: Move) -> None:
     """
     counts: dict[int, int] = {}
     for e in move.cycle_edges + (move.edge,):
-        comp = state.diagram.components[e]
+        comp = d.components[e]
         counts[comp] = counts.get(comp, 0) + 1
     odd = {c: k for c, k in counts.items() if k % 2}
     assert not odd, f"loop cycle crosses components an odd number of times: {odd}"
+
+
+def _loop_move(d: Diagram, dual: DualGraph, adj: list[list[tuple[int, int]]],
+               colored: set[int]) -> Move | None:
+    """The loop move of the first uncolored strand that has one, at its
+    first edge in walk order whose two faces a breadth-first search
+    through `adj` (colored strands' dual edges) connects; the search's
+    path is the witness cycle."""
+    for s in range(d.n):
+        if s in colored:
+            continue
+        for e, src, dst in dual.strand_edges[s]:
+            prev: dict[int, tuple[int, int] | None] = {src: None}
+            queue = [src]
+            for f in queue:
+                if f == dst:
+                    faces, edges = [f], []
+                    while prev[f] is not None:
+                        f, h = prev[f]
+                        faces.append(f)
+                        edges.append(h)
+                    move = Move("L", s, edge=e, cycle_faces=tuple(faces[::-1]),
+                                cycle_edges=tuple(edges[::-1]))
+                    _assert_even_component_parity(d, move)
+                    return move
+                for g, h in adj[f]:
+                    if g not in prev:
+                        prev[g] = (f, h)
+                        queue.append(g)
+    return None
 
 
 def saturate(d: Diagram, seeds: Iterable[int], mode: str,
              dual: DualGraph | None = None) -> tuple[frozenset[int], tuple[Move, ...]]:
     """Greedy fixpoint from `seeds`, returning the colored set and move log.
 
-    In plain-sphere mode Wirtinger moves are preferred and a loop move is
-    interleaved only when none applies, which keeps certificates short
-    and mirrors how the moves are used by hand.  By monotonicity the
-    final set does not depend on this policy.
+    Sweeps the uncolored strands in id order, applying each one's
+    Wirtinger move at its lowest-id qualifying crossing, until a sweep
+    finds none; in plain-sphere mode only then applies one loop move
+    (``_loop_move``) and sweeps again.  Preferring Wirtinger moves keeps
+    certificates short and mirrors how the moves are used by hand.  By
+    monotonicity the final set does not depend on this policy.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == PLAINSPHERE and dual is None:
+    plain = mode == PLAINSPHERE
+    if plain and dual is None:
         dual = build_dual(d)
-    state = ColoringState(d, dual if mode == PLAINSPHERE else None, seeds)
-    progressed = True
-    while progressed:
-        progressed = False
-        sweeping = True
-        while sweeping:
-            sweeping = False
-            for s in state.uncolored():
-                move = wirtinger_colorable_now(state, s)
-                if move is not None:
-                    state.apply(move)
-                    sweeping = progressed = True
-        if mode == PLAINSPHERE:
-            for s in state.uncolored():
-                move = loop_colorable_now(state, s)
-                if move is not None:
-                    state.apply(move)
-                    progressed = True
-                    break
-    return frozenset(state.colored), tuple(state.move_log)
+    seed_list = sorted(set(seeds))
+    if not seed_list:
+        raise ValueError("seed set must be nonempty")
+    for s in seed_list:
+        if not 0 <= s < d.n:
+            raise ValueError(f"unknown strand id {s}")
+    colored: set[int] = set()
+    log: list[Move] = []
+    # per face, (other face, edge) of each colored strand's dual edge, in
+    # coloring order: the order the loop witness search walks them in
+    adj: list[list[tuple[int, int]]] = [
+        [] for _ in range(dual.n_faces if plain else 0)]
+
+    def color(s: int) -> None:
+        colored.add(s)
+        if plain:
+            for e, f1, f2 in dual.strand_edges[s]:
+                adj[f1].append((f2, e))
+                adj[f2].append((f1, e))
+
+    for s in seed_list:
+        color(s)
+    while True:
+        swept = True
+        while swept:
+            swept = False
+            for s in range(d.n):
+                if s in colored:
+                    continue
+                for c in d.strand_crossings[s]:
+                    u1, u2 = d.under_strands[c]
+                    # a self-adjacent crossing (u1 == u2) never fires
+                    if (u1 != u2 and s in (u1, u2)
+                            and (u2 if u1 == s else u1) in colored
+                            and d.over_strand[c] in colored):
+                        log.append(Move("W", s, crossing=c))
+                        color(s)
+                        swept = True
+                        break
+        move = _loop_move(d, dual, adj, colored) if plain else None
+        if move is None:
+            return frozenset(colored), tuple(log)
+        log.append(move)
+        color(move.target)
 
 
 class GrowingClosure:

@@ -8,11 +8,14 @@ re-derived from the raw crossing tuples.  Seed-set searches run in
 plain strand-id order with no heuristics.  Practical only for small
 diagrams, which is the point.
 
-Two exceptions reuse engine parts on purpose.  ``saturate_random``
-drives the engine's own move finders in random order, to check that the
-order of moves does not change the fixpoint.  ``reference_search`` is
-the engine's seed-set search in its plain form, every set of each size
-in ``combinations`` order with a fresh closure each, to check that the
+``saturate_random`` and ``loops_first_log`` build moves from the same
+raw tables: a Wirtinger move at a crossing of ``crossing_tables``, a
+loop move with the witness a breadth-first search finds through the
+dual edges of colored strands, looked up in ``DualGraph.edge_faces``.
+
+Only ``reference_search`` reuses engine parts, on purpose: it is the
+engine's seed-set search in its plain form, every set of each size in
+``combinations`` order with a fresh closure each, to check that the
 depth-first search finds the same first set.
 """
 
@@ -20,11 +23,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from plainsphere.certificate import Move
 from plainsphere.diagram import Diagram
-from plainsphere.dual import DualGraph, build_dual
-from plainsphere.engine import (PLAINSPHERE, WIRTINGER, ColoringState,
-                                closure, loop_colorable_now,
-                                strand_search_order, wirtinger_colorable_now)
+from plainsphere.dual import DualGraph
+from plainsphere.engine import (PLAINSPHERE, WIRTINGER, closure,
+                                strand_search_order)
 
 
 def crossing_tables(d: Diagram) -> list[tuple[int, int, int]]:
@@ -39,14 +42,17 @@ def crossing_tables(d: Diagram) -> list[tuple[int, int, int]]:
     return out
 
 
-def wirtinger_available(d: Diagram, colored: set[int], target: int) -> bool:
-    for u1, u2, over in crossing_tables(d):
+def wirtinger_crossing(d: Diagram, colored: set[int],
+                       target: int) -> int | None:
+    """The first crossing where `target` is an under-strand and the other
+    under-strand, a different strand, and the over-strand are colored."""
+    for c, (u1, u2, over) in enumerate(crossing_tables(d)):
         if target not in (u1, u2):
             continue
         other = u2 if target == u1 else u1
         if other != target and other in colored and over in colored:
-            return True
-    return False
+            return c
+    return None
 
 
 def wirtinger_fixpoint(d: Diagram, seeds) -> set[int]:
@@ -55,7 +61,8 @@ def wirtinger_fixpoint(d: Diagram, seeds) -> set[int]:
     while changed:
         changed = False
         for s in range(d.n):
-            if s not in colored and wirtinger_available(d, colored, s):
+            if (s not in colored
+                    and wirtinger_crossing(d, colored, s) is not None):
                 colored.add(s)
                 changed = True
     return colored
@@ -97,12 +104,12 @@ def enumerate_simple_cycles(g: DualGraph) -> list[tuple[int, ...]]:
     return cycles
 
 
-def loop_available(g: DualGraph, cycles: list[tuple[int, ...]],
+def loop_available(d: Diagram, g: DualGraph, cycles: list[tuple[int, ...]],
                    colored: set[int], target: int) -> bool:
     """Definition check: some simple cycle crosses `target` exactly once
     and otherwise crosses only colored strands."""
     for cycle in cycles:
-        strands = [g.diagram.edge_to_strand[e] for e in cycle]
+        strands = [d.edge_to_strand[e] for e in cycle]
         if strands.count(target) != 1:
             continue
         if all(s == target or s in colored for s in strands):
@@ -110,19 +117,66 @@ def loop_available(g: DualGraph, cycles: list[tuple[int, ...]],
     return False
 
 
-def plainsphere_fixpoint(g: DualGraph, cycles: list[tuple[int, ...]],
-                         seeds) -> set[int]:
+def plainsphere_fixpoint(d: Diagram, g: DualGraph,
+                         cycles: list[tuple[int, ...]], seeds) -> set[int]:
     """Loop moves alone; they subsume Wirtinger moves, so nothing is lost."""
-    n = g.diagram.n
     colored = set(seeds)
     changed = True
     while changed:
         changed = False
-        for s in range(n):
-            if s not in colored and loop_available(g, cycles, colored, s):
+        for s in range(d.n):
+            if s not in colored and loop_available(d, g, cycles, colored, s):
                 colored.add(s)
                 changed = True
     return colored
+
+
+def loop_witness(d: Diagram, g: DualGraph, colored: set[int],
+                 target: int) -> Move | None:
+    """A loop move for `target`: a shortest face path, through dual edges
+    of colored strands, between the two faces of one of its edges."""
+    hops: dict[int, list[tuple[int, int]]] = {}
+    for e, (f1, f2) in g.edge_faces.items():
+        if d.edge_to_strand[e] in colored:
+            hops.setdefault(f1, []).append((f2, e))
+            hops.setdefault(f2, []).append((f1, e))
+    for e, (f1, f2) in sorted(g.edge_faces.items()):
+        if d.edge_to_strand[e] != target:
+            continue
+        prev = {f1: None}
+        queue = [f1]
+        for f in queue:
+            for h, x in hops.get(f, ()):
+                if h not in prev:
+                    prev[h] = (f, x)
+                    queue.append(h)
+        if f2 in prev:
+            faces, edges = [f2], []
+            while prev[faces[-1]] is not None:
+                f, x = prev[faces[-1]]
+                faces.append(f)
+                edges.append(x)
+            return Move("L", target, edge=e, cycle_faces=tuple(faces[::-1]),
+                        cycle_edges=tuple(edges[::-1]))
+    return None
+
+
+def colorable_moves(d: Diagram, g: DualGraph | None, colored: set[int],
+                    mode: str) -> list[Move]:
+    """One move per uncolored strand that has one: a Wirtinger move in
+    Wirtinger mode, a loop move in plain-sphere mode."""
+    moves = []
+    for s in range(d.n):
+        if s in colored:
+            continue
+        if mode == WIRTINGER:
+            c = wirtinger_crossing(d, colored, s)
+            move = None if c is None else Move("W", s, crossing=c)
+        else:
+            move = loop_witness(d, g, colored, s)
+        if move is not None:
+            moves.append(move)
+    return moves
 
 
 def oracle_omega(d: Diagram) -> int:
@@ -139,31 +193,33 @@ def oracle_rho(d: Diagram, g: DualGraph,
         cycles = enumerate_simple_cycles(g)
     for k in range(1, d.n + 1):
         for combo in combinations(range(d.n), k):
-            if len(plainsphere_fixpoint(g, cycles, combo)) == d.n:
+            if len(plainsphere_fixpoint(d, g, cycles, combo)) == d.n:
                 return k
     raise AssertionError("unreachable")
 
 
 def saturate_random(d: Diagram, seeds, mode: str, rng,
                     dual: DualGraph | None = None) -> frozenset[int]:
-    """Saturate with the engine's moves, picking uniformly among the
-    currently available targets; confluence says the result is the
-    engine's fixpoint for every random order."""
-    if mode == PLAINSPHERE and dual is None:
-        dual = build_dual(d)
-    state = ColoringState(d, dual if mode == PLAINSPHERE else None, seeds)
+    """Saturate picking uniformly among the currently available moves;
+    confluence says the result is the engine's fixpoint for every random
+    order.  `dual` is required in plain-sphere mode."""
+    colored = set(seeds)
     while True:
-        available = []
-        for s in state.uncolored():
-            if mode == WIRTINGER:
-                move = wirtinger_colorable_now(state, s)
-            else:
-                move = loop_colorable_now(state, s)
-            if move is not None:
-                available.append(move)
+        available = colorable_moves(d, dual, colored, mode)
         if not available:
-            return frozenset(state.colored)
-        state.apply(rng.choice(available))
+            return frozenset(colored)
+        colored.add(rng.choice(available).target)
+
+
+def loops_first_log(d: Diagram, g: DualGraph, seeds):
+    """Full saturation by loop moves alone, the first uncolored strand
+    with one at a time, for loop-heavy certificates.  A Wirtinger move is
+    always also a loop move (circle its crossing), so none is left over."""
+    colored, log = set(seeds), []
+    while moves := colorable_moves(d, g, colored, PLAINSPHERE):
+        colored.add(moves[0].target)
+        log.append(moves[0])
+    return frozenset(colored), tuple(log)
 
 
 def reference_search(d: Diagram, mode: str, dual: DualGraph | None,

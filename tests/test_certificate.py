@@ -97,6 +97,23 @@ class TestSerialization:
             deserialize_certificate(TREFOIL_OMEGA_CERT.replace(
                 "W 2 0", "W 2"))
 
+    @pytest.mark.parametrize("old, new", [
+        ("seeds: 0,1", "seeds: \u0660,\u0661"),  # Arabic-Indic digits
+        ("W 2 0", "W +2 0"),
+        ("W 2 0", "W 2 \u0660"),
+        ("L 2 6 1,2,3,4", "L +2 6 1,2,3,4"),
+        ("L 2 6 1,2,3,4", "L 2 \u0666 1,2,3,4"),
+        ("L 2 6 1,2,3,4", "L 2 6 1,2,3,\u0664"),
+    ])
+    def test_only_ascii_digits(self, old, new):
+        """int() takes signs and every Unicode decimal digit; such text
+        would not serialize back to itself."""
+        text = TREFOIL_OMEGA_CERT + "L 2 6 1,2,3,4\n"
+        text = text.replace("mode: wirtinger", "mode: plainsphere")
+        deserialize_certificate(text)
+        with pytest.raises(SchemaError):
+            deserialize_certificate(text.replace(old, new))
+
     def test_loop_move_in_wirtinger_mode(self):
         text = TREFOIL_LOOP_CERT.replace("mode: plainsphere",
                                          "mode: wirtinger")

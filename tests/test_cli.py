@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import plainsphere
+from plainsphere import parse_pd
 from plainsphere.cli import (EXIT_EMPTY_CENSUS, EXIT_HASH_MISMATCH, EXIT_OK,
                              EXIT_PARSE, EXIT_REJECTED, EXIT_TIMEOUT,
                              EXIT_UNSUPPORTED, main)
@@ -159,6 +160,18 @@ class TestComputeVerifyLoop:
         code, _, err = run(capsys, "verify", "--pd", TREFOIL_PD,
                            "--certificate", str(cert))
         assert code == EXIT_REJECTED and "VersionMismatch" in err
+
+    @pytest.mark.parametrize("mode", ["wirtinger", "plainsphere"])
+    def test_non_spherical_pd_exit_two(self, capsys, tmp_path, mode):
+        """The Euler check rejects the code before any certificate is
+        read, in either mode, as ``compute`` does."""
+        pd = "X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)"
+        cert = tmp_path / "cert.txt"
+        cert.write_text(f"psk-cert/1\nhash: {parse_pd(pd).content_hash}\n"
+                        f"mode: {mode}\nseeds: 0,1,2\n")
+        code, _, err = run(capsys, "verify", "--pd", pd,
+                           "--certificate", str(cert))
+        assert code == EXIT_PARSE and "sphere" in err
 
     def test_missing_certificate_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--pd", TREFOIL_PD,

@@ -10,10 +10,8 @@ import pytest
 
 from plainsphere import DualGraph, build_dual, omega, parse_pd, rho
 from plainsphere.certificate import verify
-from plainsphere.engine import (PLAINSPHERE, WIRTINGER, ColoringState,
-                                GrowingClosure, closure, loop_colorable_now,
-                                saturate, strand_search_order,
-                                wirtinger_colorable_now)
+from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
+                                closure, saturate, strand_search_order)
 from plainsphere.errors import ComputeTimeout
 
 from conftest import perfbench_module
@@ -27,17 +25,22 @@ K14_STAGE_FIXPOINT = frozenset({0, 3, 4, 5, 6, 7, 9, 10, 11, 13})
 
 
 class TestMoves:
-    def test_wirtinger_move_on_trefoil(self, trefoil):
-        state = ColoringState(trefoil, None, (0, 1))
-        move = wirtinger_colorable_now(state, 2)
-        assert move is not None and move.kind == "W"
-        # crossing 1 has under pair (0,1); target 2 is not under there
-        assert move.crossing in (0, 2)
+    def test_wirtinger_move_on_trefoil(self, trefoil, trefoil_dual):
+        # plain-sphere mode too: a Wirtinger move goes before any loop move
+        for mode in (WIRTINGER, PLAINSPHERE):
+            _, log = saturate(trefoil, (0, 1), mode, trefoil_dual)
+            assert [(m.kind, m.target) for m in log] == [("W", 2)]
+            # crossing 1 has under pair (0,1); target 2 is not under there
+            assert log[0].crossing in (0, 2)
 
     def test_no_wirtinger_move_from_single_seed(self, trefoil):
-        state = ColoringState(trefoil, None, (0,))
-        assert wirtinger_colorable_now(state, 1) is None
-        assert wirtinger_colorable_now(state, 2) is None
+        for s in range(trefoil.n):
+            assert saturate(trefoil, (s,), WIRTINGER) == (frozenset({s}), ())
+
+    def test_loop_move_absent_from_single_seed(self, trefoil, trefoil_dual):
+        for s in range(trefoil.n):
+            assert saturate(trefoil, (s,), PLAINSPHERE, trefoil_dual) == (
+                frozenset({s}), ())
 
     def test_self_adjacent_crossing_never_fires(self, all_diagrams):
         # both Hopf crossings pair a strand with itself; those crossings
@@ -46,39 +49,34 @@ class TestMoves:
         assert d.strand_crossings[1]
         assert all(d.under_strands[c] in ((0, 0), (1, 1))
                    for c in d.strand_crossings[1])
-        state = ColoringState(d, None, (0,))
-        assert wirtinger_colorable_now(state, 1) is None
+        for mode in (WIRTINGER, PLAINSPHERE):
+            assert saturate(d, (0,), mode) == (frozenset({0}), ())
 
-    def test_loop_move_needs_dual(self, trefoil):
-        state = ColoringState(trefoil, None, (0,))
-        with pytest.raises(ValueError):
-            loop_colorable_now(state, 1)
-
-    def test_loop_move_absent_from_single_seed(self, trefoil, trefoil_dual):
-        state = ColoringState(trefoil, trefoil_dual, (0,))
-        assert loop_colorable_now(state, 1) is None
-        assert loop_colorable_now(state, 2) is None
-
-    def test_loop_move_present_where_wirtinger_is(self, trefoil, trefoil_dual):
-        state = ColoringState(trefoil, trefoil_dual, (0, 1))
-        move = loop_colorable_now(state, 2)
-        assert move is not None and move.kind == "L"
-        assert trefoil.edge_to_strand[move.edge] == 2
+    def test_loop_move_at_stage_fixpoint(self, k14, k14_dual):
+        """Wirtinger moves are stuck there, so the first move is a loop
+        move: a simple face cycle closed by an edge of its target."""
+        _, log = saturate(k14, K14_STAGE_FIXPOINT, PLAINSPHERE, k14_dual)
+        move = log[0]
+        assert move.kind == "L" and move.target not in K14_STAGE_FIXPOINT
+        assert k14.edge_to_strand[move.edge] == move.target
         faces = move.cycle_faces
         assert len(faces) == len(set(faces)) >= 2
-
-    def test_colored_strand_is_rejected_as_target(self, trefoil):
-        state = ColoringState(trefoil, None, (0,))
-        with pytest.raises(ValueError):
-            wirtinger_colorable_now(state, 0)
+        assert set(k14_dual.edge_faces[move.edge]) == {faces[0], faces[-1]}
+        for f1, f2, e in zip(faces, faces[1:], move.cycle_edges):
+            assert set(k14_dual.edge_faces[e]) == {f1, f2}
+            assert k14.edge_to_strand[e] in K14_STAGE_FIXPOINT
 
     def test_empty_seed_set_rejected(self, trefoil):
         with pytest.raises(ValueError):
-            ColoringState(trefoil, None, ())
+            saturate(trefoil, (), WIRTINGER)
 
     def test_unknown_seed_rejected(self, trefoil):
         with pytest.raises(ValueError):
-            ColoringState(trefoil, None, (7,))
+            saturate(trefoil, (7,), WIRTINGER)
+
+    def test_unknown_mode_rejected(self, trefoil):
+        with pytest.raises(ValueError):
+            saturate(trefoil, (0,), "chromatic")
 
 
 class TestSaturation:
@@ -110,11 +108,10 @@ class TestSaturation:
         assert frozenset(got) == K14_STAGE_FIXPOINT
 
     def test_k14_stage_loop_moves_unlock(self, k14, k14_dual):
-        """At the stuck set, a loop move exists and completes the coloring."""
-        state = ColoringState(k14, k14_dual, K14_STAGE_FIXPOINT)
-        movable = [s for s in state.uncolored()
-                   if loop_colorable_now(state, s) is not None]
-        assert movable  # Wirtinger alone is stuck, loops are not
+        """At the stuck set, loop moves complete the coloring."""
+        colored, log = saturate(k14, K14_STAGE_FIXPOINT, PLAINSPHERE,
+                                k14_dual)
+        assert len(colored) == k14.n and log[0].kind == "L"
         got = closure(k14, K14_STAGE_SEEDS, PLAINSPHERE, k14_dual)
         assert len(got) == k14.n
 

@@ -75,7 +75,7 @@ def test_fixpoints_match_oracle(case, mode):
     if mode == WIRTINGER:
         want = oracles.wirtinger_fixpoint(d, seeds)
     else:
-        want = oracles.plainsphere_fixpoint(g, cycles, seeds)
+        want = oracles.plainsphere_fixpoint(d, g, cycles, seeds)
     assert got == want, (name, mode, seeds)
 
 

@@ -4,7 +4,7 @@
 ``combinations`` order over the strand search order; the engine's search
 must return the same size and the same first set.  The frozen benchmark
 data in ``perfbench/data`` (read only) pins omega, rho and the exact
-certificate text for a set of diagrams.
+certificate text for every row it stores certificates for.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ import oracles
 from conftest import PERFBENCH, perfbench_module
 
 braids = perfbench_module("braids")
-
-FROZEN = ("trefoil-sum-1", "trefoil-sum-2", "trefoil-sum-3", "trefoil-sum-4",
-          "trefoil-sum-5", "braid-0144", "braid-0205", "braid-0411")
-
 
 def small_braid(index: int, max_crossings: int = 15):
     """Seeded random braid closure on 2-5 strands, at most `max_crossings`."""
@@ -117,17 +113,17 @@ def test_omega_starts_at_component_count(all_diagrams, name):
 
 
 def test_frozen_certificates_reproduced():
-    """Bundled rows, trefoil sums #1-#5 and the strict-gap braids."""
+    """Every row with stored certificates: bundled rows, trefoil sums
+    #1-#5 and the 420 random braid closures, the same byte-for-byte
+    check as ``perfbench/freeze.py --check``."""
     def rows(filename):
         with open(PERFBENCH / "data" / filename, encoding="utf-8") as fh:
             return {o["name"]: o for o in map(json.loads, fh)}
 
     manifest, certs = rows("manifest.jsonl"), rows("certs.jsonl")
-    names = [n for n, item in manifest.items()
-             if item["kind"] == "bundled" or n in FROZEN]
-    assert len(names) == 42 + len(FROZEN)
+    assert len(certs) == 42 + 5 + 420
     gaps = 0
-    for name in names:
+    for name in certs:
         item = manifest[name]
         d = parse_pd(item["pd"])
         g = build_dual(d)
@@ -137,4 +133,4 @@ def test_frozen_certificates_reproduced():
         assert serialize_certificate(wcert) == certs[name]["omega"], name
         assert serialize_certificate(rcert) == certs[name]["rho"], name
         gaps += w > r
-    assert gaps == 4  # k14n1527 and the three braids
+    assert gaps == 4  # k14n1527 and three braids
