@@ -79,10 +79,14 @@ REASONS = (
 
 _HASH_RE = re.compile(r"^hash: ([0-9a-f]{64})$")
 _MODE_RE = re.compile(r"^mode: (\w+)$")
-# ASCII digits only: \d and int() also take other Unicode digits, and
-# int() a sign, which would not serialize back to the same text
-_SEEDS_RE = re.compile(r"^seeds: ([0-9]+(?:,[0-9]+)*)$")
-_INT_LIST_RE = re.compile(r"^[0-9]+(?:,[0-9]+)*$")
+# Only the text serialize_certificate writes: one space between fields
+# and numbers in ASCII digits without leading zeros.  \d and int() also
+# take other Unicode digits, int() a sign and split() any whitespace run,
+# none of which would serialize back to the same text.
+_NUM = r"(?:0|[1-9][0-9]*)"
+_SEEDS_RE = re.compile(rf"^seeds: ({_NUM}(?:,{_NUM})*)$")
+_W_RE = re.compile(rf"^W ({_NUM}) ({_NUM})$")
+_L_RE = re.compile(rf"^L ({_NUM}) ({_NUM}) ({_NUM}(?:,{_NUM})*)$")
 
 
 @dataclass(frozen=True)
@@ -150,21 +154,16 @@ def deserialize_certificate(text: str) -> Certificate:
     seeds = tuple(int(x) for x in m.group(1).split(","))
     moves: list[Move] = []
     for line in lines[4:]:
-        parts = line.split()
-        if not parts:
-            raise SchemaError("blank line inside move list")
-        if not all(x.isascii() and x.isdigit() for x in parts[1:3]):
-            raise SchemaError(f"bad move line: {line!r}")
-        if parts[0] == "W" and len(parts) == 3:
-            moves.append(Move("W", int(parts[1]), crossing=int(parts[2])))
-        elif parts[0] == "L" and len(parts) == 4:
+        if m := _W_RE.match(line):
+            moves.append(Move("W", int(m[1]), crossing=int(m[2])))
+        elif m := _L_RE.match(line):
             if mode == WIRTINGER:
                 raise SchemaError("loop move in a wirtinger-mode certificate")
-            if not _INT_LIST_RE.match(parts[3]):
-                raise SchemaError(f"bad face list: {line!r}")
-            faces = tuple(int(x) for x in parts[3].split(","))
-            moves.append(Move("L", int(parts[1]), edge=int(parts[2]),
+            faces = tuple(int(x) for x in m[3].split(","))
+            moves.append(Move("L", int(m[1]), edge=int(m[2]),
                               cycle_faces=faces))
+        elif not line.strip():
+            raise SchemaError("blank line inside move list")
         else:
             raise SchemaError(f"bad move line: {line!r}")
     return Certificate(diagram_hash, mode, seeds, tuple(moves))

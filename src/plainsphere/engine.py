@@ -38,10 +38,11 @@ closure two ways:
 omega and rho share one search: seed sets by size, then in strand
 search order (the order of ``itertools.combinations`` over it),
 enumerated depth first on one ``GrowingClosure`` that extends each
-prefix's closure by the next seed and undoes it on backtrack.  A
-candidate the prefix already colors is skipped: adding it changes
-nothing, so a set through it saturates only if a smaller set does, and
-every smaller size already failed.
+prefix's closure by the next seed and undoes it on backtrack.  It
+relies on one invariant: every smaller size failed or is excluded by
+the coloring bound below.  A candidate the prefix already colors is
+skipped: adding it changes nothing, so a set through it saturates only
+if a smaller set does, and by the invariant none does.
 
 Each search also keeps a memo of failures keyed by closed set
 (``GrowingClosure.mask``): the most further seeds known not to saturate
@@ -49,24 +50,48 @@ it.  A prefix whose closed set is stored with at least as many seeds as
 the prefix has left is skipped.  When the subtree of a prefix P with
 closed set M and j seeds left fails, no j strands at all complete M.
 Were T such a set, either T meets M, and P with T - M is a smaller set
-that saturates, though every smaller size failed; or P + T is a set of
+that saturates, which the invariant rules out; or P + T is a set of
 this size in P's subtree or before P in ``combinations`` order, and
 each of those has already failed.  That depends only on M and j, so an
 entry holds for every later size of the same search; the other mode's
 search keeps its own memo.  Only failing subtrees are cut, so the first
 saturating set and its certificate are unchanged.
 
-omega starts at the number of link components: a Wirtinger move
-colors a strand from the other under-strand of its crossing, on the same
-component, so each component needs a seed of its own.  The first set
-whose closure colors every strand is logged by ``saturate`` into its
-certificate.
+Both searches start at the Fox-coloring bound (``coloring_bound``): the
+largest dimension, over all primes p, of the space of mod-p colorings,
+which give each strand a color mod p with 2 * over = u1 + u2 at every
+crossing.  It is sound for both modes, because a coloring is fixed by
+its seeds' colors: the mod-p coloring space injects into the seed
+colors, so a saturating set has at least the bound's many seeds.  A
+Wirtinger move fixes its target's color, 2 * over - other, from colors
+already set.  A coloring is also a homomorphism from the link group to
+a dihedral group that sends meridians to reflections, and by the
+paper's theorem the seeds of a plain-sphere saturating set generate the
+group.  Mod 2 a coloring is constant on each link component, so the
+bound is never below the component count.
+
+The bound is read off any Wirtinger-saturating set of m seeds and its
+move log, with no n x n elimination: replaying the log writes each
+strand's color as an integer linear form in the seed colors, and the m
+crossings no move used give an m x m relation matrix R whose solutions
+mod p are exactly the mod-p colorings.  Its dimension is m minus the
+number of invariant factors of R that p does not divide.  A prime that
+divides the first invariant factor other than 1 divides every later one
+(zeros included), so the maximum over p is m minus the number of
+invariant factors equal to 1, and no list of primes is needed.
+
+omega takes its bound from a greedy saturating set (strands in search
+order, skipping those already colored), and rho from the omega
+certificate; when the bound reaches omega, rho runs no search at all.
+The first set whose closure colors every strand is logged by
+``saturate`` into its certificate.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Sequence
 
 from .certificate import MODES, PLAINSPHERE, WIRTINGER, Certificate, Move
 from .diagram import Diagram
@@ -314,6 +339,80 @@ def closure(d: Diagram, seeds: Iterable[int], mode: str,
     return {s for s, c in enumerate(state.colored) if c}
 
 
+def coloring_bound(d: Diagram, seeds: Sequence[int],
+                   moves: Iterable[Move]) -> int:
+    """The Fox-coloring lower bound on omega and rho: the largest
+    dimension, over all primes p, of the space of mod-p colorings.
+
+    `seeds` must Wirtinger-saturate the diagram through `moves`.  The
+    replay writes every strand's color as an integer linear form in the
+    m seed colors; the m crossings no move used give an m x m relation
+    matrix R, and the bound is m minus the number of invariant factors
+    of R equal to 1 (see the module docstring).
+    """
+    m = len(seeds)
+    form: list[tuple[int, ...] | None] = [None] * d.n
+    for i, s in enumerate(seeds):
+        form[s] = tuple(int(i == j) for j in range(m))
+    used = set()
+    for mv in moves:
+        if mv.kind != "W":
+            raise ValueError("the coloring bound replays Wirtinger moves only")
+        u1, u2 = d.under_strands[mv.crossing]
+        other = u2 if mv.target == u1 else u1
+        form[mv.target] = tuple(2 * o - u for o, u in zip(
+            form[d.over_strand[mv.crossing]], form[other]))
+        used.add(mv.crossing)
+    if None in form:
+        raise ValueError("seeds and moves do not color every strand")
+    rows = [[2 * o - a - b for o, a, b in zip(form[d.over_strand[c]],
+                                               form[u1], form[u2])]
+            for c, (u1, u2) in enumerate(d.under_strands) if c not in used]
+    return m - _unit_invariant_factors(rows)
+
+
+def _unit_invariant_factors(a: list[list[int]]) -> int:
+    """How many invariant factors of the integer matrix `a` equal 1.
+
+    While the entries' gcd is 1, Euclid steps on an entry p of least
+    absolute value, by row and column operations, leave a smaller entry
+    until p is a unit; clearing its row and column then splits off one
+    invariant factor 1.  `a` is consumed.
+    """
+    a = [r for r in a if any(r)]
+    units = 0
+    while a and gcd(*(x for r in a for x in r)) == 1:
+        while True:
+            _, i, j = min((abs(x), i, j) for i, r in enumerate(a)
+                          for j, x in enumerate(r) if x)
+            pivot = a[i]
+            p = pivot[j]
+            if p in (1, -1):
+                break
+            for r in a:  # column j to remainders mod p
+                if r is not pivot and r[j] // p:
+                    q = r[j] // p
+                    r[:] = [x - q * y for x, y in zip(r, pivot)]
+            # p divides its row and column, and so, as the gcd is 1, not
+            # some other row: adding that one leaves a remainder in row i
+            if (all(r[j] == 0 for r in a if r is not pivot)
+                    and not any(x % p for x in pivot)):
+                other = next(r for r in a if any(x % p for x in r))
+                pivot[:] = [x + y for x, y in zip(pivot, other)]
+            for l, q in enumerate([x // p for x in pivot]):  # row i, too
+                if l != j and q:
+                    for r in a:
+                        r[l] -= q * r[j]
+        del a[i]
+        for r in a:
+            q = r[j] * p  # r[j] / p, as p is a unit
+            r[:] = [x - q * y for x, y in zip(r, pivot)]
+            del r[j]
+        a = [r for r in a if any(r)]
+        units += 1
+    return units
+
+
 def strand_search_order(d: Diagram) -> list[int]:
     """Strands by descending over-degree, ties by id.
 
@@ -324,11 +423,14 @@ def strand_search_order(d: Diagram) -> list[int]:
     return sorted(range(d.n), key=lambda s: (-d.over_degree(s), s))
 
 
-def _search(d: Diagram, mode: str, dual: DualGraph | None,
-            sizes: Iterable[int], deadline: float | None):
-    """(k, certificate) for the first seed set, by size from `sizes` and
-    then in search order, whose closure colors every strand; else None.
-    Every size before those in `sizes` must be known to fail."""
+def _search(d: Diagram, mode: str, dual: DualGraph | None, lower: int,
+            upper: int, deadline: float | None):
+    """(k, certificate) for the first seed set, by size from `lower` up to
+    `upper` - 1 and then in search order, whose closure colors every
+    strand; else None.  Every size below `lower` must be known to fail
+    and some set of size `upper` to saturate: on timeout the message
+    names that interval."""
+    name = "omega" if mode == WIRTINGER else "rho"
     order = strand_search_order(d)
     state = GrowingClosure(d, mode, dual)
     colored, n, full = state.colored, d.n, (1 << d.n) - 1
@@ -343,7 +445,10 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             if colored[s]:
                 continue  # the prefix colors it: see the module docstring
             if deadline is not None and time.monotonic() > deadline:
-                raise ComputeTimeout("seed-set search exceeded its deadline")
+                # k is the size being searched: see the invariant above
+                raise ComputeTimeout(
+                    f"seed-set search exceeded its deadline; proved "
+                    f"{name} >= {k}, {name} <= {upper}")
             mark = state.add(s)
             chosen.append(s)
             mask = state.mask
@@ -358,7 +463,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             state.undo(mark)
         return False
 
-    for k in sizes:
+    for k in range(lower, upper):
         if extend(0, k):
             colored_set, log = saturate(d, chosen, mode, dual)
             assert len(colored_set) == d.n
@@ -372,12 +477,22 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
 def omega(d: Diagram, deadline: float | None = None):
     """Smallest k whose some k-seed set Wirtinger-saturates the diagram.
 
-    Returns (k, certificate).  k = n always succeeds, so the search
-    terminates.
+    Returns (k, certificate).  The search starts at the coloring bound of
+    a greedy saturating set: strands in search order, skipping those
+    already colored.  The full strand set always saturates.
     """
-    found = _search(d, WIRTINGER, None, range(d.n_components, d.n + 1),
-                    deadline)
-    assert found is not None, "unreachable: the full strand set saturates"
+    state = GrowingClosure(d, WIRTINGER)
+    greedy = []
+    for s in strand_search_order(d):
+        if not state.colored[s]:
+            state.add(s)
+            greedy.append(s)
+    _, log = saturate(d, greedy, WIRTINGER)
+    bound = coloring_bound(d, greedy, log)
+    found = _search(d, WIRTINGER, None, bound, d.n, deadline)
+    if found is None:  # no smaller set saturates: seed every strand
+        return d.n, Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
+                                seeds=tuple(range(d.n)), moves=())
     return found
 
 
@@ -385,17 +500,20 @@ def rho(d: Diagram, dual: DualGraph | None = None,
         deadline: float | None = None, omega_result=None):
     """Smallest k whose some k-seed set plain-sphere-saturates the diagram.
 
-    Searches k = 1..omega-1 only: loop moves dominate Wirtinger moves, so
-    rho <= omega, and when no smaller seed set works the omega witness is
-    reissued as a plain-sphere certificate (its Wirtinger moves remain
-    valid there).
+    Searches k from the coloring bound of the omega certificate up to
+    omega - 1 only, and not at all when the bound reaches omega: loop
+    moves dominate Wirtinger moves, so rho <= omega, and when no smaller
+    seed set works the omega witness is reissued as a plain-sphere
+    certificate (its Wirtinger moves remain valid there).
     """
-    if dual is None:
-        dual = build_dual(d)
     w, wcert = omega_result if omega_result is not None else omega(d, deadline)
-    found = _search(d, PLAINSPHERE, dual, range(1, w), deadline)
-    if found is not None:
-        return found
+    bound = coloring_bound(d, wcert.seeds, wcert.moves)
+    if bound < w:
+        if dual is None:
+            dual = build_dual(d)
+        found = _search(d, PLAINSPHERE, dual, bound, w, deadline)
+        if found is not None:
+            return found
     return w, Certificate(
         diagram_hash=d.content_hash, mode=PLAINSPHERE,
         seeds=wcert.seeds, moves=wcert.moves,

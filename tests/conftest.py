@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,12 @@ def perfbench_module(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def frozen_rows(filename: str) -> dict[str, dict]:
+    """Rows of one ``perfbench/data`` JSON-lines file, by name."""
+    with open(PERFBENCH / "data" / filename, encoding="utf-8") as fh:
+        return {o["name"]: o for o in map(json.loads, fh)}
 
 
 def table_path(filename: str) -> str:

@@ -13,6 +13,11 @@ raw tables: a Wirtinger move at a crossing of ``crossing_tables``, a
 loop move with the witness a breadth-first search finds through the
 dual edges of colored strands, looked up in ``DualGraph.edge_faces``.
 
+``oracle_coloring_bound`` takes the Fox-coloring bound from the dense
+crossing x strand matrix: its rank modulo each prime that divides an
+entry of an integer diagonal form of it, where the engine reduces an
+m x m relation matrix from a saturating set's move log.
+
 Only ``reference_search`` reuses engine parts, on purpose: it is the
 engine's seed-set search in its plain form, every set of each size in
 ``combinations`` order with a fresh closure each, to check that the
@@ -233,3 +238,92 @@ def reference_search(d: Diagram, mode: str, dual: DualGraph | None,
             if len(closure(d, combo, mode, dual)) == d.n:
                 return k, tuple(sorted(combo))
     return None
+
+
+def fox_matrix(d: Diagram) -> list[list[int]]:
+    """The crossing x strand matrix of Fox colorings: row 2 over - u1 - u2."""
+    rows = []
+    for u1, u2, over in crossing_tables(d):
+        row = [0] * d.n
+        row[over] += 2
+        row[u1] -= 1
+        row[u2] -= 1
+        rows.append(row)
+    return rows
+
+
+def diagonal_entries(a: list[list[int]]) -> list[int]:
+    """The diagonal of an integer diagonal form of `a`, pivoting at the
+    top left of what is left.  Euclid clears the pivot's column by row
+    operations and its row by column operations; a smaller entry swaps
+    into the pivot first, so the pivot row or column changes only when
+    the pivot shrinks."""
+    a = [list(r) for r in a]
+    rows, cols = len(a), len(a[0])
+    out = []
+    for t in range(min(rows, cols)):
+        nonzero = [(i, j) for i in range(t, rows) for j in range(t, cols)
+                   if a[i][j]]
+        if not nonzero:
+            break
+        i, j = nonzero[0]
+        a[t], a[i] = a[i], a[t]
+        for r in a:
+            r[t], r[j] = r[j], r[t]
+        clear = False
+        while not clear:
+            clear = True
+            for i in range(t + 1, rows):
+                while a[i][t]:
+                    if abs(a[i][t]) < abs(a[t][t]):
+                        a[t], a[i] = a[i], a[t]
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, cols):
+                while a[t][j]:
+                    if abs(a[t][j]) < abs(a[t][t]):
+                        clear = False  # the pivot column changes
+                        for r in a:
+                            r[t], r[j] = r[j], r[t]
+                    q = a[t][j] // a[t][t]
+                    for r in a:
+                        r[j] -= q * r[t]
+        out.append(a[t][t])
+    return out
+
+
+def prime_factors(x: int) -> set[int]:
+    x, p, out = abs(x), 2, set()
+    while p * p <= x:
+        while x % p == 0:
+            out.add(p)
+            x //= p
+        p += 1
+    return out | ({x} if x > 1 else set())
+
+
+def rank_mod(a: list[list[int]], p: int) -> int:
+    """Rank of `a` over the integers mod the prime p."""
+    a = [[x % p for x in r] for r in a]
+    rank = 0
+    for j in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][j], -1, p)
+        for i in range(len(a)):
+            if i != rank and a[i][j]:
+                f = a[i][j] * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_coloring_bound(d: Diagram) -> int:
+    """The largest dimension of the mod-p Fox coloring space over all
+    primes p.  A prime that divides no nonzero diagonal entry has the
+    rational rank, which p = 2 already counts."""
+    a = fox_matrix(d)
+    primes = {2}.union(*(prime_factors(x) for x in diagonal_entries(a) if x))
+    return max(d.n - rank_mod(a, p) for p in primes)

@@ -15,6 +15,8 @@ from plainsphere.certificate import (CYCLE_EDGE_UNCOLORED, CYCLE_NOT_SIMPLE,
 from plainsphere.engine import PLAINSPHERE, WIRTINGER, Move
 from plainsphere.errors import SchemaError, VersionMismatch
 
+from conftest import frozen_rows
+
 TREFOIL_HASH = "baf2ba005daf456baa1905b37b6014a9cd355d769021818c68ba89b89e3d8898"
 
 TREFOIL_OMEGA_CERT = """\
@@ -113,6 +115,43 @@ class TestSerialization:
         deserialize_certificate(text)
         with pytest.raises(SchemaError):
             deserialize_certificate(text.replace(old, new))
+
+    @pytest.mark.parametrize("old, new", [
+        ("seeds: 0,1", "seeds: 00,1"),
+        ("seeds: 0,1", "seeds: 0,01"),
+        ("seeds: 0,1", "seeds:  0,1"),
+        ("seeds: 0,1", "seeds: 0, 1"),
+        ("W 2 0", "W  02\t0 "),  # all at once, as first seen
+        ("W 2 0", "W 02 0"),
+        ("W 2 0", "W 2 00"),
+        ("W 2 0", "W  2 0"),
+        ("W 2 0", "W 2\t0"),
+        ("W 2 0", "W 2 0 "),
+        ("W 2 0", " W 2 0"),
+        ("L 2 6 1,2,3,4", "L 02 6 1,2,3,4"),
+        ("L 2 6 1,2,3,4", "L 2 06 1,2,3,4"),
+        ("L 2 6 1,2,3,4", "L 2 6 01,2,3,4"),
+        ("L 2 6 1,2,3,4", "L 2 6  1,2,3,4"),
+        ("L 2 6 1,2,3,4", "L 2 6 1,2,3,4\t"),
+    ])
+    def test_only_canonical_text(self, old, new):
+        """Leading zeros and whitespace other than one blank between
+        fields would not serialize back to the same text."""
+        text = TREFOIL_OMEGA_CERT + "L 2 6 1,2,3,4\n"
+        text = text.replace("mode: wirtinger", "mode: plainsphere")
+        assert serialize_certificate(deserialize_certificate(text)) == text
+        with pytest.raises(SchemaError):
+            deserialize_certificate(text.replace(old, new))
+
+    def test_stored_certificates_round_trip(self):
+        """Every certificate the benchmark stores parses and serializes
+        back to its own text."""
+        rows = frozen_rows("certs.jsonl")
+        for name, row in rows.items():
+            for text in (row["omega"], row["rho"]):
+                cert = deserialize_certificate(text)
+                assert serialize_certificate(cert) == text, name
+        assert len(rows) == 467
 
     def test_loop_move_in_wirtinger_mode(self):
         text = TREFOIL_LOOP_CERT.replace("mode: plainsphere",

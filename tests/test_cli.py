@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,8 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--pd", K14_PD,
                            "--timeout-ms", "1")
         assert code == EXIT_TIMEOUT and "deadline" in err
+        # the interval the search proved before time ran out
+        assert re.search(r"proved (omega|rho) >= \d+, \1 <= \d+", err)
 
     def test_timeout_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PSK_TIMEOUT_MS", "1")

@@ -11,7 +11,8 @@ import pytest
 from plainsphere import DualGraph, build_dual, omega, parse_pd, rho
 from plainsphere.certificate import verify
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                closure, saturate, strand_search_order)
+                                closure, coloring_bound, saturate,
+                                strand_search_order)
 from plainsphere.errors import ComputeTimeout
 
 from conftest import perfbench_module
@@ -230,20 +231,28 @@ class TestSearch:
         with pytest.raises(ComputeTimeout):
             rho(k14, dual=k14_dual, deadline=time.monotonic() - 1.0)
 
-    def test_deadline_expires_mid_search(self, monkeypatch):
+    def test_deadline_expires_mid_search(self, monkeypatch, k14, k14_dual):
+        """The coloring bound of k14n1527 is 2, omega 4 and rho 3, and
+        size 2 takes 103 adds in either search: a deadline after 101 adds
+        proves only the bound, one after 103 adds proves size 2 fails."""
         import plainsphere.engine
-        d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(5)))
-        g = build_dual(d)
-        known = omega(d)
-        for run in (lambda: omega(d, deadline=100),
-                    lambda: rho(d, dual=g, deadline=100, omega_result=known)):
-            ticks = itertools.count()  # one tick per clock read
-            monkeypatch.setattr(plainsphere.engine, "time",
-                                types.SimpleNamespace(
-                                    monotonic=lambda: next(ticks)))
-            with pytest.raises(ComputeTimeout):
-                run()
-            assert next(ticks) == 102  # 101 seeds added, then the expiry
+        known = omega(k14)
+        for deadline, k in ((100, 2), (103, 3)):
+            runs = (("omega", 14, lambda: omega(k14, deadline=deadline)),
+                    ("rho", 4, lambda: rho(k14, dual=k14_dual,
+                                           deadline=deadline,
+                                           omega_result=known)))
+            for name, upper, run in runs:
+                ticks = itertools.count()  # one tick per clock read
+                monkeypatch.setattr(plainsphere.engine, "time",
+                                    types.SimpleNamespace(
+                                        monotonic=lambda: next(ticks)))
+                with pytest.raises(ComputeTimeout) as info:
+                    run()
+                # deadline + 1 seeds added, then the expiry
+                assert next(ticks) == deadline + 2
+                assert str(info.value).endswith(
+                    f"proved {name} >= {k}, {name} <= {upper}")
 
     def test_values_on_known_rows(self, all_rows, all_diagrams):
         """omega == rho on every bundled diagram except the gap witness."""
@@ -257,3 +266,28 @@ class TestSearch:
                 assert (w, r) == (4, 3)
             else:
                 assert w == r, name
+
+
+class TestColoringBound:
+    def test_trefoil_mod_3(self, trefoil):
+        """Mod 3 the trefoil has a two-dimensional coloring space."""
+        _, log = saturate(trefoil, (0, 1), WIRTINGER)
+        assert coloring_bound(trefoil, (0, 1), log) == 2
+        assert coloring_bound(trefoil, range(3), ()) == 2
+
+    def test_mod_2_counts_components(self, all_diagrams):
+        """Mod 2 a coloring is constant on each component, so the bound
+        is at least the component count; on these links it is that."""
+        for name in ("unknot1", "hopf", "chain3"):
+            d = all_diagrams[name]
+            assert coloring_bound(d, range(d.n), ()) == d.n_components
+
+    def test_loop_move_rejected(self, k14, k14_dual):
+        _, rcert = rho(k14, dual=k14_dual)
+        assert any(m.kind == "L" for m in rcert.moves)
+        with pytest.raises(ValueError):
+            coloring_bound(k14, rcert.seeds, rcert.moves)
+
+    def test_unsaturated_seeds_rejected(self, trefoil):
+        with pytest.raises(ValueError):
+            coloring_bound(trefoil, (0,), ())

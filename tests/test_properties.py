@@ -2,8 +2,9 @@
 
 Each property is drawn from the invariants the algorithms rely on:
 monotone moves, order-independent saturation, Wirtinger moves being a
-special case of loop moves, loop parity across link components, and
-complete saturation logs verifying as certificates.
+special case of loop moves, loop parity across link components,
+complete saturation logs verifying as certificates, and the coloring
+bound being the same from every saturating seed set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 from plainsphere import build_dual, parse_pd
 from plainsphere.certificate import Certificate, deserialize_certificate, \
     serialize_certificate, verify
-from plainsphere.engine import MODES, PLAINSPHERE, WIRTINGER, closure, saturate
+from plainsphere.engine import (MODES, PLAINSPHERE, WIRTINGER, closure,
+                                _unit_invariant_factors, coloring_bound,
+                                saturate)
 
 import oracles
 from conftest import load_table
@@ -119,3 +122,31 @@ def test_dropping_any_seed_breaks_the_certificate(case):
         weaker = seeds[:omit] + seeds[omit + 1:]
         cert = Certificate(d.content_hash, PLAINSPHERE, weaker, log)
         assert not verify(d, cert, g).ok, (name, seeds, omit)
+
+
+@settings(deadline=None)
+@given(diagram_and_seeds())
+def test_coloring_bound_is_a_diagram_invariant(case):
+    """Every Wirtinger-saturating seed set gives the bound of the whole
+    strand set, whose relation matrix is the full crossing x strand one,
+    and has at least that many seeds."""
+    name, d, g, _, seeds = case
+    colored, log = saturate(d, seeds, WIRTINGER)
+    if len(colored) < d.n:
+        return  # the bound needs a saturating set
+    bound = coloring_bound(d, seeds, log)
+    assert bound == coloring_bound(d, range(d.n), ()) <= len(seeds), (
+        name, seeds)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.integers(-12, 12), min_size=4, max_size=4),
+                min_size=1, max_size=4))
+def test_unit_invariant_factors_match_ranks_mod_p(a):
+    """An integer matrix has as many invariant factors 1 as its least
+    rank modulo a prime; only primes dividing a diagonal entry can lower
+    the rank, and p = 2 stands in for the rest."""
+    primes = {2}.union(*(oracles.prime_factors(x)
+                         for x in oracles.diagonal_entries(a) if x))
+    want = min(oracles.rank_mod(a, p) for p in primes)
+    assert _unit_invariant_factors([list(r) for r in a]) == want, a

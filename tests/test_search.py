@@ -9,19 +9,19 @@ certificate text for every row it stores certificates for.
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 
 from plainsphere import build_dual, omega, parse_pd, rho
-from plainsphere.certificate import Certificate, serialize_certificate
+from plainsphere.certificate import (Certificate, deserialize_certificate,
+                                     serialize_certificate)
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                _search, saturate)
+                                _search, coloring_bound, saturate)
 from plainsphere.errors import PlainSphereError
 
 import oracles
-from conftest import PERFBENCH, perfbench_module
+from conftest import frozen_rows, perfbench_module
 
 braids = perfbench_module("braids")
 
@@ -59,7 +59,7 @@ def test_search_matches_reference_order(search_cases):
         w, wcert = omega(d)
         assert (w, wcert.seeds) == oracles.reference_search(
             d, WIRTINGER, None, range(1, d.n + 1)), name
-        found = _search(d, PLAINSPHERE, g, range(1, w), None)
+        found = _search(d, PLAINSPHERE, g, 1, w, None)
         want = oracles.reference_search(d, PLAINSPHERE, g, range(1, w))
         assert (found and (found[0], found[1].seeds)) == want, name
 
@@ -80,27 +80,39 @@ def test_values_match_brute_force_oracle(search_cases):
     assert checked >= 40
 
 
-def test_failure_memo_prunes(monkeypatch):
-    """Trefoil sum #5 takes 4927 adds for omega and 4036 for rho when
-    every prefix the colored-skip rule lets through is visited; the memo
-    of failed closed sets brings that to 3311 and 2089."""
-    d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(5)))
-    g = build_dual(d)
+def test_failure_memo_prunes(monkeypatch, k14, k14_dual):
+    """With every prefix the colored-skip rule lets through visited,
+    k14n1527 takes 548 adds for omega (the greedy set's included) and
+    123 for rho, and braid-0053 621 and 610.  The memo of failed closed
+    sets cuts all but k14n1527's rho: its one failing size is 2, and no
+    two one-seed prefixes close to the same set."""
     adds = []
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
                         lambda state, s: adds.append(s) or add(state, s))
-    w, wcert = omega(d)
-    omega_adds = len(adds)
-    r, _ = rho(d, dual=g, omega_result=(w, wcert))
-    assert (w, r) == (6, 6)
-    assert omega_adds < 4927 and len(adds) - omega_adds < 4036
+
+    def searched(d, g):
+        """(omega, rho), omega's adds and rho's adds."""
+        adds.clear()
+        w, wcert = omega(d)
+        omega_adds = len(adds)
+        r, _ = rho(d, dual=g, omega_result=(w, wcert))
+        return (w, r), omega_adds, len(adds) - omega_adds
+
+    values, omega_adds, rho_adds = searched(k14, k14_dual)
+    assert values == (4, 3)
+    assert omega_adds < 548 and rho_adds <= 123
+    braid = parse_pd(frozen_rows("manifest.jsonl")["braid-0053"]["pd"])
+    values, omega_adds, rho_adds = searched(braid, build_dual(braid))
+    assert values == (4, 4)
+    assert omega_adds < 621 and rho_adds < 610
 
 
 @pytest.mark.parametrize("name", ["hopf", "borromean", "chain3"])
 def test_omega_starts_at_component_count(all_diagrams, name):
-    """Fewer seeds than components never saturate, so starting there
-    leaves the certificate as a search from one seed would make it."""
+    """omega starts at the coloring bound, never below the component
+    count: fewer seeds never saturate, so the certificate is the one a
+    search from one seed makes."""
     d = all_diagrams[name]
     assert d.n_components > 1
     k, seeds = oracles.reference_search(d, WIRTINGER, None,
@@ -116,11 +128,8 @@ def test_frozen_certificates_reproduced():
     """Every row with stored certificates: bundled rows, trefoil sums
     #1-#5 and the 420 random braid closures, the same byte-for-byte
     check as ``perfbench/freeze.py --check``."""
-    def rows(filename):
-        with open(PERFBENCH / "data" / filename, encoding="utf-8") as fh:
-            return {o["name"]: o for o in map(json.loads, fh)}
-
-    manifest, certs = rows("manifest.jsonl"), rows("certs.jsonl")
+    manifest = frozen_rows("manifest.jsonl")
+    certs = frozen_rows("certs.jsonl")
     assert len(certs) == 42 + 5 + 420
     gaps = 0
     for name in certs:
@@ -134,3 +143,27 @@ def test_frozen_certificates_reproduced():
         assert serialize_certificate(rcert) == certs[name]["rho"], name
         gaps += w > r
     assert gaps == 4  # k14n1527 and three braids
+
+
+def test_coloring_bound_on_frozen_rows():
+    """On every manifest row with a value, the bound from its omega
+    certificate equals the dense-matrix oracle's and lies between the
+    component count and rho.  It reaches rho on exactly 192 of the 468
+    rows, so a weakened bound shows; trefoil sum #k has k + 1, mod 3."""
+    manifest = frozen_rows("manifest.jsonl")
+    certs = frozen_rows("certs.jsonl")
+    checked = reaches_rho = 0
+    for name, item in manifest.items():
+        if item["kind"] == "reject":
+            continue
+        d = parse_pd(item["pd"])
+        wcert = (deserialize_certificate(certs[name]["omega"])
+                 if name in certs else omega(d)[1])  # trefoil sum #6
+        bound = coloring_bound(d, wcert.seeds, wcert.moves)
+        assert bound == oracles.oracle_coloring_bound(d), name
+        assert d.n_components <= bound <= item["rho"], name
+        if item["kind"] == "trefoil_sum":
+            assert bound == int(name.rsplit("-", 1)[1]) + 1, name
+        checked += 1
+        reaches_rho += bound == item["rho"]
+    assert (checked, reaches_rho) == (468, 192)
