@@ -131,10 +131,19 @@ def serialize_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(*fields: str) -> list[int]:
+    """The numbers in matched fields, comma-separated lists included."""
+    try:
+        return [int(x) for f in fields for x in f.split(",")]
+    except ValueError as exc:  # over sys.get_int_max_str_digits() digits
+        raise SchemaError(f"number too long: {exc}") from None
+
+
 def deserialize_certificate(text: str) -> Certificate:
     """Strict parse; raises VersionMismatch or SchemaError."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
+    # "\n" only: splitlines() also ends lines at \r, \x0c, \u2028 and more
+    lines = text.split("\n")
+    while lines and not lines[-1]:
         lines.pop()
     if len(lines) < 4:
         raise SchemaError("certificate is truncated")
@@ -151,17 +160,18 @@ def deserialize_certificate(text: str) -> Certificate:
     m = _SEEDS_RE.match(lines[3])
     if not m:
         raise SchemaError(f"bad seeds line: {lines[3]!r}")
-    seeds = tuple(int(x) for x in m.group(1).split(","))
+    seeds = tuple(_ints(m[1]))
     moves: list[Move] = []
     for line in lines[4:]:
         if m := _W_RE.match(line):
-            moves.append(Move("W", int(m[1]), crossing=int(m[2])))
+            target, crossing = _ints(m[1], m[2])
+            moves.append(Move("W", target, crossing=crossing))
         elif m := _L_RE.match(line):
             if mode == WIRTINGER:
                 raise SchemaError("loop move in a wirtinger-mode certificate")
-            faces = tuple(int(x) for x in m[3].split(","))
-            moves.append(Move("L", int(m[1]), edge=int(m[2]),
-                              cycle_faces=faces))
+            target, edge, *faces = _ints(m[1], m[2], m[3])
+            moves.append(Move("L", target, edge=edge,
+                              cycle_faces=tuple(faces)))
         elif not line.strip():
             raise SchemaError("blank line inside move list")
         else:

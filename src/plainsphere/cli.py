@@ -73,7 +73,7 @@ def _load_diagram(args):
     """Returns (diagram, dual, None) or (None, None, exit_code)."""
     try:
         text = _read_pd(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, None, _fail(EXIT_PARSE, f"cannot read PD file: {exc}")
     try:
         d = parse_pd(text)
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.certificate, encoding="utf-8") as fh:
             cert = deserialize_certificate(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_REJECTED, f"cannot read certificate: {exc}")
     except CertificateError as exc:
         return _fail(EXIT_REJECTED, f"{type(exc).__name__}: {exc}")

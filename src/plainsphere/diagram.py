@@ -177,12 +177,14 @@ def parse_pd(text: str) -> Diagram:
     body = text.strip()
     if body.startswith("PD[") and body.endswith("]"):
         body = body[3:-1]
-    tuples: list[tuple[int, int, int, int]] = []
     residue = _TUPLE_RE.sub(lambda _: " ", body)
     if not _SEPARATOR_RE.match(residue):
         raise MalformedPD(f"unparseable PD text near: {residue.strip()[:40]!r}")
-    for m in _TUPLE_RE.finditer(body):
-        tuples.append(tuple(int(g) for g in m.groups()))  # type: ignore[arg-type]
+    try:
+        tuples = [tuple(map(int, m.groups()))
+                  for m in _TUPLE_RE.finditer(body)]
+    except ValueError as exc:  # over sys.get_int_max_str_digits() digits
+        raise MalformedPD(f"label too long: {exc}") from None
     if not tuples:
         raise MalformedPD("PD text contains no crossings")
     n = len(tuples)

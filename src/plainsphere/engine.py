@@ -35,12 +35,21 @@ closure two ways:
   colored.  It runs once per found certificate, where the search's
   closures run once per seed set, so it keeps no union-find.
 
-omega and rho share one search: seed sets by size, then in strand
-search order (the order of ``itertools.combinations`` over it),
-enumerated depth first on one ``GrowingClosure`` that extends each
-prefix's closure by the next seed and undoes it on backtrack.  It
-relies on one invariant: every smaller size failed or is excluded by
-the coloring bound below.  A candidate the prefix already colors is
+omega and rho share one search, bounded by a witness: a Wirtinger
+certificate, whose seeds saturate in either mode.  omega's witness is a
+greedy saturating set (strands in search order, skipping colored ones),
+rho's the omega certificate.  Seed sets are tried by size, from the
+witness's coloring bound (below) up to one less than its size, then in
+strand search order (the order of ``itertools.combinations`` over it),
+depth first on one ``GrowingClosure`` that extends each prefix's closure
+by the next seed and undoes it on backtrack.  When none saturates, the
+witness is reissued in the search's mode; for omega that is the set a
+search of the greedy set's size would find first, its first leaf.  When
+the bound reaches the witness's size, no ``GrowingClosure`` or dual is
+built.
+
+The search relies on one invariant: every smaller size failed or is
+excluded by the bound.  A candidate the prefix already colors is
 skipped: adding it changes nothing, so a set through it saturates only
 if a smaller set does, and by the invariant none does.
 
@@ -57,18 +66,18 @@ entry holds for every later size of the same search; the other mode's
 search keeps its own memo.  Only failing subtrees are cut, so the first
 saturating set and its certificate are unchanged.
 
-Both searches start at the Fox-coloring bound (``coloring_bound``): the
-largest dimension, over all primes p, of the space of mod-p colorings,
-which give each strand a color mod p with 2 * over = u1 + u2 at every
-crossing.  It is sound for both modes, because a coloring is fixed by
-its seeds' colors: the mod-p coloring space injects into the seed
-colors, so a saturating set has at least the bound's many seeds.  A
-Wirtinger move fixes its target's color, 2 * over - other, from colors
-already set.  A coloring is also a homomorphism from the link group to
-a dihedral group that sends meridians to reflections, and by the
-paper's theorem the seeds of a plain-sphere saturating set generate the
-group.  Mod 2 a coloring is constant on each link component, so the
-bound is never below the component count.
+The Fox-coloring bound (``coloring_bound``) is the largest dimension,
+over all primes p, of the space of mod-p colorings, which give each
+strand a color mod p with 2 * over = u1 + u2 at every crossing.  It is
+sound for both modes, because a coloring is fixed by its seeds' colors:
+the mod-p coloring space injects into the seed colors, so a saturating
+set has at least the bound's many seeds.  A Wirtinger move fixes its
+target's color, 2 * over - other, from colors already set.  A coloring
+is also a homomorphism from the link group to a dihedral group that
+sends meridians to reflections, and by the paper's theorem the seeds of
+a plain-sphere saturating set generate the group.  Mod 2 a coloring is
+constant on each link component, so the bound is never below the
+component count.
 
 The bound is read off any Wirtinger-saturating set of m seeds and its
 move log, with no n x n elimination: replaying the log writes each
@@ -79,12 +88,6 @@ number of invariant factors of R that p does not divide.  A prime that
 divides the first invariant factor other than 1 divides every later one
 (zeros included), so the maximum over p is m minus the number of
 invariant factors equal to 1, and no list of primes is needed.
-
-omega takes its bound from a greedy saturating set (strands in search
-order, skipping those already colored), and rho from the omega
-certificate; when the bound reaches omega, rho runs no search at all.
-The first set whose closure colors every strand is logged by
-``saturate`` into its certificate.
 """
 
 from __future__ import annotations
@@ -221,12 +224,16 @@ class GrowingClosure:
     so each union tests just the edges between the two: it walks the
     smaller class and looks at the other face of every edge it borders.
     An edge whose two faces coincide would pass with nothing colored;
-    its strand is colored on the first ``add``.
+    its strand is colored on the first ``add``.  A missing dual is built.
     """
 
     def __init__(self, d: Diagram, mode: str, dual: DualGraph | None = None):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        plain = mode == PLAINSPHERE
+        if plain and dual is None:
+            dual = build_dual(d)
+        self.dual = dual
         self.colored = [False] * d.n
         self.mask = 0  # bit s set iff strand s is colored
         self._bit = tuple(1 << s for s in range(d.n))  # cheaper than shifts
@@ -237,7 +244,6 @@ class GrowingClosure:
                   if d.under_strands[c][0] != d.under_strands[c][1])
             for cs in d.strand_crossings)
         # Wirtinger mode joins no faces: no strand has a dual edge there
-        plain = mode == PLAINSPHERE
         faces = dual.n_faces if plain else 0
         self._edges = dual.strand_edges if plain else ((),) * d.n
         self._parent = list(range(faces))
@@ -328,10 +334,7 @@ class GrowingClosure:
 
 def closure(d: Diagram, seeds: Iterable[int], mode: str,
             dual: DualGraph | None = None) -> set[int]:
-    """The colored set `saturate` reaches from `seeds`, without the log.
-
-    `dual` is required in plain-sphere mode.
-    """
+    """The colored set `saturate` reaches from `seeds`, without the log."""
     state = GrowingClosure(d, mode, dual)
     for s in seeds:
         if not state.colored[s]:
@@ -423,13 +426,19 @@ def strand_search_order(d: Diagram) -> list[int]:
     return sorted(range(d.n), key=lambda s: (-d.over_degree(s), s))
 
 
-def _search(d: Diagram, mode: str, dual: DualGraph | None, lower: int,
-            upper: int, deadline: float | None):
-    """(k, certificate) for the first seed set, by size from `lower` up to
-    `upper` - 1 and then in search order, whose closure colors every
-    strand; else None.  Every size below `lower` must be known to fail
-    and some set of size `upper` to saturate: on timeout the message
-    names that interval."""
+def _search(d: Diagram, mode: str, dual: DualGraph | None,
+            witness: Certificate, deadline: float | None):
+    """(k, certificate) for the first seed set, by size from the coloring
+    bound of Wirtinger certificate `witness` up to its size - 1 and then
+    in search order, whose closure colors every strand; else `witness`,
+    reissued in `mode`.  Sizes below the bound fail and `witness`
+    saturates, so on timeout the message names that interval."""
+    lower = coloring_bound(d, witness.seeds, witness.moves)
+    upper = len(witness.seeds)
+    reissued = upper, Certificate(diagram_hash=d.content_hash, mode=mode,
+                                  seeds=witness.seeds, moves=witness.moves)
+    if lower == upper:
+        return reissued
     name = "omega" if mode == WIRTINGER else "rho"
     order = strand_search_order(d)
     state = GrowingClosure(d, mode, dual)
@@ -465,21 +474,20 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None, lower: int,
 
     for k in range(lower, upper):
         if extend(0, k):
-            colored_set, log = saturate(d, chosen, mode, dual)
+            colored_set, log = saturate(d, chosen, mode, state.dual)
             assert len(colored_set) == d.n
             return k, Certificate(
                 diagram_hash=d.content_hash, mode=mode,
                 seeds=tuple(sorted(chosen)), moves=log,
             )
-    return None
+    return reissued
 
 
 def omega(d: Diagram, deadline: float | None = None):
     """Smallest k whose some k-seed set Wirtinger-saturates the diagram.
 
-    Returns (k, certificate).  The search starts at the coloring bound of
-    a greedy saturating set: strands in search order, skipping those
-    already colored.  The full strand set always saturates.
+    Returns (k, certificate).  The search is bounded by a greedy
+    saturating set: strands in search order, skipping colored ones.
     """
     state = GrowingClosure(d, WIRTINGER)
     greedy = []
@@ -488,33 +496,19 @@ def omega(d: Diagram, deadline: float | None = None):
             state.add(s)
             greedy.append(s)
     _, log = saturate(d, greedy, WIRTINGER)
-    bound = coloring_bound(d, greedy, log)
-    found = _search(d, WIRTINGER, None, bound, d.n, deadline)
-    if found is None:  # no smaller set saturates: seed every strand
-        return d.n, Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
-                                seeds=tuple(range(d.n)), moves=())
-    return found
+    return _search(d, WIRTINGER, None, Certificate(
+        diagram_hash=d.content_hash, mode=WIRTINGER,
+        seeds=tuple(sorted(greedy)), moves=log), deadline)
 
 
 def rho(d: Diagram, dual: DualGraph | None = None,
         deadline: float | None = None, omega_result=None):
     """Smallest k whose some k-seed set plain-sphere-saturates the diagram.
 
-    Searches k from the coloring bound of the omega certificate up to
-    omega - 1 only, and not at all when the bound reaches omega: loop
-    moves dominate Wirtinger moves, so rho <= omega, and when no smaller
-    seed set works the omega witness is reissued as a plain-sphere
-    certificate (its Wirtinger moves remain valid there).
+    Loop moves dominate Wirtinger moves, so rho <= omega, and the omega
+    certificate bounds the search: when no smaller seed set works it is
+    reissued as a plain-sphere certificate (its Wirtinger moves remain
+    valid there).
     """
-    w, wcert = omega_result if omega_result is not None else omega(d, deadline)
-    bound = coloring_bound(d, wcert.seeds, wcert.moves)
-    if bound < w:
-        if dual is None:
-            dual = build_dual(d)
-        found = _search(d, PLAINSPHERE, dual, bound, w, deadline)
-        if found is not None:
-            return found
-    return w, Certificate(
-        diagram_hash=d.content_hash, mode=PLAINSPHERE,
-        seeds=wcert.seeds, moves=wcert.moves,
-    )
+    _, wcert = omega_result if omega_result is not None else omega(d, deadline)
+    return _search(d, PLAINSPHERE, dual, wcert, deadline)

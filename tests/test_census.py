@@ -8,8 +8,9 @@ import json
 import pytest
 
 from plainsphere.census import (ALREADY_RECORDED, NAME_TAKEN, RECORD_COLUMNS,
-                                CensusOptions, existing_records, ingest,
-                                run_census, write_records, write_summary)
+                                CensusOptions, TableRow, existing_records,
+                                ingest, run_census, write_records,
+                                write_summary)
 from plainsphere.diagram import parse_pd
 from plainsphere.errors import FileUnreadable, MissingColumns
 
@@ -217,6 +218,16 @@ class TestPersistence:
         reasons = {s["name"]: s["reason"] for s in summary["skipped_rows"]}
         assert reasons["t37"] == NAME_TAKEN
         assert reasons["k14n1527"] == ALREADY_RECORDED
+
+    def test_resumed_row_with_over_long_label(self):
+        """A recorded name whose row no longer parses is skipped, not
+        fatal to the census."""
+        rows = [TableRow("k", "X(1,4,2,5) X(3,6,4,1) X(5,2,6," + "3" * 5000
+                         + ")", None, 2)]
+        resume = {"k": parse_pd(TREFOIL_PD).content_hash}
+        records, summary = run_census(rows, small_options(resume=resume))
+        assert records == []
+        assert summary["skipped_rows"] == [{"name": "k", "reason": NAME_TAKEN}]
 
     def test_unusable_records_refused(self, tmp_path):
         path = tmp_path / "old.csv"

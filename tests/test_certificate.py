@@ -59,6 +59,15 @@ class TestSerialization:
     def test_trailing_blank_lines_tolerated(self):
         cert = deserialize_certificate(TREFOIL_OMEGA_CERT + "\n\n")
         assert cert.seeds == (0, 1)
+        no_final_newline = TREFOIL_OMEGA_CERT.rstrip("\n")
+        assert deserialize_certificate(no_final_newline) == cert
+
+    def test_over_long_number(self):
+        """int() refuses more than 4300 digits by default."""
+        for old, new in (("seeds: 0,1", "seeds: 0," + "1" * 5000),
+                         ("W 2 0", "W 2 " + "1" * 5000)):
+            with pytest.raises(SchemaError):
+                deserialize_certificate(TREFOIL_OMEGA_CERT.replace(old, new))
 
     def test_tau_counts_loop_cycle_lengths(self):
         cert = deserialize_certificate(TREFOIL_LOOP_CERT)
@@ -133,10 +142,22 @@ class TestSerialization:
         ("L 2 6 1,2,3,4", "L 2 6 01,2,3,4"),
         ("L 2 6 1,2,3,4", "L 2 6  1,2,3,4"),
         ("L 2 6 1,2,3,4", "L 2 6 1,2,3,4\t"),
+        ("L 2 6 1,2,3,4\n", "L 2 6 1,2,3,4\n \t\n"),
+        ("W 2 0\n", "W 2 0\r\n"),
+        ("seeds: 0,1\n", "seeds: 0,1\r"),
+        ("seeds: 0,1\n", "seeds: 0,1\x0b"),
+        ("seeds: 0,1\n", "seeds: 0,1\x0c"),
+        ("W 2 0\n", "W 2 0\x1c"),
+        ("W 2 0\n", "W 2 0\x1d"),
+        ("W 2 0\n", "W 2 0\x1e"),
+        ("W 2 0\n", "W 2 0\x85"),
+        ("W 2 0\n", "W 2 0\u2028"),
+        ("W 2 0\n", "W 2 0\u2029"),
     ])
     def test_only_canonical_text(self, old, new):
-        """Leading zeros and whitespace other than one blank between
-        fields would not serialize back to the same text."""
+        """Leading zeros, whitespace other than one blank between fields,
+        a whitespace line at the end and line separators other than \\n
+        would not serialize back to the same text."""
         text = TREFOIL_OMEGA_CERT + "L 2 6 1,2,3,4\n"
         text = text.replace("mode: wirtinger", "mode: plainsphere")
         assert serialize_certificate(deserialize_certificate(text)) == text

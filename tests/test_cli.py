@@ -70,6 +70,12 @@ class TestCompute:
                            str(tmp_path / "nope.pd"))
         assert code == EXIT_PARSE and "cannot read" in err
 
+    def test_non_utf8_pd_file(self, capsys, tmp_path):
+        path = tmp_path / "d.pd"
+        path.write_bytes(b"X(1,4,2,5) \xff")
+        code, _, err = run(capsys, "compute", "--pd-file", str(path))
+        assert code == EXIT_PARSE and "cannot read" in err
+
     def test_garbage_pd(self, capsys):
         code, _, err = run(capsys, "compute", "--pd", "garbage")
         assert code == EXIT_PARSE and "error:" in err
@@ -175,6 +181,23 @@ class TestComputeVerifyLoop:
         code, _, err = run(capsys, "verify", "--pd", pd,
                            "--certificate", str(cert))
         assert code == EXIT_PARSE and "sphere" in err
+
+    def test_crlf_certificate_file(self, capsys, tmp_path):
+        """Files are read in text mode, so CRLF line ends verify although
+        ``deserialize_certificate`` splits on \\n only."""
+        cert = tmp_path / "cert.txt"
+        run(capsys, "compute", "--pd", K14_PD, "--certificate", str(cert))
+        cert.write_bytes(cert.read_bytes().replace(b"\n", b"\r\n"))
+        code, out, _ = run(capsys, "verify", "--pd", K14_PD,
+                           "--certificate", str(cert))
+        assert code == EXIT_OK and "certificate accepted" in out
+
+    def test_non_utf8_certificate_file(self, capsys, tmp_path):
+        cert = tmp_path / "cert.txt"
+        cert.write_bytes(b"psk-cert/1\n\xff\n")
+        code, _, err = run(capsys, "verify", "--pd", TREFOIL_PD,
+                           "--certificate", str(cert))
+        assert code == EXIT_REJECTED and "cannot read" in err
 
     def test_missing_certificate_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--pd", TREFOIL_PD,

@@ -128,6 +128,11 @@ class TestRejection:
         with pytest.raises(MalformedPD):
             parse_pd("X(1,7,2,5) X(3,6,7,1) X(5,2,6,3)")
 
+    def test_over_long_label(self):
+        """int() refuses more than 4300 digits by default."""
+        with pytest.raises(MalformedPD):
+            parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6," + "3" * 5000 + ")")
+
     def test_wrong_arity_rejected(self):
         with pytest.raises(MalformedPD):
             parse_pd("X(1,2,3) X(3,2,1)")

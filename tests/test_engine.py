@@ -145,6 +145,10 @@ class TestGrowingClosure:
                     slow, _ = saturate(d, seeds, mode, g)
                     assert closure(d, seeds, mode, g) == slow, (pd, seeds)
 
+    def test_dual_built_when_missing(self, trefoil, trefoil_dual):
+        assert (closure(trefoil, (0,), PLAINSPHERE)
+                == closure(trefoil, (0,), PLAINSPHERE, trefoil_dual))
+
     def test_edge_with_one_face_colors_on_first_add(self, trefoil,
                                                     trefoil_dual):
         """A dual self-loop through strand 2 is a loop move with nothing
@@ -232,13 +236,14 @@ class TestSearch:
             rho(k14, dual=k14_dual, deadline=time.monotonic() - 1.0)
 
     def test_deadline_expires_mid_search(self, monkeypatch, k14, k14_dual):
-        """The coloring bound of k14n1527 is 2, omega 4 and rho 3, and
-        size 2 takes 103 adds in either search: a deadline after 101 adds
-        proves only the bound, one after 103 adds proves size 2 fails."""
+        """The coloring bound of k14n1527 is 2, its greedy set 5, omega 4
+        and rho 3, and size 2 takes 103 adds in either search: a deadline
+        after 101 adds proves only the bound, one after 103 adds proves
+        size 2 fails."""
         import plainsphere.engine
         known = omega(k14)
         for deadline, k in ((100, 2), (103, 3)):
-            runs = (("omega", 14, lambda: omega(k14, deadline=deadline)),
+            runs = (("omega", 5, lambda: omega(k14, deadline=deadline)),
                     ("rho", 4, lambda: rho(k14, dual=k14_dual,
                                            deadline=deadline,
                                            omega_result=known)))

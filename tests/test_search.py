@@ -13,11 +13,12 @@ import random
 
 import pytest
 
+import plainsphere.engine
 from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import (Certificate, deserialize_certificate,
                                      serialize_certificate)
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                _search, coloring_bound, saturate)
+                                coloring_bound, saturate)
 from plainsphere.errors import PlainSphereError
 
 import oracles
@@ -54,14 +55,19 @@ def search_cases(all_diagrams):
     return cases
 
 
-def test_search_matches_reference_order(search_cases):
+def test_search_matches_reference_order(monkeypatch, search_cases):
+    """rho searches from size 1 here, not from the coloring bound, so
+    every size below omega is compared with the reference."""
     for name, d, g in search_cases:
         w, wcert = omega(d)
         assert (w, wcert.seeds) == oracles.reference_search(
             d, WIRTINGER, None, range(1, d.n + 1)), name
-        found = _search(d, PLAINSPHERE, g, 1, w, None)
+        with monkeypatch.context() as patch:
+            patch.setattr(plainsphere.engine, "coloring_bound",
+                          lambda *args: 1)
+            r, rcert = rho(d, dual=g, omega_result=(w, wcert))
         want = oracles.reference_search(d, PLAINSPHERE, g, range(1, w))
-        assert (found and (found[0], found[1].seeds)) == want, name
+        assert (r, rcert.seeds) == (want or (w, wcert.seeds)), name
 
 
 def test_values_match_brute_force_oracle(search_cases):
@@ -106,6 +112,25 @@ def test_failure_memo_prunes(monkeypatch, k14, k14_dual):
     values, omega_adds, rho_adds = searched(braid, build_dual(braid))
     assert values == (4, 4)
     assert omega_adds < 621 and rho_adds < 610
+
+
+def test_witness_bound_reached_searches_nothing(monkeypatch):
+    """On trefoil sum #k the greedy set has k + 1 seeds and its coloring
+    bound is k + 1, so omega adds only the greedy set's seeds, and rho
+    adds none and builds no dual."""
+    adds = []
+    add = GrowingClosure.add
+    monkeypatch.setattr(GrowingClosure, "add",
+                        lambda state, s: adds.append(s) or add(state, s))
+    monkeypatch.setattr(plainsphere.engine, "build_dual", None)
+    for k in range(1, 6):
+        d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(k)))
+        adds.clear()
+        w, wcert = omega(d)
+        assert (w, len(adds)) == (k + 1, k + 1), k
+        adds.clear()
+        assert rho(d, omega_result=(w, wcert))[0] == k + 1
+        assert not adds, k
 
 
 @pytest.mark.parametrize("name", ["hopf", "borromean", "chain3"])
