@@ -14,9 +14,10 @@ plus a JSON summary of totals.  Re-runs resume by skipping rows whose
 name and diagram hash already appear together in the records file, so
 long sweeps can run in append-only slices; a row whose name is recorded
 for another diagram is skipped with its own reason and never computed
-under that name.  The tabulated bridge number is never consulted by
-the search itself; it is only compared against the results afterwards,
-keeping the lower-bound check honest.
+under that name, and one whose PD text no longer parses with its parse
+error.  The tabulated bridge number is never consulted by the search
+itself; it is only compared against the results afterwards, keeping the
+lower-bound check honest.
 """
 
 from __future__ import annotations
@@ -97,13 +98,6 @@ def _crossing_count(pd_text: str) -> int:
     return len(_TUPLE_RE.findall(pd_text))
 
 
-def _diagram_hash(pd_text: str) -> str | None:
-    try:
-        return parse_pd(pd_text).content_hash
-    except PlainSphereError:
-        return None  # a record always comes from a diagram that parsed
-
-
 def _process_row(args: tuple[int, str, str, int | None, int | None]) -> dict:
     """Worker: compute one row.  Must stay picklable for process pools."""
     index, name, pd_text, beta_ref, timeout_ms = args
@@ -159,9 +153,13 @@ def run_census(rows: list[TableRow],
                             "reason": row.problem})
             continue
         if row.name in options.resume:
-            same = options.resume[row.name] == _diagram_hash(row.pd_text)
-            skipped.append({"name": row.name,
-                            "reason": ALREADY_RECORDED if same else NAME_TAKEN})
+            recorded = options.resume[row.name]
+            try:
+                same = recorded == parse_pd(row.pd_text).content_hash
+                reason = ALREADY_RECORDED if same else NAME_TAKEN
+            except PlainSphereError as exc:  # as _process_row reports it
+                reason = f"{type(exc).__name__}: {exc}"
+            skipped.append({"name": row.name, "reason": reason})
             continue
         if (options.max_crossings is not None
                 and _crossing_count(row.pd_text) > options.max_crossings):

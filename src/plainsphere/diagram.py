@@ -12,19 +12,32 @@ opposite over slot; it stops at the next under slot.  Every crossing
 consumes two under-ends, so a valid diagram decomposes into exactly n
 strands.
 
-A ``Diagram`` keeps each fact in one flat table indexed by id: ``pd``
-holds the tuples as given, ``strands[s]`` is strand s's edges in walk
-order, ``edge_to_strand`` inverts it, ``under_strands[c]`` and
+Each slot is a dart, numbered ``4c + slot``, so the next slot
+counterclockwise at the same crossing is ``x + 1`` within the block of
+four and the opposite slot is ``x ^ 2``.  Two flat tuples describe the
+whole projection: ``label[x]`` is ``pd[c][slot]`` and ``mate[x]`` is the
+other dart carrying the same label, the far end of the edge.  Every
+structure is an integer walk over them: a strand follows ``mate`` and
+crosses over with ``x ^ 2`` until it lands on an even (under) slot; a
+face follows the next slot counterclockwise, then its ``mate`` (see
+``dual``); a link component is an orbit of ``x -> mate[x] ^ 2``; and the
+projection is connected when ``mate[x] // 4`` reaches every crossing.
+
+A ``Diagram`` keeps each derived fact in one flat table indexed by id:
+``pd`` holds the tuples as given, ``strands[s]`` is strand s's edges in
+walk order, ``edge_to_strand`` inverts it, ``under_strands[c]`` and
 ``over_strand[c]`` give crossing c's two under-strands and its
-over-strand (the triple a Wirtinger move conditions on), and
+over-strand (the triple a Wirtinger move conditions on),
 ``strand_crossings[s]`` lists the crossings strand s meets in either
-role.
+role, and ``components`` maps each edge to an id shared exactly by the
+edges of its link component.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+from functools import cached_property
 
 from .errors import ClosedOverComponent, DisconnectedProjection, MalformedPD
 
@@ -34,44 +47,58 @@ _TUPLE_RE = re.compile(
 _SEPARATOR_RE = re.compile(r"^[\s,]*$")
 
 
-class UnionFind:
-    """Union-find with path halving; edges are only ever added."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 class Diagram:
     """An immutable link diagram built from validated PD tuples."""
 
     def __init__(self, tuples: list[tuple[int, int, int, int]]):
         self.pd: tuple[tuple[int, int, int, int], ...] = tuple(tuples)
-        self.n = len(tuples)
-        # occurrences[label] -> the two (crossing, slot) positions
-        occ: dict[int, list[tuple[int, int]]] = {}
-        for i, t in enumerate(tuples):
-            for slot, label in enumerate(t):
-                occ.setdefault(label, []).append((i, slot))
-        self.occurrences: dict[int, tuple[tuple[int, int], ...]] = {
-            e: tuple(v) for e, v in occ.items()
-        }
-        self._check_connected()
-        self.strands: tuple[tuple[int, ...], ...] = self._build_strands()
-        self.edge_to_strand: dict[int, int] = {
-            e: s for s, edges in enumerate(self.strands) for e in edges
-        }
+        self.n = n = len(tuples)
+        self.label: tuple[int, ...] = tuple(e for t in tuples for e in t)
+        first: dict[int, int] = {}
+        mate = [0] * (4 * n)
+        for x, e in enumerate(self.label):
+            y = first.setdefault(e, x)
+            mate[x], mate[y] = y, x
+        self.mate: tuple[int, ...] = tuple(mate)
+        # Connectivity: flood the crossings through mate, a piece at a time.
+        unreached, pieces = set(range(n)), 0
+        while unreached:
+            stack, pieces = [unreached.pop()], pieces + 1
+            while stack:
+                c = stack.pop()
+                for y in mate[4 * c:4 * c + 4]:
+                    if y // 4 in unreached:
+                        unreached.remove(y // 4)
+                        stack.append(y // 4)
+        if pieces > 1:
+            raise DisconnectedProjection(
+                f"projection splits into {pieces} pieces"
+            )
+        # Strands: walking from slot-2 ends first makes strand i start at
+        # crossing i's outgoing under-edge whenever the code is consistently
+        # oriented; slot-0 starts only mop up unoriented input.  A start is
+        # taken when its edge is, as its strand's first or last edge.
+        strands: list[tuple[int, ...]] = []
+        self.edge_to_strand: dict[int, int] = {}
+        for start in [*range(2, 4 * n, 4), *range(0, 4 * n, 4)]:
+            if self.label[start] in self.edge_to_strand:
+                continue
+            edges = []
+            x = start
+            while True:
+                edges.append(self.label[x])
+                self.edge_to_strand[self.label[x]] = len(strands)
+                if mate[x] % 2 == 0:  # under-ends sit at slots 0 and 2
+                    break
+                x = mate[x] ^ 2  # cross over: slot 1 <-> slot 3
+            strands.append(tuple(edges))
+        leftover = sorted(set(self.label) - set(self.edge_to_strand))
+        if leftover:
+            raise ClosedOverComponent(
+                f"edges {leftover} form closed over-components"
+            )
+        assert len(strands) == n
+        self.strands: tuple[tuple[int, ...], ...] = tuple(strands)
         # The edge at an under slot belongs to the strand that ends there.
         self.under_strands: tuple[tuple[int, int], ...] = tuple(
             (self.edge_to_strand[t[0]], self.edge_to_strand[t[2]])
@@ -89,65 +116,16 @@ class Diagram:
                 incident[s].append(c)
         self.strand_crossings: tuple[tuple[int, ...], ...] = tuple(
             map(tuple, incident))
-        self.components: dict[int, int] = self._link_components()
+        # Link components: x -> mate[x] ^ 2 goes straight on through the
+        # next crossing, so its orbit from any dart meets each edge of one
+        # component once; the component's id is the dart it starts from.
+        self.components: dict[int, int] = {}
+        for start in range(4 * n):
+            x = start
+            while self.label[x] not in self.components:
+                self.components[self.label[x]] = start
+                x = mate[x] ^ 2
         self.n_components = len(set(self.components.values()))
-
-    # -- construction helpers -------------------------------------------
-
-    def _check_connected(self) -> None:
-        uf = UnionFind(self.n)
-        for (c1, _), (c2, _) in self.occurrences.values():
-            uf.union(c1, c2)
-        roots = {uf.find(i) for i in range(self.n)}
-        if len(roots) > 1:
-            raise DisconnectedProjection(
-                f"projection splits into {len(roots)} pieces"
-            )
-
-    def _other_occurrence(self, edge: int, at: tuple[int, int]) -> tuple[int, int]:
-        a, b = self.occurrences[edge]
-        return b if a == at else a
-
-    def _build_strands(self) -> tuple[tuple[int, ...], ...]:
-        pd = self.pd
-        seen_terminals: set[tuple[int, int]] = set()
-        strands: list[tuple[int, ...]] = []
-        # Walking from slot-2 ends first makes strand i start at crossing
-        # i's outgoing under-edge whenever the code is consistently
-        # oriented; slot-0 starts only mop up unoriented input.
-        starts = [(i, 2) for i in range(self.n)] + [(i, 0) for i in range(self.n)]
-        for start in starts:
-            if start in seen_terminals:
-                continue
-            edges = []
-            here = start
-            edge = pd[here[0]][here[1]]
-            seen_terminals.add(start)
-            while True:
-                edges.append(edge)
-                c, slot = self._other_occurrence(edge, here)
-                if slot % 2 == 0:  # under-ends sit at slots 0 and 2
-                    seen_terminals.add((c, slot))
-                    break
-                here = (c, 4 - slot)  # cross over: slot 1 <-> slot 3
-                edge = pd[c][4 - slot]
-            strands.append(tuple(edges))
-        claimed = {e for edges in strands for e in edges}
-        leftover = sorted(set(self.occurrences) - claimed)
-        if leftover:
-            raise ClosedOverComponent(
-                f"edges {leftover} form closed over-components"
-            )
-        assert len(strands) == self.n
-        return tuple(strands)
-
-    def _link_components(self) -> dict[int, int]:
-        """Partition edges into link components (glue at both strand kinds)."""
-        uf = UnionFind(2 * self.n + 1)  # labels run 1..2n
-        for a, b, c, d in self.pd:
-            uf.union(a, c)
-            uf.union(b, d)
-        return {e: uf.find(e) for e in sorted(self.occurrences)}
 
     # -- queries ---------------------------------------------------------
 
@@ -159,7 +137,7 @@ class Diagram:
         """Canonical one-line form; ``parse_pd`` round-trips it."""
         return " ".join("X({},{},{},{})".format(*t) for t in self.pd)
 
-    @property
+    @cached_property
     def content_hash(self) -> str:
         return hashlib.sha256(self.serialize().encode("ascii")).hexdigest()
 

@@ -1,13 +1,14 @@
 """Faces of the projection in S^2 and the dual multigraph.
 
 The counterclockwise slot order at each crossing is a rotation system,
-so faces are the orbits of the dart permutation alpha(sigma(dart)):
-sigma advances one slot counterclockwise, alpha jumps to the other
-occurrence of the edge found there.  The sphere leaves no distinguished
-outer face.  Face tracing is validated against Euler's formula
-(F = n + 2 for a connected 4-valent projection) instead of being
-trusted: a mistyped PD tuple usually shows up here first.  A face is
-the tuple of edges it borders in tracing order; its id is its index.
+so faces are the orbits of the integer darts of ``Diagram`` under
+``x -> mate[sigma(x)]``: sigma advances one slot counterclockwise at
+the same crossing, and ``mate`` jumps to the far end of the edge found
+there.  The sphere leaves no distinguished outer face.  Face tracing is
+validated against Euler's formula (F = n + 2 for a connected 4-valent
+projection) instead of being trusted: a mistyped PD tuple usually shows
+up here first.  A face is the tuple of edges it borders in tracing
+order, starting from darts 0, 1, 2, ...; its id is its index.
 
 The dual graph has one vertex per face and one edge per projection
 edge, joining the two faces that traverse it.  Parallel dual edges are
@@ -44,24 +45,20 @@ def trace_faces(d: Diagram) -> tuple[tuple[int, ...], ...]:
 
     Raises EulerViolation when the rotation system is not spherical.
     """
-    seen: set[tuple[int, int]] = set()
+    label, mate = d.label, d.mate
+    seen = bytearray(4 * d.n)
     faces: list[tuple[int, ...]] = []
-    for start in ((c, s) for c in range(d.n) for s in range(4)):
-        if start in seen:
+    for start in range(4 * d.n):
+        if seen[start]:
             continue
         edges = []
-        dart = start
-        while True:
-            seen.add(dart)
-            c, s = dart
-            step = (c, (s + 1) % 4)
-            edge = d.pd[c][step[1]]
-            edges.append(edge)
-            dart = d._other_occurrence(edge, step)
-            if dart == start:
-                break
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = x + 1 if x % 4 != 3 else x - 3  # next slot counterclockwise
+            edges.append(label[x])
+            x = mate[x]
         faces.append(tuple(edges))
-    assert len(seen) == 4 * d.n
     if len(faces) != d.n + 2:
         raise EulerViolation(
             f"traced {len(faces)} faces, expected {d.n + 2}; "

@@ -13,6 +13,9 @@ raw tables: a Wirtinger move at a crossing of ``crossing_tables``, a
 loop move with the witness a breadth-first search finds through the
 dual edges of colored strands, looked up in ``DualGraph.edge_faces``.
 
+``oracle_link_components`` merges the labels that go straight through
+each crossing, read off the raw tuples.
+
 ``oracle_coloring_bound`` takes the Fox-coloring bound from the dense
 crossing x strand matrix: its rank modulo each prime that divides an
 entry of an integer diagonal form of it, where the engine reduces an
@@ -45,6 +48,21 @@ def crossing_tables(d: Diagram) -> list[tuple[int, int, int]]:
         assert over == d.edge_to_strand[t[3]]
         out.append((u1, u2, over))
     return out
+
+
+def oracle_link_components(d: Diagram) -> list[list[int]]:
+    """Sorted edge lists of the link components, from raw tuples: a
+    component goes straight through each crossing, so labels a and c, and
+    b and d, of each tuple lie on one component."""
+    parts: list[set[int]] = [{e} for e in range(1, 2 * d.n + 1)]
+    for a, b, c, e in d.pd:
+        for x, y in ((a, c), (b, e)):
+            px = next(p for p in parts if x in p)
+            py = next(p for p in parts if y in p)
+            if px is not py:
+                parts.remove(py)
+                px |= py
+    return sorted(sorted(p) for p in parts)
 
 
 def wirtinger_crossing(d: Diagram, colored: set[int],

@@ -220,14 +220,22 @@ class TestPersistence:
         assert reasons["k14n1527"] == ALREADY_RECORDED
 
     def test_resumed_row_with_over_long_label(self):
-        """A recorded name whose row no longer parses is skipped, not
-        fatal to the census."""
-        rows = [TableRow("k", "X(1,4,2,5) X(3,6,4,1) X(5,2,6," + "3" * 5000
-                         + ")", None, 2)]
+        """A recorded name whose row no longer parses is skipped with its
+        parse error, as a fresh run gives it, not fatal to the census."""
         resume = {"k": parse_pd(TREFOIL_PD).content_hash}
-        records, summary = run_census(rows, small_options(resume=resume))
-        assert records == []
-        assert summary["skipped_rows"] == [{"name": "k", "reason": NAME_TAKEN}]
+        split = TREFOIL_PD + " X(7,10,8,11) X(9,12,10,7) X(11,8,12,9)"
+        for pd, error in [("X(1,4,2,5) X(3,6,4,1) X(5,2,6," + "3" * 5000
+                           + ")", "MalformedPD: label too long"),
+                          (split, "DisconnectedProjection: projection "
+                                  "splits into 2 pieces")]:
+            records, summary = run_census([TableRow("k", pd, None, 2)],
+                                          small_options(resume=resume))
+            assert records == []
+            [skip] = summary["skipped_rows"]
+            assert skip["name"] == "k" and skip["reason"].startswith(error)
+            _, fresh = run_census([TableRow("k", pd, None, 2)],
+                                  small_options())
+            assert fresh["skipped_rows"] == [skip]
 
     def test_unusable_records_refused(self, tmp_path):
         path = tmp_path / "old.csv"

@@ -6,9 +6,10 @@ import pytest
 
 from plainsphere import parse_pd
 from plainsphere.errors import (ClosedOverComponent, DisconnectedProjection,
-                                MalformedPD)
+                                MalformedPD, PlainSphereError)
 
-from conftest import TREFOIL_PD
+from conftest import TREFOIL_PD, frozen_rows
+from oracles import oracle_link_components
 
 TREFOIL_HASH = "baf2ba005daf456baa1905b37b6014a9cd355d769021818c68ba89b89e3d8898"
 
@@ -16,7 +17,8 @@ TREFOIL_HASH = "baf2ba005daf456baa1905b37b6014a9cd355d769021818c68ba89b89e3d8898
 class TestParsing:
     def test_trefoil_counts(self, trefoil):
         assert trefoil.n == 3
-        assert sorted(trefoil.occurrences) == list(range(1, 7))
+        assert sorted(set(trefoil.label)) == list(range(1, 7))
+        assert trefoil.mate == (7, 6, 9, 8, 11, 10, 1, 0, 3, 2, 5, 4)
         assert len(trefoil.strands) == 3
 
     def test_bracket_variant_is_equivalent(self, trefoil):
@@ -65,11 +67,11 @@ class TestStrands:
         # the strand among its under-strands.
         for name, d in all_diagrams.items():
             for s, edges in enumerate(d.strands):
-                unders = [(c, slot) for c, slot in d.occurrences[edges[-1]]
-                          if slot in (0, 2)]
+                ends = [x for x, e in enumerate(d.label) if e == edges[-1]]
+                unders = [x for x in ends if x % 4 in (0, 2)]
                 assert len(unders) == (2 if len(edges) == 1 else 1), name
-                for c, _ in unders:
-                    assert s in d.under_strands[c], (name, s, c)
+                for x in unders:
+                    assert s in d.under_strands[x // 4], (name, s, x // 4)
 
 
 class TestAdjacency:
@@ -104,6 +106,32 @@ class TestAdjacency:
         assert all_diagrams["hopf"].n_components == 2
         assert all_diagrams["borromean"].n_components == 3
         assert all_diagrams["chain3"].n_components == 3
+
+
+class TestDartTable:
+    def test_mate_and_components_on_all_rows(self):
+        """On every manifest row that parses (the 42 bundled rows among
+        them), mate pairs the two darts of each label, and components
+        agrees with the oracle's partition of edges."""
+        parsed = {}
+        for row in frozen_rows("manifest.jsonl").values():
+            try:
+                parsed[row["name"]] = (row["kind"], parse_pd(row["pd"]))
+            except PlainSphereError:
+                pass
+        assert len(parsed) == 468
+        assert sum(kind == "bundled" for kind, _ in parsed.values()) == 42
+        for _, d in parsed.values():
+            darts = range(4 * d.n)
+            assert d.label == tuple(e for t in d.pd for e in t)
+            assert all(d.mate[x] != x and d.mate[d.mate[x]] == x
+                       and d.label[d.mate[x]] == d.label[x] for x in darts)
+            parts: dict[int, list[int]] = {}
+            for e, comp in sorted(d.components.items()):
+                parts.setdefault(comp, []).append(e)
+            want = oracle_link_components(d)
+            assert sorted(parts.values()) == want, d.serialize()
+            assert d.n_components == len(want)
 
 
 class TestRejection:

@@ -9,13 +9,14 @@ import types
 import pytest
 
 from plainsphere import DualGraph, build_dual, omega, parse_pd, rho
-from plainsphere.certificate import verify
+from plainsphere.certificate import serialize_certificate, verify
+from plainsphere.diagram import Diagram
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
                                 closure, coloring_bound, saturate,
                                 strand_search_order)
 from plainsphere.errors import ComputeTimeout
 
-from conftest import perfbench_module
+from conftest import K14_PD, perfbench_module
 
 braids = perfbench_module("braids")
 
@@ -219,6 +220,19 @@ class TestSearch:
         r, rcert = rho(k14, dual=k14_dual, omega_result=(w, wcert))
         assert (w, r) == (4, 3)
         assert len(wcert.seeds) == 4 and len(rcert.seeds) == 3
+
+    def test_diagram_hashed_once(self, monkeypatch):
+        """The witness, the found sets and both certificates' text share
+        one content hash: the diagram is serialized once."""
+        calls = []
+        serialize = Diagram.serialize
+        monkeypatch.setattr(Diagram, "serialize",
+                            lambda d: calls.append(1) or serialize(d))
+        d = parse_pd(K14_PD)  # not the shared fixture: its hash is cached
+        w, wcert = omega(d)
+        _, rcert = rho(d, omega_result=(w, wcert))
+        serialize_certificate(wcert) + serialize_certificate(rcert)
+        assert len(calls) == 1
 
     def test_rho_reuses_omega_witness_when_equal(self, trefoil, trefoil_dual):
         w, wcert = omega(trefoil)
