@@ -5,7 +5,11 @@ Input tables carry columns ``name`` and ``pd_notation``, optionally
 failures, non-integer bridge numbers, a name already used by an earlier
 row and any unexpected error while computing skip the row with a
 reason, a per-diagram timeout marks the row timed out, and none of them
-produces fabricated numbers in the output.
+produces fabricated numbers in the output.  Each computed row has one
+outcome, a record or a skip reason (neither: timed out), paired with its
+row in input order.  Tables and records are read as UTF-8, a leading BOM
+dropped, and ``psk census`` opens the records file for append before it
+computes any row, so an unwritable path costs no work.
 Records land in a CSV with the columns
 
     name,n,strands,omega,rho,beta_ref,strict_gap,bound_ok,millis,diagram_hash
@@ -24,10 +28,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
-from .diagram import _TUPLE_RE, parse_pd
+from .diagram import TUPLE_RE, parse_pd
 from .dual import build_dual
 from .engine import omega, rho
 from .errors import ComputeTimeout, FileUnreadable, MissingColumns, PlainSphereError
@@ -55,52 +60,51 @@ class CensusOptions:
     resume: dict[str, str] = field(default_factory=dict)  # name -> hash
 
 
-def ingest(path: str) -> list[TableRow]:
-    """Read a census table; structural problems raise, row problems don't."""
+def _read_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
+    """(header, rows) of a CSV file; a leading UTF-8 BOM is dropped."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = {"name", "pd_notation"} - set(header)
-            if missing:
-                raise MissingColumns(
-                    f"{path}: missing columns {sorted(missing)}"
-                )
-            rows = []
-            first_line: dict[str, int] = {}
-            for i, raw in enumerate(reader, start=2):
-                name = (raw.get("name") or "").strip()
-                pd_text = (raw.get("pd_notation") or "").strip()
-                beta_text = (raw.get("bridge_number") or "").strip()
-                beta, problem = None, ""
-                if not name or not pd_text:
-                    problem = "missing name or pd_notation"
-                elif first_line.setdefault(name, i) != i:
-                    # records are keyed by name
-                    problem = (f"duplicate name {name!r} "
-                               f"(first on line {first_line[name]})")
-                elif beta_text:
-                    try:
-                        beta = int(beta_text)
-                    except ValueError:
-                        problem = f"bad bridge_number {beta_text!r}"
-                rows.append(TableRow(name, pd_text, beta, i, problem))
-            return rows
-    except MissingColumns:
-        raise
+            return reader.fieldnames or [], list(reader)
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot parse {path}: {exc}") from exc
 
 
-def _crossing_count(pd_text: str) -> int:
-    return len(_TUPLE_RE.findall(pd_text))
+def ingest(path: str) -> list[TableRow]:
+    """Read a census table; structural problems raise, row problems don't."""
+    header, raw_rows = _read_csv(path)
+    missing = {"name", "pd_notation"} - set(header)
+    if missing:
+        raise MissingColumns(f"{path}: missing columns {sorted(missing)}")
+    rows = []
+    first_line: dict[str, int] = {}
+    for i, raw in enumerate(raw_rows, start=2):
+        name = (raw.get("name") or "").strip()
+        pd_text = (raw.get("pd_notation") or "").strip()
+        beta_text = (raw.get("bridge_number") or "").strip()
+        beta, problem = None, ""
+        if not name or not pd_text:
+            problem = "missing name or pd_notation"
+        elif first_line.setdefault(name, i) != i:
+            # records are keyed by name
+            problem = (f"duplicate name {name!r} "
+                       f"(first on line {first_line[name]})")
+        elif beta_text:
+            try:
+                beta = int(beta_text)
+            except ValueError:
+                problem = f"bad bridge_number {beta_text!r}"
+        rows.append(TableRow(name, pd_text, beta, i, problem))
+    return rows
 
 
-def _process_row(args: tuple[int, str, str, int | None, int | None]) -> dict:
-    """Worker: compute one row.  Must stay picklable for process pools."""
-    index, name, pd_text, beta_ref, timeout_ms = args
+def _process_row(task: tuple[str, str, int | None, int | None]
+                 ) -> tuple[dict | None, str | None]:
+    """Worker: compute one row, as (record, None), (None, skip reason), or
+    (None, None) when it timed out.  Must stay picklable for process pools."""
+    name, pd_text, beta_ref, timeout_ms = task
     started = time.monotonic()
     deadline = started + timeout_ms / 1000.0 if timeout_ms else None
     try:
@@ -110,44 +114,39 @@ def _process_row(args: tuple[int, str, str, int | None, int | None]) -> dict:
         r, _ = rho(d, dual=g, deadline=deadline, omega_result=(w, wcert))
         assert r <= w <= d.n
     except ComputeTimeout:
-        return {"index": index, "name": name, "status": "timeout"}
+        return None, None
     except PlainSphereError as exc:
-        return {"index": index, "name": name, "status": "skipped",
-                "reason": f"{type(exc).__name__}: {exc}"}
+        return None, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # one faulty row must not cost the others
-        return {"index": index, "name": name, "status": "skipped",
-                "reason": f"error: {type(exc).__name__}: {exc}"}
+        return None, f"error: {type(exc).__name__}: {exc}"
     millis = (time.monotonic() - started) * 1000.0
     bound_ok = ""
     if beta_ref is not None:
         bound_ok = "true" if (r >= beta_ref and w >= beta_ref) else "false"
     return {
-        "index": index,
-        "status": "ok",
-        "record": {
-            "name": name,
-            "n": d.n,
-            "strands": len(d.strands),
-            "omega": w,
-            "rho": r,
-            "beta_ref": beta_ref if beta_ref is not None else "",
-            "strict_gap": w - r,
-            "bound_ok": bound_ok,
-            "millis": round(millis, 1),
-            "diagram_hash": d.content_hash,
-        },
-    }
+        "name": name,
+        "n": d.n,
+        "strands": len(d.strands),
+        "omega": w,
+        "rho": r,
+        "beta_ref": beta_ref if beta_ref is not None else "",
+        "strict_gap": w - r,
+        "bound_ok": bound_ok,
+        "millis": round(millis, 1),
+        "diagram_hash": d.content_hash,
+    }, None
 
 
 def run_census(rows: list[TableRow],
                options: CensusOptions) -> tuple[list[dict], dict]:
     """Process eligible rows, return (records, summary).
 
-    Records keep the input order regardless of worker scheduling.
+    Outcomes pair with tasks in input order, so records keep it
+    regardless of worker scheduling.
     """
     skipped: list[dict] = []
-    tasks: list[tuple[int, str, str, int | None, int | None]] = []
-    for idx, row in enumerate(rows):
+    tasks: list[tuple[str, str, int | None, int | None]] = []
+    for row in rows:
         if row.problem:
             skipped.append({"name": row.name or f"line {row.line}",
                             "reason": row.problem})
@@ -162,29 +161,27 @@ def run_census(rows: list[TableRow],
             skipped.append({"name": row.name, "reason": reason})
             continue
         if (options.max_crossings is not None
-                and _crossing_count(row.pd_text) > options.max_crossings):
+                and len(TUPLE_RE.findall(row.pd_text)) > options.max_crossings):
             skipped.append({"name": row.name,
                             "reason": f"more than {options.max_crossings} crossings"})
             continue
-        tasks.append((idx, row.name, row.pd_text, row.beta_ref,
-                      options.timeout_ms))
+        tasks.append((row.name, row.pd_text, row.beta_ref, options.timeout_ms))
     if options.jobs > 1 and len(tasks) > 1:
         # imported here: a serial run never pays for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            results = list(pool.map(_process_row, tasks))
+            outcomes = list(pool.map(_process_row, tasks))
     else:
-        results = [_process_row(t) for t in tasks]
-    results.sort(key=lambda r: r["index"])
+        outcomes = [_process_row(t) for t in tasks]
     records = []
     timed_out = []
-    for res in results:
-        if res["status"] == "ok":
-            records.append(res["record"])
-        elif res["status"] == "timeout":
-            timed_out.append(res["name"])
+    for (name, *_), (record, reason) in zip(tasks, outcomes):
+        if record is not None:
+            records.append(record)
+        elif reason is None:
+            timed_out.append(name)
         else:
-            skipped.append({"name": res["name"], "reason": res["reason"]})
+            skipped.append({"name": name, "reason": reason})
     summary = {
         "totals": {
             "rows": len(rows),
@@ -204,23 +201,15 @@ def run_census(rows: list[TableRow],
 
 def existing_records(path: str) -> dict[str, str]:
     """Name -> diagram hash of each row of a records CSV (for resume)."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                return {}  # empty file: nothing was recorded
-            if "diagram_hash" not in reader.fieldnames:
-                raise FileUnreadable(
-                    f"{path}: records have no diagram_hash column; "
-                    "rerun with --fresh")
-            return {row["name"]: row["diagram_hash"] for row in reader
-                    if row.get("name")}
-    except FileNotFoundError:
+    if not os.path.exists(path):
         return {}
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise FileUnreadable(f"cannot parse {path}: {exc}") from exc
+    header, rows = _read_csv(path)
+    if not header:
+        return {}  # empty file: nothing was recorded
+    if "diagram_hash" not in header:
+        raise FileUnreadable(
+            f"{path}: records have no diagram_hash column; rerun with --fresh")
+    return {row["name"]: row["diagram_hash"] for row in rows if row.get("name")}
 
 
 def write_records(path: str, records: list[dict], append: bool) -> None:

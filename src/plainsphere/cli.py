@@ -3,12 +3,17 @@
 Exit codes are part of the contract:
 
 * 0 success
-* 2 PD parse error (malformed text, non-spherical rotation system)
+* 2 unreadable input (malformed PD text, non-spherical rotation system,
+  unreadable file) or an output that cannot be written
 * 3 structurally unsupported diagram (split projection, closed over-component)
 * 4 computation timed out
 * 5 census input had no processable rows
 * 6 certificate rejected
 * 7 certificate rejected specifically for a diagram-hash mismatch
+
+The commands raise; ``main`` turns an error into its exit code in one
+place, ``EXIT_CODES``, and prints it as one line
+``error: <Type>: <message>``.
 
 ``PSK_JOBS`` and ``PSK_TIMEOUT_MS`` provide defaults for ``--jobs`` and
 ``--timeout-ms``; explicit flags win.
@@ -34,8 +39,7 @@ from .diagram import parse_pd
 from .dual import build_dual
 from .engine import omega, rho
 from .errors import (CertificateError, ClosedOverComponent, ComputeTimeout,
-                     DisconnectedProjection, EulerViolation, FileUnreadable,
-                     MalformedPD, MissingColumns)
+                     DisconnectedProjection, FileUnreadable, PlainSphereError)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,6 +48,14 @@ EXIT_TIMEOUT = 4
 EXIT_EMPTY_CENSUS = 5
 EXIT_REJECTED = 6
 EXIT_HASH_MISMATCH = 7
+
+# Any other PlainSphereError, and an OSError from writing an output, is 2.
+EXIT_CODES = {
+    DisconnectedProjection: EXIT_UNSUPPORTED,
+    ClosedOverComponent: EXIT_UNSUPPORTED,
+    ComputeTimeout: EXIT_TIMEOUT,
+    CertificateError: EXIT_REJECTED,
+}
 
 
 def _env_int(name: str) -> int | None:
@@ -57,37 +69,21 @@ def _env_int(name: str) -> int | None:
         return None
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _read_pd(args) -> str:
-    if args.pd is not None:
-        return args.pd
-    with open(args.pd_file, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_diagram(args):
-    """Returns (diagram, dual, None) or (None, None, exit_code)."""
-    try:
-        text = _read_pd(args)
-    except (OSError, UnicodeDecodeError) as exc:
-        return None, None, _fail(EXIT_PARSE, f"cannot read PD file: {exc}")
-    try:
-        d = parse_pd(text)
-        return d, build_dual(d), None
-    except (MalformedPD, EulerViolation) as exc:
-        return None, None, _fail(EXIT_PARSE, str(exc))
-    except (DisconnectedProjection, ClosedOverComponent) as exc:
-        return None, None, _fail(EXIT_UNSUPPORTED, str(exc))
+    """(diagram, dual) of the ``--pd`` text or the ``--pd-file``."""
+    text = args.pd
+    if text is None:
+        try:
+            with open(args.pd_file, encoding="utf-8-sig") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FileUnreadable(f"cannot read PD file: {exc}") from exc
+    d = parse_pd(text)
+    return d, build_dual(d)
 
 
 def cmd_compute(args) -> int:
-    d, dual, code = _load_diagram(args)
-    if d is None:
-        return code
+    d, dual = _load_diagram(args)
     deadline = None
     if args.timeout_ms:
         deadline = time.monotonic() + args.timeout_ms / 1000.0
@@ -96,18 +92,15 @@ def cmd_compute(args) -> int:
               "omega": None, "rho": None,
               "omega_seeds": None, "rho_seeds": None}
     cert = None
-    try:
-        if args.invariant in ("omega", "both"):
-            w, wcert = omega(d, deadline=deadline)
-            result["omega"], result["omega_seeds"] = w, list(wcert.seeds)
-            cert = wcert
-        if args.invariant in ("rho", "both"):
-            pair = (result["omega"], cert) if args.invariant == "both" else None
-            r, rcert = rho(d, dual=dual, deadline=deadline, omega_result=pair)
-            result["rho"], result["rho_seeds"] = r, list(rcert.seeds)
-            cert = rcert
-    except ComputeTimeout as exc:
-        return _fail(EXIT_TIMEOUT, str(exc))
+    if args.invariant in ("omega", "both"):
+        w, wcert = omega(d, deadline=deadline)
+        result["omega"], result["omega_seeds"] = w, list(wcert.seeds)
+        cert = wcert
+    if args.invariant in ("rho", "both"):
+        pair = (result["omega"], cert) if args.invariant == "both" else None
+        r, rcert = rho(d, dual=dual, deadline=deadline, omega_result=pair)
+        result["rho"], result["rho_seeds"] = r, list(rcert.seeds)
+        cert = rcert
     result["millis"] = round((time.monotonic() - started) * 1000.0, 1)
     result["certificate"] = None
     if args.certificate:
@@ -146,11 +139,10 @@ def _print_compute(result: dict, fmt: str) -> None:
 
 
 def cmd_census(args) -> int:
-    try:
-        rows = ingest(args.input)
-        resume = {} if args.fresh else existing_records(args.records)
-    except (FileUnreadable, MissingColumns) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    rows = ingest(args.input)
+    resume = {} if args.fresh else existing_records(args.records)
+    with open(args.records, "a", encoding="utf-8"):
+        pass  # an unwritable records path fails before any row is computed
     options = CensusOptions(
         max_crossings=args.max_crossings,
         jobs=args.jobs or 1,
@@ -161,9 +153,9 @@ def cmd_census(args) -> int:
     resumed = sum(1 for s in summary["skipped_rows"]
                   if s["reason"] in (ALREADY_RECORDED, NAME_TAKEN))
     if summary["totals"]["eligible"] == 0 and resumed == 0:
-        return _fail(EXIT_EMPTY_CENSUS, "census input has no processable rows")
-    append = bool(resume) and os.path.exists(args.records)
-    write_records(args.records, records, append=append)
+        print("error: census input has no processable rows", file=sys.stderr)
+        return EXIT_EMPTY_CENSUS
+    write_records(args.records, records, append=bool(resume))
     if args.summary:
         write_summary(args.summary, summary)
     totals = summary["totals"]
@@ -175,16 +167,13 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    d, dual, code = _load_diagram(args)
-    if d is None:
-        return code
+    d, dual = _load_diagram(args)
     try:
         with open(args.certificate, encoding="utf-8") as fh:
-            cert = deserialize_certificate(fh.read())
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        return _fail(EXIT_REJECTED, f"cannot read certificate: {exc}")
-    except CertificateError as exc:
-        return _fail(EXIT_REJECTED, f"{type(exc).__name__}: {exc}")
+        raise CertificateError(f"cannot read certificate: {exc}") from exc
+    cert = deserialize_certificate(text)
     result = verify(d, cert, dual)
     if result.ok:
         print(f"certificate accepted: mode={cert.mode} "
@@ -246,7 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (PlainSphereError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return next((EXIT_CODES[c] for c in type(exc).__mro__
+                     if c in EXIT_CODES), EXIT_PARSE)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -41,7 +41,8 @@ from functools import cached_property
 
 from .errors import ClosedOverComponent, DisconnectedProjection, MalformedPD
 
-_TUPLE_RE = re.compile(
+# One crossing tuple; the census counts crossings with it before parsing.
+TUPLE_RE = re.compile(
     r"X\s*[\(\[]\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*[\)\]]"
 )
 _SEPARATOR_RE = re.compile(r"^[\s,]*$")
@@ -155,12 +156,12 @@ def parse_pd(text: str) -> Diagram:
     body = text.strip()
     if body.startswith("PD[") and body.endswith("]"):
         body = body[3:-1]
-    residue = _TUPLE_RE.sub(lambda _: " ", body)
+    residue = TUPLE_RE.sub(lambda _: " ", body)
     if not _SEPARATOR_RE.match(residue):
         raise MalformedPD(f"unparseable PD text near: {residue.strip()[:40]!r}")
     try:
         tuples = [tuple(map(int, m.groups()))
-                  for m in _TUPLE_RE.finditer(body)]
+                  for m in TUPLE_RE.finditer(body)]
     except ValueError as exc:  # over sys.get_int_max_str_digits() digits
         raise MalformedPD(f"label too long: {exc}") from None
     if not tuples:

@@ -69,9 +69,11 @@ class TestIngest:
 
     def test_missing_bridge_column_is_fine(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text(f'name,pd_notation\ntrefoil,"{TREFOIL_PD}"\n')
-        (row,) = ingest(str(path))
-        assert row.beta_ref is None and row.pd_text == TREFOIL_PD
+        table = f'name,pd_notation\ntrefoil,"{TREFOIL_PD}"\n'
+        for text in (table, "\ufeff" + table):  # a spreadsheet's BOM too
+            path.write_text(text, encoding="utf-8")
+            (row,) = ingest(str(path))
+            assert row.beta_ref is None and row.pd_text == TREFOIL_PD
 
 
 class TestRunCensus:
@@ -253,8 +255,11 @@ class TestPersistence:
         records, _ = run_census(rows, small_options(jobs=4))
         write_records(str(rec_path), records[:2], append=False)
         write_records(str(rec_path), records[2:], append=True)
-        assert existing_records(str(rec_path)) == {
-            r["name"]: r["diagram_hash"] for r in records}
+        expected = {r["name"]: r["diagram_hash"] for r in records}
+        assert existing_records(str(rec_path)) == expected
+        rec_path.write_text("\ufeff" + rec_path.read_text(encoding="utf-8"),
+                            encoding="utf-8")
+        assert existing_records(str(rec_path)) == expected
 
     def test_existing_names_missing_file(self, tmp_path):
         assert existing_records(str(tmp_path / "none.csv")) == {}

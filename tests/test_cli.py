@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import plainsphere
-from plainsphere import parse_pd
+from plainsphere import census, cli, errors, parse_pd
 from plainsphere.cli import (EXIT_EMPTY_CENSUS, EXIT_HASH_MISMATCH, EXIT_OK,
                              EXIT_PARSE, EXIT_REJECTED, EXIT_TIMEOUT,
                              EXIT_UNSUPPORTED, main)
@@ -61,9 +61,10 @@ class TestCompute:
 
     def test_pd_file(self, capsys, tmp_path):
         path = tmp_path / "d.pd"
-        path.write_text(TREFOIL_PD + "\n")
-        code, out, _ = run(capsys, "compute", "--pd-file", str(path))
-        assert code == EXIT_OK and "omega: 2" in out
+        for text in (TREFOIL_PD + "\n", "\ufeff" + TREFOIL_PD):  # BOM too
+            path.write_text(text, encoding="utf-8")
+            code, out, _ = run(capsys, "compute", "--pd-file", str(path))
+            assert code == EXIT_OK and "omega: 2" in out
 
     def test_missing_pd_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "compute", "--pd-file",
@@ -116,6 +117,12 @@ class TestCompute:
         monkeypatch.setenv("PSK_TIMEOUT_MS", "soon")
         code, _, err = run(capsys, "compute", "--pd", TREFOIL_PD)
         assert code == EXIT_OK and "ignoring" in err
+
+    def test_unwritable_certificate_exit_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "compute", "--pd", TREFOIL_PD,
+                             "--certificate", str(tmp_path / "no" / "c.cert"))
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: FileNotFoundError: ")
 
     def test_k14_both_invariants(self, capsys):
         code, out, _ = run(capsys, "compute", "--pd", K14_PD,
@@ -295,12 +302,68 @@ class TestCensusCommand:
                          "--records", str(tmp_path / "r.csv"))
         assert code == EXIT_PARSE
 
+    def test_unwritable_records_computes_nothing(self, capsys, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(census, "omega",
+                            lambda *args, **kwargs: calls.append(args))
+        code, _, err = run(capsys, "census",
+                           "--input", table_path("slice14.csv"),
+                           "--records", str(tmp_path / "no" / "r.csv"))
+        assert code == EXIT_PARSE and calls == []
+        assert err.startswith("error: FileNotFoundError: ")
+
+    def test_unwritable_summary_keeps_records(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text(f'name,pd_notation\nk,"{TREFOIL_PD}"\n')
+        records = tmp_path / "r.csv"
+        code, _, err = run(capsys, "census", "--input", str(table),
+                           "--records", str(records),
+                           "--summary", str(tmp_path / "no" / "s.json"))
+        assert code == EXIT_PARSE
+        assert err.startswith("error: FileNotFoundError: ")
+        with open(records, newline="") as fh:
+            assert [r["name"] for r in csv.DictReader(fh)] == ["k"]
+
     def test_jobs_env_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PSK_JOBS", "2")
         code, _, _ = run(capsys, "census",
                          "--input", table_path("slice14.csv"),
                          "--records", str(tmp_path / "r.csv"))
         assert code == EXIT_OK
+
+
+# The documented exit code of every error the package defines.
+EXIT_OF = {
+    errors.MalformedPD: EXIT_PARSE,
+    errors.DisconnectedProjection: EXIT_UNSUPPORTED,
+    errors.ClosedOverComponent: EXIT_UNSUPPORTED,
+    errors.EulerViolation: EXIT_PARSE,
+    errors.BridgeDetected: EXIT_PARSE,
+    errors.ComputeTimeout: EXIT_TIMEOUT,
+    errors.CertificateError: EXIT_REJECTED,
+    errors.VersionMismatch: EXIT_REJECTED,
+    errors.SchemaError: EXIT_REJECTED,
+    errors.FileUnreadable: EXIT_PARSE,
+    errors.MissingColumns: EXIT_PARSE,
+}
+
+
+def test_every_error_has_its_exit_code(capsys, monkeypatch):
+    """Each error escaping a command ends as its exit code and one
+    ``error: <Type>: <message>`` line, never as a traceback."""
+    defined = {cls for cls in vars(errors).values() if isinstance(cls, type)
+               and issubclass(cls, errors.PlainSphereError)
+               and cls is not errors.PlainSphereError}
+    assert set(EXIT_OF) == defined
+    for cls, expected in EXIT_OF.items():
+        def fail(text, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "parse_pd", fail)
+        code, out, err = run(capsys, "compute", "--pd", TREFOIL_PD)
+        assert code == expected, cls
+        assert out == "" and err == f"error: {cls.__name__}: boom\n"
 
 
 def test_import_loads_no_process_pool():
