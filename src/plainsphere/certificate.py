@@ -23,7 +23,7 @@ vouch for itself.  Rejections carry one of the fixed reason strings in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import Diagram
 from .dual import DualGraph, build_dual
@@ -43,9 +43,8 @@ class Move:
     Wirtinger moves carry the witnessing crossing.  Loop moves carry the
     edge where the loop crosses the target strand plus the face cycle
     f0..fk: the target edge joins fk back to f0, and every hop fi->fi+1
-    crosses some edge of an already-colored strand.  ``cycle_edges``
-    records one such edge per hop for internal checks; it is not part of
-    the serialized form, which a verifier re-derives independently.
+    crosses some edge of an already-colored strand, which a verifier
+    finds again by itself.
     """
 
     kind: str  # "W" or "L"
@@ -53,8 +52,6 @@ class Move:
     crossing: int | None = None
     edge: int | None = None
     cycle_faces: tuple[int, ...] | None = None
-    # Witness bookkeeping, not part of the certificate contract.
-    cycle_edges: tuple[int, ...] | None = field(default=None, compare=False)
 
 
 UNKNOWN_STRAND = "UnknownStrand"

@@ -141,6 +141,7 @@ def _print_compute(result: dict, fmt: str) -> None:
 def cmd_census(args) -> int:
     rows = ingest(args.input)
     resume = {} if args.fresh else existing_records(args.records)
+    created = not os.path.exists(args.records)
     with open(args.records, "a", encoding="utf-8"):
         pass  # an unwritable records path fails before any row is computed
     options = CensusOptions(
@@ -153,6 +154,8 @@ def cmd_census(args) -> int:
     resumed = sum(1 for s in summary["skipped_rows"]
                   if s["reason"] in (ALREADY_RECORDED, NAME_TAKEN))
     if summary["totals"]["eligible"] == 0 and resumed == 0:
+        if created:
+            os.remove(args.records)  # the probe's empty file, not a result
         print("error: census input has no processable rows", file=sys.stderr)
         return EXIT_EMPTY_CENSUS
     write_records(args.records, records, append=bool(resume))

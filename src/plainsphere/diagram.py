@@ -29,8 +29,9 @@ walk order, ``edge_to_strand`` inverts it, ``under_strands[c]`` and
 ``over_strand[c]`` give crossing c's two under-strands and its
 over-strand (the triple a Wirtinger move conditions on),
 ``strand_crossings[s]`` lists the crossings strand s meets in either
-role, and ``components`` maps each edge to an id shared exactly by the
-edges of its link component.
+role.  ``components`` maps each edge to an id shared exactly by the
+edges of its link component; no search reads it, so it and
+``n_components`` are computed on first read.
 """
 
 from __future__ import annotations
@@ -117,18 +118,26 @@ class Diagram:
                 incident[s].append(c)
         self.strand_crossings: tuple[tuple[int, ...], ...] = tuple(
             map(tuple, incident))
-        # Link components: x -> mate[x] ^ 2 goes straight on through the
-        # next crossing, so its orbit from any dart meets each edge of one
-        # component once; the component's id is the dart it starts from.
-        self.components: dict[int, int] = {}
-        for start in range(4 * n):
-            x = start
-            while self.label[x] not in self.components:
-                self.components[self.label[x]] = start
-                x = mate[x] ^ 2
-        self.n_components = len(set(self.components.values()))
 
     # -- queries ---------------------------------------------------------
+
+    @cached_property
+    def components(self) -> dict[int, int]:
+        """Edge -> link component id.  x -> mate[x] ^ 2 goes straight on
+        through the next crossing, so its orbit from any dart meets each
+        edge of one component once; the component's id is the dart it
+        starts from."""
+        components: dict[int, int] = {}
+        for start in range(4 * self.n):
+            x = start
+            while self.label[x] not in components:
+                components[self.label[x]] = start
+                x = self.mate[x] ^ 2
+        return components
+
+    @cached_property
+    def n_components(self) -> int:
+        return len(set(self.components.values()))
 
     def over_degree(self, strand: int) -> int:
         """Number of crossings at which `strand` is the over-strand."""

@@ -20,9 +20,9 @@ reaches the same fixpoint in any order.  The code computes that one
 closure two ways:
 
 * ``GrowingClosure`` is the fast path: a colored set kept closed while
-  seeds are added one at a time, with undo.  ``closure`` adds a seed
-  set to a fresh one.  It only decides loop moves, so it tracks the
-  connected face classes of that subgraph with a union-find.
+  seeds are added one at a time, with undo.  It only decides loop
+  moves, so it tracks the connected face classes of that subgraph with
+  a union-find.
 
 * ``saturate`` builds the move log a certificate replays, with a fixed
   policy: sweep the uncolored strands in id order, applying each one's
@@ -102,21 +102,7 @@ from .dual import DualGraph, build_dual
 from .errors import ComputeTimeout
 
 
-def _assert_even_component_parity(d: Diagram, move: Move) -> None:
-    """Any embedded circle crosses each link component an even number of times.
-
-    A dual cycle is a cut of the projection; every closed component
-    crosses a cut evenly.  Violation means the emitted cycle is wrong.
-    """
-    counts: dict[int, int] = {}
-    for e in move.cycle_edges + (move.edge,):
-        comp = d.components[e]
-        counts[comp] = counts.get(comp, 0) + 1
-    odd = {c: k for c, k in counts.items() if k % 2}
-    assert not odd, f"loop cycle crosses components an odd number of times: {odd}"
-
-
-def _loop_move(d: Diagram, dual: DualGraph, adj: list[list[tuple[int, int]]],
+def _loop_move(d: Diagram, dual: DualGraph, adj: list[list[int]],
                colored: set[int]) -> Move | None:
     """The loop move of the first uncolored strand that has one, at its
     first edge in walk order whose two faces a breadth-first search
@@ -126,22 +112,18 @@ def _loop_move(d: Diagram, dual: DualGraph, adj: list[list[tuple[int, int]]],
         if s in colored:
             continue
         for e, src, dst in dual.strand_edges[s]:
-            prev: dict[int, tuple[int, int] | None] = {src: None}
+            prev: dict[int, int | None] = {src: None}
             queue = [src]
             for f in queue:
                 if f == dst:
-                    faces, edges = [f], []
+                    faces = [f]
                     while prev[f] is not None:
-                        f, h = prev[f]
+                        f = prev[f]
                         faces.append(f)
-                        edges.append(h)
-                    move = Move("L", s, edge=e, cycle_faces=tuple(faces[::-1]),
-                                cycle_edges=tuple(edges[::-1]))
-                    _assert_even_component_parity(d, move)
-                    return move
-                for g, h in adj[f]:
+                    return Move("L", s, edge=e, cycle_faces=tuple(faces[::-1]))
+                for g in adj[f]:
                     if g not in prev:
-                        prev[g] = (f, h)
+                        prev[g] = f
                         queue.append(g)
     return None
 
@@ -170,17 +152,16 @@ def saturate(d: Diagram, seeds: Iterable[int], mode: str,
             raise ValueError(f"unknown strand id {s}")
     colored: set[int] = set()
     log: list[Move] = []
-    # per face, (other face, edge) of each colored strand's dual edge, in
+    # per face, the other face of each colored strand's dual edge, in
     # coloring order: the order the loop witness search walks them in
-    adj: list[list[tuple[int, int]]] = [
-        [] for _ in range(dual.n_faces if plain else 0)]
+    adj: list[list[int]] = [[] for _ in range(dual.n_faces if plain else 0)]
 
     def color(s: int) -> None:
         colored.add(s)
         if plain:
-            for e, f1, f2 in dual.strand_edges[s]:
-                adj[f1].append((f2, e))
-                adj[f2].append((f1, e))
+            for _, f1, f2 in dual.strand_edges[s]:
+                adj[f1].append(f2)
+                adj[f2].append(f1)
 
     for s in seed_list:
         color(s)
@@ -223,8 +204,7 @@ class GrowingClosure:
     share a class, which happens only when a union merges their classes,
     so each union tests just the edges between the two: it walks the
     smaller class and looks at the other face of every edge it borders.
-    An edge whose two faces coincide would pass with nothing colored;
-    its strand is colored on the first ``add``.  A missing dual is built.
+    A missing dual is built.
     """
 
     def __init__(self, d: Diagram, mode: str, dual: DualGraph | None = None):
@@ -255,8 +235,6 @@ class GrowingClosure:
             for _, f1, f2 in edges:
                 self._border[f1].append((f2, s))
                 self._border[f2].append((f1, s))
-        self._free = [s for s, edges in enumerate(self._edges)
-                      if any(f1 == f2 for _, f1, f2 in edges)]
 
     def add(self, s: int) -> int:
         """Color `s` (uncolored) and saturate; returns the mark to undo to."""
@@ -265,14 +243,11 @@ class GrowingClosure:
         parent, size, nxt, border = (self._parent, self._size, self._next,
                                      self._border)
         mark = len(trail)
-        mask, bit = self.mask, self._bit
+        bit = self._bit
+        colored[s] = True
+        mask = self.mask | bit[s]
+        trail.append(s)
         stack = [s]
-        if not mask:
-            stack += [t for t in self._free if t != s]
-        for t in stack:
-            colored[t] = True
-            mask |= bit[t]
-        trail += stack
         while stack:
             t = stack.pop()
             for u1, u2, o in crossings[t]:
@@ -330,16 +305,6 @@ class GrowingClosure:
                 nxt[a], nxt[b] = nxt[b], nxt[a]
         del trail[mark:]
         self.mask = mask
-
-
-def closure(d: Diagram, seeds: Iterable[int], mode: str,
-            dual: DualGraph | None = None) -> set[int]:
-    """The colored set `saturate` reaches from `seeds`, without the log."""
-    state = GrowingClosure(d, mode, dual)
-    for s in seeds:
-        if not state.colored[s]:
-            state.add(s)
-    return {s for s, c in enumerate(state.colored) if c}
 
 
 def coloring_bound(d: Diagram, seeds: Sequence[int],

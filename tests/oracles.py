@@ -21,10 +21,20 @@ crossing x strand matrix: its rank modulo each prime that divides an
 entry of an integer diagonal form of it, where the engine reduces an
 m x m relation matrix from a saturating set's move log.
 
-Only ``reference_search`` reuses engine parts, on purpose: it is the
-engine's seed-set search in its plain form, every set of each size in
-``combinations`` order with a fresh closure each, to check that the
-depth-first search finds the same first set.
+``odd_components`` checks a loop move's face cycle against the link
+components: a dual cycle is a cut of the projection, so it crosses each
+closed component an even number of times.  It takes each hop's edge
+from ``DualGraph.pair_edges``; any of the parallel edges will do, since
+a closed curve through two of them would cross a component that owned
+only one exactly once.
+
+Only ``closure`` and ``reference_search`` reuse engine parts, on
+purpose.  ``closure`` is the colored set a fresh ``GrowingClosure``
+reaches from a seed set, the fast path the search runs, so tests can
+hold it against ``saturate`` and the oracles above.
+``reference_search`` is the engine's seed-set search in its plain form,
+every set of each size in ``combinations`` order with a fresh closure
+each, to check that the depth-first search finds the same first set.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from itertools import combinations
 from plainsphere.certificate import Move
 from plainsphere.diagram import Diagram
 from plainsphere.dual import DualGraph
-from plainsphere.engine import (PLAINSPHERE, WIRTINGER, closure,
+from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
                                 strand_search_order)
 
 
@@ -158,30 +168,39 @@ def loop_witness(d: Diagram, g: DualGraph, colored: set[int],
                  target: int) -> Move | None:
     """A loop move for `target`: a shortest face path, through dual edges
     of colored strands, between the two faces of one of its edges."""
-    hops: dict[int, list[tuple[int, int]]] = {}
+    hops: dict[int, list[int]] = {}
     for e, (f1, f2) in g.edge_faces.items():
         if d.edge_to_strand[e] in colored:
-            hops.setdefault(f1, []).append((f2, e))
-            hops.setdefault(f2, []).append((f1, e))
+            hops.setdefault(f1, []).append(f2)
+            hops.setdefault(f2, []).append(f1)
     for e, (f1, f2) in sorted(g.edge_faces.items()):
         if d.edge_to_strand[e] != target:
             continue
         prev = {f1: None}
         queue = [f1]
         for f in queue:
-            for h, x in hops.get(f, ()):
+            for h in hops.get(f, ()):
                 if h not in prev:
-                    prev[h] = (f, x)
+                    prev[h] = f
                     queue.append(h)
         if f2 in prev:
-            faces, edges = [f2], []
+            faces = [f2]
             while prev[faces[-1]] is not None:
-                f, x = prev[faces[-1]]
-                faces.append(f)
-                edges.append(x)
-            return Move("L", target, edge=e, cycle_faces=tuple(faces[::-1]),
-                        cycle_edges=tuple(edges[::-1]))
+                faces.append(prev[faces[-1]])
+            return Move("L", target, edge=e, cycle_faces=tuple(faces[::-1]))
     return None
+
+
+def odd_components(d: Diagram, g: DualGraph, move: Move) -> set[int]:
+    """The link components a loop move's cycle crosses an odd number of
+    times, counting the target edge and one edge per face hop."""
+    faces = move.cycle_faces
+    hops = [g.pair_edges[frozenset(pair)][0]
+            for pair in zip(faces, faces[1:])]
+    odd: set[int] = set()
+    for e in hops + [move.edge]:
+        odd ^= {d.components[e]}
+    return odd
 
 
 def colorable_moves(d: Diagram, g: DualGraph | None, colored: set[int],
@@ -243,6 +262,16 @@ def loops_first_log(d: Diagram, g: DualGraph, seeds):
         colored.add(moves[0].target)
         log.append(moves[0])
     return frozenset(colored), tuple(log)
+
+
+def closure(d: Diagram, seeds, mode: str,
+            dual: DualGraph | None = None) -> set[int]:
+    """The colored set `saturate` reaches from `seeds`, without the log."""
+    state = GrowingClosure(d, mode, dual)
+    for s in seeds:
+        if not state.colored[s]:
+            state.add(s)
+    return {s for s, c in enumerate(state.colored) if c}
 
 
 def reference_search(d: Diagram, mode: str, dual: DualGraph | None,

@@ -17,7 +17,7 @@ from plainsphere.census import CensusOptions, ingest, run_census
 from plainsphere.certificate import (HASH_MISMATCH, REASONS, Certificate,
                                      deserialize_certificate,
                                      serialize_certificate, verify)
-from plainsphere.engine import MODES, PLAINSPHERE, Move, closure, saturate
+from plainsphere.engine import MODES, PLAINSPHERE, Move, saturate
 from plainsphere.errors import CertificateError
 
 import oracles
@@ -124,7 +124,7 @@ def test_criterion_6_confluence(engine_results):
         d, g, _, _, _, _ = engine_results[name]
         mode = rng.choice(MODES)
         seeds = tuple(rng.sample(range(d.n), rng.randint(1, d.n)))
-        expected = frozenset(closure(d, seeds, mode, g))
+        expected = frozenset(oracles.closure(d, seeds, mode, g))
         dual = g if mode == PLAINSPHERE else None
         for _ in range(100):
             got = oracles.saturate_random(d, seeds, mode, rng, dual)
@@ -158,11 +158,7 @@ def test_criterion_7_structural_invariants(engine_results):
             if move.kind != "L":
                 continue
             witnesses += 1
-            counts: dict[int, int] = {}
-            for e in move.cycle_edges + (move.edge,):
-                comp = d.components[e]
-                counts[comp] = counts.get(comp, 0) + 1
-            if any(v % 2 for v in counts.values()):
+            if oracles.odd_components(d, g, move):
                 problems.append((name, "loop parity"))
     # 293 loop moves on the bundled tables; far fewer means the check
     # lost its inputs

@@ -290,11 +290,23 @@ class TestCensusCommand:
             assert all(int(r["n"]) <= 3 for r in csv.DictReader(fh))
 
     def test_empty_table_exit_five(self, capsys, tmp_path):
+        """Exit 5 leaves the records path as it found it: the census
+        removes the file only if it created it."""
         empty = tmp_path / "empty.csv"
         empty.write_text("name,pd_notation,bridge_number\n")
+        new = tmp_path / "new.csv"
         code, _, err = run(capsys, "census", "--input", str(empty),
-                           "--records", str(tmp_path / "r.csv"))
+                           "--records", str(new))
         assert code == EXIT_EMPTY_CENSUS and "no processable rows" in err
+        assert not new.exists()
+        old = tmp_path / "old.csv"
+        for data in (b"", b"name,diagram_hash\nk,00ff\n"):
+            old.write_bytes(data)
+            for fresh in ((), ("--fresh",)):
+                assert run(capsys, "census", "--input", str(empty),
+                           "--records", str(old),
+                           *fresh)[0] == EXIT_EMPTY_CENSUS
+                assert old.read_bytes() == data
 
     def test_unreadable_input_exit_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "census",

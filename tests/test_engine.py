@@ -8,15 +8,15 @@ import types
 
 import pytest
 
-from plainsphere import DualGraph, build_dual, omega, parse_pd, rho
+from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import serialize_certificate, verify
 from plainsphere.diagram import Diagram
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                closure, coloring_bound, saturate,
-                                strand_search_order)
+                                coloring_bound, saturate, strand_search_order)
 from plainsphere.errors import ComputeTimeout
 
 from conftest import K14_PD, perfbench_module
+from oracles import closure
 
 braids = perfbench_module("braids")
 
@@ -64,9 +64,10 @@ class TestMoves:
         faces = move.cycle_faces
         assert len(faces) == len(set(faces)) >= 2
         assert set(k14_dual.edge_faces[move.edge]) == {faces[0], faces[-1]}
-        for f1, f2, e in zip(faces, faces[1:], move.cycle_edges):
-            assert set(k14_dual.edge_faces[e]) == {f1, f2}
-            assert k14.edge_to_strand[e] in K14_STAGE_FIXPOINT
+        for f1, f2 in zip(faces, faces[1:]):
+            assert any(k14.edge_to_strand[e] in K14_STAGE_FIXPOINT
+                       for e in k14_dual.pair_edges.get(frozenset((f1, f2)),
+                                                        ()))
 
     def test_empty_seed_set_rejected(self, trefoil):
         with pytest.raises(ValueError):
@@ -105,9 +106,11 @@ class TestSaturation:
                            K14_STAGE_SEEDS, log)
         assert verify(k14, cert, k14_dual).ok
 
-    def test_k14_stage_wirtinger_fixpoint(self, k14):
-        got = closure(k14, K14_STAGE_SEEDS, WIRTINGER)
-        assert frozenset(got) == K14_STAGE_FIXPOINT
+    def test_k14_stage_wirtinger_fixpoint(self, k14, k14_dual):
+        # given the dual too, Wirtinger mode makes no loop moves
+        for dual in (None, k14_dual):
+            got = closure(k14, K14_STAGE_SEEDS, WIRTINGER, dual)
+            assert frozenset(got) == K14_STAGE_FIXPOINT
 
     def test_k14_stage_loop_moves_unlock(self, k14, k14_dual):
         """At the stuck set, loop moves complete the coloring."""
@@ -149,23 +152,6 @@ class TestGrowingClosure:
     def test_dual_built_when_missing(self, trefoil, trefoil_dual):
         assert (closure(trefoil, (0,), PLAINSPHERE)
                 == closure(trefoil, (0,), PLAINSPHERE, trefoil_dual))
-
-    def test_edge_with_one_face_colors_on_first_add(self, trefoil,
-                                                    trefoil_dual):
-        """A dual self-loop through strand 2 is a loop move with nothing
-        colored; ``build_dual`` never makes one, so the dual is forged."""
-        e = trefoil.strands[2][0]
-        f = trefoil_dual.edge_faces[e][0]
-        forged = DualGraph(trefoil, trefoil_dual.n_faces,
-                           {**trefoil_dual.edge_faces, e: (f, f)})
-        state = GrowingClosure(trefoil, PLAINSPHERE, forged)
-        for seed in (0, 1):
-            mark = state.add(seed)
-            assert state.colored == [True] * 3  # seed, 2, then a W move
-            assert state.mask == 0b111
-            state.undo(mark)
-            assert state.mask == 0 and not any(state.colored)
-        assert closure(trefoil, (0,), WIRTINGER, forged) == {0}
 
     def test_undo_restores_every_table(self, k14, k14_dual):
         state = GrowingClosure(k14, PLAINSPHERE, k14_dual)

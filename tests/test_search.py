@@ -152,11 +152,12 @@ def test_omega_starts_at_component_count(all_diagrams, name):
 def test_frozen_certificates_reproduced():
     """Every row with stored certificates: bundled rows, trefoil sums
     #1-#5 and the 420 random braid closures, the same byte-for-byte
-    check as ``perfbench/freeze.py --check``."""
+    check as ``perfbench/freeze.py --check``.  Each loop move of a rho
+    certificate crosses every link component an even number of times."""
     manifest = frozen_rows("manifest.jsonl")
     certs = frozen_rows("certs.jsonl")
     assert len(certs) == 42 + 5 + 420
-    gaps = 0
+    gaps = loops = 0
     for name in certs:
         item = manifest[name]
         d = parse_pd(item["pd"])
@@ -167,7 +168,11 @@ def test_frozen_certificates_reproduced():
         assert serialize_certificate(wcert) == certs[name]["omega"], name
         assert serialize_certificate(rcert) == certs[name]["rho"], name
         gaps += w > r
-    assert gaps == 4  # k14n1527 and three braids
+        for move in rcert.moves:
+            if move.kind == "L":
+                assert not oracles.odd_components(d, g, move), name
+                loops += 1
+    assert gaps == loops == 4  # k14n1527 and three braids, one loop each
 
 
 def test_coloring_bound_on_frozen_rows():
