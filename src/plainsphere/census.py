@@ -7,9 +7,12 @@ row and any unexpected error while computing skip the row with a
 reason, a per-diagram timeout marks the row timed out, and none of them
 produces fabricated numbers in the output.  Each computed row has one
 outcome, a record or a skip reason (neither: timed out), paired with its
-row in input order.  Tables and records are read as UTF-8, a leading BOM
-dropped, and ``psk census`` opens the records file for append before it
-computes any row, so an unwritable path costs no work.
+row in input order.  When a pool worker dies, the rows that finished
+keep their outcomes, and each row the pool never returned is skipped
+with the reason ``worker died: BrokenProcessPool``; it gets no record,
+so a resume computes it.  Tables and records are read as UTF-8, a
+leading BOM dropped, and ``psk census`` opens the records file for
+append before it computes any row, so an unwritable path costs no work.
 Records land in a CSV with the columns
 
     name,n,strands,omega,rho,beta_ref,strict_gap,bound_ok,millis,diagram_hash
@@ -169,8 +172,15 @@ def run_census(rows: list[TableRow],
     if options.jobs > 1 and len(tasks) > 1:
         # imported here: a serial run never pays for the pool machinery
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            outcomes = list(pool.map(_process_row, tasks))
+            outcomes = []
+            for future in [pool.submit(_process_row, t) for t in tasks]:
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as exc:  # a worker died first
+                    outcomes.append(
+                        (None, f"worker died: {type(exc).__name__}"))
     else:
         outcomes = [_process_row(t) for t in tasks]
     records = []

@@ -39,7 +39,7 @@ omega and rho share one search, bounded by a witness: a Wirtinger
 certificate, whose seeds saturate in either mode.  omega's witness is a
 greedy saturating set (strands in search order, skipping colored ones),
 rho's the omega certificate.  Seed sets are tried by size, from the
-witness's coloring bound (below) up to one less than its size, then in
+witness's lower bound (below) up to one less than its size, then in
 strand search order (the order of ``itertools.combinations`` over it),
 depth first on one ``GrowingClosure`` that extends each prefix's closure
 by the next seed and undoes it on backtrack.  When none saturates, the
@@ -88,11 +88,40 @@ number of invariant factors of R that p does not divide.  A prime that
 divides the first invariant factor other than 1 divides every later one
 (zeros included), so the maximum over p is m minus the number of
 invariant factors equal to 1, and no list of primes is needed.
+
+The transposition bound (``transposition_coloring``) colors each strand
+with a transposition of S_m so that o a o = b at every crossing, o the
+over-strand and a, b the under-strands; like a Fox coloring it needs no
+orientation, and S_3 gives the mod-3 Fox colorings.  The colors generate
+a group whose orbits on the m points are the components of the graph
+whose edges are the colors.  A coloring is a homomorphism from the link
+group to S_m that sends meridians to transpositions, and a saturating
+set's meridians generate the link group (see the Fox bound), so its
+seeds' transpositions generate that group and leave those orbits.  Each
+seed joins at most two orbits, so the set has at least m - orbits
+seeds.  This is the type-A case of the bound in Baader, Blair and
+Kjuchukova, "Coxeter groups and meridional rank of links".  A coloring
+is fixed by its seeds' colors, so a depth first search over the witness
+seeds' transpositions, replaying its move log, finds the best one.  It
+uses at most one point more than the witness has seeds, enough for one
+orbit that reaches the seed count.
+
+The coloring found also prunes the search.  A prefix whose colors leave
+more orbits than orbits(all colors) plus the seeds it has left cannot
+saturate, since each further seed joins at most two orbits, so it is
+skipped before its last seed is added; a union-find over the coloring's
+points, undone on backtrack, counts the orbits.  A pruned prefix cannot
+saturate, so the failure memo stays sound and the first saturating set
+is unchanged.  Only the rho search colors transpositions: its witness,
+the omega certificate, has omega seeds, where omega's greedy witness has
+more, and there the coloring search cost more search time than its
+bound and prune saved.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -381,6 +410,111 @@ def _unit_invariant_factors(a: list[list[int]]) -> int:
     return units
 
 
+@cache
+def _transposition_tables(m: int) -> tuple:
+    """(ends, conj, options) for the transpositions of S_m.
+
+    Transposition t = b (b - 1) / 2 + a is (a b), a < b, so those on the
+    first u points come first; ``ends[t]`` is (a, b) and ``conj[o][t]``
+    is o t o.  ``options[u]`` lists, as (t, points used, orbit merged),
+    the transpositions a seed may take when the earlier seeds use points
+    0..u-1 and every later point is unused: one with the next unused
+    point, one on the next two, then one on used points, whose merging
+    the caller decides (None).
+    """
+    def index(x: int, y: int) -> int:
+        return x * (x - 1) // 2 + y if x > y else y * (y - 1) // 2 + x
+
+    ends = tuple((a, b) for b in range(m) for a in range(b))
+    conj = []
+    for x, y in ends:
+        swap = list(range(m))
+        swap[x], swap[y] = y, x
+        conj.append(tuple(index(swap[a], swap[b]) for a, b in ends))
+    options = tuple(
+        tuple([(index(a, u), u + 1, True) for a in range(u) if u < m]
+              + [(index(u, u + 1), u + 2, True)] * (u + 2 <= m)
+              + [(t, u, None) for t in range(u * (u - 1) // 2)])
+        for u in range(m + 1))
+    return ends, tuple(conj), options
+
+
+def transposition_coloring(d: Diagram, seeds: Sequence[int],
+                           moves: Iterable[Move]
+                           ) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(m - orbits, coloring) for a transposition coloring of the diagram
+    on m <= len(seeds) + 1 points whose m - orbits is largest: the
+    transposition lower bound on rho and omega, and one coloring, as the
+    two points of each strand's transposition, that attains it.
+
+    `seeds` must Wirtinger-saturate the diagram through `moves`.  A depth
+    first search colors the seeds in order, canonically: the first is
+    (0 1), and a later one takes only used points or the next unused
+    ones.  Each move is replayed, and each crossing no move used is
+    checked, at the first seed that colors all of its strands.  Branches
+    that cannot beat the best coloring found are cut, and the search ends
+    when m - orbits reaches len(seeds).
+    """
+    k = len(seeds)
+    ends, conj, options = _transposition_tables(k + 1)
+    stage = [0] * d.n  # the seed after which each strand has its color
+    for i, s in enumerate(seeds):
+        stage[s] = i
+    replay: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
+    used = set()
+    for mv in moves:
+        if mv.kind != "W":
+            raise ValueError("the transposition bound replays Wirtinger moves only")
+        u1, u2 = d.under_strands[mv.crossing]
+        over, other = d.over_strand[mv.crossing], u2 if mv.target == u1 else u1
+        stage[mv.target] = i = max(stage[over], stage[other])
+        replay[i].append((mv.target, over, other))
+        used.add(mv.crossing)
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
+    for c, (u1, u2) in enumerate(d.under_strands):
+        if c not in used:
+            over = d.over_strand[c]
+            checks[max(stage[over], stage[u1], stage[u2])].append(
+                (over, u1, u2))
+    color = [0] * d.n
+    best_rank, best_color = 0, color
+
+    def extend(i: int, points: int, rank: int, orbit: tuple[int, ...]) -> bool:
+        """Color seeds i on, the earlier ones using `points` points in
+        orbits `orbit` (a label per point) of rank `rank`; True once the
+        bound reaches k."""
+        nonlocal best_rank, best_color
+        s, moves_here, checks_here = seeds[i], replay[i], checks[i]
+        for t, used_points, merged in options[points]:
+            if merged is None:
+                a, b = ends[t]
+                merged = orbit[a] != orbit[b]
+            if rank + merged + k - i - 1 <= best_rank:
+                continue  # cannot beat the best coloring found
+            color[s] = t
+            for target, over, other in moves_here:
+                color[target] = conj[color[over]][color[other]]
+            if any(conj[color[over]][color[u1]] != color[u2]
+                   for over, u1, u2 in checks_here):
+                continue
+            if i + 1 == k:
+                best_rank, best_color = rank + merged, color[:]
+                if best_rank == k:
+                    return True
+                continue
+            joined = orbit + tuple(range(points, used_points))
+            if merged:
+                a, b = ends[t]
+                keep, drop = joined[a], joined[b]
+                joined = tuple(keep if x == drop else x for x in joined)
+            if extend(i + 1, used_points, rank + merged, joined):
+                return True
+        return False
+
+    extend(0, 0, 0, ())
+    return best_rank, tuple(ends[t] for t in best_color)
+
+
 def strand_search_order(d: Diagram) -> list[int]:
     """Strands by descending over-degree, ties by id.
 
@@ -393,13 +527,19 @@ def strand_search_order(d: Diagram) -> list[int]:
 
 def _search(d: Diagram, mode: str, dual: DualGraph | None,
             witness: Certificate, deadline: float | None):
-    """(k, certificate) for the first seed set, by size from the coloring
+    """(k, certificate) for the first seed set, by size from the lower
     bound of Wirtinger certificate `witness` up to its size - 1 and then
     in search order, whose closure colors every strand; else `witness`,
-    reissued in `mode`.  Sizes below the bound fail and `witness`
+    reissued in `mode`.  The bound is the coloring bound, and in
+    plain-sphere mode the transposition bound too, whose coloring also
+    prunes prefixes.  Sizes below the bound fail and `witness`
     saturates, so on timeout the message names that interval."""
     lower = coloring_bound(d, witness.seeds, witness.moves)
     upper = len(witness.seeds)
+    ends: Sequence[tuple[int, int]] = ()
+    if mode == PLAINSPHERE and lower < upper:
+        bound, ends = transposition_coloring(d, witness.seeds, witness.moves)
+        lower = max(lower, bound)
     reissued = upper, Certificate(diagram_hash=d.content_hash, mode=mode,
                                   seeds=witness.seeds, moves=witness.moves)
     if lower == upper:
@@ -412,12 +552,34 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     # closed set's mask -> most further seeds known not to saturate it;
     # valid for this mode and diagram only: see the module docstring
     failed: dict[int, int] = {}
+    # a union-find over the coloring's points: first the orbits of all its
+    # colors, then, undone on backtrack, those of the prefix's seeds
+    parent = list(range(upper + 1))
+    for a, b in ends:
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        parent[a] = b
+    rank = sum(p != q for q, p in enumerate(parent))  # m - orbits(all)
+    parent = list(range(upper + 1))
 
-    def extend(start: int, left: int) -> bool:
+    def extend(start: int, left: int, slack: int) -> bool:
+        # slack: how many of the `left` seeds may join no two orbits; when
+        # slack >= left no prefix below can be pruned, so none is tracked
+        track = slack < left
         for i in range(start, n - left + 1):
             s = order[i]
             if colored[s]:
                 continue  # the prefix colors it: see the module docstring
+            if track:
+                a, b = ends[s]
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a == b and not slack:
+                    continue  # too many orbits left: see the module docstring
             if deadline is not None and time.monotonic() > deadline:
                 # k is the size being searched: see the invariant above
                 raise ComputeTimeout(
@@ -426,19 +588,24 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             mark = state.add(s)
             chosen.append(s)
             mask = state.mask
+            merged = track and a != b
+            if merged:
+                parent[a] = b
             if left == 1:
                 if mask == full:
                     return True
             elif failed.get(mask, -1) < left - 1:
-                if extend(i + 1, left - 1):
+                if extend(i + 1, left - 1, slack - (not merged)):
                     return True
                 failed[mask] = left - 1
+            if merged:
+                parent[a] = a
             chosen.pop()
             state.undo(mark)
         return False
 
     for k in range(lower, upper):
-        if extend(0, k):
+        if extend(0, k, k - rank):
             colored_set, log = saturate(d, chosen, mode, state.dual)
             assert len(colored_set) == d.n
             return k, Certificate(

@@ -21,6 +21,12 @@ crossing x strand matrix: its rank modulo each prime that divides an
 entry of an integer diagonal form of it, where the engine reduces an
 m x m relation matrix from a saturating set's move log.
 
+``oracle_transposition_bound`` colors a saturating set's seeds with
+every tuple of transpositions of S_m, m one more than the seed count,
+with no symmetry breaking, and propagates each through the raw
+crossing tables, where the engine colors seeds canonically and replays
+the move log.
+
 ``odd_components`` checks a loop move's face cycle against the link
 components: a dual cycle is a cut of the projection, so it crosses each
 closed component an even number of times.  It takes each hop's edge
@@ -39,7 +45,7 @@ each, to check that the depth-first search finds the same first set.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from plainsphere.certificate import Move
 from plainsphere.diagram import Diagram
@@ -374,3 +380,48 @@ def oracle_coloring_bound(d: Diagram) -> int:
     a = fox_matrix(d)
     primes = {2}.union(*(prime_factors(x) for x in diagonal_entries(a) if x))
     return max(d.n - rank_mod(a, p) for p in primes)
+
+
+def oracle_transposition_bound(d: Diagram, seeds) -> int:
+    """The largest m - orbits of a transposition coloring of S_m,
+    m = len(seeds) + 1: o a o = b at every crossing (o over, a and b
+    under), orbits those of the group all colors generate.  `seeds`
+    must Wirtinger-saturate the diagram, so their colors fix the rest."""
+    m = len(seeds) + 1
+    tables = crossing_tables(d)
+    # the order colors spread from the seeds, found once: (target, over,
+    # other under) of the first crossing that colors each strand
+    spread, known = [], set(seeds)
+    while len(known) < d.n:
+        grown = len(known)
+        for u1, u2, over in tables:
+            for a, b in ((u1, u2), (u2, u1)):
+                if over in known and a in known and b not in known:
+                    spread.append((b, over, a))
+                    known.add(b)
+        assert len(known) > grown, "seeds do not saturate"
+    pairs = list(combinations(range(m), 2))
+    conj = {(o, t): conjugate(o, t) for o in pairs for t in pairs}
+    best = 0
+    for colors in product(pairs, repeat=len(seeds)):
+        color = dict(zip(seeds, colors))
+        for target, over, other in spread:
+            color[target] = conj[color[over], color[other]]
+        if any(conj[color[over], color[u1]] != color[u2]
+               for u1, u2, over in tables):
+            continue
+        orbits = [{p} for p in range(m)]
+        for a, b in color.values():
+            pa = next(o for o in orbits if a in o)
+            pb = next(o for o in orbits if b in o)
+            if pa is not pb:
+                orbits.remove(pb)
+                pa |= pb
+        best = max(best, m - len(orbits))
+    return best
+
+
+def conjugate(o: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
+    """The transposition o t o, as a sorted pair."""
+    swap = {o[0]: o[1], o[1]: o[0]}
+    return tuple(sorted(swap.get(p, p) for p in t))

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import time
 
 import pytest
 
+import plainsphere.census
 from plainsphere.census import (ALREADY_RECORDED, NAME_TAKEN, RECORD_COLUMNS,
-                                CensusOptions, TableRow, existing_records,
-                                ingest, run_census, write_records,
-                                write_summary)
+                                CensusOptions, TableRow, _process_row,
+                                existing_records, ingest, run_census,
+                                write_records, write_summary)
 from plainsphere.diagram import parse_pd
 from plainsphere.errors import FileUnreadable, MissingColumns
 
@@ -19,6 +22,16 @@ from conftest import TREFOIL_PD, table_path
 
 def small_options(**kw) -> CensusOptions:
     return CensusOptions(**kw)
+
+
+def _worker_dies_on_trefoil(task):
+    """The census row function, except that the worker computing the
+    trefoil row dies, after a pause that lets the other worker finish
+    the rows it can.  Module level, so a pool worker can look it up."""
+    if task[0] == "trefoil":
+        time.sleep(0.5)
+        os._exit(1)
+    return _process_row(task)
 
 
 class TestIngest:
@@ -207,6 +220,35 @@ class TestPersistence:
         assert summary2["totals"]["eligible"] == 0
         assert all(s["reason"] == ALREADY_RECORDED
                    for s in summary2["skipped_rows"])
+
+    def test_dead_worker_keeps_finished_rows(self, monkeypatch):
+        """A worker that dies costs only the rows the pool never
+        returned: they are skipped with no record, the finished rows keep
+        theirs, and a resume computes only the skipped ones."""
+        rows = ingest(table_path("fixtures_small.csv"))
+        serial, _ = run_census(rows, small_options(jobs=1))
+        by_name = {r["name"]: r for r in serial}
+        strip = lambda r: {k: v for k, v in r.items() if k != "millis"}
+        with monkeypatch.context() as patch:
+            patch.setattr(plainsphere.census, "_process_row",
+                          _worker_dies_on_trefoil)
+            records, summary = run_census(rows, small_options(jobs=2))
+        died = [s["name"] for s in summary["skipped_rows"]]
+        assert "trefoil" in died and records
+        assert all(s["reason"] == "worker died: BrokenProcessPool"
+                   for s in summary["skipped_rows"])
+        assert sorted(died + [r["name"] for r in records]) == sorted(by_name)
+        assert [strip(r) for r in records] == [
+            strip(by_name[r["name"]]) for r in records]
+
+        computed = []
+        monkeypatch.setattr(plainsphere.census, "_process_row",
+                            lambda task: computed.append(task[0])
+                            or _process_row(task))
+        resume = {r["name"]: r["diagram_hash"] for r in records}
+        again, _ = run_census(rows, small_options(jobs=1, resume=resume))
+        assert computed == [r["name"] for r in again]
+        assert sorted(computed) == sorted(died)
 
     def test_resume_needs_the_same_diagram(self, tmp_path):
         rows = ingest(table_path("slice14.csv"))

@@ -259,6 +259,22 @@ class TestSearch:
                 assert str(info.value).endswith(
                     f"proved {name} >= {k}, {name} <= {upper}")
 
+    def test_deadline_names_the_transposition_bound(self, monkeypatch):
+        """braid-0305 has coloring bound 2, transposition bound 3 and
+        omega = rho = 4, so a rho search cut short has proved rho >= 3."""
+        import plainsphere.engine
+        from conftest import frozen_rows
+        d = parse_pd(frozen_rows("manifest.jsonl")["braid-0305"]["pd"])
+        g = build_dual(d)
+        known = omega(d)
+        assert coloring_bound(d, known[1].seeds, known[1].moves) == 2
+        ticks = itertools.count()
+        monkeypatch.setattr(plainsphere.engine, "time", types.SimpleNamespace(
+            monotonic=lambda: next(ticks)))
+        with pytest.raises(ComputeTimeout) as info:
+            rho(d, dual=g, deadline=5, omega_result=known)
+        assert str(info.value).endswith("proved rho >= 3, rho <= 4")
+
     def test_values_on_known_rows(self, all_rows, all_diagrams):
         """omega == rho on every bundled diagram except the gap witness."""
         from plainsphere import build_dual

@@ -18,7 +18,8 @@ from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import (Certificate, deserialize_certificate,
                                      serialize_certificate)
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                coloring_bound, saturate)
+                                coloring_bound, saturate, strand_search_order,
+                                transposition_coloring)
 from plainsphere.errors import PlainSphereError
 
 import oracles
@@ -56,8 +57,9 @@ def search_cases(all_diagrams):
 
 
 def test_search_matches_reference_order(monkeypatch, search_cases):
-    """rho searches from size 1 here, not from the coloring bound, so
-    every size below omega is compared with the reference."""
+    """rho searches from size 1 here, not from the coloring and
+    transposition bounds, so every size below omega is compared with the
+    reference; the transposition coloring still prunes prefixes."""
     for name, d, g in search_cases:
         w, wcert = omega(d)
         assert (w, wcert.seeds) == oracles.reference_search(
@@ -65,9 +67,35 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
         with monkeypatch.context() as patch:
             patch.setattr(plainsphere.engine, "coloring_bound",
                           lambda *args: 1)
+            patch.setattr(plainsphere.engine, "transposition_coloring",
+                          lambda *args: (1, transposition_coloring(*args)[1]))
             r, rcert = rho(d, dual=g, omega_result=(w, wcert))
         want = oracles.reference_search(d, PLAINSPHERE, g, range(1, w))
         assert (r, rcert.seeds) == (want or (w, wcert.seeds)), name
+        # a greedy witness has more seeds, so the search reaches sizes
+        # where sets saturate, and the prune must keep the first of them
+        greedy = greedy_certificate(d)
+        with monkeypatch.context() as patch:
+            patch.setattr(plainsphere.engine, "coloring_bound",
+                          lambda *args: 1)
+            patch.setattr(plainsphere.engine, "transposition_coloring",
+                          lambda *args: (1, transposition_coloring(*args)[1]))
+            r, rcert = rho(d, dual=g, omega_result=(None, greedy))
+        upper = len(greedy.seeds)
+        want = oracles.reference_search(d, PLAINSPHERE, g, range(1, upper))
+        assert (r, rcert.seeds) == (want or (upper, greedy.seeds)), name
+
+
+def greedy_certificate(d):
+    """A Wirtinger certificate of the greedy saturating set: strands in
+    search order, skipping colored ones."""
+    seeds, colored = [], set()
+    for s in strand_search_order(d):
+        if s not in colored:
+            seeds.append(s)
+            colored = oracles.closure(d, seeds, WIRTINGER)
+    _, log = saturate(d, seeds, WIRTINGER)
+    return Certificate(d.content_hash, WIRTINGER, tuple(sorted(seeds)), log)
 
 
 def test_values_match_brute_force_oracle(search_cases):
@@ -86,12 +114,15 @@ def test_values_match_brute_force_oracle(search_cases):
     assert checked >= 40
 
 
-def test_failure_memo_prunes(monkeypatch, k14, k14_dual):
+def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
     """With every prefix the colored-skip rule lets through visited,
     k14n1527 takes 548 adds for omega (the greedy set's included) and
     123 for rho, and braid-0053 621 and 610.  The memo of failed closed
     sets cuts all but k14n1527's rho: its one failing size is 2, and no
-    two one-seed prefixes close to the same set."""
+    two one-seed prefixes close to the same set.  braid-0053's
+    transposition bound is 4 = omega, so its rho search adds nothing.
+    On sum5_9 both bounds are 2 and rho = omega = 3: the transposition
+    coloring's prefix prune cuts its rho adds from 103 to 70."""
     adds = []
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -107,11 +138,23 @@ def test_failure_memo_prunes(monkeypatch, k14, k14_dual):
 
     values, omega_adds, rho_adds = searched(k14, k14_dual)
     assert values == (4, 3)
-    assert omega_adds < 548 and rho_adds <= 123
+    assert omega_adds < 548 and rho_adds == 123
     braid = parse_pd(frozen_rows("manifest.jsonl")["braid-0053"]["pd"])
     values, omega_adds, rho_adds = searched(braid, build_dual(braid))
     assert values == (4, 4)
-    assert omega_adds < 621 and rho_adds < 610
+    assert omega_adds < 621 and rho_adds == 0
+    d = all_diagrams["sum5_9"]
+    assert searched(d, build_dual(d))[::2] == ((3, 3), 70)
+    monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
+                        lambda d, *args: (1, ((0, 1),) * d.n))
+    assert searched(d, build_dual(d))[::2] == ((3, 3), 103)
+
+
+def test_omega_search_colors_no_transpositions(monkeypatch, k14, all_diagrams):
+    """The transposition coloring serves the rho search only."""
+    monkeypatch.setattr(plainsphere.engine, "transposition_coloring", None)
+    assert omega(k14)[0] == 4
+    assert omega(all_diagrams["sum5_9"])[0] == 3
 
 
 def test_witness_bound_reached_searches_nothing(monkeypatch):
@@ -197,3 +240,39 @@ def test_coloring_bound_on_frozen_rows():
         checked += 1
         reaches_rho += bound == item["rho"]
     assert (checked, reaches_rho) == (468, 192)
+
+
+def test_transposition_bound_on_frozen_rows():
+    """On every manifest row with a value, the bound from its omega
+    certificate is at most rho, and its coloring is one: o a o = b at
+    every crossing, with m - orbits the bound.  On the bundled rows and
+    every row with omega <= 3 it equals the brute-force oracle's.  With
+    the Fox bound it reaches rho on 263 of the 468 rows, 192 without."""
+    manifest = frozen_rows("manifest.jsonl")
+    certs = frozen_rows("certs.jsonl")
+    checked = oracle_checked = reaches_rho = 0
+    for name, item in manifest.items():
+        if item["kind"] == "reject":
+            continue
+        d = parse_pd(item["pd"])
+        wcert = (deserialize_certificate(certs[name]["omega"])
+                 if name in certs else omega(d)[1])  # trefoil sum #6
+        bound, ends = transposition_coloring(d, wcert.seeds, wcert.moves)
+        assert 1 <= bound <= item["rho"], name
+        for u1, u2, over in oracles.crossing_tables(d):
+            assert oracles.conjugate(ends[over], ends[u1]) == ends[u2], name
+        orbits = {p: {p} for pair in ends for p in pair}
+        for a, b in ends:
+            if orbits[a] is not orbits[b]:
+                orbits[a] |= orbits[b]
+                for p in orbits[b]:
+                    orbits[p] = orbits[a]
+        assert len(orbits) - len({id(o) for o in orbits.values()}) == bound
+        if item["kind"] == "bundled" or item["omega"] <= 3:
+            assert bound == oracles.oracle_transposition_bound(
+                d, wcert.seeds), name
+            oracle_checked += 1
+        checked += 1
+        fox = coloring_bound(d, wcert.seeds, wcert.moves)
+        reaches_rho += max(fox, bound) == item["rho"]
+    assert (checked, oracle_checked, reaches_rho) == (468, 329, 263)
