@@ -16,7 +16,9 @@ place, ``EXIT_CODES``, and prints it as one line
 ``error: <Type>: <message>``.
 
 ``PSK_JOBS`` and ``PSK_TIMEOUT_MS`` provide defaults for ``--jobs`` and
-``--timeout-ms``; explicit flags win.
+``--timeout-ms``; explicit flags win.  ``--jobs`` must be at least 1 and
+``--timeout-ms`` at least 0 (0: no limit), or argparse exits 2; an
+environment value that is not such an integer is ignored with a warning.
 """
 
 from __future__ import annotations
@@ -58,14 +60,30 @@ EXIT_CODES = {
 }
 
 
-def _env_int(name: str) -> int | None:
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
+# option dest -> (environment variable that supplies its default, least value)
+ENV_DEFAULTS = {"timeout_ms": ("PSK_TIMEOUT_MS", 0), "jobs": ("PSK_JOBS", 1)}
+
+
+def _env_int(name: str, least: int) -> int | None:
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        print(f"warning: ignoring non-integer {name}={raw!r}", file=sys.stderr)
+        return _at_least(least)(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        print(f"warning: ignoring {name}={raw!r}: not an integer >= {least}",
+              file=sys.stderr)
         return None
 
 
@@ -213,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the certificate of the last computed invariant here")
     p.add_argument("--format", choices=("json", "csv", "plain"),
                    default="plain")
-    p.add_argument("--timeout-ms", type=int, default=_env_int("PSK_TIMEOUT_MS"))
+    p.add_argument("--timeout-ms", type=_at_least(0))
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("census", help="run omega/rho over a CSV knot table")
@@ -222,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output CSV; re-runs append rows for new names only "
                         "and skip names recorded for another diagram")
     p.add_argument("--summary", help="output JSON summary path")
-    p.add_argument("--jobs", type=int, default=_env_int("PSK_JOBS"))
-    p.add_argument("--timeout-ms", type=int, default=_env_int("PSK_TIMEOUT_MS"))
+    p.add_argument("--jobs", type=_at_least(1))
+    p.add_argument("--timeout-ms", type=_at_least(0))
     p.add_argument("--max-crossings", type=int)
     p.add_argument("--fresh", action="store_true",
                    help="ignore existing records instead of resuming")
@@ -238,6 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, (name, least) in ENV_DEFAULTS.items():
+        if getattr(args, dest, 0) is None:  # the command has it, unset
+            setattr(args, dest, _env_int(name, least))
     try:
         return args.func(args)
     except (PlainSphereError, OSError) as exc:

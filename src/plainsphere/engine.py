@@ -101,10 +101,10 @@ seeds' transpositions generate that group and leave those orbits.  Each
 seed joins at most two orbits, so the set has at least m - orbits
 seeds.  This is the type-A case of the bound in Baader, Blair and
 Kjuchukova, "Coxeter groups and meridional rank of links".  A coloring
-is fixed by its seeds' colors, so a depth first search over the witness
-seeds' transpositions, replaying its move log, finds the best one.  It
-uses at most one point more than the witness has seeds, enough for one
-orbit that reaches the seed count.
+is fixed by its seeds' colors, so a depth first search over a
+saturating set's transpositions, replaying its move log, finds the best
+one.  It uses at most one point more than the set has seeds, enough for
+one orbit that reaches the seed count.
 
 The coloring found also prunes the search.  A prefix whose colors leave
 more orbits than orbits(all colors) plus the seeds it has left cannot
@@ -112,10 +112,19 @@ saturate, since each further seed joins at most two orbits, so it is
 skipped before its last seed is added; a union-find over the coloring's
 points, undone on backtrack, counts the orbits.  A pruned prefix cannot
 saturate, so the failure memo stays sound and the first saturating set
-is unchanged.  Only the rho search colors transpositions: its witness,
-the omega certificate, has omega seeds, where omega's greedy witness has
-more, and there the coloring search cost more search time than its
-bound and prune saved.
+is unchanged.
+
+The search colors as few seeds as it can, since the coloring search
+grows with their count.  rho colors its witness, the omega certificate,
+which has omega seeds.  omega's greedy witness has more, so omega first
+walks the greedy seeds back from the last one grown and drops each
+whose removal leaves a saturating set, on the ``GrowingClosure`` it then
+searches on, and colors what is left: an irredundant saturating set,
+often of omega seeds, whose move log ``saturate`` writes when a seed was
+dropped.  The greedy set stays the witness, and the answer when no
+smaller set saturates, so certificates do not depend on the coloring.
+When the Fox bound already equals the colored set's size it is the
+invariant itself, no bound can exceed it, and no coloring is searched.
 """
 
 from __future__ import annotations
@@ -525,28 +534,58 @@ def strand_search_order(d: Diagram) -> list[int]:
     return sorted(range(d.n), key=lambda s: (-d.over_degree(s), s))
 
 
+def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
+    """`seeds`, which saturate on the empty closure `state`, less each
+    seed, walked in reverse, whose removal still leaves a saturating set.
+    No seed of the result can be dropped: closures are monotone, and each
+    was kept by a superset.  `state` is left empty."""
+    full = (1 << len(state.colored)) - 1
+    kept = list(seeds)
+    for s in reversed(seeds):
+        state.undo(0)
+        for t in kept:
+            if state.mask == full:
+                break
+            if t != s and not state.colored[t]:
+                state.add(t)
+        if state.mask == full:
+            kept.remove(s)
+    state.undo(0)
+    return kept
+
+
 def _search(d: Diagram, mode: str, dual: DualGraph | None,
             witness: Certificate, deadline: float | None):
     """(k, certificate) for the first seed set, by size from the lower
     bound of Wirtinger certificate `witness` up to its size - 1 and then
     in search order, whose closure colors every strand; else `witness`,
-    reissued in `mode`.  The bound is the coloring bound, and in
-    plain-sphere mode the transposition bound too, whose coloring also
-    prunes prefixes.  Sizes below the bound fail and `witness`
-    saturates, so on timeout the message names that interval."""
+    reissued in `mode`.  The bound is the larger of the coloring bound and
+    the transposition bound, whose coloring also prunes prefixes; in
+    Wirtinger mode the coloring is of an irredundant subset of `witness`,
+    and it is skipped when the coloring bound equals the colored set's
+    size.  Sizes below the bound fail and `witness` saturates, so on
+    timeout the message names that interval."""
     lower = coloring_bound(d, witness.seeds, witness.moves)
     upper = len(witness.seeds)
-    ends: Sequence[tuple[int, int]] = ()
-    if mode == PLAINSPHERE and lower < upper:
-        bound, ends = transposition_coloring(d, witness.seeds, witness.moves)
-        lower = max(lower, bound)
     reissued = upper, Certificate(diagram_hash=d.content_hash, mode=mode,
                                   seeds=witness.seeds, moves=witness.moves)
     if lower == upper:
         return reissued
-    name = "omega" if mode == WIRTINGER else "rho"
     order = strand_search_order(d)
-    state = GrowingClosure(d, mode, dual)
+    seeds, ends = witness.seeds, ()
+    state = None
+    if mode == WIRTINGER:  # the greedy set, in the order it was grown
+        state = GrowingClosure(d, mode)
+        seeds = _irredundant(state, [s for s in order if s in seeds])
+    if lower < len(seeds):  # else lower is omega, and no bound exceeds it
+        moves = witness.moves if len(seeds) == upper else saturate(
+            d, seeds, mode)[1]
+        bound, ends = transposition_coloring(d, seeds, moves)
+        lower = max(lower, bound)
+        if lower == upper:
+            return reissued
+    name = "omega" if mode == WIRTINGER else "rho"
+    state = state or GrowingClosure(d, mode, dual)
     colored, n, full = state.colored, d.n, (1 << d.n) - 1
     chosen: list[int] = []
     # closed set's mask -> most further seeds known not to saturate it;
@@ -554,7 +593,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     failed: dict[int, int] = {}
     # a union-find over the coloring's points: first the orbits of all its
     # colors, then, undone on backtrack, those of the prefix's seeds
-    parent = list(range(upper + 1))
+    parent = list(range(len(seeds) + 1))
     for a, b in ends:
         while parent[a] != a:
             a = parent[a]
@@ -562,7 +601,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             b = parent[b]
         parent[a] = b
     rank = sum(p != q for q, p in enumerate(parent))  # m - orbits(all)
-    parent = list(range(upper + 1))
+    parent = list(range(len(seeds) + 1))
 
     def extend(start: int, left: int, slack: int) -> bool:
         # slack: how many of the `left` seeds may join no two orbits; when

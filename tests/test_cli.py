@@ -118,6 +118,40 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--pd", TREFOIL_PD)
         assert code == EXIT_OK and "ignoring" in err
 
+    @pytest.mark.parametrize("value", ["-1", "-50"])
+    def test_negative_timeout_exit_two(self, capsys, value):
+        """0 means no limit, so a negative limit is an input error, not a
+        deadline that has already passed."""
+        with pytest.raises(SystemExit) as info:
+            main(["compute", "--pd", K14_PD, "--timeout-ms", value])
+        assert info.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "--timeout-ms" in err and "at least 0" in err
+
+    def test_zero_timeout_means_no_limit(self, capsys):
+        code, out, _ = run(capsys, "compute", "--pd", K14_PD,
+                           "--timeout-ms", "0")
+        assert code == EXIT_OK and "omega: 4" in out and "rho: 3" in out
+
+    def test_negative_env_timeout_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSK_TIMEOUT_MS", "-1")
+        code, out, err = run(capsys, "compute", "--pd", K14_PD)
+        assert code == EXIT_OK and "omega: 4" in out
+        assert "ignoring PSK_TIMEOUT_MS='-1'" in err
+
+    def test_env_warning_once_and_only_where_used(self, capsys, tmp_path,
+                                                  monkeypatch):
+        """Two subcommands take --timeout-ms and verify takes neither
+        flag: a bad value warns once, and only in a command that reads
+        it."""
+        monkeypatch.setenv("PSK_TIMEOUT_MS", "soon")
+        monkeypatch.setenv("PSK_JOBS", "-4")
+        _, _, err = run(capsys, "compute", "--pd", TREFOIL_PD)
+        assert err.count("warning:") == 1 and "PSK_TIMEOUT_MS" in err
+        _, _, err = run(capsys, "verify", "--pd", TREFOIL_PD,
+                        "--certificate", str(tmp_path / "missing.cert"))
+        assert "warning:" not in err
+
     def test_unwritable_certificate_exit_two(self, capsys, tmp_path):
         code, out, err = run(capsys, "compute", "--pd", TREFOIL_PD,
                              "--certificate", str(tmp_path / "no" / "c.cert"))
@@ -336,6 +370,32 @@ class TestCensusCommand:
         assert err.startswith("error: FileNotFoundError: ")
         with open(records, newline="") as fh:
             assert [r["name"] for r in csv.DictReader(fh)] == ["k"]
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_jobs_below_one_exit_two(self, capsys, tmp_path, value):
+        records = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["census", "--input", table_path("slice14.csv"),
+                  "--records", str(records), "--jobs", value])
+        assert info.value.code == EXIT_PARSE
+        assert "at least 1" in capsys.readouterr().err
+        assert not records.exists()
+
+    def test_negative_census_timeout_exit_two(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["census", "--input", table_path("slice14.csv"),
+                  "--records", str(tmp_path / "r.csv"), "--timeout-ms", "-1"])
+        assert info.value.code == EXIT_PARSE
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_jobs_env_below_one_ignored(self, capsys, tmp_path, monkeypatch,
+                                        value):
+        monkeypatch.setenv("PSK_JOBS", value)
+        code, _, err = run(capsys, "census",
+                           "--input", table_path("slice14.csv"),
+                           "--records", str(tmp_path / "r.csv"))
+        assert code == EXIT_OK
+        assert f"ignoring PSK_JOBS='{value}'" in err
 
     def test_jobs_env_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PSK_JOBS", "2")

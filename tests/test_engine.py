@@ -275,6 +275,20 @@ class TestSearch:
             rho(d, dual=g, deadline=5, omega_result=known)
         assert str(info.value).endswith("proved rho >= 3, rho <= 4")
 
+    def test_omega_deadline_names_the_transposition_bound(self, monkeypatch):
+        """braid-0305's greedy set has 4 seeds, coloring bound 2 and
+        transposition bound 3, and omega is 4, so an omega search cut
+        short has proved omega >= 3."""
+        import plainsphere.engine
+        from conftest import frozen_rows
+        d = parse_pd(frozen_rows("manifest.jsonl")["braid-0305"]["pd"])
+        ticks = itertools.count()
+        monkeypatch.setattr(plainsphere.engine, "time", types.SimpleNamespace(
+            monotonic=lambda: next(ticks)))
+        with pytest.raises(ComputeTimeout) as info:
+            omega(d, deadline=5)
+        assert str(info.value).endswith("proved omega >= 3, omega <= 4")
+
     def test_values_on_known_rows(self, all_rows, all_diagrams):
         """omega == rho on every bundled diagram except the gap witness."""
         from plainsphere import build_dual

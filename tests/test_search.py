@@ -57,18 +57,20 @@ def search_cases(all_diagrams):
 
 
 def test_search_matches_reference_order(monkeypatch, search_cases):
-    """rho searches from size 1 here, not from the coloring and
-    transposition bounds, so every size below omega is compared with the
-    reference; the transposition coloring still prunes prefixes."""
+    """Both searches run from size 1 here, not from the coloring and
+    transposition bounds, so every size below the answer is compared
+    with the reference; the transposition coloring still prunes
+    prefixes."""
     for name, d, g in search_cases:
         w, wcert = omega(d)
-        assert (w, wcert.seeds) == oracles.reference_search(
-            d, WIRTINGER, None, range(1, d.n + 1)), name
+        want = oracles.reference_search(d, WIRTINGER, None, range(1, d.n + 1))
+        assert (w, wcert.seeds) == want, name
         with monkeypatch.context() as patch:
             patch.setattr(plainsphere.engine, "coloring_bound",
                           lambda *args: 1)
             patch.setattr(plainsphere.engine, "transposition_coloring",
                           lambda *args: (1, transposition_coloring(*args)[1]))
+            assert omega(d) == (w, wcert), name
             r, rcert = rho(d, dual=g, omega_result=(w, wcert))
         want = oracles.reference_search(d, PLAINSPHERE, g, range(1, w))
         assert (r, rcert.seeds) == (want or (w, wcert.seeds)), name
@@ -98,6 +100,18 @@ def greedy_certificate(d):
     return Certificate(d.content_hash, WIRTINGER, tuple(sorted(seeds)), log)
 
 
+def shrunk_greedy(d, greedy):
+    """The seeds of `greedy` in the order they were grown, less each seed,
+    walked back from the last one grown, whose removal leaves a
+    saturating set."""
+    seeds = sorted(greedy.seeds, key=strand_search_order(d).index)
+    for s in seeds[::-1]:
+        rest = [t for t in seeds if t != s]
+        if len(oracles.closure(d, rest, WIRTINGER)) == d.n:
+            seeds = rest
+    return seeds
+
+
 def test_values_match_brute_force_oracle(search_cases):
     """omega through 10 crossings; rho through 8, where enumerating
     every dual cycle stays under a second."""
@@ -119,8 +133,12 @@ def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
     k14n1527 takes 548 adds for omega (the greedy set's included) and
     123 for rho, and braid-0053 621 and 610.  The memo of failed closed
     sets cuts all but k14n1527's rho: its one failing size is 2, and no
-    two one-seed prefixes close to the same set.  braid-0053's
-    transposition bound is 4 = omega, so its rho search adds nothing.
+    two one-seed prefixes close to the same set.  k14n1527's omega takes
+    533 adds: 5 for the greedy set, 17 to shrink it to 4 seeds, and 511
+    in the search, which their transposition bound, 1, does not prune.
+    braid-0053's transposition bound is 4 = omega, so its omega search
+    starts at the size that saturates, 16 adds in all, and its rho
+    search adds nothing.
     On sum5_9 both bounds are 2 and rho = omega = 3: the transposition
     coloring's prefix prune cuts its rho adds from 103 to 70."""
     adds = []
@@ -138,11 +156,11 @@ def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
 
     values, omega_adds, rho_adds = searched(k14, k14_dual)
     assert values == (4, 3)
-    assert omega_adds < 548 and rho_adds == 123
+    assert omega_adds == 533 and rho_adds == 123
     braid = parse_pd(frozen_rows("manifest.jsonl")["braid-0053"]["pd"])
     values, omega_adds, rho_adds = searched(braid, build_dual(braid))
     assert values == (4, 4)
-    assert omega_adds < 621 and rho_adds == 0
+    assert omega_adds == 16 and rho_adds == 0
     d = all_diagrams["sum5_9"]
     assert searched(d, build_dual(d))[::2] == ((3, 3), 70)
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
@@ -150,11 +168,36 @@ def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
     assert searched(d, build_dual(d))[::2] == ((3, 3), 103)
 
 
-def test_omega_search_colors_no_transpositions(monkeypatch, k14, all_diagrams):
-    """The transposition coloring serves the rho search only."""
-    monkeypatch.setattr(plainsphere.engine, "transposition_coloring", None)
-    assert omega(k14)[0] == 4
-    assert omega(all_diagrams["sum5_9"])[0] == 3
+def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
+                                                   search_cases):
+    """The seeds omega colors are greedy seeds that saturate, and none of
+    them can be dropped: the greedy set shrunk in reverse
+    (``shrunk_greedy``).  On k14n1527 they are 4 of the greedy set's 5.
+    18 of the cases color: on the rest the coloring bound equals the
+    subset's size, which is then omega."""
+    colored = []
+    color = transposition_coloring
+    monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
+                        lambda d, seeds, moves: colored.append(tuple(seeds))
+                        or color(d, seeds, moves))
+    calls = 0
+    for name, d, _ in search_cases:
+        colored.clear()
+        omega(d)
+        if not colored:
+            continue  # the coloring bound equals the subset's size
+        (seeds,) = colored
+        greedy = greedy_certificate(d)
+        assert list(seeds) == shrunk_greedy(d, greedy), name
+        assert set(seeds) <= set(greedy.seeds), name
+        assert len(oracles.closure(d, seeds, WIRTINGER)) == d.n, name
+        for s in seeds:
+            rest = [t for t in seeds if t != s]
+            assert len(oracles.closure(d, rest, WIRTINGER)) < d.n, (name, s)
+        if name == "k14n1527":
+            assert (len(seeds), len(greedy.seeds)) == (4, 5)
+        calls += 1
+    assert calls == 18
 
 
 def test_witness_bound_reached_searches_nothing(monkeypatch):
@@ -276,3 +319,28 @@ def test_transposition_bound_on_frozen_rows():
         fox = coloring_bound(d, wcert.seeds, wcert.moves)
         reaches_rho += max(fox, bound) == item["rho"]
     assert (checked, oracle_checked, reaches_rho) == (468, 329, 263)
+
+
+def test_omega_transposition_bound_on_frozen_rows():
+    """omega's bound, the larger of the coloring bound and the
+    transposition bound of the greedy set shrunk to an irredundant
+    subset (``shrunk_greedy``), is at most omega on all 468 manifest rows.
+    The subset has omega seeds on 422 rows, and the bound reaches omega
+    on 265, 190 with the coloring bound alone."""
+    manifest = frozen_rows("manifest.jsonl")
+    checked = exact = reaches = fox_reaches = 0
+    for name, item in manifest.items():
+        if item["kind"] == "reject":
+            continue
+        d = parse_pd(item["pd"])
+        greedy = greedy_certificate(d)
+        seeds = shrunk_greedy(d, greedy)
+        fox = coloring_bound(d, greedy.seeds, greedy.moves)
+        bound, _ = transposition_coloring(
+            d, seeds, saturate(d, seeds, WIRTINGER)[1])
+        assert max(fox, bound) <= item["omega"], name
+        checked += 1
+        exact += len(seeds) == item["omega"]
+        reaches += max(fox, bound) == item["omega"]
+        fox_reaches += fox == item["omega"]
+    assert (checked, exact, reaches, fox_reaches) == (468, 422, 265, 190)
