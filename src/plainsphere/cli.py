@@ -16,9 +16,10 @@ place, ``EXIT_CODES``, and prints it as one line
 ``error: <Type>: <message>``.
 
 ``PSK_JOBS`` and ``PSK_TIMEOUT_MS`` provide defaults for ``--jobs`` and
-``--timeout-ms``; explicit flags win.  ``--jobs`` must be at least 1 and
-``--timeout-ms`` at least 0 (0: no limit), or argparse exits 2; an
-environment value that is not such an integer is ignored with a warning.
+``--timeout-ms``; explicit flags win.  ``--jobs`` and ``--max-crossings``
+must be at least 1 and ``--timeout-ms`` at least 0 (0: no limit), or
+argparse exits 2; an environment value that is not such an integer is
+ignored with a warning.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="output JSON summary path")
     p.add_argument("--jobs", type=_at_least(1))
     p.add_argument("--timeout-ms", type=_at_least(0))
-    p.add_argument("--max-crossings", type=int)
+    p.add_argument("--max-crossings", type=_at_least(1))
     p.add_argument("--fresh", action="store_true",
                    help="ignore existing records instead of resuming")
     p.set_defaults(func=cmd_census)

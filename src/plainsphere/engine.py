@@ -19,10 +19,10 @@ and both move families are monotone in the colored set, so saturation
 reaches the same fixpoint in any order.  The code computes that one
 closure two ways:
 
-* ``GrowingClosure`` is the fast path: a colored set kept closed while
-  seeds are added one at a time, with undo.  It only decides loop
-  moves, so it tracks the connected face classes of that subgraph with
-  a union-find.
+* ``GrowingClosure`` is the fast path: a colored set, one bit mask, kept
+  closed while seeds are added one at a time, with undo.  It only
+  decides loop moves, so it tracks the connected face classes of that
+  subgraph with a union-find, whose unions a trail undoes.
 
 * ``saturate`` builds the move log a certificate replays, with a fixed
   policy: sweep the uncolored strands in id order, applying each one's
@@ -63,8 +63,16 @@ that saturates, which the invariant rules out; or P + T is a set of
 this size in P's subtree or before P in ``combinations`` order, and
 each of those has already failed.  That depends only on M and j, so an
 entry holds for every later size of the same search; the other mode's
-search keeps its own memo.  Only failing subtrees are cut, so the first
-saturating set and its certificate are unchanged.
+search keeps its own memo.
+
+A failed candidate also rules out later siblings.  Candidate s fails
+under prefix P when its leaf does not saturate, its subtree fails or the
+memo covers cl(P + s); then no j strands complete cl(P + s), j the seeds
+left after s.  A later s' in cl(P + s) has cl(P + s') within it, as
+closure is monotone, so no j strands complete that either, and each
+prefix skips the candidates its own or a failed candidate's closed set
+colors.  Only failing sets are cut, by the memo and by this skip, so the
+first saturating set and its certificate are unchanged.
 
 The Fox-coloring bound (``coloring_bound``) is the largest dimension,
 over all primes p, of the space of mod-p colorings, which give each
@@ -231,10 +239,10 @@ class GrowingClosure:
     """A colored set kept closed under one mode's moves, grown one seed at
     a time and rolled back to any earlier mark.
 
-    ``add(s)`` colors s, saturates from the current closed set and
-    returns a mark; ``undo(mark)`` rolls back every change made since,
-    in O(changes).  Each newly colored strand spreads Wirtinger moves
-    through the crossings it meets and, in plain-sphere mode, joins the
+    ``mask`` has bit s set iff strand s is colored.  ``add(s)`` colors s,
+    saturates and returns a mark; ``undo(mark)`` restores that mask and
+    unlinks the face unions made since.  Each newly colored strand fires
+    the Wirtinger moves it enables and, in plain-sphere mode, joins the
     two faces of each of its dual edges.  Face classes are a union-find
     with union by size and no path compression, so a union is undone by
     unlinking one root, and each class is also a circular member list.
@@ -252,15 +260,20 @@ class GrowingClosure:
         if plain and dual is None:
             dual = build_dual(d)
         self.dual = dual
-        self.colored = [False] * d.n
-        self.mask = 0  # bit s set iff strand s is colored
-        self._bit = tuple(1 << s for s in range(d.n))  # cheaper than shifts
-        self._trail: list[int] = []  # strand s colored, or ~r: root r linked
-        # per strand, (u1, u2, over) of each crossing it meets that can fire
-        self._crossings = tuple(
-            tuple(d.under_strands[c] + (d.over_strand[c],) for c in cs
-                  if d.under_strands[c][0] != d.under_strands[c][1])
-            for cs in d.strand_crossings)
+        self.mask = 0
+        bit = tuple(1 << s for s in range(d.n))  # cheaper than shifts
+        self._bit = bit
+        self._trail: list[int] = []  # the root each face union linked
+        # per strand, (crossing's bits, enabling bits, target) of each move
+        # it enables; a self-adjacent crossing (u1 == u2) never fires
+        self._moves: list[list[tuple[int, int, int]]] = [[] for _ in bit]
+        for (u1, u2), o in zip(d.under_strands, d.over_strand):
+            for target, other in ((u2, u1), (u1, u2)) if u1 != u2 else ():
+                if target != o:
+                    enabling = bit[o] | bit[other]
+                    for t in {o, other}:
+                        self._moves[t].append(
+                            (enabling | bit[target], enabling, target))
         # Wirtinger mode joins no faces: no strand has a dual edge there
         faces = dual.n_faces if plain else 0
         self._edges = dual.strand_edges if plain else ((),) * d.n
@@ -274,26 +287,20 @@ class GrowingClosure:
                 self._border[f1].append((f2, s))
                 self._border[f2].append((f1, s))
 
-    def add(self, s: int) -> int:
+    def add(self, s: int) -> tuple[int, int]:
         """Color `s` (uncolored) and saturate; returns the mark to undo to."""
-        colored, trail, crossings, edges = (self.colored, self._trail,
-                                            self._crossings, self._edges)
+        trail, moves, edges, bit = (self._trail, self._moves, self._edges,
+                                    self._bit)
         parent, size, nxt, border = (self._parent, self._size, self._next,
                                      self._border)
-        mark = len(trail)
-        bit = self._bit
-        colored[s] = True
+        mark = self.mask, len(trail)
         mask = self.mask | bit[s]
-        trail.append(s)
         stack = [s]
         while stack:
             t = stack.pop()
-            for u1, u2, o in crossings[t]:
-                if colored[o] and colored[u1] != colored[u2]:
-                    u = u2 if colored[u1] else u1
-                    colored[u] = True
-                    mask |= bit[u]
-                    trail.append(u)
+            for bits, enabling, u in moves[t]:
+                if mask & bits == enabling:
+                    mask |= bits
                     stack.append(u)
             for _, a, b in edges[t]:
                 while parent[a] != a:
@@ -307,13 +314,11 @@ class GrowingClosure:
                 f = a
                 while True:  # edges between class a and class b pass
                     for g, u in border[f]:
-                        if not colored[u]:
+                        if not mask & bit[u]:
                             while parent[g] != g:
                                 g = parent[g]
                             if g == b:
-                                colored[u] = True
                                 mask |= bit[u]
-                                trail.append(u)
                                 stack.append(u)
                     f = nxt[f]
                     if f == a:
@@ -321,28 +326,21 @@ class GrowingClosure:
                 parent[a] = b
                 size[b] += size[a]
                 nxt[a], nxt[b] = nxt[b], nxt[a]
-                trail.append(~a)
+                trail.append(a)
         self.mask = mask
         return mark
 
-    def undo(self, mark: int) -> None:
+    def undo(self, mark: tuple[int, int]) -> None:
         """Roll back to the state `add` returned `mark` from."""
-        colored, trail, parent, size, nxt = (self.colored, self._trail,
-                                             self._parent, self._size,
-                                             self._next)
-        mask, bit = self.mask, self._bit
-        for x in reversed(trail[mark:]):
-            if x >= 0:
-                colored[x] = False
-                mask ^= bit[x]
-            else:
-                a = ~x
-                b = parent[a]
-                parent[a] = a
-                size[b] -= size[a]
-                nxt[a], nxt[b] = nxt[b], nxt[a]
-        del trail[mark:]
-        self.mask = mask
+        trail, parent, size, nxt = (self._trail, self._parent, self._size,
+                                    self._next)
+        self.mask, unions = mark
+        for a in reversed(trail[unions:]):
+            b = parent[a]
+            parent[a] = a
+            size[b] -= size[a]
+            nxt[a], nxt[b] = nxt[b], nxt[a]
+        del trail[unions:]
 
 
 def coloring_bound(d: Diagram, seeds: Sequence[int],
@@ -539,18 +537,18 @@ def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
     seed, walked in reverse, whose removal still leaves a saturating set.
     No seed of the result can be dropped: closures are monotone, and each
     was kept by a superset.  `state` is left empty."""
-    full = (1 << len(state.colored)) - 1
+    empty, full = (0, 0), (1 << len(state._bit)) - 1
     kept = list(seeds)
     for s in reversed(seeds):
-        state.undo(0)
+        state.undo(empty)
         for t in kept:
             if state.mask == full:
                 break
-            if t != s and not state.colored[t]:
+            if t != s and not state.mask >> t & 1:
                 state.add(t)
         if state.mask == full:
             kept.remove(s)
-    state.undo(0)
+    state.undo(empty)
     return kept
 
 
@@ -586,7 +584,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             return reissued
     name = "omega" if mode == WIRTINGER else "rho"
     state = state or GrowingClosure(d, mode, dual)
-    colored, n, full = state.colored, d.n, (1 << d.n) - 1
+    n, full = d.n, (1 << d.n) - 1
     chosen: list[int] = []
     # closed set's mask -> most further seeds known not to saturate it;
     # valid for this mode and diagram only: see the module docstring
@@ -607,10 +605,11 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
         # slack: how many of the `left` seeds may join no two orbits; when
         # slack >= left no prefix below can be pruned, so none is tracked
         track = slack < left
+        dead = state.mask  # grows by failed candidates: see the docstring
         for i in range(start, n - left + 1):
             s = order[i]
-            if colored[s]:
-                continue  # the prefix colors it: see the module docstring
+            if dead >> s & 1:
+                continue
             if track:
                 a, b = ends[s]
                 while parent[a] != a:
@@ -637,6 +636,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
                 if extend(i + 1, left - 1, slack - (not merged)):
                     return True
                 failed[mask] = left - 1
+            dead |= mask
             if merged:
                 parent[a] = a
             chosen.pop()
@@ -663,7 +663,7 @@ def omega(d: Diagram, deadline: float | None = None):
     state = GrowingClosure(d, WIRTINGER)
     greedy = []
     for s in strand_search_order(d):
-        if not state.colored[s]:
+        if not state.mask >> s & 1:
             state.add(s)
             greedy.append(s)
     _, log = saturate(d, greedy, WIRTINGER)

@@ -275,9 +275,9 @@ def closure(d: Diagram, seeds, mode: str,
     """The colored set `saturate` reaches from `seeds`, without the log."""
     state = GrowingClosure(d, mode, dual)
     for s in seeds:
-        if not state.colored[s]:
+        if not state.mask >> s & 1:
             state.add(s)
-    return {s for s, c in enumerate(state.colored) if c}
+    return {s for s in range(d.n) if state.mask >> s & 1}
 
 
 def reference_search(d: Diagram, mode: str, dual: DualGraph | None,

@@ -381,6 +381,17 @@ class TestCensusCommand:
         assert "at least 1" in capsys.readouterr().err
         assert not records.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_crossings_below_one_exit_two(self, capsys, tmp_path, value):
+        """Such a bound would skip every row, so argparse refuses it."""
+        records = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["census", "--input", table_path("fixtures_small.csv"),
+                  "--records", str(records), "--max-crossings", value])
+        assert info.value.code == EXIT_PARSE
+        assert "at least 1" in capsys.readouterr().err
+        assert not records.exists()
+
     def test_negative_census_timeout_exit_two(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["census", "--input", table_path("slice14.csv"),

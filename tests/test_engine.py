@@ -154,31 +154,27 @@ class TestGrowingClosure:
                 == closure(trefoil, (0,), PLAINSPHERE, trefoil_dual))
 
     def test_undo_restores_every_table(self, k14, k14_dual):
+        """The mask, the face tables and the union trail, after each undo."""
         state = GrowingClosure(k14, PLAINSPHERE, k14_dual)
 
         def snapshot():
-            return (list(state.colored), state.mask, list(state._parent),
-                    list(state._size), list(state._next))
-
-        def mask_matches_colored():
-            return state.mask == sum(1 << s for s, c in
-                                     enumerate(state.colored) if c)
+            return (state.mask, list(state._parent), list(state._size),
+                    list(state._next), list(state._trail))
 
         marks, seeds, shots = [], [], []
         for s in (13, 2, 7, 0):
-            if state.colored[s]:
+            if state.mask >> s & 1:
                 continue
             shots.append(snapshot())
             marks.append(state.add(s))
             seeds.append(s)
             want = closure(k14, seeds, PLAINSPHERE, k14_dual)
-            assert {t for t, c in enumerate(state.colored) if c} == want
-            assert mask_matches_colored()
-        assert len(marks) >= 2
+            assert {t for t in range(k14.n) if state.mask >> t & 1} == want
+        assert len(marks) >= 2 and state._trail
         while marks:
             state.undo(marks.pop())
-            assert mask_matches_colored()
             assert snapshot() == shots.pop()
+        assert state.mask == 0 and not state._trail
 
 
 class TestSearch:
@@ -237,12 +233,12 @@ class TestSearch:
 
     def test_deadline_expires_mid_search(self, monkeypatch, k14, k14_dual):
         """The coloring bound of k14n1527 is 2, its greedy set 5, omega 4
-        and rho 3, and size 2 takes 103 adds in either search: a deadline
-        after 101 adds proves only the bound, one after 103 adds proves
+        and rho 3, and size 2 takes 87 adds in either search: a deadline
+        after 86 adds proves only the bound, one after all 87 proves
         size 2 fails."""
         import plainsphere.engine
         known = omega(k14)
-        for deadline, k in ((100, 2), (103, 3)):
+        for deadline, k in ((85, 2), (86, 3)):
             runs = (("omega", 5, lambda: omega(k14, deadline=deadline)),
                     ("rho", 4, lambda: rho(k14, dual=k14_dual,
                                            deadline=deadline,

@@ -129,18 +129,19 @@ def test_values_match_brute_force_oracle(search_cases):
 
 
 def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
-    """With every prefix the colored-skip rule lets through visited,
-    k14n1527 takes 548 adds for omega (the greedy set's included) and
-    123 for rho, and braid-0053 621 and 610.  The memo of failed closed
-    sets cuts all but k14n1527's rho: its one failing size is 2, and no
-    two one-seed prefixes close to the same set.  k14n1527's omega takes
-    533 adds: 5 for the greedy set, 17 to shrink it to 4 seeds, and 511
-    in the search, which their transposition bound, 1, does not prune.
+    """The memo of failed closed sets and the skip of candidates that a
+    failed sibling's closed set colors cut the adds.  k14n1527's omega
+    takes 381 adds: 5 for the greedy set, 17 to shrink it to 4 seeds,
+    and 359 in the search (511 without the skip), which their
+    transposition bound, 1, does not prune.  Its rho takes 96 (123
+    without the skip, which the memo alone does not cut: its one failing
+    size is 2, and no two one-seed prefixes close to the same set).
     braid-0053's transposition bound is 4 = omega, so its omega search
     starts at the size that saturates, 16 adds in all, and its rho
     search adds nothing.
-    On sum5_9 both bounds are 2 and rho = omega = 3: the transposition
-    coloring's prefix prune cuts its rho adds from 103 to 70."""
+    On sum5_9 both bounds are 2 and rho = omega = 3: its rho takes 46
+    adds, 62 with the coloring's prefix prune neutralised (70 and 103
+    without the skip)."""
     adds = []
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -156,16 +157,129 @@ def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
 
     values, omega_adds, rho_adds = searched(k14, k14_dual)
     assert values == (4, 3)
-    assert omega_adds == 533 and rho_adds == 123
+    assert omega_adds == 381 and rho_adds == 96
     braid = parse_pd(frozen_rows("manifest.jsonl")["braid-0053"]["pd"])
     values, omega_adds, rho_adds = searched(braid, build_dual(braid))
     assert values == (4, 4)
     assert omega_adds == 16 and rho_adds == 0
     d = all_diagrams["sum5_9"]
-    assert searched(d, build_dual(d))[::2] == ((3, 3), 70)
+    assert searched(d, build_dual(d))[::2] == ((3, 3), 46)
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                         lambda d, *args: (1, ((0, 1),) * d.n))
-    assert searched(d, build_dual(d))[::2] == ((3, 3), 103)
+    assert searched(d, build_dual(d))[::2] == ((3, 3), 62)
+
+
+@pytest.mark.parametrize("neutral", [False, True])
+def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
+                                                 neutral):
+    """Under each prefix the search adds a candidate only when neither
+    the prefix's closed set nor that of a sibling which failed before it
+    colors it.  With the transposition coloring neutralised, so that it
+    prunes nothing and the search starts at the coloring bound, it also
+    skips a candidate only then, or when the failure memo cuts the
+    prefix: each candidate after the prefix's last seed that is not
+    added, up to the last one its size allows, is colored by one of
+    those closed sets.
+
+    The trace replays the search's ``add`` and ``undo`` on a stack of
+    prefixes [closed set, search-order position of the last seed or
+    child, union of the closed set and those of the undone children,
+    seeds left to add]: undone children failed, since a search that
+    saturates returns without undoing.  A new size starts over at the
+    empty prefix, at a smaller position.  The trace keeps its own memo
+    of failed closed sets, and a prefix it cuts counts no seeds left.
+    ``_irredundant``'s adds, which drop seeds rather than search, are not
+    traced."""
+    if neutral:
+        monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
+                            lambda d, *args: (1, ((0, 1),) * d.n))
+    add, undo = GrowingClosure.add, GrowingClosure.undo
+    search = plainsphere.engine._search
+    irredundant = plainsphere.engine._irredundant
+    stack: list[list[int]] = []  # the prefixes, while a search runs
+    memo: dict[int, int] = {}
+    shrinking = False
+    skipped = 0  # candidates only a failed sibling's closed set colors
+
+    def check(prefix, stop):
+        """The candidates after the prefix's last one and before `stop`
+        are colored by the union of closed sets."""
+        nonlocal skipped
+        mask, last, dead, _ = prefix
+        for j in range(last + 1, stop):
+            assert dead >> order[j] & 1, (name, order[j])
+            skipped += not mask >> order[j] & 1
+
+    def finish(prefix):
+        """A prefix whose candidates were all tried, and failed."""
+        mask, _, _, left = prefix
+        if neutral and left:
+            check(prefix, len(order) - left + 1)
+            memo[mask] = left
+
+    def traced_add(state, s):
+        before = state.mask
+        mark = add(state, s)
+        if not stack or shrinking:
+            return mark
+        top = stack[-1]
+        assert top[0] == before, name
+        i = order.index(s)
+        if len(stack) == 1 and i <= top[1]:  # the next size
+            finish(top)
+            stack[0] = top = [0, -1, 0, top[3] + 1]
+        assert not top[2] >> s & 1, (name, s)
+        if neutral:
+            check(top, i)
+        top[1] = i
+        left = top[3] - 1
+        if memo.get(state.mask, -1) >= left:
+            left = 0
+        stack.append([state.mask, i, state.mask, left])
+        return mark
+
+    def traced_undo(state, mark):
+        undo(state, mark)
+        if not stack or shrinking:
+            return
+        child = stack.pop()
+        finish(child)
+        assert child[0] != (1 << len(order)) - 1, name
+        assert stack[-1][0] == state.mask, name
+        stack[-1][2] |= child[0]
+
+    def untraced_irredundant(state, seeds):
+        nonlocal shrinking
+        shrinking = True
+        try:
+            return irredundant(state, seeds)
+        finally:
+            shrinking = False
+
+    def traced_search(d, mode, dual, witness, deadline):
+        nonlocal order
+        order = strand_search_order(d)
+        memo.clear()
+        # the size searched first, when the coloring is neutralised
+        stack.append([0, -1, 0, coloring_bound(d, witness.seeds,
+                                                witness.moves)])
+        try:
+            result = search(d, mode, dual, witness, deadline)
+            if len(stack) == 1 and stack[0][1] >= 0:  # no size saturated
+                finish(stack[0])
+            return result
+        finally:
+            stack.clear()
+
+    monkeypatch.setattr(GrowingClosure, "add", traced_add)
+    monkeypatch.setattr(GrowingClosure, "undo", traced_undo)
+    monkeypatch.setattr(plainsphere.engine, "_irredundant",
+                        untraced_irredundant)
+    monkeypatch.setattr(plainsphere.engine, "_search", traced_search)
+    order: list[int] = []
+    for name, d, g in search_cases:
+        rho(d, dual=g, omega_result=omega(d))
+    assert skipped > 0 or not neutral
 
 
 def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
