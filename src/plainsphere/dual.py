@@ -19,6 +19,8 @@ which connected 4-valent (hence Eulerian) graphs do not have.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .diagram import Diagram
 from .errors import BridgeDetected, EulerViolation
 
@@ -34,10 +36,15 @@ class DualGraph:
             tuple((e,) + edge_faces[e] for e in edges)
             for edges in diagram.strands
         ]
-        self.pair_edges: dict[frozenset[int], list[int]] = {}
-        for e in sorted(edge_faces):
-            key = frozenset(edge_faces[e])
-            self.pair_edges.setdefault(key, []).append(e)
+
+    @cached_property
+    def pair_edges(self) -> dict[frozenset[int], list[int]]:
+        """Unordered face pair -> the edges joining them, ascending.  Only
+        the verifier reads it, so it is built on first read."""
+        pairs: dict[frozenset[int], list[int]] = {}
+        for e in sorted(self.edge_faces):
+            pairs.setdefault(frozenset(self.edge_faces[e]), []).append(e)
+        return pairs
 
 
 def trace_faces(d: Diagram) -> tuple[tuple[int, ...], ...]:

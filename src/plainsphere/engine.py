@@ -19,10 +19,14 @@ and both move families are monotone in the colored set, so saturation
 reaches the same fixpoint in any order.  The code computes that one
 closure two ways:
 
-* ``GrowingClosure`` is the fast path: a colored set, one bit mask, kept
-  closed while seeds are added one at a time, with undo.  It only
-  decides loop moves, so it tracks the connected face classes of that
-  subgraph with a union-find, whose unions a trail undoes.
+* ``GrowingClosure`` is the fast path: a colored set kept closed while
+  seeds are added one at a time, with undo, as integer bit algebra with
+  one code path for both modes.  Crossing masks of the colored strands'
+  over- and under-strand roles give the Wirtinger moves that fire.  A
+  loop move is only decided, not built: a union-find tracks the
+  connected face classes of that subgraph, each with a mask of the edges
+  it borders, and the uncolored edges that two classes both border are
+  those their union passes.  A trail undoes the unions.
 
 * ``saturate`` builds the move log a certificate replays, with a fixed
   policy: sweep the uncolored strands in id order, applying each one's
@@ -71,8 +75,15 @@ memo covers cl(P + s); then no j strands complete cl(P + s), j the seeds
 left after s.  A later s' in cl(P + s) has cl(P + s') within it, as
 closure is monotone, so no j strands complete that either, and each
 prefix skips the candidates its own or a failed candidate's closed set
-colors.  Only failing sets are cut, by the memo and by this skip, so the
-first saturating set and its certificate are unchanged.
+colors.
+
+In Wirtinger mode a last seed s that fires no move is skipped too,
+unless it is the only uncolored strand: cl(P + s) is then cl(P) + s,
+which misses some other strand.  The crossing masks of ``GrowingClosure``
+decide that without adding s.  In plain-sphere mode every last seed is
+added, as a loop move can fire where no Wirtinger move does.  Only
+failing sets are cut, by the memo and by these skips, so the first
+saturating set and its certificate are unchanged.
 
 The Fox-coloring bound (``coloring_bound``) is the largest dimension,
 over all primes p, of the space of mod-p colorings, which give each
@@ -239,18 +250,32 @@ class GrowingClosure:
     """A colored set kept closed under one mode's moves, grown one seed at
     a time and rolled back to any earlier mark.
 
-    ``mask`` has bit s set iff strand s is colored.  ``add(s)`` colors s,
-    saturates and returns a mark; ``undo(mark)`` restores that mask and
-    unlinks the face unions made since.  Each newly colored strand fires
-    the Wirtinger moves it enables and, in plain-sphere mode, joins the
-    two faces of each of its dual edges.  Face classes are a union-find
-    with union by size and no path compression, so a union is undone by
-    unlinking one root, and each class is also a circular member list.
-    A strand passes the loop test once the two faces of one of its edges
-    share a class, which happens only when a union merges their classes,
-    so each union tests just the edges between the two: it walks the
-    smaller class and looks at the other face of every edge it borders.
-    A missing dual is built.
+    The state is four bit masks.  ``mask`` has bit s set iff strand s is
+    colored.  ``xo`` is the OR of ``over[s]`` and ``xu`` the XOR of
+    ``under[s]`` over the colored strands s: bit c of ``over[s]`` is set
+    iff s is crossing c's over-strand, and of ``under[s]`` iff s is one
+    of c's two under-strands, a self-adjacent crossing left out.  So
+    ``xo & xu`` holds exactly the crossings whose Wirtinger move fires:
+    the over-strand is colored and exactly one under-strand is, and the
+    move colors the other.  In plain-sphere mode ``xe`` has bit e set iff
+    edge e belongs to a colored strand; Wirtinger mode keeps it 0.
+
+    In plain-sphere mode each newly colored strand also joins the two
+    faces of each of its dual edges.  Face classes are a union-find with
+    union by size and no path compression, so a union is undone by
+    unlinking one root, and ``_rim[root]`` holds the edges that border
+    the class.  A strand passes the loop test once the two faces of one
+    of its edges share a class, which happens only when a union merges
+    their classes, so linking classes a and b passes exactly the
+    uncolored edges ``_rim[a] & _rim[b] & ~xe``, and the loop move colors
+    their strands.  The merged rim keeps the edges inside the class,
+    which no other class borders.  The trail keeps each linked root with
+    the rim its new root had before.  Wirtinger mode joins no faces: no
+    strand has a dual edge there.
+
+    ``add(s)`` colors s, saturates and returns a mark, the four masks and
+    the trail's length; ``undo(mark)`` restores them and unlinks the
+    unions made since.  A missing dual is built.
     """
 
     def __init__(self, d: Diagram, mode: str, dual: DualGraph | None = None):
@@ -260,87 +285,91 @@ class GrowingClosure:
         if plain and dual is None:
             dual = build_dual(d)
         self.dual = dual
-        self.mask = 0
-        bit = tuple(1 << s for s in range(d.n))  # cheaper than shifts
-        self._bit = bit
-        self._trail: list[int] = []  # the root each face union linked
-        # per strand, (crossing's bits, enabling bits, target) of each move
-        # it enables; a self-adjacent crossing (u1 == u2) never fires
-        self._moves: list[list[tuple[int, int, int]]] = [[] for _ in bit]
-        for (u1, u2), o in zip(d.under_strands, d.over_strand):
-            for target, other in ((u2, u1), (u1, u2)) if u1 != u2 else ():
-                if target != o:
-                    enabling = bit[o] | bit[other]
-                    for t in {o, other}:
-                        self._moves[t].append(
-                            (enabling | bit[target], enabling, target))
+        self.mask = self.xo = self.xu = self.xe = 0
+        self.bit = bit = tuple(1 << s for s in range(d.n))
+        self.over, self.under = [0] * d.n, [0] * d.n
+        self._strand = {b: s for s, b in enumerate(bit)}
+        self._unders: dict[int, int] = {}  # crossing's bit -> unders' bits
+        for c, ((u1, u2), o) in enumerate(zip(d.under_strands,
+                                              d.over_strand)):
+            self.over[o] |= 1 << c
+            if u1 != u2:
+                self.under[u1] ^= 1 << c
+                self.under[u2] ^= 1 << c
+                self._unders[1 << c] = bit[u1] | bit[u2]
         # Wirtinger mode joins no faces: no strand has a dual edge there
-        faces = dual.n_faces if plain else 0
         self._edges = dual.strand_edges if plain else ((),) * d.n
+        self._edge_bits = [sum(1 << e for e, _, _ in edges)
+                           for edges in self._edges]
+        self._edge_strand = {1 << e: s for s, edges in enumerate(self._edges)
+                             for e, _, _ in edges}
+        faces = dual.n_faces if plain else 0
         self._parent = list(range(faces))
         self._size = [1] * faces
-        self._next = list(range(faces))
-        # per face, (other face, strand) of each edge it borders
-        self._border: list[list[tuple[int, int]]] = [[] for _ in range(faces)]
-        for s, edges in enumerate(self._edges):
-            for _, f1, f2 in edges:
-                self._border[f1].append((f2, s))
-                self._border[f2].append((f1, s))
+        self._rim = [0] * faces
+        for edges in self._edges:
+            for e, a, b in edges:
+                self._rim[a] |= 1 << e
+                self._rim[b] |= 1 << e
+        self._trail: list[tuple[int, int]] = []
 
-    def add(self, s: int) -> tuple[int, int]:
+    def add(self, s: int) -> tuple[int, int, int, int, int]:
         """Color `s` (uncolored) and saturate; returns the mark to undo to."""
-        trail, moves, edges, bit = (self._trail, self._moves, self._edges,
-                                    self._bit)
-        parent, size, nxt, border = (self._parent, self._size, self._next,
-                                     self._border)
-        mark = self.mask, len(trail)
-        mask = self.mask | bit[s]
-        stack = [s]
-        while stack:
-            t = stack.pop()
-            for bits, enabling, u in moves[t]:
-                if mask & bits == enabling:
-                    mask |= bits
-                    stack.append(u)
-            for _, a, b in edges[t]:
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a == b:
-                    continue
-                if size[a] > size[b]:
-                    a, b = b, a
-                f = a
-                while True:  # edges between class a and class b pass
-                    for g, u in border[f]:
-                        if not mask & bit[u]:
-                            while parent[g] != g:
-                                g = parent[g]
-                            if g == b:
-                                mask |= bit[u]
-                                stack.append(u)
-                    f = nxt[f]
-                    if f == a:
-                        break
-                parent[a] = b
-                size[b] += size[a]
-                nxt[a], nxt[b] = nxt[b], nxt[a]
-                trail.append(a)
-        self.mask = mask
+        bit, over, under, edges, edge_bits = (
+            self.bit, self.over, self.under, self._edges, self._edge_bits)
+        parent, size, rim, trail = (self._parent, self._size, self._rim,
+                                    self._trail)
+        mask, xo, xu, xe = self.mask, self.xo, self.xu, self.xe
+        mark = mask, len(trail), xo, xu, xe
+        stack = []  # colored strands whose faces are not yet joined
+        while True:
+            mask |= bit[s]
+            xo |= over[s]
+            xu ^= under[s]
+            xe |= edge_bits[s]
+            stack.append(s)
+            while stack:
+                for _, a, b in edges[stack.pop()]:
+                    while parent[a] != a:
+                        a = parent[a]
+                    while parent[b] != b:
+                        b = parent[b]
+                    if a == b:
+                        continue
+                    if size[a] > size[b]:
+                        a, b = b, a
+                    passed = rim[a] & rim[b] & ~xe
+                    trail.append((a, rim[b]))
+                    parent[a] = b
+                    size[b] += size[a]
+                    rim[b] |= rim[a]
+                    while passed:  # a loop move for each passed strand
+                        t = self._edge_strand[passed & -passed]
+                        mask |= bit[t]
+                        xo |= over[t]
+                        xu ^= under[t]
+                        xe |= edge_bits[t]
+                        passed &= ~xe
+                        stack.append(t)
+            fire = xo & xu
+            if not fire:
+                break
+            # a Wirtinger move at the lowest crossing that fires
+            s = self._strand[self._unders[fire & -fire] & ~mask]
+        self.mask, self.xo, self.xu, self.xe = mask, xo, xu, xe
         return mark
 
-    def undo(self, mark: tuple[int, int]) -> None:
+    def undo(self, mark: tuple[int, int, int, int, int]) -> None:
         """Roll back to the state `add` returned `mark` from."""
-        trail, parent, size, nxt = (self._trail, self._parent, self._size,
-                                    self._next)
-        self.mask, unions = mark
-        for a in reversed(trail[unions:]):
+        trail, parent, size, rim = (self._trail, self._parent, self._size,
+                                    self._rim)
+        self.mask, unions, self.xo, self.xu, self.xe = mark
+        while len(trail) > unions:
+            a, old = trail.pop()
             b = parent[a]
             parent[a] = a
             size[b] -= size[a]
-            nxt[a], nxt[b] = nxt[b], nxt[a]
-        del trail[unions:]
+            rim[b] = old
 
 
 def coloring_bound(d: Diagram, seeds: Sequence[int],
@@ -529,7 +558,10 @@ def strand_search_order(d: Diagram) -> list[int]:
     so trying them first tends to hit a spanning seed set sooner.  The
     search below is exhaustive per size, so this is purely a speedup.
     """
-    return sorted(range(d.n), key=lambda s: (-d.over_degree(s), s))
+    degree = [0] * d.n
+    for o in d.over_strand:
+        degree[o] += 1
+    return sorted(range(d.n), key=lambda s: (-degree[s], s))
 
 
 def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
@@ -537,7 +569,7 @@ def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
     seed, walked in reverse, whose removal still leaves a saturating set.
     No seed of the result can be dropped: closures are monotone, and each
     was kept by a superset.  `state` is left empty."""
-    empty, full = (0, 0), (1 << len(state._bit)) - 1
+    empty, full = (0, 0, 0, 0, 0), (1 << len(state.bit)) - 1
     kept = list(seeds)
     for s in reversed(seeds):
         state.undo(empty)
@@ -584,6 +616,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             return reissued
     name = "omega" if mode == WIRTINGER else "rho"
     state = state or GrowingClosure(d, mode, dual)
+    bit, over, under = state.bit, state.over, state.under
     n, full = d.n, (1 << d.n) - 1
     chosen: list[int] = []
     # closed set's mask -> most further seeds known not to saturate it;
@@ -605,10 +638,18 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
         # slack: how many of the `left` seeds may join no two orbits; when
         # slack >= left no prefix below can be pruned, so none is tracked
         track = slack < left
-        dead = state.mask  # grows by failed candidates: see the docstring
+        # dead grows by failed candidates: see the module docstring
+        dead = closed = state.mask
+        # in Wirtinger mode a last seed that fires no move colors only
+        # itself, so it fails unless it is the one uncolored strand
+        last = left == 1 and mode == WIRTINGER
+        xo, xu = state.xo, state.xu
         for i in range(start, n - left + 1):
             s = order[i]
             if dead >> s & 1:
+                continue
+            if (last and not (xo | over[s]) & (xu ^ under[s])
+                    and closed | bit[s] != full):
                 continue
             if track:
                 a, b = ends[s]

@@ -15,7 +15,7 @@ from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
                                 coloring_bound, saturate, strand_search_order)
 from plainsphere.errors import ComputeTimeout
 
-from conftest import K14_PD, perfbench_module
+from conftest import K14_PD, frozen_rows, perfbench_module
 from oracles import closure
 
 braids = perfbench_module("braids")
@@ -154,27 +154,89 @@ class TestGrowingClosure:
                 == closure(trefoil, (0,), PLAINSPHERE, trefoil_dual))
 
     def test_undo_restores_every_table(self, k14, k14_dual):
-        """The mask, the face tables and the union trail, after each undo."""
-        state = GrowingClosure(k14, PLAINSPHERE, k14_dual)
+        """The masks, the face tables and the union trail, after each undo."""
+        shots, _ = undo_check(k14, PLAINSPHERE, k14_dual, (13, 2, 7, 0))
+        assert shots[-1][-1]  # the trail
 
-        def snapshot():
-            return (state.mask, list(state._parent), list(state._size),
-                    list(state._next), list(state._trail))
+    def test_undo_restores_every_table_wirtinger(self, k14):
+        """The same in Wirtinger mode, which joins no faces: the trail and
+        the edge mask stay empty.  The staged seeds fire moves up to the
+        ten-strand fixpoint, and one more seed is added on top of it."""
+        shots, fired = undo_check(k14, WIRTINGER, None, K14_STAGE_SEEDS + (2,))
+        assert not any(shot[-1] or shot[3] for shot in shots)  # trail, xe
+        assert fired
 
-        marks, seeds, shots = [], [], []
-        for s in (13, 2, 7, 0):
-            if state.mask >> s & 1:
-                continue
-            shots.append(snapshot())
-            marks.append(state.add(s))
-            seeds.append(s)
-            want = closure(k14, seeds, PLAINSPHERE, k14_dual)
-            assert {t for t in range(k14.n) if state.mask >> t & 1} == want
-        assert len(marks) >= 2 and state._trail
-        while marks:
-            state.undo(marks.pop())
-            assert snapshot() == shots.pop()
-        assert state.mask == 0 and not state._trail
+    def test_closure_matches_saturate_on_largest_braids(self):
+        """Every one- and two-seed set of the 10 frozen braid rows with the
+        most crossings (26 strands, 52 edge bits), in both modes, on one
+        closure per mode that adds the seeds and undoes them."""
+        manifest = frozen_rows("manifest.jsonl").values()
+        rows = sorted((item for item in manifest if item["kind"] == "random"),
+                      key=lambda item: (-item["n"], item["name"]))[:10]
+        assert {item["n"] for item in rows} == {26}
+        for item in rows:
+            d = parse_pd(item["pd"])
+            g = build_dual(d)
+            for mode in (WIRTINGER, PLAINSPHERE):
+                state = GrowingClosure(d, mode, g)
+                for s in range(d.n):
+                    first = state.add(s)
+                    want, _ = saturate(d, (s,), mode, g)
+                    assert colored(state) == want, (item["name"], mode, s)
+                    for t in range(s + 1, d.n):
+                        got = colored(state)
+                        if not state.mask >> t & 1:
+                            mark = state.add(t)
+                            got = colored(state)
+                            state.undo(mark)
+                        want, _ = saturate(d, (s, t), mode, g)
+                        assert got == want, (item["name"], mode, s, t)
+                    state.undo(first)
+                    assert state.mask == 0
+
+
+def colored(state: GrowingClosure) -> frozenset[int]:
+    return frozenset(s for s in range(len(state.bit)) if state.mask >> s & 1)
+
+
+def undo_check(d: Diagram, mode: str, dual, seeds):
+    """Add `seeds` in order, skipping colored ones, then undo each mark,
+    checking every closure and that each snapshot (mask, xo, xu, xe,
+    parent, size, rim, trail) comes back.  ``xo``, ``xu`` and ``xe`` must
+    also be the OR, XOR and OR over the colored strands of their tables.
+    Returns the snapshots, the last one taken with every seed added, and
+    whether some add colored more than its seed."""
+    state = GrowingClosure(d, mode, dual)
+
+    def snapshot():
+        return (state.mask, state.xo, state.xu, state.xe,
+                list(state._parent), list(state._size), list(state._rim),
+                list(state._trail))
+
+    marks, added, shots = [], [], []
+    fired = False
+    for s in seeds:
+        if state.mask >> s & 1:
+            continue
+        shots.append(snapshot())
+        before = state.mask
+        marks.append(state.add(s))
+        added.append(s)
+        assert colored(state) == saturate(d, added, mode, dual)[0]
+        fired |= state.mask != before | state.bit[s]
+        xo = xu = xe = 0
+        for t in colored(state):
+            xo |= state.over[t]
+            xu ^= state.under[t]
+            xe |= state._edge_bits[t]
+        assert (state.xo, state.xu, state.xe) == (xo, xu, xe)
+    assert len(marks) >= 2
+    taken = shots + [snapshot()]
+    while marks:
+        state.undo(marks.pop())
+        assert snapshot() == shots.pop()
+    assert state.mask == 0 and not state._trail
+    return taken, fired
 
 
 class TestSearch:
@@ -233,23 +295,25 @@ class TestSearch:
 
     def test_deadline_expires_mid_search(self, monkeypatch, k14, k14_dual):
         """The coloring bound of k14n1527 is 2, its greedy set 5, omega 4
-        and rho 3, and size 2 takes 87 adds in either search: a deadline
-        after 86 adds proves only the bound, one after all 87 proves
-        size 2 fails."""
+        and rho 3.  Size 2 takes 28 adds in the omega search, which skips
+        the last seeds that fire no Wirtinger move unadded, and 87 in the
+        rho search, which adds them: a deadline after all but one of them
+        proves only the bound, one after all of them proves size 2
+        fails."""
         import plainsphere.engine
         known = omega(k14)
-        for deadline, k in ((85, 2), (86, 3)):
-            runs = (("omega", 5, lambda: omega(k14, deadline=deadline)),
-                    ("rho", 4, lambda: rho(k14, dual=k14_dual,
-                                           deadline=deadline,
-                                           omega_result=known)))
-            for name, upper, run in runs:
+        runs = (("omega", 5, 28, lambda deadline: omega(k14, deadline)),
+                ("rho", 4, 87, lambda deadline: rho(
+                    k14, dual=k14_dual, deadline=deadline,
+                    omega_result=known)))
+        for name, upper, adds, run in runs:
+            for deadline, k in ((adds - 2, 2), (adds - 1, 3)):
                 ticks = itertools.count()  # one tick per clock read
                 monkeypatch.setattr(plainsphere.engine, "time",
                                     types.SimpleNamespace(
                                         monotonic=lambda: next(ticks)))
                 with pytest.raises(ComputeTimeout) as info:
-                    run()
+                    run(deadline)
                 # deadline + 1 seeds added, then the expiry
                 assert next(ticks) == deadline + 2
                 assert str(info.value).endswith(

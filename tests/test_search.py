@@ -129,19 +129,20 @@ def test_values_match_brute_force_oracle(search_cases):
 
 
 def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
-    """The memo of failed closed sets and the skip of candidates that a
-    failed sibling's closed set colors cut the adds.  k14n1527's omega
-    takes 381 adds: 5 for the greedy set, 17 to shrink it to 4 seeds,
-    and 359 in the search (511 without the skip), which their
-    transposition bound, 1, does not prune.  Its rho takes 96 (123
-    without the skip, which the memo alone does not cut: its one failing
-    size is 2, and no two one-seed prefixes close to the same set).
-    braid-0053's transposition bound is 4 = omega, so its omega search
-    starts at the size that saturates, 16 adds in all, and its rho
-    search adds nothing.
-    On sum5_9 both bounds are 2 and rho = omega = 3: its rho takes 46
-    adds, 62 with the coloring's prefix prune neutralised (70 and 103
-    without the skip)."""
+    """The memo of failed closed sets and the skips of candidates that a
+    failed sibling's closed set colors and of last seeds that fire no
+    Wirtinger move cut the adds.  k14n1527's omega takes 223 adds: 5 for
+    the greedy set, 17 to shrink it to 4 seeds, and 201 in the search
+    (359 without the last-seed skip, 511 without either skip), which
+    their transposition bound, 1, does not prune.  Its rho takes 96 (123
+    without the sibling skip, which the memo alone does not cut: its one
+    failing size is 2, and no two one-seed prefixes close to the same
+    set).  braid-0053's transposition bound is 4 = omega, so its omega
+    search starts at the size that saturates, 16 adds in all, and its
+    rho search adds nothing.
+    On sum5_9 both bounds are 2 and rho = omega = 3: its omega takes 45
+    adds, and its rho 46, 62 with the coloring's prefix prune
+    neutralised (70 and 103 without the sibling skip)."""
     adds = []
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -157,13 +158,13 @@ def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
 
     values, omega_adds, rho_adds = searched(k14, k14_dual)
     assert values == (4, 3)
-    assert omega_adds == 381 and rho_adds == 96
+    assert omega_adds == 223 and rho_adds == 96
     braid = parse_pd(frozen_rows("manifest.jsonl")["braid-0053"]["pd"])
     values, omega_adds, rho_adds = searched(braid, build_dual(braid))
     assert values == (4, 4)
     assert omega_adds == 16 and rho_adds == 0
     d = all_diagrams["sum5_9"]
-    assert searched(d, build_dual(d))[::2] == ((3, 3), 46)
+    assert searched(d, build_dual(d)) == ((3, 3), 45, 46)
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                         lambda d, *args: (1, ((0, 1),) * d.n))
     assert searched(d, build_dual(d))[::2] == ((3, 3), 62)
@@ -176,20 +177,24 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     the prefix's closed set nor that of a sibling which failed before it
     colors it.  With the transposition coloring neutralised, so that it
     prunes nothing and the search starts at the coloring bound, it also
-    skips a candidate only then, or when the failure memo cuts the
-    prefix: each candidate after the prefix's last seed that is not
-    added, up to the last one its size allows, is colored by one of
-    those closed sets.
+    skips a candidate only then, when the failure memo cuts the prefix,
+    or, in Wirtinger mode only, when the candidate is a last seed that
+    colors only itself and leaves some other strand uncolored: each
+    candidate after the prefix's last seed that is not added, up to the
+    last one its size allows, is colored by one of those closed sets or
+    is such a last seed, which ``saturate`` from the prefix's seeds and
+    it confirms.
 
     The trace replays the search's ``add`` and ``undo`` on a stack of
     prefixes [closed set, search-order position of the last seed or
     child, union of the closed set and those of the undone children,
-    seeds left to add]: undone children failed, since a search that
-    saturates returns without undoing.  A new size starts over at the
-    empty prefix, at a smaller position.  The trace keeps its own memo
-    of failed closed sets, and a prefix it cuts counts no seeds left.
-    ``_irredundant``'s adds, which drop seeds rather than search, are not
-    traced."""
+    seeds left to add, seeds]: undone children failed, since a search
+    that saturates returns without undoing.  A new size starts over at
+    the empty prefix, at a smaller position, or, after a Wirtinger size 1
+    that added no seed, with a seed that colors only itself, which size 1
+    would have skipped.  The trace keeps its own memo of failed closed
+    sets, and a prefix it cuts counts no seeds left.  ``_irredundant``'s
+    adds, which drop seeds rather than search, are not traced."""
     if neutral:
         monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                             lambda d, *args: (1, ((0, 1),) * d.n))
@@ -200,19 +205,30 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     memo: dict[int, int] = {}
     shrinking = False
     skipped = 0  # candidates only a failed sibling's closed set colors
+    unfired = 0  # last seeds skipped as coloring only themselves
 
     def check(prefix, stop):
         """The candidates after the prefix's last one and before `stop`
-        are colored by the union of closed sets."""
-        nonlocal skipped
-        mask, last, dead, _ = prefix
+        are colored by the union of closed sets, or are last seeds that
+        color only themselves, in Wirtinger mode, and leave another
+        strand uncolored."""
+        nonlocal skipped, unfired
+        mask, last, dead, left, seeds = prefix
         for j in range(last + 1, stop):
-            assert dead >> order[j] & 1, (name, order[j])
-            skipped += not mask >> order[j] & 1
+            s = order[j]
+            if dead >> s & 1:
+                skipped += not mask >> s & 1
+                continue
+            assert (mode, left) == (WIRTINGER, 1), (name, s)
+            fresh, _ = saturate(diagram, seeds + (s,), mode)
+            assert fresh == {t for t in order if mask >> t & 1} | {s}, (
+                name, s)
+            assert len(fresh) < len(order), (name, s)
+            unfired += 1
 
     def finish(prefix):
         """A prefix whose candidates were all tried, and failed."""
-        mask, _, _, left = prefix
+        mask, _, _, left, _ = prefix
         if neutral and left:
             check(prefix, len(order) - left + 1)
             memo[mask] = left
@@ -225,9 +241,11 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         top = stack[-1]
         assert top[0] == before, name
         i = order.index(s)
-        if len(stack) == 1 and i <= top[1]:  # the next size
+        unfired_root = (mode == WIRTINGER and top[3] == 1
+                        and state.mask == 1 << s != (1 << len(order)) - 1)
+        if len(stack) == 1 and (i <= top[1] or unfired_root):
             finish(top)
-            stack[0] = top = [0, -1, 0, top[3] + 1]
+            stack[0] = top = [0, -1, 0, top[3] + 1, ()]
         assert not top[2] >> s & 1, (name, s)
         if neutral:
             check(top, i)
@@ -235,7 +253,7 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         left = top[3] - 1
         if memo.get(state.mask, -1) >= left:
             left = 0
-        stack.append([state.mask, i, state.mask, left])
+        stack.append([state.mask, i, state.mask, left, top[4] + (s,)])
         return mark
 
     def traced_undo(state, mark):
@@ -256,13 +274,13 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         finally:
             shrinking = False
 
-    def traced_search(d, mode, dual, witness, deadline):
-        nonlocal order
-        order = strand_search_order(d)
+    def traced_search(d, search_mode, dual, witness, deadline):
+        nonlocal order, diagram, mode
+        order, diagram, mode = strand_search_order(d), d, search_mode
         memo.clear()
         # the size searched first, when the coloring is neutralised
         stack.append([0, -1, 0, coloring_bound(d, witness.seeds,
-                                                witness.moves)])
+                                                witness.moves), ()])
         try:
             result = search(d, mode, dual, witness, deadline)
             if len(stack) == 1 and stack[0][1] >= 0:  # no size saturated
@@ -277,9 +295,10 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
                         untraced_irredundant)
     monkeypatch.setattr(plainsphere.engine, "_search", traced_search)
     order: list[int] = []
+    diagram, mode = None, None
     for name, d, g in search_cases:
         rho(d, dual=g, omega_result=omega(d))
-    assert skipped > 0 or not neutral
+    assert (skipped > 0 and unfired > 0) or not neutral
 
 
 def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
