@@ -139,10 +139,6 @@ class Diagram:
     def n_components(self) -> int:
         return len(set(self.components.values()))
 
-    def over_degree(self, strand: int) -> int:
-        """Number of crossings at which `strand` is the over-strand."""
-        return sum(1 for o in self.over_strand if o == strand)
-
     def serialize(self) -> str:
         """Canonical one-line form; ``parse_pd`` round-trips it."""
         return " ".join("X({},{},{},{})".format(*t) for t in self.pd)

@@ -43,14 +43,15 @@ omega and rho share one search, bounded by a witness: a Wirtinger
 certificate, whose seeds saturate in either mode.  omega's witness is a
 greedy saturating set (strands in search order, skipping colored ones),
 rho's the omega certificate.  Seed sets are tried by size, from the
-witness's lower bound (below) up to one less than its size, then in
-strand search order (the order of ``itertools.combinations`` over it),
-depth first on one ``GrowingClosure`` that extends each prefix's closure
-by the next seed and undoes it on backtrack.  When none saturates, the
-witness is reissued in the search's mode; for omega that is the set a
-search of the greedy set's size would find first, its first leaf.  When
-the bound reaches the witness's size, no ``GrowingClosure`` or dual is
-built.
+diagram's lower bound (below) up to one less than the witness's size,
+then in strand search order (the order of ``itertools.combinations``
+over it), depth first on one ``GrowingClosure`` that extends each
+prefix's closure by the next seed and undoes it on backtrack: for omega
+the closure the greedy set was grown on.  When none saturates, omega or
+rho reissues its witness in the search's mode; for omega that is the
+set a search of the greedy set's size would find first, its first leaf.
+When the bound reaches the witness's size nothing is searched, and rho
+builds no ``GrowingClosure`` or dual.
 
 The search relies on one invariant: every smaller size failed or is
 excluded by the bound.  A candidate the prefix already colors is
@@ -133,17 +134,24 @@ points, undone on backtrack, counts the orbits.  A pruned prefix cannot
 saturate, so the failure memo stays sound and the first saturating set
 is unchanged.
 
-The search colors as few seeds as it can, since the coloring search
-grows with their count.  rho colors its witness, the omega certificate,
-which has omega seeds.  omega's greedy witness has more, so omega first
-walks the greedy seeds back from the last one grown and drops each
-whose removal leaves a saturating set, on the ``GrowingClosure`` it then
-searches on, and colors what is left: an irredundant saturating set,
-often of omega seeds, whose move log ``saturate`` writes when a seed was
-dropped.  The greedy set stays the witness, and the answer when no
-smaller set saturates, so certificates do not depend on the coloring.
-When the Fox bound already equals the colored set's size it is the
-invariant itself, no bound can exceed it, and no coloring is searched.
+Both bounds hold for omega and rho alike and depend on the diagram, not
+on the saturating set they are read off, so each diagram's are worked
+out once (``_lower_bounds``) and kept while the diagram lives.  omega
+works them out, on the ``GrowingClosure`` it then searches on, and rho
+reads them; rho works them out the same way only when omega has not run
+on that diagram.  The Fox bound is read off the greedy set's log.  The
+coloring search grows with the count of seeds it colors, and the greedy
+set has more than omega, so when the Fox bound is below its size the
+greedy seeds are walked back from the last one grown, each whose
+removal leaves a saturating set is dropped, and what is left is
+colored: an irredundant saturating set, often of omega seeds, whose
+move log ``saturate`` writes when a seed was dropped.  The coloring uses
+at most one point more than that set has seeds, and the prune's
+union-find has that many points.  The witnesses stay the answers when
+no smaller set saturates, so certificates do not depend on the
+coloring.  When the Fox bound already equals the colored set's size it
+is omega itself, and so rho too, as rho lies between it and omega; no
+bound can exceed it, and no coloring is searched.
 """
 
 from __future__ import annotations
@@ -151,7 +159,8 @@ from __future__ import annotations
 import time
 from functools import cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+from weakref import WeakKeyDictionary
 
 from .certificate import MODES, PLAINSPHERE, WIRTINGER, Certificate, Move
 from .diagram import Diagram
@@ -584,38 +593,60 @@ def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
     return kept
 
 
-def _search(d: Diagram, mode: str, dual: DualGraph | None,
-            witness: Certificate, deadline: float | None):
-    """(k, certificate) for the first seed set, by size from the lower
-    bound of Wirtinger certificate `witness` up to its size - 1 and then
-    in search order, whose closure colors every strand; else `witness`,
-    reissued in `mode`.  The bound is the larger of the coloring bound and
-    the transposition bound, whose coloring also prunes prefixes; in
-    Wirtinger mode the coloring is of an irredundant subset of `witness`,
-    and it is skipped when the coloring bound equals the colored set's
-    size.  Sizes below the bound fail and `witness` saturates, so on
-    timeout the message names that interval."""
-    lower = coloring_bound(d, witness.seeds, witness.moves)
-    upper = len(witness.seeds)
-    reissued = upper, Certificate(diagram_hash=d.content_hash, mode=mode,
-                                  seeds=witness.seeds, moves=witness.moves)
-    if lower == upper:
-        return reissued
-    order = strand_search_order(d)
-    seeds, ends = witness.seeds, ()
-    state = None
-    if mode == WIRTINGER:  # the greedy set, in the order it was grown
-        state = GrowingClosure(d, mode)
-        seeds = _irredundant(state, [s for s in order if s in seeds])
-    if lower < len(seeds):  # else lower is omega, and no bound exceeds it
-        moves = witness.moves if len(seeds) == upper else saturate(
-            d, seeds, mode)[1]
-        bound, ends = transposition_coloring(d, seeds, moves)
-        lower = max(lower, bound)
-        if lower == upper:
-            return reissued
+class _Bounds(NamedTuple):
+    """One diagram's lower-bound work, as omega and rho read it."""
+    witness: Certificate  # the greedy saturating set, in Wirtinger mode
+    lower: int  # the larger of the Fox and transposition bounds
+    ends: tuple[tuple[int, int], ...]  # the transposition coloring, or ()
+    points: int  # the points it uses: its colored seeds + 1
+
+
+# diagram -> its _Bounds, dropped with the diagram; immutable values only,
+# so a finished row keeps no closure alive
+_shared: WeakKeyDictionary[Diagram, _Bounds] = WeakKeyDictionary()
+
+
+def _lower_bounds(d: Diagram, state: GrowingClosure) -> _Bounds:
+    """The greedy saturating set, grown on the empty Wirtinger closure
+    `state`, and the diagram's lower bound, stored in ``_shared``.
+
+    The Fox bound is read off the greedy set's log; below the set's
+    size, ``_irredundant`` shrinks the set on `state`, and below the
+    shrunk set's size its transposition coloring is searched.  `state`
+    is left empty."""
+    greedy = []
+    for s in strand_search_order(d):
+        if not state.mask >> s & 1:
+            state.add(s)
+            greedy.append(s)
+    _, log = saturate(d, greedy, WIRTINGER)
+    witness = Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
+                          seeds=tuple(sorted(greedy)), moves=log)
+    lower, ends, points = coloring_bound(d, witness.seeds, log), (), 0
+    if lower < len(greedy):
+        seeds = _irredundant(state, greedy)  # in the order they were grown
+        if lower < len(seeds):  # else lower is omega, and no bound exceeds it
+            moves = log if len(seeds) == len(greedy) else saturate(
+                d, seeds, WIRTINGER)[1]
+            bound, ends = transposition_coloring(d, seeds, moves)
+            lower, points = max(lower, bound), len(seeds) + 1
+    state.undo((0, 0, 0, 0, 0))
+    _shared[d] = bounds = _Bounds(witness, lower, ends, points)
+    return bounds
+
+
+def _search(d: Diagram, mode: str, state: GrowingClosure, lower: int,
+            upper: int, ends: Sequence[tuple[int, int]], points: int,
+            deadline: float | None) -> tuple[int, Certificate] | None:
+    """(k, certificate) for the first seed set, by size from `lower` up
+    to `upper` - 1 and then in search order, whose closure in `mode`
+    colors every strand; None when there is none.  The search runs on
+    `state`, an empty closure in `mode`.  `ends`, a transposition
+    coloring on `points` points, prunes prefixes.  Sizes below `lower`
+    fail and some set of size `upper` saturates, so on timeout the
+    message names that interval."""
     name = "omega" if mode == WIRTINGER else "rho"
-    state = state or GrowingClosure(d, mode, dual)
+    order = strand_search_order(d)
     bit, over, under = state.bit, state.over, state.under
     n, full = d.n, (1 << d.n) - 1
     chosen: list[int] = []
@@ -624,7 +655,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     failed: dict[int, int] = {}
     # a union-find over the coloring's points: first the orbits of all its
     # colors, then, undone on backtrack, those of the prefix's seeds
-    parent = list(range(len(seeds) + 1))
+    parent = list(range(points))
     for a, b in ends:
         while parent[a] != a:
             a = parent[a]
@@ -632,7 +663,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             b = parent[b]
         parent[a] = b
     rank = sum(p != q for q, p in enumerate(parent))  # m - orbits(all)
-    parent = list(range(len(seeds) + 1))
+    parent = list(range(points))
 
     def extend(start: int, left: int, slack: int) -> bool:
         # slack: how many of the `left` seeds may join no two orbits; when
@@ -692,25 +723,25 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
                 diagram_hash=d.content_hash, mode=mode,
                 seeds=tuple(sorted(chosen)), moves=log,
             )
-    return reissued
+    return None
 
 
 def omega(d: Diagram, deadline: float | None = None):
     """Smallest k whose some k-seed set Wirtinger-saturates the diagram.
 
     Returns (k, certificate).  The search is bounded by a greedy
-    saturating set: strands in search order, skipping colored ones.
+    saturating set: strands in search order, skipping colored ones.  It
+    runs on the closure the greedy set was grown on, and works out the
+    diagram's lower bound, which rho reads.
     """
     state = GrowingClosure(d, WIRTINGER)
-    greedy = []
-    for s in strand_search_order(d):
-        if not state.mask >> s & 1:
-            state.add(s)
-            greedy.append(s)
-    _, log = saturate(d, greedy, WIRTINGER)
-    return _search(d, WIRTINGER, None, Certificate(
-        diagram_hash=d.content_hash, mode=WIRTINGER,
-        seeds=tuple(sorted(greedy)), moves=log), deadline)
+    witness, lower, ends, points = _lower_bounds(d, state)
+    upper = len(witness.seeds)
+    found = None
+    if lower < upper:
+        found = _search(d, WIRTINGER, state, lower, upper, ends, points,
+                        deadline)
+    return found or (upper, witness)
 
 
 def rho(d: Diagram, dual: DualGraph | None = None,
@@ -720,7 +751,18 @@ def rho(d: Diagram, dual: DualGraph | None = None,
     Loop moves dominate Wirtinger moves, so rho <= omega, and the omega
     certificate bounds the search: when no smaller seed set works it is
     reissued as a plain-sphere certificate (its Wirtinger moves remain
-    valid there).
+    valid there).  The search starts at the diagram's lower bound and is
+    pruned by its transposition coloring, both as omega left them for
+    this diagram, or worked out here when omega has not run on it.
     """
     _, wcert = omega_result if omega_result is not None else omega(d, deadline)
-    return _search(d, PLAINSPHERE, dual, wcert, deadline)
+    _, lower, ends, points = (_shared.get(d)
+                              or _lower_bounds(d, GrowingClosure(d, WIRTINGER)))
+    upper = len(wcert.seeds)
+    found = None
+    if lower < upper:
+        found = _search(d, PLAINSPHERE, GrowingClosure(d, PLAINSPHERE, dual),
+                        lower, upper, ends, points, deadline)
+    return found or (upper, Certificate(
+        diagram_hash=d.content_hash, mode=PLAINSPHERE, seeds=wcert.seeds,
+        moves=wcert.moves))

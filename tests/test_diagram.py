@@ -98,9 +98,6 @@ class TestAdjacency:
         assert d.strand_crossings == ((0,),)
         assert d.under_strands == ((0, 0),) and d.over_strand == (0,)
 
-    def test_over_degree(self, trefoil):
-        assert [trefoil.over_degree(s) for s in range(3)] == [1, 1, 1]
-
     def test_link_components(self, all_diagrams):
         assert all_diagrams["trefoil"].n_components == 1
         assert all_diagrams["hopf"].n_components == 2

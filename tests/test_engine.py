@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 import types
+import weakref
+from collections import Counter
 
 import pytest
 
+import plainsphere.engine
 from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import serialize_certificate, verify
 from plainsphere.diagram import Diagram
@@ -242,7 +246,7 @@ def undo_check(d: Diagram, mode: str, dual, seeds):
 class TestSearch:
     def test_search_order_prefers_high_over_degree(self, k14):
         order = strand_search_order(k14)
-        degrees = [k14.over_degree(s) for s in order]
+        degrees = [k14.over_strand.count(s) for s in order]
         assert degrees == sorted(degrees, reverse=True)
         assert sorted(order) == list(range(k14.n))
 
@@ -361,6 +365,90 @@ class TestSearch:
                 assert (w, r) == (4, 3)
             else:
                 assert w == r, name
+
+
+def count_bound_calls(monkeypatch) -> Counter:
+    """Count the calls of ``coloring_bound`` and ``transposition_coloring``
+    that the engine makes."""
+    calls: Counter = Counter()
+    for name in ("coloring_bound", "transposition_coloring"):
+        real = getattr(plainsphere.engine, name)
+        monkeypatch.setattr(plainsphere.engine, name,
+                            lambda *args, _real=real, _name=name:
+                            calls.update([_name]) or _real(*args))
+    return calls
+
+
+class TestSharedBounds:
+    """omega works out each diagram's lower bound and transposition
+    coloring once, and rho reads them."""
+
+    @pytest.mark.parametrize("name", ["k14n1527", "braid-0305"])
+    def test_bounds_worked_out_once(self, monkeypatch, name):
+        """omega followed by rho(omega_result=...), and rho on its own,
+        each call both bounds once.  braid-0305's bound is 3 and its rho
+        4, so its rho searches size 3 on omega's coloring."""
+        pd = (K14_PD if name == "k14n1527"
+              else frozen_rows("manifest.jsonl")[name]["pd"])
+        once = {"coloring_bound": 1, "transposition_coloring": 1}
+        calls = count_bound_calls(monkeypatch)
+        d = parse_pd(pd)
+        w, wcert = omega(d)
+        r, rcert = rho(d, omega_result=(w, wcert))
+        assert calls == once
+        calls.clear()
+        assert rho(parse_pd(pd)) == (r, rcert)
+        assert calls == once
+        want, lower = ((4, 3), 2) if name == "k14n1527" else ((4, 4), 3)
+        assert ((w, r), plainsphere.engine._shared[d].lower) == (want, lower)
+
+    def test_rho_without_shared_bounds_on_frozen_rows(self, monkeypatch):
+        """On every frozen row, rho on a freshly parsed diagram, which has
+        no shared bounds and works them out itself, gives the value and
+        certificate text of rho on the diagram omega ran on.  omega and rho
+        together call each bound at most once per row: the Fox bound on
+        all 468 rows, the transposition coloring on the 294 whose Fox
+        bound is below the irredundant greedy subset's size."""
+        calls = count_bound_calls(monkeypatch)
+        total: Counter = Counter()
+        rows = 0
+        for name, item in frozen_rows("manifest.jsonl").items():
+            if item["kind"] == "reject":
+                continue
+            d = parse_pd(item["pd"])
+            calls.clear()
+            w, wcert = omega(d)
+            r, rcert = rho(d, dual=build_dual(d), omega_result=(w, wcert))
+            assert (w, r) == (item["omega"], item["rho"]), name
+            assert max(calls.values()) == 1, name
+            total += calls
+            once = calls.copy()
+            fresh = parse_pd(item["pd"])
+            assert fresh not in plainsphere.engine._shared
+            calls.clear()
+            got, got_cert = rho(fresh, dual=build_dual(fresh),
+                                omega_result=(w, wcert))
+            assert calls == once, name  # the same work, done by rho itself
+            assert got == r, name
+            assert (serialize_certificate(got_cert)
+                    == serialize_certificate(rcert)), name
+            rows += 1
+        assert rows == 468
+        assert total == {"coloring_bound": 468, "transposition_coloring": 294}
+
+    def test_shared_bounds_die_with_the_diagram(self):
+        """The shared values keep no reference to their diagram, so it is
+        collected once omega and rho are done with it."""
+        d = parse_pd(K14_PD)
+        rho(d, omega_result=omega(d))
+        rho(d)
+        assert d in plainsphere.engine._shared
+        ref = weakref.ref(d)
+        kept = len(plainsphere.engine._shared)
+        del d
+        gc.collect()
+        assert ref() is None
+        assert len(plainsphere.engine._shared) == kept - 1
 
 
 class TestColoringBound:

@@ -60,30 +60,47 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
     """Both searches run from size 1 here, not from the coloring and
     transposition bounds, so every size below the answer is compared
     with the reference; the transposition coloring still prunes
-    prefixes."""
+    prefixes.  omega works the bounds out afresh, so the patched omega
+    refills the shared values rho reads; the greedy-witness rho runs on a
+    freshly parsed diagram, where rho works them out itself.  Each search
+    records the size it starts at, which must be 1."""
+    starts = []  # (mode, first size) of each search under the patch
+    search = plainsphere.engine._search
+
+    def recorded(d, mode, state, lower, *args):
+        starts.append((mode, lower))
+        return search(d, mode, state, lower, *args)
+
+    def patched(patch):
+        patch.setattr(plainsphere.engine, "coloring_bound", lambda *args: 1)
+        patch.setattr(plainsphere.engine, "transposition_coloring",
+                      lambda *args: (1, transposition_coloring(*args)[1]))
+        patch.setattr(plainsphere.engine, "_search", recorded)
+
     for name, d, g in search_cases:
         w, wcert = omega(d)
         want = oracles.reference_search(d, WIRTINGER, None, range(1, d.n + 1))
         assert (w, wcert.seeds) == want, name
+        greedy = greedy_certificate(d)
+        starts.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(plainsphere.engine, "coloring_bound",
-                          lambda *args: 1)
-            patch.setattr(plainsphere.engine, "transposition_coloring",
-                          lambda *args: (1, transposition_coloring(*args)[1]))
+            patched(patch)
             assert omega(d) == (w, wcert), name
             r, rcert = rho(d, dual=g, omega_result=(w, wcert))
+        assert starts == ([(WIRTINGER, 1)] * (len(greedy.seeds) > 1)
+                          + [(PLAINSPHERE, 1)] * (w > 1)), name
         want = oracles.reference_search(d, PLAINSPHERE, g, range(1, w))
         assert (r, rcert.seeds) == (want or (w, wcert.seeds)), name
         # a greedy witness has more seeds, so the search reaches sizes
         # where sets saturate, and the prune must keep the first of them
-        greedy = greedy_certificate(d)
-        with monkeypatch.context() as patch:
-            patch.setattr(plainsphere.engine, "coloring_bound",
-                          lambda *args: 1)
-            patch.setattr(plainsphere.engine, "transposition_coloring",
-                          lambda *args: (1, transposition_coloring(*args)[1]))
-            r, rcert = rho(d, dual=g, omega_result=(None, greedy))
         upper = len(greedy.seeds)
+        fresh = parse_pd(d.serialize())
+        starts.clear()
+        with monkeypatch.context() as patch:
+            patched(patch)
+            r, rcert = rho(fresh, dual=build_dual(fresh),
+                           omega_result=(None, greedy))
+        assert starts == [(PLAINSPHERE, 1)] * (upper > 1), name
         want = oracles.reference_search(d, PLAINSPHERE, g, range(1, upper))
         assert (r, rcert.seeds) == (want or (upper, greedy.seeds)), name
 
@@ -193,17 +210,16 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     the empty prefix, at a smaller position, or, after a Wirtinger size 1
     that added no seed, with a seed that colors only itself, which size 1
     would have skipped.  The trace keeps its own memo of failed closed
-    sets, and a prefix it cuts counts no seeds left.  ``_irredundant``'s
-    adds, which drop seeds rather than search, are not traced."""
+    sets, and a prefix it cuts counts no seeds left.  The adds that grow
+    the greedy set and shrink it (``_irredundant``), made before the
+    search starts, are not traced."""
     if neutral:
         monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                             lambda d, *args: (1, ((0, 1),) * d.n))
     add, undo = GrowingClosure.add, GrowingClosure.undo
     search = plainsphere.engine._search
-    irredundant = plainsphere.engine._irredundant
     stack: list[list[int]] = []  # the prefixes, while a search runs
     memo: dict[int, int] = {}
-    shrinking = False
     skipped = 0  # candidates only a failed sibling's closed set colors
     unfired = 0  # last seeds skipped as coloring only themselves
 
@@ -236,7 +252,7 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     def traced_add(state, s):
         before = state.mask
         mark = add(state, s)
-        if not stack or shrinking:
+        if not stack:
             return mark
         top = stack[-1]
         assert top[0] == before, name
@@ -258,7 +274,7 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
 
     def traced_undo(state, mark):
         undo(state, mark)
-        if not stack or shrinking:
+        if not stack:
             return
         child = stack.pop()
         finish(child)
@@ -266,23 +282,13 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         assert stack[-1][0] == state.mask, name
         stack[-1][2] |= child[0]
 
-    def untraced_irredundant(state, seeds):
-        nonlocal shrinking
-        shrinking = True
-        try:
-            return irredundant(state, seeds)
-        finally:
-            shrinking = False
-
-    def traced_search(d, search_mode, dual, witness, deadline):
+    def traced_search(d, search_mode, state, lower, *args):
         nonlocal order, diagram, mode
         order, diagram, mode = strand_search_order(d), d, search_mode
         memo.clear()
-        # the size searched first, when the coloring is neutralised
-        stack.append([0, -1, 0, coloring_bound(d, witness.seeds,
-                                                witness.moves), ()])
+        stack.append([0, -1, 0, lower, ()])  # the size searched first
         try:
-            result = search(d, mode, dual, witness, deadline)
+            result = search(d, mode, state, lower, *args)
             if len(stack) == 1 and stack[0][1] >= 0:  # no size saturated
                 finish(stack[0])
             return result
@@ -291,8 +297,6 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
 
     monkeypatch.setattr(GrowingClosure, "add", traced_add)
     monkeypatch.setattr(GrowingClosure, "undo", traced_undo)
-    monkeypatch.setattr(plainsphere.engine, "_irredundant",
-                        untraced_irredundant)
     monkeypatch.setattr(plainsphere.engine, "_search", traced_search)
     order: list[int] = []
     diagram, mode = None, None
