@@ -27,11 +27,22 @@ A ``Diagram`` keeps each derived fact in one flat table indexed by id:
 ``pd`` holds the tuples as given, ``strands[s]`` is strand s's edges in
 walk order, ``edge_to_strand`` inverts it, ``under_strands[c]`` and
 ``over_strand[c]`` give crossing c's two under-strands and its
-over-strand (the triple a Wirtinger move conditions on),
-``strand_crossings[s]`` lists the crossings strand s meets in either
-role.  ``components`` maps each edge to an id shared exactly by the
-edges of its link component; no search reads it, so it and
-``n_components`` are computed on first read.
+over-strand (the triple a Wirtinger move conditions on).  The
+constructor indexes lists by label or crossing where a dict or a set
+would hash: a list of each label's first dart gives ``mate``, the flood
+marks crossings, and the strand walk marks each label with its strand.
+
+Tables that only some callers read are computed on first read and kept
+with the diagram: ``components`` maps each edge to an id shared exactly
+by the edges of its link component (with ``n_components``);
+``crossing_masks`` gives each strand's crossings as bit masks, by role,
+which every closure and the logged saturation of the diagram read; and
+``search_order`` is the strand order the seed-set searches share.
+
+``parse_pd`` reads the text in one pass: a single ``TUPLE_RE.split``
+yields both the text between tuples, which must be separators, and the
+labels.  One sort of the labels checks that they are 1..2n, each twice;
+the messages naming what is wrong are built only when that fails.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import re
 from functools import cached_property
+from typing import NamedTuple, NoReturn
 
 from .errors import ClosedOverComponent, DisconnectedProjection, MalformedPD
 
@@ -55,23 +67,29 @@ class Diagram:
     def __init__(self, tuples: list[tuple[int, int, int, int]]):
         self.pd: tuple[tuple[int, int, int, int], ...] = tuple(tuples)
         self.n = n = len(tuples)
-        self.label: tuple[int, ...] = tuple(e for t in tuples for e in t)
-        first: dict[int, int] = {}
+        label = tuple(e for t in tuples for e in t)
+        self.label: tuple[int, ...] = label
+        first = [-1] * (2 * n + 1)  # label -> the first dart carrying it
         mate = [0] * (4 * n)
-        for x, e in enumerate(self.label):
-            y = first.setdefault(e, x)
-            mate[x], mate[y] = y, x
+        for x, e in enumerate(label):
+            y = first[e]
+            if y < 0:
+                first[e] = x
+            else:
+                mate[x], mate[y] = y, x
         self.mate: tuple[int, ...] = tuple(mate)
         # Connectivity: flood the crossings through mate, a piece at a time.
-        unreached, pieces = set(range(n)), 0
-        while unreached:
-            stack, pieces = [unreached.pop()], pieces + 1
+        seen, pieces = bytearray(n), 0
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root], stack, pieces = 1, [root], pieces + 1
             while stack:
                 c = stack.pop()
                 for y in mate[4 * c:4 * c + 4]:
-                    if y // 4 in unreached:
-                        unreached.remove(y // 4)
-                        stack.append(y // 4)
+                    if not seen[y >> 2]:
+                        seen[y >> 2] = 1
+                        stack.append(y >> 2)
         if pieces > 1:
             raise DisconnectedProjection(
                 f"projection splits into {pieces} pieces"
@@ -81,43 +99,31 @@ class Diagram:
         # oriented; slot-0 starts only mop up unoriented input.  A start is
         # taken when its edge is, as its strand's first or last edge.
         strands: list[tuple[int, ...]] = []
-        self.edge_to_strand: dict[int, int] = {}
+        owner = [-1] * (2 * n + 1)  # label -> its strand
         for start in [*range(2, 4 * n, 4), *range(0, 4 * n, 4)]:
-            if self.label[start] in self.edge_to_strand:
+            if owner[label[start]] >= 0:
                 continue
-            edges = []
-            x = start
+            s, edges, x = len(strands), [], start
             while True:
-                edges.append(self.label[x])
-                self.edge_to_strand[self.label[x]] = len(strands)
-                if mate[x] % 2 == 0:  # under-ends sit at slots 0 and 2
+                edges.append(label[x])
+                owner[label[x]] = s
+                if not mate[x] & 1:  # under-ends sit at slots 0 and 2
                     break
                 x = mate[x] ^ 2  # cross over: slot 1 <-> slot 3
             strands.append(tuple(edges))
-        leftover = sorted(set(self.label) - set(self.edge_to_strand))
-        if leftover:
+        if sum(map(len, strands)) < 2 * n:
+            leftover = [e for e in range(1, 2 * n + 1) if owner[e] < 0]
             raise ClosedOverComponent(
                 f"edges {leftover} form closed over-components"
             )
         assert len(strands) == n
         self.strands: tuple[tuple[int, ...], ...] = tuple(strands)
+        self.edge_to_strand: dict[int, int] = {
+            e: s for s, edges in enumerate(strands) for e in edges}
         # The edge at an under slot belongs to the strand that ends there.
         self.under_strands: tuple[tuple[int, int], ...] = tuple(
-            (self.edge_to_strand[t[0]], self.edge_to_strand[t[2]])
-            for t in self.pd
-        )
-        self.over_strand: tuple[int, ...] = tuple(
-            self.edge_to_strand[t[1]] for t in self.pd
-        )
-        # strand_crossings[s]: ascending ids of the crossings where s is an
-        # under-strand or the over-strand
-        incident: list[list[int]] = [[] for _ in self.strands]
-        for c, ((u1, u2), o) in enumerate(zip(self.under_strands,
-                                              self.over_strand)):
-            for s in {u1, u2, o}:
-                incident[s].append(c)
-        self.strand_crossings: tuple[tuple[int, ...], ...] = tuple(
-            map(tuple, incident))
+            (owner[t[0]], owner[t[2]]) for t in tuples)
+        self.over_strand: tuple[int, ...] = tuple(owner[t[1]] for t in tuples)
 
     # -- queries ---------------------------------------------------------
 
@@ -139,6 +145,34 @@ class Diagram:
     def n_components(self) -> int:
         return len(set(self.components.values()))
 
+    @cached_property
+    def crossing_masks(self) -> CrossingMasks:
+        """The strands' crossing roles as bit masks over crossing ids."""
+        over, under = [0] * self.n, [0] * self.n
+        unders: dict[int, int] = {}
+        for c, ((u1, u2), o) in enumerate(zip(self.under_strands,
+                                              self.over_strand)):
+            over[o] |= 1 << c
+            if u1 != u2:
+                under[u1] |= 1 << c
+                under[u2] |= 1 << c
+                unders[1 << c] = 1 << u1 | 1 << u2
+        return CrossingMasks(tuple(over), tuple(under), unders)
+
+    @cached_property
+    def search_order(self) -> tuple[int, ...]:
+        """Strands by descending over-degree, ties by id.
+
+        Strands that pass over many crossings enable many Wirtinger moves,
+        so trying them first tends to hit a spanning seed set sooner.  The
+        seed-set search is exhaustive per size, so this is purely a
+        speedup.
+        """
+        degree = [0] * self.n
+        for o in self.over_strand:
+            degree[o] += 1
+        return tuple(sorted(range(self.n), key=lambda s: (-degree[s], s)))
+
     def serialize(self) -> str:
         """Canonical one-line form; ``parse_pd`` round-trips it."""
         return " ".join("X({},{},{},{})".format(*t) for t in self.pd)
@@ -151,6 +185,17 @@ class Diagram:
         return f"Diagram({self.serialize()!r})"
 
 
+class CrossingMasks(NamedTuple):
+    """Per strand s, bit c of ``over[s]`` is set iff s is crossing c's
+    over-strand, and of ``under[s]`` iff s is one of c's two
+    under-strands, a self-adjacent crossing (both under-strands s) left
+    out; ``unders`` maps the bit of each other crossing to its two
+    under-strands' bits (bit s for strand s)."""
+    over: tuple[int, ...]
+    under: tuple[int, ...]
+    unders: dict[int, int]
+
+
 def parse_pd(text: str) -> Diagram:
     """Parse PD text such as ``X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)``.
 
@@ -161,26 +206,35 @@ def parse_pd(text: str) -> Diagram:
     body = text.strip()
     if body.startswith("PD[") and body.endswith("]"):
         body = body[3:-1]
-    residue = TUPLE_RE.sub(lambda _: " ", body)
+    # [text, a, b, c, d, text, a, b, c, d, ..., text]: every fifth part is
+    # the text around the tuples, the rest are their labels
+    parts = TUPLE_RE.split(body)
+    residue = " ".join(parts[::5])
     if not _SEPARATOR_RE.match(residue):
         raise MalformedPD(f"unparseable PD text near: {residue.strip()[:40]!r}")
+    del parts[::5]
     try:
-        tuples = [tuple(map(int, m.groups()))
-                  for m in TUPLE_RE.finditer(body)]
+        labels = list(map(int, parts))
     except ValueError as exc:  # over sys.get_int_max_str_digits() digits
         raise MalformedPD(f"label too long: {exc}") from None
-    if not tuples:
+    if not labels:
         raise MalformedPD("PD text contains no crossings")
-    n = len(tuples)
+    n = len(labels) // 4
+    ordered = sorted(labels)
+    if not ordered[::2] == ordered[1::2] == list(range(1, 2 * n + 1)):
+        _reject_labels(labels, n)
+    return Diagram(list(zip(*[iter(labels)] * 4)))  # four to a tuple
+
+
+def _reject_labels(labels: list[int], n: int) -> NoReturn:
+    """Raise MalformedPD naming what is wrong with a label list that is
+    not 1..2n, each label twice."""
     counts: dict[int, int] = {}
-    for t in tuples:
-        for label in t:
-            counts[label] = counts.get(label, 0) + 1
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
     bad = {e: k for e, k in counts.items() if k != 2}
     if bad:
         raise MalformedPD(f"labels with occurrence count != 2: {bad}")
-    if set(counts) != set(range(1, 2 * n + 1)):
-        raise MalformedPD(
-            f"labels must be exactly 1..{2 * n}, got {sorted(counts)}"
-        )
-    return Diagram(tuples)
+    raise MalformedPD(
+        f"labels must be exactly 1..{2 * n}, got {sorted(counts)}"
+    )

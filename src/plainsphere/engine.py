@@ -26,12 +26,18 @@ closure two ways:
   loop move is only decided, not built: a union-find tracks the
   connected face classes of that subgraph, each with a mask of the edges
   it borders, and the uncolored edges that two classes both border are
-  those their union passes.  A trail undoes the unions.
+  those their union passes.  A trail undoes the unions.  The masks are
+  tables of the diagram (``Diagram.crossing_masks``) and of its dual
+  (``DualGraph.edge_masks``), built on first read and shared by every
+  closure of that diagram; a closure copies only the face masks it
+  changes.
 
 * ``saturate`` builds the move log a certificate replays, with a fixed
   policy: sweep the uncolored strands in id order, applying each one's
   Wirtinger move at its lowest-id qualifying crossing, until a sweep
   finds none; only then apply one loop move and start sweeping again.
+  It reads the same crossing masks: the moves of strand s fire at the
+  crossings of ``under[s]`` that the colored strands' masks mark too.
   The loop move needs a witness cycle, so one breadth-first search both
   decides and builds it: for the first uncolored strand that has a loop
   move, from one face of its first such edge in walk order to the other,
@@ -126,6 +132,19 @@ saturating set's transpositions, replaying its move log, finds the best
 one.  It uses at most one point more than the set has seeds, enough for
 one orbit that reaches the seed count.
 
+Each seed's color is followed by the moves whose inputs it completes,
+in log order, and each crossing no move used is a check that o a o = b
+holds there.  A check runs right after the step, the seed or a move,
+that colors the last of its three strands, so a failing one drops the
+coloring before the rest of that seed's moves are replayed.  Where it
+runs changes nothing else: a coloring fails if any check fails, the
+colors a check reads are set, and the moves it skips are replayed
+before any later step reads them.  The search tries the same colorings
+in the same order and finds the same best one, so the bound and the
+prune below are unchanged.  The search reads the clock once per
+``_CLOCK_EVERY`` nodes and, past the deadline, names what it has
+proved: at least the Fox bound or its best so far, at most its seeds.
+
 The coloring found also prunes the search.  A prefix whose colors leave
 more orbits than orbits(all colors) plus the seeds it has left cannot
 saturate, since each further seed joins at most two orbits, so it is
@@ -218,12 +237,17 @@ def saturate(d: Diagram, seeds: Iterable[int], mode: str,
             raise ValueError(f"unknown strand id {s}")
     colored: set[int] = set()
     log: list[Move] = []
+    over, under, _ = d.crossing_masks
+    xo = xu = 0  # as in GrowingClosure: xo & xu & under[s] fire for s
     # per face, the other face of each colored strand's dual edge, in
     # coloring order: the order the loop witness search walks them in
     adj: list[list[int]] = [[] for _ in range(dual.n_faces if plain else 0)]
 
     def color(s: int) -> None:
+        nonlocal xo, xu
         colored.add(s)
+        xo |= over[s]
+        xu ^= under[s]
         if plain:
             for _, f1, f2 in dual.strand_edges[s]:
                 adj[f1].append(f2)
@@ -238,16 +262,12 @@ def saturate(d: Diagram, seeds: Iterable[int], mode: str,
             for s in range(d.n):
                 if s in colored:
                     continue
-                for c in d.strand_crossings[s]:
-                    u1, u2 = d.under_strands[c]
-                    # a self-adjacent crossing (u1 == u2) never fires
-                    if (u1 != u2 and s in (u1, u2)
-                            and (u2 if u1 == s else u1) in colored
-                            and d.over_strand[c] in colored):
-                        log.append(Move("W", s, crossing=c))
-                        color(s)
-                        swept = True
-                        break
+                fire = xo & xu & under[s]
+                if fire:  # at its lowest crossing
+                    c = (fire & -fire).bit_length() - 1
+                    log.append(Move("W", s, crossing=c))
+                    color(s)
+                    swept = True
         move = _loop_move(d, dual, adj, colored) if plain else None
         if move is None:
             return frozenset(colored), tuple(log)
@@ -296,30 +316,17 @@ class GrowingClosure:
         self.dual = dual
         self.mask = self.xo = self.xu = self.xe = 0
         self.bit = bit = tuple(1 << s for s in range(d.n))
-        self.over, self.under = [0] * d.n, [0] * d.n
         self._strand = {b: s for s, b in enumerate(bit)}
-        self._unders: dict[int, int] = {}  # crossing's bit -> unders' bits
-        for c, ((u1, u2), o) in enumerate(zip(d.under_strands,
-                                              d.over_strand)):
-            self.over[o] |= 1 << c
-            if u1 != u2:
-                self.under[u1] ^= 1 << c
-                self.under[u2] ^= 1 << c
-                self._unders[1 << c] = bit[u1] | bit[u2]
-        # Wirtinger mode joins no faces: no strand has a dual edge there
-        self._edges = dual.strand_edges if plain else ((),) * d.n
-        self._edge_bits = [sum(1 << e for e, _, _ in edges)
-                           for edges in self._edges]
-        self._edge_strand = {1 << e: s for s, edges in enumerate(self._edges)
-                             for e, _, _ in edges}
-        faces = dual.n_faces if plain else 0
-        self._parent = list(range(faces))
-        self._size = [1] * faces
-        self._rim = [0] * faces
-        for edges in self._edges:
-            for e, a, b in edges:
-                self._rim[a] |= 1 << e
-                self._rim[b] |= 1 << e
+        self.over, self.under, self._unders = d.crossing_masks
+        if plain:
+            self._edges = dual.strand_edges
+            self._edge_bits, self._edge_strand, rim = dual.edge_masks
+        else:  # Wirtinger mode joins no faces: no strand has a dual edge
+            self._edges, self._edge_bits = ((),) * d.n, (0,) * d.n
+            self._edge_strand, rim = {}, ()
+        self._parent = list(range(len(rim)))
+        self._size = [1] * len(rim)
+        self._rim = list(rim)
         self._trail: list[tuple[int, int]] = []
 
     def add(self, s: int) -> tuple[int, int, int, int, int]:
@@ -455,6 +462,11 @@ def _unit_invariant_factors(a: list[list[int]]) -> int:
     return units
 
 
+# the coloring search reads the clock once per this many nodes (a power
+# of two); a node tries each transposition of one seed
+_CLOCK_EVERY = 64
+
+
 @cache
 def _transposition_tables(m: int) -> tuple:
     """(ends, conj, options) for the transpositions of S_m.
@@ -485,7 +497,8 @@ def _transposition_tables(m: int) -> tuple:
 
 
 def transposition_coloring(d: Diagram, seeds: Sequence[int],
-                           moves: Iterable[Move]
+                           moves: Iterable[Move],
+                           deadline: float | None = None, known: int = 0
                            ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(m - orbits, coloring) for a transposition coloring of the diagram
     on m <= len(seeds) + 1 points whose m - orbits is largest: the
@@ -495,10 +508,16 @@ def transposition_coloring(d: Diagram, seeds: Sequence[int],
     `seeds` must Wirtinger-saturate the diagram through `moves`.  A depth
     first search colors the seeds in order, canonically: the first is
     (0 1), and a later one takes only used points or the next unused
-    ones.  Each move is replayed, and each crossing no move used is
-    checked, at the first seed that colors all of its strands.  Branches
-    that cannot beat the best coloring found are cut, and the search ends
-    when m - orbits reaches len(seeds).
+    ones.  Each move is replayed at the first seed that colors both
+    strands it reads, and each crossing no move used is checked right
+    after the step that colors the last of its strands, so a coloring
+    that fails there is dropped before the moves after it are replayed.
+    Branches that cannot beat the best coloring found are cut, and the
+    search ends when m - orbits reaches len(seeds).
+
+    Past `deadline` it raises ComputeTimeout naming what is proved of
+    omega: at least the best bound found so far or `known`, a lower
+    bound proved before (the Fox bound), and at most len(seeds).
     """
     k = len(seeds)
     ends, conj, options = _transposition_tables(k + 1)
@@ -515,21 +534,39 @@ def transposition_coloring(d: Diagram, seeds: Sequence[int],
         stage[mv.target] = i = max(stage[over], stage[other])
         replay[i].append((mv.target, over, other))
         used.add(mv.crossing)
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
+    # when[s]: the step that colors s, counting each seed and then the
+    # moves replayed after it; a check (~u2, over, u1) goes right after
+    # the step that colors the last of its strands
+    when, step = [0] * d.n, 0
+    for i, s in enumerate(seeds):
+        for t in (s, *(target for target, _, _ in replay[i])):
+            when[t], step = step, step + 1
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(step)]
     for c, (u1, u2) in enumerate(d.under_strands):
         if c not in used:
             over = d.over_strand[c]
-            checks[max(stage[over], stage[u1], stage[u2])].append(
-                (over, u1, u2))
+            checks[max(when[over], when[u1], when[u2])].append((~u2, over, u1))
+    steps: list[list[tuple[int, int, int]]] = []
+    for i, s in enumerate(seeds):
+        steps.append(checks[when[s]][:])
+        for move in replay[i]:
+            steps[i] += move, *checks[when[move[0]]]
     color = [0] * d.n
     best_rank, best_color = 0, color
+    visits = 0
 
     def extend(i: int, points: int, rank: int, orbit: tuple[int, ...]) -> bool:
         """Color seeds i on, the earlier ones using `points` points in
         orbits `orbit` (a label per point) of rank `rank`; True once the
         bound reaches k."""
-        nonlocal best_rank, best_color
-        s, moves_here, checks_here = seeds[i], replay[i], checks[i]
+        nonlocal best_rank, best_color, visits
+        visits += 1
+        if (deadline is not None and not visits & _CLOCK_EVERY - 1
+                and time.monotonic() > deadline):
+            raise ComputeTimeout(
+                f"transposition coloring exceeded its deadline; proved "
+                f"omega >= {max(known, best_rank)}, omega <= {k}")
+        s, steps_here = seeds[i], steps[i]
         for t, used_points, merged in options[points]:
             if merged is None:
                 a, b = ends[t]
@@ -537,40 +574,28 @@ def transposition_coloring(d: Diagram, seeds: Sequence[int],
             if rank + merged + k - i - 1 <= best_rank:
                 continue  # cannot beat the best coloring found
             color[s] = t
-            for target, over, other in moves_here:
-                color[target] = conj[color[over]][color[other]]
-            if any(conj[color[over]][color[u1]] != color[u2]
-                   for over, u1, u2 in checks_here):
-                continue
-            if i + 1 == k:
-                best_rank, best_color = rank + merged, color[:]
-                if best_rank == k:
+            for target, over, other in steps_here:
+                if target >= 0:  # a move
+                    color[target] = conj[color[over]][color[other]]
+                elif conj[color[over]][color[other]] != color[~target]:
+                    break  # a failed check
+            else:
+                if i + 1 == k:
+                    best_rank, best_color = rank + merged, color[:]
+                    if best_rank == k:
+                        return True
+                    continue
+                joined = orbit + tuple(range(points, used_points))
+                if merged:
+                    a, b = ends[t]
+                    keep, drop = joined[a], joined[b]
+                    joined = tuple(keep if x == drop else x for x in joined)
+                if extend(i + 1, used_points, rank + merged, joined):
                     return True
-                continue
-            joined = orbit + tuple(range(points, used_points))
-            if merged:
-                a, b = ends[t]
-                keep, drop = joined[a], joined[b]
-                joined = tuple(keep if x == drop else x for x in joined)
-            if extend(i + 1, used_points, rank + merged, joined):
-                return True
         return False
 
     extend(0, 0, 0, ())
     return best_rank, tuple(ends[t] for t in best_color)
-
-
-def strand_search_order(d: Diagram) -> list[int]:
-    """Strands by descending over-degree, ties by id.
-
-    Strands that pass over many crossings enable many Wirtinger moves,
-    so trying them first tends to hit a spanning seed set sooner.  The
-    search below is exhaustive per size, so this is purely a speedup.
-    """
-    degree = [0] * d.n
-    for o in d.over_strand:
-        degree[o] += 1
-    return sorted(range(d.n), key=lambda s: (-degree[s], s))
 
 
 def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
@@ -606,16 +631,17 @@ class _Bounds(NamedTuple):
 _shared: WeakKeyDictionary[Diagram, _Bounds] = WeakKeyDictionary()
 
 
-def _lower_bounds(d: Diagram, state: GrowingClosure) -> _Bounds:
+def _lower_bounds(d: Diagram, state: GrowingClosure,
+                  deadline: float | None) -> _Bounds:
     """The greedy saturating set, grown on the empty Wirtinger closure
     `state`, and the diagram's lower bound, stored in ``_shared``.
 
     The Fox bound is read off the greedy set's log; below the set's
     size, ``_irredundant`` shrinks the set on `state`, and below the
-    shrunk set's size its transposition coloring is searched.  `state`
-    is left empty."""
+    shrunk set's size its transposition coloring is searched, which
+    raises ComputeTimeout past `deadline`.  `state` is left empty."""
     greedy = []
-    for s in strand_search_order(d):
+    for s in d.search_order:
         if not state.mask >> s & 1:
             state.add(s)
             greedy.append(s)
@@ -628,7 +654,8 @@ def _lower_bounds(d: Diagram, state: GrowingClosure) -> _Bounds:
         if lower < len(seeds):  # else lower is omega, and no bound exceeds it
             moves = log if len(seeds) == len(greedy) else saturate(
                 d, seeds, WIRTINGER)[1]
-            bound, ends = transposition_coloring(d, seeds, moves)
+            bound, ends = transposition_coloring(d, seeds, moves, deadline,
+                                                 lower)
             lower, points = max(lower, bound), len(seeds) + 1
     state.undo((0, 0, 0, 0, 0))
     _shared[d] = bounds = _Bounds(witness, lower, ends, points)
@@ -646,7 +673,7 @@ def _search(d: Diagram, mode: str, state: GrowingClosure, lower: int,
     fail and some set of size `upper` saturates, so on timeout the
     message names that interval."""
     name = "omega" if mode == WIRTINGER else "rho"
-    order = strand_search_order(d)
+    order = d.search_order
     bit, over, under = state.bit, state.over, state.under
     n, full = d.n, (1 << d.n) - 1
     chosen: list[int] = []
@@ -735,7 +762,7 @@ def omega(d: Diagram, deadline: float | None = None):
     diagram's lower bound, which rho reads.
     """
     state = GrowingClosure(d, WIRTINGER)
-    witness, lower, ends, points = _lower_bounds(d, state)
+    witness, lower, ends, points = _lower_bounds(d, state, deadline)
     upper = len(witness.seeds)
     found = None
     if lower < upper:
@@ -756,8 +783,8 @@ def rho(d: Diagram, dual: DualGraph | None = None,
     this diagram, or worked out here when omega has not run on it.
     """
     _, wcert = omega_result if omega_result is not None else omega(d, deadline)
-    _, lower, ends, points = (_shared.get(d)
-                              or _lower_bounds(d, GrowingClosure(d, WIRTINGER)))
+    _, lower, ends, points = (_shared.get(d) or _lower_bounds(
+        d, GrowingClosure(d, WIRTINGER), deadline))
     upper = len(wcert.seeds)
     found = None
     if lower < upper:

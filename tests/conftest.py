@@ -19,6 +19,10 @@ K14_PD = (
     "X(11,18,12,19) X(22,18,23,17) X(26,22,27,21) X(16,24,17,23)"
 )
 
+# An 8-strand braid whose closure (30 crossings, Fox bound 6, omega = rho
+# = 7) takes the longest transposition coloring: of 7 seeds.
+BRAID30_WORD = [7, -4, 6, -6, -4, -6, 3, -3, -1, -7, -3, 1, 3, -2, 6, -1,
+                -7, 5, -3, 3, -5, -4, 6, 1, -7, 1, 1, 7, -1, 4]
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -34,6 +34,16 @@ from ``DualGraph.pair_edges``; any of the parallel edges will do, since
 a closed curve through two of them would cross a component that owned
 only one exactly once.
 
+``reference_transposition_coloring`` is the engine's transposition
+coloring as it was before its crossing checks moved from the end of
+each seed's replay to the step that completes them: the same depth
+first search over the same colorings, so the engine must return the
+identical bound and coloring.
+
+``oracle_tables`` builds a diagram's flat tables and its dual straight
+from the PD text: a dart is a (crossing, slot) pair, and the other end
+of an edge is looked up by its label.
+
 Only ``closure`` and ``reference_search`` reuse engine parts, on
 purpose.  ``closure`` is the colored set a fresh ``GrowingClosure``
 reaches from a seed set, the fast path the search runs, so tests can
@@ -45,13 +55,14 @@ each, to check that the depth-first search finds the same first set.
 
 from __future__ import annotations
 
+import re
+from functools import cache
 from itertools import combinations, product
 
 from plainsphere.certificate import Move
 from plainsphere.diagram import Diagram
 from plainsphere.dual import DualGraph
-from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                strand_search_order)
+from plainsphere.engine import PLAINSPHERE, WIRTINGER, GrowingClosure
 
 
 def crossing_tables(d: Diagram) -> list[tuple[int, int, int]]:
@@ -285,7 +296,7 @@ def reference_search(d: Diagram, mode: str, dual: DualGraph | None,
     """(k, sorted seeds) of the first seed set, by size from `sizes` and
     then in ``combinations`` order over the strand search order, whose
     closure colors every strand; else None."""
-    order = strand_search_order(d)
+    order = d.search_order
     for k in sizes:
         for combo in combinations(order, k):
             if len(closure(d, combo, mode, dual)) == d.n:
@@ -425,3 +436,150 @@ def conjugate(o: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
     """The transposition o t o, as a sorted pair."""
     swap = {o[0]: o[1], o[1]: o[0]}
     return tuple(sorted(swap.get(p, p) for p in t))
+
+
+def oracle_tables(text: str) -> dict:
+    """pd, label, mate, strands, edge_to_strand, under_strands,
+    over_strand, n_faces, edge_faces and strand_edges, as ``Diagram`` and
+    ``DualGraph`` number and order them, from well-formed PD text alone:
+    its numbers, four to a crossing."""
+    numbers = iter(map(int, re.findall(r"[0-9]+", text)))
+    pd = tuple(zip(numbers, numbers, numbers, numbers))
+    n = len(pd)
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for c, t in enumerate(pd):
+        for slot, e in enumerate(t):
+            ends.setdefault(e, []).append((c, slot))
+
+    def other_end(c: int, slot: int) -> tuple[int, int]:
+        (end,) = [x for x in ends[pd[c][slot]] if x != (c, slot)]
+        return end
+
+    mate = tuple(4 * c2 + s2 for c in range(n) for slot in range(4)
+                 for c2, s2 in [other_end(c, slot)])
+    # a strand starts at an under slot, slot 2 of each crossing first, and
+    # goes straight over each crossing it meets until it ends under one
+    strands, owner = [], {}
+    for start in [(c, 2) for c in range(n)] + [(c, 0) for c in range(n)]:
+        c, slot = start
+        if pd[c][slot] in owner:
+            continue
+        edges = []
+        while True:
+            edges.append(pd[c][slot])
+            owner[pd[c][slot]] = len(strands)
+            c, slot = other_end(c, slot)
+            if slot in (0, 2):
+                break
+            slot = (slot + 2) % 4
+        strands.append(tuple(edges))
+    # faces: from each dart, step to the next slot counterclockwise, pass
+    # its edge, and go on from the edge's other end
+    faces, seen = [], set()
+    for start in [(c, slot) for c in range(n) for slot in range(4)]:
+        face, (c, slot) = [], start
+        while (c, slot) not in seen:
+            seen.add((c, slot))
+            slot = (slot + 1) % 4
+            face.append(pd[c][slot])
+            c, slot = other_end(c, slot)
+        if face:
+            faces.append(face)
+    edge_faces = {}
+    for face in faces:
+        for e in face:
+            edge_faces.setdefault(e, tuple(
+                f for f, other in enumerate(faces) for x in other if x == e))
+    return {
+        "pd": pd,
+        "label": tuple(e for t in pd for e in t),
+        "mate": mate,
+        "strands": tuple(strands),
+        "edge_to_strand": {e: s for s, edges in enumerate(strands)
+                           for e in edges},
+        "under_strands": tuple((owner[t[0]], owner[t[2]]) for t in pd),
+        "over_strand": tuple(owner[t[1]] for t in pd),
+        "n_faces": len(faces),
+        "edge_faces": edge_faces,
+        "strand_edges": [tuple((e,) + edge_faces[e] for e in edges)
+                         for edges in strands],
+    }
+
+
+@cache
+def reference_transposition_tables(m: int) -> tuple:
+    """(ends, conj, options) for the transpositions of S_m, as the
+    reference coloring orders them."""
+    def index(x: int, y: int) -> int:
+        return x * (x - 1) // 2 + y if x > y else y * (y - 1) // 2 + x
+
+    ends = tuple((a, b) for b in range(m) for a in range(b))
+    conj = []
+    for x, y in ends:
+        swap = list(range(m))
+        swap[x], swap[y] = y, x
+        conj.append(tuple(index(swap[a], swap[b]) for a, b in ends))
+    options = tuple(
+        tuple([(index(a, u), u + 1, True) for a in range(u) if u < m]
+              + [(index(u, u + 1), u + 2, True)] * (u + 2 <= m)
+              + [(t, u, None) for t in range(u * (u - 1) // 2)])
+        for u in range(m + 1))
+    return ends, tuple(conj), options
+
+
+def reference_transposition_coloring(d: Diagram, seeds, moves):
+    """(m - orbits, coloring) as the engine found it when each seed's
+    crossing checks ran after all of that seed's moves were replayed."""
+    k = len(seeds)
+    ends, conj, options = reference_transposition_tables(k + 1)
+    stage = [0] * d.n  # the seed after which each strand has its color
+    for i, s in enumerate(seeds):
+        stage[s] = i
+    replay: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
+    used = set()
+    for mv in moves:
+        u1, u2 = d.under_strands[mv.crossing]
+        over, other = d.over_strand[mv.crossing], u2 if mv.target == u1 else u1
+        stage[mv.target] = i = max(stage[over], stage[other])
+        replay[i].append((mv.target, over, other))
+        used.add(mv.crossing)
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
+    for c, (u1, u2) in enumerate(d.under_strands):
+        if c not in used:
+            over = d.over_strand[c]
+            checks[max(stage[over], stage[u1], stage[u2])].append(
+                (over, u1, u2))
+    color = [0] * d.n
+    best_rank, best_color = 0, color
+
+    def extend(i: int, points: int, rank: int, orbit: tuple[int, ...]) -> bool:
+        nonlocal best_rank, best_color
+        s, moves_here, checks_here = seeds[i], replay[i], checks[i]
+        for t, used_points, merged in options[points]:
+            if merged is None:
+                a, b = ends[t]
+                merged = orbit[a] != orbit[b]
+            if rank + merged + k - i - 1 <= best_rank:
+                continue
+            color[s] = t
+            for target, over, other in moves_here:
+                color[target] = conj[color[over]][color[other]]
+            if any(conj[color[over]][color[u1]] != color[u2]
+                   for over, u1, u2 in checks_here):
+                continue
+            if i + 1 == k:
+                best_rank, best_color = rank + merged, color[:]
+                if best_rank == k:
+                    return True
+                continue
+            joined = orbit + tuple(range(points, used_points))
+            if merged:
+                a, b = ends[t]
+                keep, drop = joined[a], joined[b]
+                joined = tuple(keep if x == drop else x for x in joined)
+            if extend(i + 1, used_points, rank + merged, joined):
+                return True
+        return False
+
+    extend(0, 0, 0, ())
+    return best_rank, tuple(ends[t] for t in best_color)

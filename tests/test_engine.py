@@ -16,10 +16,10 @@ from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import serialize_certificate, verify
 from plainsphere.diagram import Diagram
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                coloring_bound, saturate, strand_search_order)
+                                coloring_bound, saturate)
 from plainsphere.errors import ComputeTimeout
 
-from conftest import K14_PD, frozen_rows, perfbench_module
+from conftest import BRAID30_WORD, K14_PD, frozen_rows, perfbench_module
 from oracles import closure
 
 braids = perfbench_module("braids")
@@ -52,9 +52,8 @@ class TestMoves:
         # both Hopf crossings pair a strand with itself; those crossings
         # must never enable a move, hence omega(hopf) = 2
         d = all_diagrams["hopf"]
-        assert d.strand_crossings[1]
-        assert all(d.under_strands[c] in ((0, 0), (1, 1))
-                   for c in d.strand_crossings[1])
+        assert all(u1 == u2 for u1, u2 in d.under_strands)
+        assert d.crossing_masks.under == (0, 0)
         for mode in (WIRTINGER, PLAINSPHERE):
             assert saturate(d, (0,), mode) == (frozenset({0}), ())
 
@@ -245,7 +244,7 @@ def undo_check(d: Diagram, mode: str, dual, seeds):
 
 class TestSearch:
     def test_search_order_prefers_high_over_degree(self, k14):
-        order = strand_search_order(k14)
+        order = k14.search_order
         degrees = [k14.over_strand.count(s) for s in order]
         assert degrees == sorted(degrees, reverse=True)
         assert sorted(order) == list(range(k14.n))
@@ -352,6 +351,26 @@ class TestSearch:
         with pytest.raises(ComputeTimeout) as info:
             omega(d, deadline=5)
         assert str(info.value).endswith("proved omega >= 3, omega <= 4")
+
+    def test_deadline_expires_mid_coloring(self, monkeypatch):
+        """The 30-crossing braid's greedy set shrinks to 7 seeds with Fox
+        bound 6, and coloring them takes thousands of search nodes; the
+        coloring reads the clock once per ``_CLOCK_EVERY`` nodes, and it
+        is the first to read it.  A deadline it meets at its second read
+        stops it there, having proved the Fox bound and the 7 seeds."""
+        d = parse_pd(braids.braid_pd(BRAID30_WORD, 8))
+        for deadline in (0, 3):
+            ticks = itertools.count()  # one tick per clock read
+            monkeypatch.setattr(plainsphere.engine, "time",
+                                types.SimpleNamespace(
+                                    monotonic=lambda: next(ticks)))
+            with pytest.raises(ComputeTimeout) as info:
+                omega(d, deadline)
+            assert next(ticks) == deadline + 2
+            assert str(info.value) == (
+                "transposition coloring exceeded its deadline; "
+                "proved omega >= 6, omega <= 7")
+        assert d not in plainsphere.engine._shared
 
     def test_values_on_known_rows(self, all_rows, all_diagrams):
         """omega == rho on every bundled diagram except the gap witness."""

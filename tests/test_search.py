@@ -18,12 +18,12 @@ from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import (Certificate, deserialize_certificate,
                                      serialize_certificate)
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                coloring_bound, saturate, strand_search_order,
+                                coloring_bound, saturate,
                                 transposition_coloring)
 from plainsphere.errors import PlainSphereError
 
 import oracles
-from conftest import frozen_rows, perfbench_module
+from conftest import BRAID30_WORD, frozen_rows, perfbench_module
 
 braids = perfbench_module("braids")
 
@@ -109,7 +109,7 @@ def greedy_certificate(d):
     """A Wirtinger certificate of the greedy saturating set: strands in
     search order, skipping colored ones."""
     seeds, colored = [], set()
-    for s in strand_search_order(d):
+    for s in d.search_order:
         if s not in colored:
             seeds.append(s)
             colored = oracles.closure(d, seeds, WIRTINGER)
@@ -121,7 +121,7 @@ def shrunk_greedy(d, greedy):
     """The seeds of `greedy` in the order they were grown, less each seed,
     walked back from the last one grown, whose removal leaves a
     saturating set."""
-    seeds = sorted(greedy.seeds, key=strand_search_order(d).index)
+    seeds = sorted(greedy.seeds, key=d.search_order.index)
     for s in seeds[::-1]:
         rest = [t for t in seeds if t != s]
         if len(oracles.closure(d, rest, WIRTINGER)) == d.n:
@@ -284,7 +284,7 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
 
     def traced_search(d, search_mode, state, lower, *args):
         nonlocal order, diagram, mode
-        order, diagram, mode = strand_search_order(d), d, search_mode
+        order, diagram, mode = d.search_order, d, search_mode
         memo.clear()
         stack.append([0, -1, 0, lower, ()])  # the size searched first
         try:
@@ -315,8 +315,8 @@ def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
     colored = []
     color = transposition_coloring
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
-                        lambda d, seeds, moves: colored.append(tuple(seeds))
-                        or color(d, seeds, moves))
+                        lambda d, seeds, *rest: colored.append(tuple(seeds))
+                        or color(d, seeds, *rest))
     calls = 0
     for name, d, _ in search_cases:
         colored.clear()
@@ -481,3 +481,30 @@ def test_omega_transposition_bound_on_frozen_rows():
         reaches += max(fox, bound) == item["omega"]
         fox_reaches += fox == item["omega"]
     assert (checked, exact, reaches, fox_reaches) == (468, 422, 265, 190)
+
+
+def test_coloring_matches_the_reference(monkeypatch):
+    """The coloring checks each crossing no move used right after the
+    step that colors the last of its strands, where the reference checks
+    it after the seed's whole replay.  A check that fails sooner only
+    drops the same coloring sooner, so on every frozen row omega colors
+    (294 of the 468) and on the 30-crossing braid, the bound and the
+    coloring are the reference's: they decide the search's prune."""
+    colored = []
+    color = transposition_coloring
+
+    def recorded(d, seeds, moves, *rest):
+        colored.append((d, seeds, moves, color(d, seeds, moves, *rest)))
+        return colored[-1][-1]
+
+    monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
+                        recorded)
+    for item in frozen_rows("manifest.jsonl").values():
+        if item["kind"] != "reject":
+            omega(parse_pd(item["pd"]))
+    assert len(colored) == 294
+    w, _ = omega(parse_pd(braids.braid_pd(BRAID30_WORD, 8)))
+    assert (w, len(colored[-1][1]), colored[-1][-1][0]) == (7, 7, 6)
+    for d, seeds, moves, got in colored:
+        assert got == oracles.reference_transposition_coloring(
+            d, seeds, moves), d.serialize()
