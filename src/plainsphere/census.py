@@ -7,12 +7,21 @@ row and any unexpected error while computing skip the row with a
 reason, a per-diagram timeout marks the row timed out, and none of them
 produces fabricated numbers in the output.  Each computed row has one
 outcome, a record or a skip reason (neither: timed out), paired with its
-row in input order.  When a pool worker dies, the rows that finished
-keep their outcomes, and each row the pool never returned is skipped
-with the reason ``worker died: BrokenProcessPool``; it gets no record,
-so a resume computes it.  Tables and records are read as UTF-8, a
-leading BOM dropped, and ``psk census`` opens the records file for
-append before it computes any row, so an unwritable path costs no work.
+row in input order.  With ``jobs`` above 1, rows go to the pool in
+contiguous chunks, one task per chunk (``CHUNK_ROWS``).  When a pool
+worker dies, the chunks that finished keep their outcomes, and each row
+of a chunk the pool never returned is skipped with the reason
+``worker died: BrokenProcessPool``; it gets no record, so a resume
+computes it.  Tables and records are read as UTF-8, a leading BOM
+dropped, and ``psk census`` opens the records file for append before it
+computes any row, so an unwritable path costs no work.
+
+Records are written while the table runs: ``psk census`` appends each
+chunk's records as the chunk finishes (each row's, in a serial run), so
+the records file holds them in completion order, and closes the file
+after each chunk, which flushes it.  An interrupted sweep keeps every
+row it finished, and a resume computes only the rest.  The returned
+records and the summary keep input order.
 Records land in a CSV with the columns
 
     name,n,strands,omega,rho,beta_ref,strict_gap,bound_ok,millis,diagram_hash
@@ -33,7 +42,8 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .diagram import TUPLE_RE, parse_pd
 from .dual import build_dual
@@ -44,10 +54,12 @@ RECORD_COLUMNS = ("name", "n", "strands", "omega", "rho", "beta_ref",
                   "strict_gap", "bound_ok", "millis", "diagram_hash")
 ALREADY_RECORDED = "already in records"
 NAME_TAKEN = "name already in records for another diagram"
+# Rows per pool task.  One task per row cost the parent more CPU in
+# sending than a chunk does, and short chunks still balance a heavy row.
+CHUNK_ROWS = 4
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     name: str
     pd_text: str
     beta_ref: int | None
@@ -55,12 +67,11 @@ class TableRow:
     problem: str = ""  # why the row must be skipped, when it must
 
 
-@dataclass
-class CensusOptions:
+class CensusOptions(NamedTuple):
     max_crossings: int | None = None
     jobs: int = 1
     timeout_ms: int | None = None
-    resume: dict[str, str] = field(default_factory=dict)  # name -> hash
+    resume: Mapping[str, str] = MappingProxyType({})  # name -> hash
 
 
 def _read_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
@@ -140,12 +151,22 @@ def _process_row(task: tuple[str, str, int | None, int | None]
     }, None
 
 
-def run_census(rows: list[TableRow],
-               options: CensusOptions) -> tuple[list[dict], dict]:
+def _process_chunk(tasks: list[tuple[str, str, int | None, int | None]]
+                   ) -> list[tuple[dict | None, str | None]]:
+    """Worker: the outcomes of a chunk of rows.  `_process_row` is looked
+    up at each call, so a replacement of it is the function that runs."""
+    return [_process_row(task) for task in tasks]
+
+
+def run_census(rows: list[TableRow], options: CensusOptions,
+               emit: Callable[[list[dict]], None] | None = None
+               ) -> tuple[list[dict], dict]:
     """Process eligible rows, return (records, summary).
 
-    Outcomes pair with tasks in input order, so records keep it
-    regardless of worker scheduling.
+    `emit`, when given, receives the records of each chunk as it
+    finishes, or of each row in a serial run, possibly none, so a caller
+    can keep them before the table is done.  The returned records and
+    the summary keep input order regardless of worker scheduling.
     """
     skipped: list[dict] = []
     tasks: list[tuple[str, str, int | None, int | None]] = []
@@ -169,20 +190,38 @@ def run_census(rows: list[TableRow],
                             "reason": f"more than {options.max_crossings} crossings"})
             continue
         tasks.append((row.name, row.pd_text, row.beta_ref, options.timeout_ms))
+    outcomes: list[tuple[dict | None, str | None]] = [(None, None)] * len(tasks)
+
+    def finish(start: int, done: list[tuple[dict | None, str | None]]) -> None:
+        outcomes[start:start + len(done)] = done
+        if emit is not None:
+            emit([record for record, _ in done if record is not None])
+
     if options.jobs > 1 and len(tasks) > 1:
         # imported here: a serial run never pays for the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            outcomes = []
-            for future in [pool.submit(_process_row, t) for t in tasks]:
+        # never fewer chunks than workers, while there are rows for them
+        size = min(CHUNK_ROWS, -(-len(tasks) // options.jobs))
+        starts = range(0, len(tasks), size)
+        pool = ProcessPoolExecutor(max_workers=min(options.jobs, len(starts)))
+        try:
+            chunks = {pool.submit(_process_chunk, tasks[i:i + size]): i
+                      for i in starts}
+            for future in as_completed(chunks):
+                start = chunks[future]
                 try:
-                    outcomes.append(future.result())
+                    done = future.result()
                 except BrokenProcessPool as exc:  # a worker died first
-                    outcomes.append(
-                        (None, f"worker died: {type(exc).__name__}"))
+                    lost = min(size, len(tasks) - start)
+                    done = [(None, f"worker died: {type(exc).__name__}")] * lost
+                finish(start, done)
+        finally:
+            # an interrupt leaves the chunks no worker has taken uncomputed
+            pool.shutdown(cancel_futures=True)
     else:
-        outcomes = [_process_row(t) for t in tasks]
+        for i, task in enumerate(tasks):
+            finish(i, [_process_row(task)])
     records = []
     timed_out = []
     for (name, *_), (record, reason) in zip(tasks, outcomes):
@@ -223,6 +262,8 @@ def existing_records(path: str) -> dict[str, str]:
 
 
 def write_records(path: str, records: list[dict], append: bool) -> None:
+    """Append `records` to the CSV at `path`, or start it over with a
+    header; the file is closed, so flushed, on return."""
     mode = "a" if append else "w"
     with open(path, mode, newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_COLUMNS)

@@ -23,7 +23,7 @@ vouch for itself.  Rejections carry one of the fixed reason strings in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import Diagram
 from .dual import DualGraph, build_dual
@@ -36,8 +36,7 @@ PLAINSPHERE = "plainsphere"
 MODES = (WIRTINGER, PLAINSPHERE)
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One coloring step.
 
     Wirtinger moves carry the witnessing crossing.  Loop moves carry the
@@ -86,8 +85,7 @@ _W_RE = re.compile(rf"^W ({_NUM}) ({_NUM})$")
 _L_RE = re.compile(rf"^L ({_NUM}) ({_NUM}) ({_NUM}(?:,{_NUM})*)$")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     diagram_hash: str
     mode: str
     seeds: tuple[int, ...]
@@ -100,13 +98,12 @@ class Certificate:
                    if m.kind == "L")
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reason: str | None = None
     detail: str = ""
 
-    def __bool__(self) -> bool:  # pragma: no cover
+    def __bool__(self) -> bool:  # a nonempty tuple would always be true
         return self.ok
 
 

@@ -169,7 +169,16 @@ def cmd_census(args) -> int:
         timeout_ms=args.timeout_ms,
         resume=resume,
     )
-    records, summary = run_census(rows, options)
+    # A fresh sweep starts the file over at its first finished chunk, so
+    # a table with no eligible row leaves the file as it was.
+    append = bool(resume)
+
+    def emit(records: list[dict]) -> None:
+        nonlocal append
+        write_records(args.records, records, append=append)
+        append = True
+
+    _, summary = run_census(rows, options, emit)
     resumed = sum(1 for s in summary["skipped_rows"]
                   if s["reason"] in (ALREADY_RECORDED, NAME_TAKEN))
     if summary["totals"]["eligible"] == 0 and resumed == 0:
@@ -177,7 +186,6 @@ def cmd_census(args) -> int:
             os.remove(args.records)  # the probe's empty file, not a result
         print("error: census input has no processable rows", file=sys.stderr)
         return EXIT_EMPTY_CENSUS
-    write_records(args.records, records, append=bool(resume))
     if args.summary:
         write_summary(args.summary, summary)
     totals = summary["totals"]

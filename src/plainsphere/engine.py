@@ -594,7 +594,10 @@ def transposition_coloring(d: Diagram, seeds: Sequence[int],
                     return True
         return False
 
-    extend(0, 0, 0, ())
+    try:
+        extend(0, 0, 0, ())
+    finally:
+        del extend  # it calls itself through a cell: free it without a GC pass
     return best_rank, tuple(ends[t] for t in best_color)
 
 
@@ -742,15 +745,18 @@ def _search(d: Diagram, mode: str, state: GrowingClosure, lower: int,
             state.undo(mark)
         return False
 
-    for k in range(lower, upper):
-        if extend(0, k, k - rank):
-            colored_set, log = saturate(d, chosen, mode, state.dual)
-            assert len(colored_set) == d.n
-            return k, Certificate(
-                diagram_hash=d.content_hash, mode=mode,
-                seeds=tuple(sorted(chosen)), moves=log,
-            )
-    return None
+    try:
+        for k in range(lower, upper):
+            if extend(0, k, k - rank):
+                colored_set, log = saturate(d, chosen, mode, state.dual)
+                assert len(colored_set) == d.n
+                return k, Certificate(
+                    diagram_hash=d.content_hash, mode=mode,
+                    seeds=tuple(sorted(chosen)), moves=log,
+                )
+        return None
+    finally:
+        del extend  # it calls itself through a cell: free it without a GC pass
 
 
 def omega(d: Diagram, deadline: float | None = None):

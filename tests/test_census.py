@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import time
@@ -10,10 +11,11 @@ import time
 import pytest
 
 import plainsphere.census
-from plainsphere.census import (ALREADY_RECORDED, NAME_TAKEN, RECORD_COLUMNS,
-                                CensusOptions, TableRow, _process_row,
-                                existing_records, ingest, run_census,
-                                write_records, write_summary)
+from plainsphere import cli
+from plainsphere.census import (ALREADY_RECORDED, CHUNK_ROWS, NAME_TAKEN,
+                                RECORD_COLUMNS, CensusOptions, TableRow,
+                                _process_row, existing_records, ingest,
+                                run_census, write_records, write_summary)
 from plainsphere.diagram import parse_pd
 from plainsphere.errors import FileUnreadable, MissingColumns
 
@@ -192,6 +194,24 @@ class TestRunCensus:
         assert summary["timeout_count"] == 1
         assert summary["timed_out_names"] == ["k14n1527"]
 
+    def test_rows_leave_no_cyclic_garbage(self):
+        """A computed row frees all it built when it returns, with no GC
+        pass: the searches' recursive closures would otherwise keep their
+        closures, duals and memos alive in reference cycles.  slice14
+        reaches the seed-set search, fixtures_small only the bounds."""
+        rows = (ingest(table_path("fixtures_small.csv"))
+                + ingest(table_path("slice14.csv")))
+        gc.collect()
+        gc.disable()
+        try:
+            for row in rows:
+                record, _ = _process_row((row.name, row.pd_text,
+                                          row.beta_ref, None))
+                assert record is not None, row.name
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_empty_row_list(self):
         records, summary = run_census([], small_options())
         assert records == [] and summary["totals"]["rows"] == 0
@@ -249,6 +269,83 @@ class TestPersistence:
         again, _ = run_census(rows, small_options(jobs=1, resume=resume))
         assert computed == [r["name"] for r in again]
         assert sorted(computed) == sorted(died)
+
+    def test_dead_worker_through_the_records_file(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """Through ``psk census``: two rows give each of two workers a
+        chunk; the finished chunk is in the records file and the dead
+        chunk's row only in the summary."""
+        table, records = tmp_path / "t.csv", tmp_path / "records.csv"
+        summary = tmp_path / "summary.json"
+        table.write_text("name,pd_notation\n"
+                         f'trefoil,"{TREFOIL_PD}"\n'
+                         'hopf,"X(2,1,3,4) X(4,3,1,2)"\n')
+        monkeypatch.setattr(plainsphere.census, "_process_row",
+                            _worker_dies_on_trefoil)
+        assert cli.main(["census", "--input", str(table), "--records",
+                         str(records), "--summary", str(summary),
+                         "--jobs", "2"]) == 0
+        assert list(existing_records(str(records))) == ["hopf"]
+        doc = json.loads(summary.read_text())
+        assert doc["totals"]["completed"] == 1
+        assert doc["skipped_rows"] == [
+            {"name": "trefoil", "reason": "worker died: BrokenProcessPool"}]
+        assert "1 completed, 1 skipped" in capsys.readouterr().out
+
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """A serial sweep interrupted at row k has written its k finished
+        rows; the resume computes only the rest."""
+        rows = ingest(table_path("fixtures_small.csv"))
+        records = tmp_path / "records.csv"
+        argv = ["census", "--input", table_path("fixtures_small.csv"),
+                "--records", str(records), "--jobs", "1"]
+        k = 10
+        computed = []
+
+        def interrupted(task):
+            if len(computed) == k:
+                raise KeyboardInterrupt
+            computed.append(task[0])
+            return _process_row(task)
+
+        monkeypatch.setattr(plainsphere.census, "_process_row", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv + ["--fresh"])
+        done = existing_records(str(records))
+        assert list(done) == [r.name for r in rows[:k]]
+
+        computed.clear()
+        monkeypatch.setattr(plainsphere.census, "_process_row",
+                            lambda task: computed.append(task[0])
+                            or _process_row(task))
+        assert cli.main(argv) == 0
+        assert computed == [r.name for r in rows[k:]]
+        with open(records, newline="", encoding="utf-8") as fh:
+            names = [r["name"] for r in csv.DictReader(fh)]
+        assert names == [r.name for r in rows]
+        out = capsys.readouterr().out
+        assert f"{len(rows) - k} completed, {k} skipped" in out
+
+    def test_interrupted_pool_computes_no_more_chunks(self, tmp_path,
+                                                      monkeypatch):
+        """An interrupt in a pooled sweep cancels the chunks no worker has
+        taken, instead of waiting for the rest of the table."""
+        rows = ingest(table_path("fixtures_small.csv"))
+
+        def interrupted(task):  # runs in a forked worker
+            if task[0] == rows[0].name:
+                raise KeyboardInterrupt
+            (tmp_path / task[0]).touch()
+            time.sleep(0.05)
+            return _process_row(task)
+
+        monkeypatch.setattr(plainsphere.census, "_process_row", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_census(rows, small_options(jobs=2))
+        # only the chunks the workers had taken or had queued ran, not
+        # every chunk but the interrupted one
+        assert len(list(tmp_path.iterdir())) < len(rows) - CHUNK_ROWS
 
     def test_resume_needs_the_same_diagram(self, tmp_path):
         rows = ingest(table_path("slice14.csv"))

@@ -205,7 +205,8 @@ class TestVerifyAccepts:
 
     def test_verify_without_precomputed_dual(self, trefoil):
         cert = deserialize_certificate(TREFOIL_LOOP_CERT)
-        assert verify(trefoil, cert).ok
+        result = verify(trefoil, cert)
+        assert result.ok and result
 
 
 class TestVerifyRejects:
@@ -213,6 +214,7 @@ class TestVerifyRejects:
         cert = deserialize_certificate(TREFOIL_OMEGA_CERT)
         res = verify(all_diagrams["hopf"], cert)
         assert res.reason == HASH_MISMATCH
+        assert not res  # a rejection is falsy, though a nonempty tuple
 
     def test_hash_checked_before_moves(self, all_diagrams):
         # even a structurally absurd move list reports the hash first

@@ -451,11 +451,13 @@ def test_every_error_has_its_exit_code(capsys, monkeypatch):
 
 def test_import_loads_no_process_pool():
     """The pool modules load only when ``--jobs`` asks for workers, so a
-    serial run never pays their import time or memory."""
+    serial run never pays their import time or memory; and the record
+    types are named tuples, so no run pays for ``dataclasses`` and the
+    ``inspect`` it imports."""
     src = Path(plainsphere.__file__).resolve().parents[1]
     probe = ("import sys, plainsphere.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('concurrent', 'multiprocessing', 'dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
