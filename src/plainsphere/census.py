@@ -20,8 +20,10 @@ Records are written while the table runs: ``psk census`` appends each
 chunk's records as the chunk finishes (each row's, in a serial run), so
 the records file holds them in completion order, and closes the file
 after each chunk, which flushes it.  An interrupted sweep keeps every
-row it finished, and a resume computes only the rest.  The returned
-records and the summary keep input order.
+row it finished, and a resume computes only the rest; in a pooled sweep
+the interrupt also cancels the chunks no worker has taken.  The
+returned records and the summary keep input order.
+
 Records land in a CSV with the columns
 
     name,n,strands,omega,rho,beta_ref,strict_gap,bound_ok,millis,diagram_hash
