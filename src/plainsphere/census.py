@@ -5,11 +5,11 @@ Input tables carry columns ``name`` and ``pd_notation``, optionally
 failures, non-integer bridge numbers, a name already used by an earlier
 row and any unexpected error while computing skip the row with a
 reason, a per-diagram timeout marks the row timed out, and none of them
-produces fabricated numbers in the output.  Each computed row has one
-outcome, a record or a skip reason (neither: timed out), paired with its
-row in input order.  With ``jobs`` above 1, rows go to the pool in
-contiguous chunks, one task per chunk (``CHUNK_ROWS``).  When a pool
-worker dies, the chunks that finished keep their outcomes, and each row
+produces fabricated numbers in the output.  Each row has one outcome,
+a record or a skip reason (neither: timed out), kept in input order
+whether the row was skipped before computing or while.  With ``jobs``
+above 1, rows go to the pool in contiguous chunks, one task per chunk
+(``CHUNK_ROWS``).  When a pool worker dies, the chunks that finished keep their outcomes, and each row
 of a chunk the pool never returned is skipped with the reason
 ``worker died: BrokenProcessPool``; it gets no record, so a resume
 computes it.  Tables and records are read as UTF-8, a leading BOM
@@ -116,6 +116,24 @@ def ingest(path: str) -> list[TableRow]:
     return rows
 
 
+def _skip_reason(row: TableRow, options: CensusOptions) -> str | None:
+    """Why `row` is skipped before it is computed, or None: its ingest
+    problem, its name already in the records, or too many crossings."""
+    if row.problem:
+        return row.problem
+    if row.name in options.resume:
+        try:
+            same = (options.resume[row.name]
+                    == parse_pd(row.pd_text).content_hash)
+        except PlainSphereError as exc:  # as _process_row reports it
+            return f"{type(exc).__name__}: {exc}"
+        return ALREADY_RECORDED if same else NAME_TAKEN
+    if (options.max_crossings is not None
+            and len(TUPLE_RE.findall(row.pd_text)) > options.max_crossings):
+        return f"more than {options.max_crossings} crossings"
+    return None
+
+
 def _process_row(task: tuple[str, str, int | None, int | None]
                  ) -> tuple[dict | None, str | None]:
     """Worker: compute one row, as (record, None), (None, skip reason), or
@@ -170,32 +188,15 @@ def run_census(rows: list[TableRow], options: CensusOptions,
     can keep them before the table is done.  The returned records and
     the summary keep input order regardless of worker scheduling.
     """
-    skipped: list[dict] = []
-    tasks: list[tuple[str, str, int | None, int | None]] = []
-    for row in rows:
-        if row.problem:
-            skipped.append({"name": row.name or f"line {row.line}",
-                            "reason": row.problem})
-            continue
-        if row.name in options.resume:
-            recorded = options.resume[row.name]
-            try:
-                same = recorded == parse_pd(row.pd_text).content_hash
-                reason = ALREADY_RECORDED if same else NAME_TAKEN
-            except PlainSphereError as exc:  # as _process_row reports it
-                reason = f"{type(exc).__name__}: {exc}"
-            skipped.append({"name": row.name, "reason": reason})
-            continue
-        if (options.max_crossings is not None
-                and len(TUPLE_RE.findall(row.pd_text)) > options.max_crossings):
-            skipped.append({"name": row.name,
-                            "reason": f"more than {options.max_crossings} crossings"})
-            continue
-        tasks.append((row.name, row.pd_text, row.beta_ref, options.timeout_ms))
-    outcomes: list[tuple[dict | None, str | None]] = [(None, None)] * len(tasks)
+    outcomes: list[tuple[dict | None, str | None]] = [
+        (None, _skip_reason(row, options)) for row in rows]
+    todo = [i for i, (_, reason) in enumerate(outcomes) if reason is None]
+    tasks = [(rows[i].name, rows[i].pd_text, rows[i].beta_ref,
+              options.timeout_ms) for i in todo]
 
     def finish(start: int, done: list[tuple[dict | None, str | None]]) -> None:
-        outcomes[start:start + len(done)] = done
+        for i, outcome in zip(todo[start:], done):
+            outcomes[i] = outcome
         if emit is not None:
             emit([record for record, _ in done if record is not None])
 
@@ -224,15 +225,11 @@ def run_census(rows: list[TableRow], options: CensusOptions,
     else:
         for i, task in enumerate(tasks):
             finish(i, [_process_row(task)])
-    records = []
-    timed_out = []
-    for (name, *_), (record, reason) in zip(tasks, outcomes):
-        if record is not None:
-            records.append(record)
-        elif reason is None:
-            timed_out.append(name)
-        else:
-            skipped.append({"name": name, "reason": reason})
+    records = [record for record, _ in outcomes if record is not None]
+    skipped = [{"name": row.name or f"line {row.line}", "reason": reason}
+               for row, (_, reason) in zip(rows, outcomes) if reason]
+    timed_out = [row.name for row, outcome in zip(rows, outcomes)
+                 if outcome == (None, None)]
     summary = {
         "totals": {
             "rows": len(rows),

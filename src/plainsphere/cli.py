@@ -120,7 +120,7 @@ def cmd_compute(args) -> int:
         r, rcert = rho(d, dual=dual, deadline=deadline, omega_result=pair)
         result["rho"], result["rho_seeds"] = r, list(rcert.seeds)
         cert = rcert
-    result["millis"] = round((time.monotonic() - started) * 1000.0, 1)
+    result["millis"] = round((time.monotonic() - started) * 1000.0, 3)
     result["certificate"] = None
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as fh:

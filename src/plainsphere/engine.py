@@ -53,13 +53,13 @@ greedy saturating set (strands in search order, skipping colored ones),
 rho's the omega certificate.  Seed sets are tried by size, from the
 diagram's lower bound (below) up to one less than the witness's size,
 then in strand search order (the order of ``itertools.combinations``
-over it), depth first on one ``GrowingClosure`` that extends each
-prefix's closure by the next seed and undoes it on backtrack: for omega
-the closure the greedy set was grown on.  When none saturates, the
-search reissues its witness in its own mode; for omega that is the set
-a search of the greedy set's size would find first, its first leaf.
-When the bound reaches the witness's size nothing is searched, and rho
-builds no ``GrowingClosure`` or dual.
+over it), depth first on one ``GrowingClosure`` of the search's own that
+extends each prefix's closure by the next seed and undoes it on
+backtrack.  When none saturates, the search reissues its witness in its
+own mode; for omega that is the set a search of the greedy set's size
+would find first, its first leaf.  When the bound reaches the witness's
+size nothing is searched, and the search builds no ``GrowingClosure``,
+nor rho a dual.
 
 The search relies on one invariant: every smaller size failed or is
 excluded by the bound.  A candidate the prefix already colors is
@@ -159,23 +159,24 @@ saturate, so the failure memo stays sound and the first saturating set
 is unchanged.
 
 Both bounds hold for omega and rho alike and depend on the diagram, not
-on the saturating set they are read off, so each diagram's are worked
-out once (``_lower_bounds``) and kept while the diagram lives.  omega
-works them out, on the ``GrowingClosure`` it then searches on, and rho
-reads them; rho works them out the same way only when omega has not run
-on that diagram.  The Fox bound is read off the greedy set's log.  The
-coloring search grows with the count of seeds it colors, and the greedy
-set has more than omega, so when the Fox bound is below its size the
-greedy seeds are walked back from the last one grown, each whose
-removal leaves a saturating set is dropped, and what is left is
-colored: an irredundant saturating set, often of omega seeds, whose
-move log ``saturate`` writes when a seed was dropped.  The coloring uses
-at most one point more than that set has seeds, and the prune's
-union-find has that many points.  The witnesses stay the answers when
-no smaller set saturates, so certificates do not depend on the
-coloring.  When the Fox bound already equals the colored set's size it
-is omega itself, and so rho too, as rho lies between it and omega; no
-bound can exceed it, and no coloring is searched.
+on the saturating set they are read off, so ``_bounds`` keeps each
+diagram's while the diagram lives.  omega works them out on each call
+and rho reads them; rho works them out the same way only when omega has
+not run on that diagram.  They are grown on a Wirtinger
+``GrowingClosure`` of their own, dropped once they are read.  The Fox
+bound is read off the greedy set's log.  The coloring search grows with
+the count of seeds it colors, and the greedy set has more than omega,
+so when the Fox bound is below its size the greedy seeds are walked
+back from the last one grown, each whose removal leaves a saturating
+set is dropped, and what is left is colored: an irredundant saturating
+set, often of omega seeds, whose move log ``saturate`` writes when a
+seed was dropped.  The coloring uses at most one point more than that
+set has seeds, and the prune's union-find has a point for each one up
+to the highest the coloring uses.  The witnesses stay the answers when
+no smaller set saturates, so certificates do not depend on the coloring.
+When the Fox bound already equals the colored set's size it is omega
+itself, and so rho too, as rho lies between it and omega; no bound can
+exceed it, and no coloring is searched.
 """
 
 from __future__ import annotations
@@ -627,10 +628,10 @@ def _grow(state: GrowingClosure, seeds: Iterable[int]) -> list[int]:
 
 
 def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
-    """`seeds`, which saturate on the empty closure `state`, less each
-    seed, walked in reverse, whose removal still leaves a saturating set.
-    No seed of the result can be dropped: closures are monotone, and each
-    was kept by a superset.  `state` is left empty."""
+    """`seeds`, which saturate in `state`'s mode, less each seed, walked
+    in reverse, whose removal still leaves a saturating set; each try
+    grows from the empty closure.  No seed of the result can be dropped:
+    closures are monotone, and each was kept by a superset."""
     full = (1 << len(state.bit)) - 1
     kept = list(seeds)
     for s in reversed(seeds):
@@ -638,7 +639,6 @@ def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
         _grow(state, [t for t in kept if t != s])
         if state.mask == full:
             kept.remove(s)
-    state.undo(state.EMPTY)
     return kept
 
 
@@ -648,7 +648,6 @@ class _Bounds(NamedTuple):
     lower: int  # the larger of the Fox and transposition bounds
     rank: int  # the transposition coloring's m - orbits, or 0
     ends: tuple[tuple[int, int], ...]  # that coloring, or ()
-    points: int  # the points it uses: its colored seeds + 1
 
 
 # diagram -> its _Bounds, dropped with the diagram; immutable values only,
@@ -656,21 +655,21 @@ class _Bounds(NamedTuple):
 _shared: WeakKeyDictionary[Diagram, _Bounds] = WeakKeyDictionary()
 
 
-def _lower_bounds(d: Diagram, state: GrowingClosure,
-                  deadline: float | None) -> _Bounds:
-    """The greedy saturating set, grown on the empty Wirtinger closure
-    `state`, and the diagram's lower bound, stored in ``_shared``.
+def _bounds(d: Diagram, deadline: float | None) -> _Bounds:
+    """The greedy saturating set, grown on a Wirtinger closure of its
+    own, and the diagram's lower bound, stored in ``_shared``.
 
     The Fox bound is read off the greedy set's log; below the set's
-    size, ``_irredundant`` shrinks the set on `state`, and below the
+    size, ``_irredundant`` shrinks the set on that closure, and below the
     shrunk set's size its transposition coloring is searched, which
-    raises ComputeTimeout past `deadline`.  `state` is left empty."""
+    raises ComputeTimeout past `deadline`."""
+    state = GrowingClosure(d, WIRTINGER)
     greedy = _grow(state, d.search_order)
     _, log = saturate(d, greedy, WIRTINGER)
     witness = Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
                           seeds=tuple(sorted(greedy)), moves=log)
     lower = coloring_bound(d, witness.seeds, log)
-    rank, ends, points = 0, (), 0
+    rank, ends = 0, ()
     if lower < len(greedy):
         seeds = _irredundant(state, greedy)  # in the order they were grown
         if lower < len(seeds):  # else lower is omega, and no bound exceeds it
@@ -678,36 +677,38 @@ def _lower_bounds(d: Diagram, state: GrowingClosure,
                 d, seeds, WIRTINGER)[1]
             rank, ends = transposition_coloring(d, seeds, moves, deadline,
                                                 lower)
-            lower, points = max(lower, rank), len(seeds) + 1
-    state.undo(state.EMPTY)
-    _shared[d] = bounds = _Bounds(witness, lower, rank, ends, points)
+            lower = max(lower, rank)
+    _shared[d] = bounds = _Bounds(witness, lower, rank, ends)
     return bounds
 
 
-def _search(d: Diagram, mode: str, state: GrowingClosure | None,
+def _search(d: Diagram, mode: str, dual: DualGraph | None,
             bounds: _Bounds, witness: Certificate,
             deadline: float | None) -> tuple[int, Certificate]:
     """(k, certificate) for the first seed set, by size from the bound up
     to one less than `witness`'s size and then in search order, whose
     closure in `mode` colors every strand; when there is none, `witness`,
-    whose seeds saturate in either mode, reissued in `mode`.  The search
-    runs on `state`, an empty closure in `mode`, or None when the bound
-    reaches the witness's size and nothing is searched.  The bounds'
+    whose seeds saturate in either mode, reissued in `mode`.  Only when
+    the bound is below the witness's size does it build its closure, in
+    plain-sphere mode on `dual`, built when None.  The bounds'
     transposition coloring prunes prefixes.  Sizes below the bound fail
     and the witness's size saturates, so on timeout the message names
     that interval."""
+    upper, ends = len(witness.seeds), bounds.ends
+    if bounds.lower >= upper:
+        return upper, witness._replace(mode=mode)
     name = "omega" if mode == WIRTINGER else "rho"
     order = d.search_order
     over, under = d.crossing_masks
     n, full = d.n, (1 << d.n) - 1
-    upper, ends = len(witness.seeds), bounds.ends
+    state = GrowingClosure(d, mode, dual)
     chosen: list[int] = []
     # closed set's mask -> most further seeds known not to saturate it;
     # valid for this mode and diagram only: see the module docstring
     failed: dict[int, int] = {}
     # a union-find over the coloring's points, undone on backtrack: the
     # orbits of the prefix's seeds
-    parent = list(range(bounds.points))
+    parent = list(range(max((b for _, b in ends), default=0) + 1))
 
     def extend(start: int, left: int, slack: int) -> bool:
         # slack: how many of the `left` seeds may join no two orbits; when
@@ -777,13 +778,12 @@ def omega(d: Diagram, deadline: float | None = None):
     """Smallest k whose some k-seed set Wirtinger-saturates the diagram.
 
     Returns (k, certificate).  The search is bounded by a greedy
-    saturating set: strands in search order, skipping colored ones.  It
-    runs on the closure the greedy set was grown on, and works out the
-    diagram's lower bound, which rho reads.
+    saturating set: strands in search order, skipping colored ones.
+    omega works out that set and the diagram's lower bound, which rho
+    reads, on every call.
     """
-    state = GrowingClosure(d, WIRTINGER)
-    bounds = _lower_bounds(d, state, deadline)
-    return _search(d, WIRTINGER, state, bounds, bounds.witness, deadline)
+    bounds = _bounds(d, deadline)
+    return _search(d, WIRTINGER, None, bounds, bounds.witness, deadline)
 
 
 def rho(d: Diagram, dual: DualGraph | None = None,
@@ -802,9 +802,5 @@ def rho(d: Diagram, dual: DualGraph | None = None,
     if wcert.diagram_hash != d.content_hash:
         raise ValueError(f"omega_result certifies diagram {wcert.diagram_hash}"
                          f", not this one, {d.content_hash}")
-    bounds = _shared.get(d) or _lower_bounds(
-        d, GrowingClosure(d, WIRTINGER), deadline)
-    state = None  # no closure, and no dual, when nothing is searched
-    if bounds.lower < len(wcert.seeds):
-        state = GrowingClosure(d, PLAINSPHERE, dual)
-    return _search(d, PLAINSPHERE, state, bounds, wcert, deadline)
+    bounds = _shared.get(d) or _bounds(d, deadline)
+    return _search(d, PLAINSPHERE, dual, bounds, wcert, deadline)

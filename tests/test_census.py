@@ -196,6 +196,28 @@ class TestRunCensus:
         assert "DisconnectedProjection" in skipped["splitter"]
         assert skipped["blank"] == "missing name or pd_notation"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_skipped_rows_in_input_order(self, tmp_path, jobs):
+        """Rows skipped before computing (no name, a bad bridge number)
+        and while computing (a parse error) are listed together in input
+        order."""
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "name,pd_notation,bridge_number\n"
+            "garbage,garbage,\n"
+            f'trefoil,"{TREFOIL_PD}",2\n'
+            f',"{TREFOIL_PD}",\n'
+            f'bad,"{TREFOIL_PD}",two\n'
+        )
+        records, summary = run_census(ingest(str(path)),
+                                      small_options(jobs=jobs))
+        assert [r["name"] for r in records] == ["trefoil"]
+        assert [(s["name"], s["reason"].split(":")[0])
+                for s in summary["skipped_rows"]] == [
+            ("garbage", "MalformedPD"),
+            ("line 4", "missing name or pd_notation"),
+            ("bad", "bad bridge_number 'two'")]
+
     def test_timeout_rows_never_fabricate(self):
         rows = [r for r in ingest(table_path("slice14.csv"))
                 if r.name == "k14n1527"]

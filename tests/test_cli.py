@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,16 @@ class TestCompute:
         assert doc["omega"] == 2 and doc["rho"] == 2
         assert doc["omega_seeds"] == [0, 1]
         assert "millis" in doc
+
+    def test_millis_at_microsecond_resolution(self, capsys, monkeypatch):
+        """compute's millis, the time of its searches, keeps the
+        microseconds, as a census record's does."""
+        clock = iter([7.0, 7.00123])
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            monotonic=lambda: next(clock)))
+        code, out, _ = run(capsys, "compute", "--pd", TREFOIL_PD,
+                           "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["millis"] == 1.23
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "compute", "--pd", TREFOIL_PD,

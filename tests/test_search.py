@@ -377,6 +377,33 @@ def test_witness_bound_reached_searches_nothing(monkeypatch):
         assert not adds, k
 
 
+def test_each_search_builds_its_own_closure(monkeypatch, all_diagrams):
+    """The bounds grow the greedy set on a Wirtinger closure of their
+    own, and each search builds one closure in its mode only when the
+    bound is below its witness's size: on trefoil sum #k neither search
+    builds one, on sum5_9 (bounds 2, omega = rho = 3) both do, and rho
+    on a fresh diagram works the bounds out on a closure of their own."""
+    built = []
+    init = GrowingClosure.__init__
+    monkeypatch.setattr(GrowingClosure, "__init__",
+                        lambda state, d, mode, *rest: built.append(mode)
+                        or init(state, d, mode, *rest))
+
+    def closures(d, omega_result=None):
+        built.clear()
+        rho(d, omega_result=omega_result or omega(d))
+        return built
+
+    for k in range(1, 4):
+        d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(k)))
+        assert closures(d) == [WIRTINGER], k
+    d = all_diagrams["sum5_9"]
+    assert closures(d) == [WIRTINGER, WIRTINGER, PLAINSPHERE]
+    result = omega(d)
+    assert closures(parse_pd(d.serialize()), result) == [WIRTINGER,
+                                                          PLAINSPHERE]
+
+
 @pytest.mark.parametrize("name", ["hopf", "borromean", "chain3"])
 def test_omega_starts_at_component_count(all_diagrams, name):
     """omega starts at the coloring bound, never below the component
