@@ -8,20 +8,24 @@ reason, a per-diagram timeout marks the row timed out, and none of them
 produces fabricated numbers in the output.  Each row has one outcome,
 a record or a skip reason (neither: timed out), kept in input order
 whether the row was skipped before computing or while.  With ``jobs``
-above 1, rows go to the pool in contiguous chunks, one task per chunk
-(``CHUNK_ROWS``).  When a pool worker dies, the chunks that finished keep their outcomes, and each row
-of a chunk the pool never returned is skipped with the reason
-``worker died: BrokenProcessPool``; it gets no record, so a resume
-computes it.  Tables and records are read as UTF-8, a leading BOM
-dropped, and ``psk census`` opens the records file for append before it
-computes any row, so an unwritable path costs no work.
+above 1, where ``os.fork`` exists, the rows go to up to ``jobs`` forked
+workers in contiguous chunks of ``CHUNK_ROWS``, one chunk in flight per
+worker: a worker reads the start of its next chunk from one pipe and
+writes the chunk's outcomes to another as a line of JSON.  A worker
+that dies costs only the chunk it was computing: each of its rows is
+skipped with the reason ``worker died: exit N`` (``signal N`` when a
+signal ended it) and gets no record, so a resume computes it, and a new
+worker takes the chunks left.  Tables and records are read as UTF-8, a
+leading BOM dropped, and ``psk census`` opens the records file for
+append before it computes any row, so an unwritable path costs no work.
 
 Records are written while the table runs: ``psk census`` appends each
 chunk's records as the chunk finishes (each row's, in a serial run), so
 the records file holds them in completion order, and closes the file
 after each chunk, which flushes it.  An interrupted sweep keeps every
 row it finished, and a resume computes only the rest; in a pooled sweep
-the interrupt also cancels the chunks no worker has taken.  The
+the interrupt also kills the workers, so no chunk is computed after it,
+and every worker is reaped before ``run_census`` returns or raises.  The
 returned records and the summary keep input order.
 
 Records land in a CSV with the columns
@@ -56,9 +60,15 @@ RECORD_COLUMNS = ("name", "n", "strands", "omega", "rho", "beta_ref",
                   "strict_gap", "bound_ok", "millis", "diagram_hash")
 ALREADY_RECORDED = "already in records"
 NAME_TAKEN = "name already in records for another diagram"
-# Rows per pool task.  One task per row cost the parent more CPU in
-# sending than a chunk does, and short chunks still balance a heavy row.
-CHUNK_ROWS = 4
+# Rows per chunk a worker computes between two messages to the parent.
+# braid_census (150 rows, 2 workers, 2-core host), medians of 15 s runs
+# for 1, 2, 4 and 8 rows: wall_s 0.157, 0.154, 0.152, 0.151 s (seed 1)
+# and -, 0.154, 0.156, 0.152 s (seed 3); item_ms_p98 5.1-5.6 ms for
+# each, within the runs' spread.  Longer chunks cost a dead worker more.
+CHUNK_ROWS = 8
+# A worker's exit status after KeyboardInterrupt, as a shell reports a
+# command that Ctrl-C ended; the parent raises KeyboardInterrupt on it.
+INTERRUPTED = 130
 
 
 class TableRow(NamedTuple):
@@ -136,8 +146,8 @@ def _skip_reason(row: TableRow, options: CensusOptions) -> str | None:
 
 def _process_row(task: tuple[str, str, int | None, int | None]
                  ) -> tuple[dict | None, str | None]:
-    """Worker: compute one row, as (record, None), (None, skip reason), or
-    (None, None) when it timed out.  Must stay picklable for process pools."""
+    """Compute one row, as (record, None), (None, skip reason), or
+    (None, None) when it timed out; a record's fields survive JSON."""
     name, pd_text, beta_ref, timeout_ms = task
     started = time.monotonic()
     deadline = started + timeout_ms / 1000.0 if timeout_ms else None
@@ -171,11 +181,125 @@ def _process_row(task: tuple[str, str, int | None, int | None]
     }, None
 
 
-def _process_chunk(tasks: list[tuple[str, str, int | None, int | None]]
-                   ) -> list[tuple[dict | None, str | None]]:
-    """Worker: the outcomes of a chunk of rows.  `_process_row` is looked
-    up at each call, so a replacement of it is the function that runs."""
-    return [_process_row(task) for task in tasks]
+class _Worker:
+    """A forked worker as the parent sees it: its pid, the write end of
+    its task pipe, the read end of its result pipe, and the start of the
+    chunk it is computing (None: idle)."""
+
+    __slots__ = ("pid", "tasks", "results", "start")
+
+    def __init__(self, pid: int, tasks: int, results) -> None:
+        self.pid, self.tasks, self.results = pid, tasks, results
+        self.start: int | None = None
+
+
+def _serve(tasks: list, size: int, inbox: int, outbox: int) -> None:
+    """Worker: for each chunk start read from `inbox`, write the chunk's
+    outcomes to `outbox` as one line of JSON; return at EOF, when the
+    parent has no chunk left or is gone.  `_process_row` is looked up at
+    each row, so a replacement of it is the function that runs."""
+    with open(inbox, "rb") as starts, \
+            open(outbox, "w", encoding="utf-8") as out:
+        for line in starts:
+            start = int(line)
+            print(json.dumps([_process_row(task)
+                              for task in tasks[start:start + size]]),
+                  file=out, flush=True)
+
+
+def _fork_worker(tasks: list, size: int, workers: list[_Worker]) -> _Worker:
+    """Fork a worker that serves chunks of `tasks` over two new pipes."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            # Only its own two ends stay open, so the worker reads EOF
+            # when the parent is gone, and the parent when it is.
+            os.close(task_w)
+            os.close(result_r)
+            for other in workers:
+                os.close(other.tasks)
+                other.results.close()
+            _serve(tasks, size, task_r, result_w)
+            status = 0
+        except KeyboardInterrupt:
+            status = INTERRUPTED
+        finally:
+            os._exit(status)
+    os.close(task_r)
+    os.close(result_w)
+    return _Worker(pid, task_w, open(result_r, "rb"))
+
+
+def _pooled(tasks: list, size: int, jobs: int,
+            finish: Callable[[int, list], None]) -> None:
+    """Compute `tasks` in chunks of `size` on at most `jobs` forked
+    workers, one chunk in flight per worker, and call `finish(start,
+    outcomes)` for each chunk as it finishes.  A worker that dies costs
+    the chunk it was computing, whose rows get the reason ``worker died:
+    exit N`` (or ``signal N``), and a new worker takes the chunks left.
+    A worker interrupted by KeyboardInterrupt raises it here.  Every
+    worker is reaped before this returns or raises; on an exception, the
+    workers still computing are killed first.  The caller must have no
+    other thread, as ``psk census`` has none: a thread holding a lock at
+    the fork would leave the lock held in the worker."""
+    import select  # here: a serial run never pays for it
+    starts = range(0, len(tasks), size)
+    given = 0  # chunks handed out
+    workers: dict[int, _Worker] = {}  # by the fd of its result pipe
+
+    def give(worker: _Worker) -> None:
+        nonlocal given
+        worker.start = None
+        if given < len(starts):
+            try:
+                os.write(worker.tasks, b"%d\n" % starts[given])
+            except BrokenPipeError:  # it died idle; its EOF comes next
+                return
+            worker.start = starts[given]
+            given += 1
+
+    try:
+        while given < len(starts) or any(
+                w.start is not None for w in workers.values()):
+            while given < len(starts) and len(workers) < jobs:
+                worker = _fork_worker(tasks, size, list(workers.values()))
+                workers[worker.results.fileno()] = worker
+                give(worker)
+            for fd in select.select(list(workers), [], [])[0]:
+                worker = workers[fd]
+                line = worker.results.readline()
+                if line.endswith(b"\n"):
+                    start = worker.start
+                    give(worker)  # it computes while `finish` emits
+                    finish(start, [tuple(outcome)
+                                   for outcome in json.loads(line)])
+                    continue
+                del workers[fd]  # EOF: the worker has ended
+                os.close(worker.tasks)
+                worker.results.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+                if code == INTERRUPTED:
+                    raise KeyboardInterrupt
+                if worker.start is not None:
+                    how = f"exit {code}" if code >= 0 else f"signal {-code}"
+                    lost = min(size, len(tasks) - worker.start)
+                    finish(worker.start,
+                           [(None, f"worker died: {how}")] * lost)
+    except BaseException:
+        # the chunks in flight are abandoned with the sweep
+        from signal import SIGKILL
+        for worker in workers.values():
+            os.kill(worker.pid, SIGKILL)
+        raise
+    finally:
+        for worker in workers.values():  # EOF on its task pipe ends it
+            os.close(worker.tasks)
+            worker.results.close()
+        for worker in workers.values():
+            os.waitpid(worker.pid, 0)
 
 
 def run_census(rows: list[TableRow], options: CensusOptions,
@@ -200,28 +324,10 @@ def run_census(rows: list[TableRow], options: CensusOptions,
         if emit is not None:
             emit([record for record, _ in done if record is not None])
 
-    if options.jobs > 1 and len(tasks) > 1:
-        # imported here: a serial run never pays for the pool machinery
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
+    if options.jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
         # never fewer chunks than workers, while there are rows for them
         size = min(CHUNK_ROWS, -(-len(tasks) // options.jobs))
-        starts = range(0, len(tasks), size)
-        pool = ProcessPoolExecutor(max_workers=min(options.jobs, len(starts)))
-        try:
-            chunks = {pool.submit(_process_chunk, tasks[i:i + size]): i
-                      for i in starts}
-            for future in as_completed(chunks):
-                start = chunks[future]
-                try:
-                    done = future.result()
-                except BrokenProcessPool as exc:  # a worker died first
-                    lost = min(size, len(tasks) - start)
-                    done = [(None, f"worker died: {type(exc).__name__}")] * lost
-                finish(start, done)
-        finally:
-            # an interrupt leaves the chunks no worker has taken uncomputed
-            pool.shutdown(cancel_futures=True)
+        _pooled(tasks, size, options.jobs, finish)
     else:
         for i, task in enumerate(tasks):
             finish(i, [_process_row(task)])

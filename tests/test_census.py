@@ -29,10 +29,8 @@ def small_options(**kw) -> CensusOptions:
 
 def _worker_dies_on_trefoil(task):
     """The census row function, except that the worker computing the
-    trefoil row dies, after a pause that lets the other worker finish
-    the rows it can.  Module level, so a pool worker can look it up."""
+    trefoil row dies."""
     if task[0] == "trefoil":
-        time.sleep(0.5)
         os._exit(1)
     return _process_row(task)
 
@@ -275,9 +273,9 @@ class TestPersistence:
                    for s in summary2["skipped_rows"])
 
     def test_dead_worker_keeps_finished_rows(self, monkeypatch):
-        """A worker that dies costs only the rows the pool never
-        returned: they are skipped with no record, the finished rows keep
-        theirs, and a resume computes only the skipped ones."""
+        """A worker that dies costs only the rows it never returned: they
+        are skipped with no record, the finished rows keep theirs, and a
+        resume computes only the skipped ones."""
         rows = ingest(table_path("fixtures_small.csv"))
         serial, _ = run_census(rows, small_options(jobs=1))
         by_name = {r["name"]: r for r in serial}
@@ -288,7 +286,7 @@ class TestPersistence:
             records, summary = run_census(rows, small_options(jobs=2))
         died = [s["name"] for s in summary["skipped_rows"]]
         assert "trefoil" in died and records
-        assert all(s["reason"] == "worker died: BrokenProcessPool"
+        assert all(s["reason"] == "worker died: exit 1"
                    for s in summary["skipped_rows"])
         assert sorted(died + [r["name"] for r in records]) == sorted(by_name)
         assert [strip(r) for r in records] == [
@@ -302,6 +300,81 @@ class TestPersistence:
         again, _ = run_census(rows, small_options(jobs=1, resume=resume))
         assert computed == [r["name"] for r in again]
         assert sorted(computed) == sorted(died)
+
+    def test_dead_worker_costs_only_its_chunk(self, monkeypatch):
+        """Only the rows of the dead worker's chunk are skipped, with the
+        reason its exit status gives; a new worker computes every other
+        row, and each of those has its serial record."""
+        rows = ingest(table_path("fixtures_small.csv"))
+        serial, _ = run_census(rows, small_options(jobs=1))
+        names = [r["name"] for r in serial]
+        assert names == [row.name for row in rows]  # every row eligible
+        first = names.index("trefoil") // CHUNK_ROWS * CHUNK_ROWS
+        chunk = names[first:first + CHUNK_ROWS]
+        monkeypatch.setattr(plainsphere.census, "_process_row",
+                            _worker_dies_on_trefoil)
+        records, summary = run_census(rows, small_options(jobs=2))
+        assert summary["skipped_rows"] == [
+            {"name": name, "reason": "worker died: exit 1"} for name in chunk]
+        strip = lambda r: {k: v for k, v in r.items() if k != "millis"}
+        assert [strip(r) for r in records] == [
+            strip(r) for r in serial if r["name"] not in chunk]
+
+    @pytest.mark.parametrize("ending", ["finish", "dead worker",
+                                        "interrupt", "emit fails"])
+    def test_no_worker_outlives_the_sweep(self, monkeypatch, ending):
+        """Each way out of a pooled sweep reaps every worker it forked;
+        one that raises kills the workers still computing instead of
+        waiting for them."""
+        rows = ingest(table_path("fixtures_small.csv"))
+        raised = {"interrupt": KeyboardInterrupt, "emit fails": OSError}
+        emitted = []
+
+        def emit(records):
+            if emitted and ending == "emit fails":
+                raise OSError("no space left on device")
+            emitted.append(records)
+
+        def row(task):
+            # Ctrl-C in the first chunk, while the second one computes
+            if task[0] == rows[0].name and ending == "interrupt":
+                raise KeyboardInterrupt
+            if task[0] == rows[CHUNK_ROWS].name and ending in raised:
+                time.sleep(30)
+            return _process_row(task)
+
+        monkeypatch.setattr(plainsphere.census, "_process_row",
+                            _worker_dies_on_trefoil
+                            if ending == "dead worker" else row)
+        started = time.monotonic()
+        if ending in raised:
+            with pytest.raises(raised[ending]):
+                run_census(rows, small_options(jobs=2), emit)
+            assert time.monotonic() - started < 10
+        else:
+            run_census(rows, small_options(jobs=2), emit)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open files through /proc")
+    def test_each_worker_keeps_only_its_own_pipe_ends(self, tmp_path,
+                                                      monkeypatch):
+        """A worker holds the files of the parent before the sweep and
+        its own two pipe ends, none of another worker's: so each side
+        reads EOF when the other is gone."""
+
+        def counted(task):
+            (tmp_path / str(os.getpid())).write_text(
+                str(len(os.listdir("/proc/self/fd"))))
+            return _process_row(task)
+
+        rows = ingest(table_path("fixtures_small.csv"))
+        monkeypatch.setattr(plainsphere.census, "_process_row", counted)
+        before = len(os.listdir("/proc/self/fd"))
+        run_census(rows, small_options(jobs=3))
+        counts = [int(f.read_text()) for f in tmp_path.iterdir()]
+        assert len(counts) == 3 and set(counts) == {before + 2}
 
     def test_dead_worker_through_the_records_file(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -322,7 +395,7 @@ class TestPersistence:
         doc = json.loads(summary.read_text())
         assert doc["totals"]["completed"] == 1
         assert doc["skipped_rows"] == [
-            {"name": "trefoil", "reason": "worker died: BrokenProcessPool"}]
+            {"name": "trefoil", "reason": "worker died: exit 1"}]
         assert "1 completed, 1 skipped" in capsys.readouterr().out
 
     def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, capsys,
@@ -362,8 +435,9 @@ class TestPersistence:
 
     def test_interrupted_pool_computes_no_more_chunks(self, tmp_path,
                                                       monkeypatch):
-        """An interrupt in a pooled sweep cancels the chunks no worker has
-        taken, instead of waiting for the rest of the table."""
+        """An interrupt in a pooled sweep stops the workers, so no chunk
+        is handed out after it, instead of waiting for the rest of the
+        table."""
         rows = ingest(table_path("fixtures_small.csv"))
 
         def interrupted(task):  # runs in a forked worker
@@ -376,8 +450,8 @@ class TestPersistence:
         monkeypatch.setattr(plainsphere.census, "_process_row", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_census(rows, small_options(jobs=2))
-        # only the chunks the workers had taken or had queued ran, not
-        # every chunk but the interrupted one
+        # only the chunks the workers had taken ran, not every chunk
+        # but the interrupted one
         assert len(list(tmp_path.iterdir())) < len(rows) - CHUNK_ROWS
 
     def test_resume_needs_the_same_diagram(self, tmp_path):

@@ -460,16 +460,22 @@ def test_every_error_has_its_exit_code(capsys, monkeypatch):
         assert out == "" and err == f"error: {cls.__name__}: boom\n"
 
 
-def test_import_loads_no_process_pool():
-    """The pool modules load only when ``--jobs`` asks for workers, so a
-    serial run never pays their import time or memory; and the record
-    types are named tuples, so no run pays for ``dataclasses`` and the
-    ``inspect`` it imports."""
+def test_import_loads_no_process_pool(tmp_path):
+    """No run loads the pool modules, not even a pooled census, whose
+    workers are forked over pipes; and the record types are named
+    tuples, so no run pays for ``dataclasses`` and the ``inspect`` it
+    imports."""
     src = Path(plainsphere.__file__).resolve().parents[1]
-    probe = ("import sys, plainsphere.cli; "
+    pooled = ["census", "--input", table_path("fixtures_small.csv"),
+              "--records", str(tmp_path / "records.csv"), "--jobs", "2",
+              "--fresh"]
+    probe = ("import sys, plainsphere.cli; argv = sys.argv[1:]; "
+             "assert not argv or plainsphere.cli.main(argv) == 0; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] in "
              "('concurrent', 'multiprocessing', 'dataclasses', 'inspect')))")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.strip() == "[]"
+    for argv in ([], pooled):
+        out = subprocess.run([sys.executable, "-c", probe, *argv], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.splitlines()[-1] == "[]", argv
+    assert len(census.existing_records(str(tmp_path / "records.csv"))) == 25
