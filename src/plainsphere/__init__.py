@@ -15,14 +15,14 @@ from .certificate import (PLAINSPHERE, WIRTINGER, Certificate, Move,
 from .diagram import Diagram, parse_pd
 from .dual import DualGraph, build_dual
 from .engine import omega, rho, saturate
-from .errors import (BridgeDetected, CertificateError, ClosedOverComponent,
-                     ComputeTimeout, DisconnectedProjection, EulerViolation,
-                     FileUnreadable, MalformedPD, MissingColumns,
-                     PlainSphereError, SchemaError, VersionMismatch)
+from .errors import (CertificateError, ClosedOverComponent, ComputeTimeout,
+                     DisconnectedProjection, EulerViolation, FileUnreadable,
+                     MalformedPD, MissingColumns, PlainSphereError,
+                     SchemaError, VersionMismatch)
 
 __all__ = [
-    "BridgeDetected", "Certificate", "CertificateError",
-    "ClosedOverComponent", "ComputeTimeout", "Diagram",
+    "Certificate", "CertificateError", "ClosedOverComponent",
+    "ComputeTimeout", "Diagram",
     "DisconnectedProjection", "DualGraph", "EulerViolation",
     "FileUnreadable", "MalformedPD", "MissingColumns", "Move",
     "PLAINSPHERE", "PlainSphereError", "SchemaError", "VerifyResult",

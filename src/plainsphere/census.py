@@ -208,10 +208,18 @@ def _serve(tasks: list, size: int, inbox: int, outbox: int) -> None:
 
 
 def _fork_worker(tasks: list, size: int, workers: list[_Worker]) -> _Worker:
-    """Fork a worker that serves chunks of `tasks` over two new pipes."""
-    task_r, task_w = os.pipe()
-    result_r, result_w = os.pipe()
-    pid = os.fork()
+    """Fork a worker that serves chunks of `tasks` over two new pipes.
+    When a pipe or the fork fails, the pipe ends opened are closed."""
+    ends: list[int] = []
+    try:
+        ends.extend(os.pipe())
+        ends.extend(os.pipe())
+        pid = os.fork()
+    except BaseException:
+        for fd in ends:
+            os.close(fd)
+        raise
+    task_r, task_w, result_r, result_w = ends
     if pid == 0:
         status = 1
         try:

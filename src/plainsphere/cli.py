@@ -110,16 +110,14 @@ def cmd_compute(args) -> int:
     result = {"n": d.n, "strands": len(d.strands),
               "omega": None, "rho": None,
               "omega_seeds": None, "rho_seeds": None}
-    cert = None
-    if args.invariant in ("omega", "both"):
-        w, wcert = omega(d, deadline=deadline)
-        result["omega"], result["omega_seeds"] = w, list(wcert.seeds)
-        cert = wcert
-    if args.invariant in ("rho", "both"):
-        pair = (result["omega"], cert) if args.invariant == "both" else None
-        r, rcert = rho(d, dual=dual, deadline=deadline, omega_result=pair)
-        result["rho"], result["rho_seeds"] = r, list(rcert.seeds)
-        cert = rcert
+    # omega runs for every choice, as rho starts from its result; the
+    # choice only picks what is printed and whose certificate is written
+    w, cert = omega(d, deadline=deadline)
+    if args.invariant != "rho":
+        result["omega"], result["omega_seeds"] = w, list(cert.seeds)
+    if args.invariant != "omega":
+        r, cert = rho(d, dual=dual, deadline=deadline, omega_result=(w, cert))
+        result["rho"], result["rho_seeds"] = r, list(cert.seeds)
     result["millis"] = round((time.monotonic() - started) * 1000.0, 3)
     result["certificate"] = None
     if args.certificate:

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .diagram import Diagram
-from .errors import BridgeDetected, EulerViolation
+from .errors import EulerViolation
 
 
 class DualGraph:
@@ -79,18 +79,19 @@ class EdgeMasks(NamedTuple):
 
 
 def build_dual(d: Diagram) -> DualGraph:
-    """Build the dual multigraph; every edge must border two distinct faces.
+    """Build the dual multigraph of a connected diagram.
 
     One walk traces the faces, numbering them in the order it reaches
     them, and gives each dart the face it is passed in; an edge's two
     faces are its two darts' faces, the earlier one first.  Raises
-    EulerViolation unless it traces n + 2 faces, and BridgeDetected when
-    an edge borders one face on both sides.
+    EulerViolation unless it traces n + 2 faces.  That count alone puts
+    the diagram in the sphere, where a connected 4-valent projection has
+    no bridge, so every edge borders two distinct faces.
     """
     label, mate = d.label, d.mate
     face = [-1] * (4 * d.n)  # dart y -> the face whose walk passes y
     edge_faces: dict[int, tuple[int, int] | None] = {}
-    f, bridged = 0, False
+    f = 0
     for start in range(4 * d.n):
         y = start + 1 if start & 3 != 3 else start - 3
         if face[y] >= 0:
@@ -102,7 +103,6 @@ def build_dual(d: Diagram) -> DualGraph:
                 edge_faces[label[y]] = None  # keeps first-passed order
             else:
                 edge_faces[label[y]] = (face[x], f)
-                bridged |= face[x] == f
             y = x + 1 if x & 3 != 3 else x - 3
         f += 1
     if f != d.n + 2:
@@ -110,9 +110,5 @@ def build_dual(d: Diagram) -> DualGraph:
             f"traced {f} faces, expected {d.n + 2}; "
             "the PD code does not describe a diagram in the sphere"
         )
-    if bridged:
-        e, (a, _) = next((e, fs) for e, fs in edge_faces.items()
-                         if fs[0] == fs[1])
-        raise BridgeDetected(f"edge {e} borders face {a} on both sides")
     assert len(edge_faces) == 2 * d.n
     return DualGraph(d, f, edge_faces)

@@ -36,14 +36,6 @@ class EulerViolation(PlainSphereError):
     """
 
 
-class BridgeDetected(PlainSphereError):
-    """A projection edge has the same face on both sides.
-
-    Connected 4-valent projections are Eulerian and therefore bridgeless,
-    so this only fires on inconsistent input.
-    """
-
-
 class ComputeTimeout(PlainSphereError):
     """A search exceeded its cooperative deadline."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import gc
 import json
 import os
@@ -375,6 +376,62 @@ class TestPersistence:
         run_census(rows, small_options(jobs=3))
         counts = [int(f.read_text()) for f in tmp_path.iterdir()]
         assert len(counts) == 3 and set(counts) == {before + 2}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open files through /proc")
+    def test_failed_fork_leaks_nothing(self, monkeypatch):
+        """A fork that fails raises its OSError with every pipe end it
+        was given closed, and the worker forked before it reaped."""
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        rows = ingest(table_path("fixtures_small.csv"))
+        monkeypatch.setattr(os, "fork", fork)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError):
+            run_census(rows, small_options(jobs=2))
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_dying_idle_costs_nothing(self, monkeypatch):
+        """A worker that ends while idle, its task pipe closed, breaks the
+        parent's next write to it: no chunk is lost, the chunk goes to a
+        new worker, and every row has its serial record."""
+
+        def serve_one(tasks, size, inbox, outbox):
+            with open(inbox, "rb") as starts:
+                start = int(starts.readline())
+            with open(outbox, "w", encoding="utf-8") as out:
+                print(json.dumps([_process_row(task)
+                                  for task in tasks[start:start + size]]),
+                      file=out, flush=True)
+
+        real_write, broken = os.write, []
+
+        def write(fd, data):
+            try:
+                return real_write(fd, data)
+            except BrokenPipeError:
+                broken.append(fd)
+                raise
+
+        rows = ingest(table_path("fixtures_small.csv"))
+        serial, _ = run_census(rows, small_options(jobs=1))
+        monkeypatch.setattr(plainsphere.census, "_serve", serve_one)
+        monkeypatch.setattr(os, "write", write)
+        records, summary = run_census(rows, small_options(jobs=2))
+        assert broken
+        assert summary["skipped_rows"] == []
+        strip = lambda r: {k: v for k, v in r.items() if k != "millis"}
+        assert [strip(r) for r in records] == [strip(r) for r in serial]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_dead_worker_through_the_records_file(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import plainsphere
-from plainsphere import census, cli, errors, parse_pd
+from plainsphere import census, cli, engine, errors, parse_pd
 from plainsphere.cli import (EXIT_EMPTY_CENSUS, EXIT_HASH_MISMATCH, EXIT_OK,
                              EXIT_PARSE, EXIT_REJECTED, EXIT_TIMEOUT,
                              EXIT_UNSUPPORTED, main)
@@ -175,6 +175,30 @@ class TestCompute:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["omega"] == 4 and doc["rho"] == 3
+
+    def test_k14_rho_alone(self, capsys, tmp_path, monkeypatch):
+        """``--invariant rho`` prints no omega, and the rho, seeds and
+        certificate of ``--invariant both``: omega runs either way, and
+        rho starts from its result."""
+        passed = []
+
+        def rho(*args, **kwargs):
+            passed.append(kwargs["omega_result"])
+            return engine.rho(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rho", rho)
+        docs, certs = {}, {}
+        for invariant in ("both", "rho"):
+            cert = tmp_path / f"{invariant}.cert"
+            code, out, _ = run(capsys, "compute", "--pd", K14_PD,
+                               "--invariant", invariant, "--format", "json",
+                               "--certificate", str(cert))
+            assert code == EXIT_OK
+            docs[invariant], certs[invariant] = json.loads(out), cert.read_text()
+        assert docs["rho"]["omega"] is None and docs["rho"]["rho"] == 3
+        assert docs["rho"]["rho_seeds"] == docs["both"]["rho_seeds"]
+        assert certs["rho"] == certs["both"]
+        assert len(passed) == 2 and None not in passed
 
 
 class TestComputeVerifyLoop:
@@ -433,7 +457,6 @@ EXIT_OF = {
     errors.DisconnectedProjection: EXIT_UNSUPPORTED,
     errors.ClosedOverComponent: EXIT_UNSUPPORTED,
     errors.EulerViolation: EXIT_PARSE,
-    errors.BridgeDetected: EXIT_PARSE,
     errors.ComputeTimeout: EXIT_TIMEOUT,
     errors.CertificateError: EXIT_REJECTED,
     errors.VersionMismatch: EXIT_REJECTED,

@@ -4,7 +4,10 @@ Each property is drawn from the invariants the algorithms rely on:
 monotone moves, order-independent saturation, Wirtinger moves being a
 special case of loop moves, loop parity across link components,
 complete saturation logs verifying as certificates, and the coloring
-bound being the same from every saturating seed set.
+bound being the same from every saturating seed set.  One more runs over
+seeded random label codes: every diagram ``build_dual`` accepts has two
+distinct faces on each edge, which loop moves and their witness cycles
+rely on.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from plainsphere import build_dual, parse_pd
+from plainsphere import PlainSphereError, build_dual, parse_pd
 from plainsphere.certificate import Certificate, deserialize_certificate, \
     serialize_certificate, verify
 from plainsphere.engine import (MODES, PLAINSPHERE, WIRTINGER,
@@ -146,3 +149,25 @@ def test_unit_invariant_factors_match_ranks_mod_p(a):
                          for x in oracles.diagonal_entries(a) if x))
     want = min(oracles.rank_mod(a, p) for p in primes)
     assert _unit_invariant_factors([list(r) for r in a]) == want, a
+
+
+def test_accepted_duals_have_two_faces_on_every_edge():
+    """Euler's count is the only planarity test: a code it accepts is
+    drawn in the sphere, so no edge is a bridge with one face on both
+    sides.  The closure decides loop moves only when a union joins two
+    face classes, and a one-face witness cycle would not verify."""
+    rng = random.Random(20261019)
+    accepted = 0
+    for _ in range(4000):
+        n = rng.randint(1, 7)
+        labels = [e for e in range(1, 2 * n + 1) for _ in (0, 1)]
+        rng.shuffle(labels)
+        text = " ".join("X({},{},{},{})".format(*labels[i:i + 4])
+                        for i in range(0, 4 * n, 4))
+        try:
+            g = build_dual(parse_pd(text))
+        except PlainSphereError:
+            continue
+        accepted += 1
+        assert all(a != b for a, b in g.edge_faces.values()), text
+    assert accepted >= 500  # the codes reach many spherical diagrams
