@@ -154,8 +154,8 @@ def _process_row(task: tuple[str, str, int | None, int | None]
     try:
         d = parse_pd(pd_text)
         g = build_dual(d)
-        w, wcert = omega(d, deadline=deadline)
-        r, _ = rho(d, dual=g, deadline=deadline, omega_result=(w, wcert))
+        r, rcert = rho(d, dual=g, deadline=deadline)
+        w, _ = omega(d, deadline=deadline, rho_result=(r, rcert))
         assert r <= w <= d.n
     except ComputeTimeout:
         return None, None
@@ -257,6 +257,8 @@ def _pooled(tasks: list, size: int, jobs: int,
     starts = range(0, len(tasks), size)
     given = 0  # chunks handed out
     workers: dict[int, _Worker] = {}  # by the fd of its result pipe
+    # poll, not select: select refuses a descriptor of 1024 or more
+    ready = select.poll()
 
     def give(worker: _Worker) -> None:
         nonlocal given
@@ -275,8 +277,9 @@ def _pooled(tasks: list, size: int, jobs: int,
             while given < len(starts) and len(workers) < jobs:
                 worker = _fork_worker(tasks, size, list(workers.values()))
                 workers[worker.results.fileno()] = worker
+                ready.register(worker.results, select.POLLIN)
                 give(worker)
-            for fd in select.select(list(workers), [], [])[0]:
+            for fd, _ in ready.poll():
                 worker = workers[fd]
                 line = worker.results.readline()
                 if line.endswith(b"\n"):
@@ -286,6 +289,7 @@ def _pooled(tasks: list, size: int, jobs: int,
                                    for outcome in json.loads(line)])
                     continue
                 del workers[fd]  # EOF: the worker has ended
+                ready.unregister(fd)
                 os.close(worker.tasks)
                 worker.results.close()
                 code = os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])

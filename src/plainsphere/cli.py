@@ -110,14 +110,17 @@ def cmd_compute(args) -> int:
     result = {"n": d.n, "strands": len(d.strands),
               "omega": None, "rho": None,
               "omega_seeds": None, "rho_seeds": None}
-    # omega runs for every choice, as rho starts from its result; the
-    # choice only picks what is printed and whose certificate is written
-    w, cert = omega(d, deadline=deadline)
-    if args.invariant != "rho":
-        result["omega"], result["omega_seeds"] = w, list(cert.seeds)
+    # rho runs first and omega starts from its result; omega alone
+    # searches from the bounds.  The certificate is rho's when rho ran.
+    rho_result = None
     if args.invariant != "omega":
-        r, cert = rho(d, dual=dual, deadline=deadline, omega_result=(w, cert))
+        rho_result = r, cert = rho(d, dual=dual, deadline=deadline)
         result["rho"], result["rho_seeds"] = r, list(cert.seeds)
+    if args.invariant != "rho":
+        w, wcert = omega(d, deadline=deadline, rho_result=rho_result)
+        result["omega"], result["omega_seeds"] = w, list(wcert.seeds)
+        if rho_result is None:
+            cert = wcert
     result["millis"] = round((time.monotonic() - started) * 1000.0, 3)
     result["certificate"] = None
     if args.certificate:

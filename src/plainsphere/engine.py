@@ -47,24 +47,42 @@ closure two ways:
   colored.  It runs once per found certificate, where the search's
   closures run once per seed set, so it keeps no union-find.
 
-omega and rho share one search, bounded by a witness: a Wirtinger
-certificate, whose seeds saturate in either mode.  omega's witness is a
-greedy saturating set (strands in search order, skipping colored ones),
-rho's the omega certificate.  Seed sets are tried by size, from the
-diagram's lower bound (below) up to one less than the witness's size,
-then in strand search order (the order of ``itertools.combinations``
-over it), depth first on one ``GrowingClosure`` of the search's own that
-extends each prefix's closure by the next seed and undoes it on
-backtrack.  When none saturates, the search reissues its witness in its
-own mode; for omega that is the set a search of the greedy set's size
-would find first, its first leaf.  When the bound reaches the witness's
-size nothing is searched, and the search builds no ``GrowingClosure``,
-nor rho a dual.
+omega and rho share one search over the sizes its caller names.  Seed
+sets are tried by size, then in strand search order (the order of
+``itertools.combinations`` over it), depth first on one
+``GrowingClosure`` of the search's own that extends each prefix's
+closure by the next seed and undoes it on backtrack; the first set that
+saturates is the answer.  A Wirtinger-saturating set, whose seeds
+saturate in either mode, bounds the sizes: the greedy saturating set
+(strands in search order, skipping colored ones) or its irredundant
+subset (below), of m seeds.  When no smaller set saturates, omega
+reissues the greedy set, the set a search of its size would find first,
+its first leaf.  When no size is left to try, the search builds no
+``GrowingClosure``, nor rho a dual.
 
-The search relies on one invariant: every smaller size failed or is
-excluded by the bound.  A candidate the prefix already colors is
-skipped: adding it changes nothing, so a set through it saturates only
-if a smaller set does, and by the invariant none does.
+Loop moves dominate Wirtinger moves, so a set that does not
+plain-sphere-saturate does not Wirtinger-saturate either, and
+rho <= omega <= m.  ``psk census`` and ``psk compute`` therefore call
+``rho(d)`` first and then ``omega(d, rho_result=...)``.  rho searches
+plain-sphere mode from the diagram's lower bound up to m - 1.  A first
+set whose log has no loop move Wirtinger-saturates, so omega = rho, and
+no Wirtinger search runs.  Otherwise, or when no set below m saturates
+and rho = m, one Wirtinger search of rho's size decides whether
+omega = rho, and its first set, omega's certificate, is reissued as
+rho's; at the greedy set's size that set is the first, and is taken
+without a search.  So rho's certificate has no loop move exactly when
+omega = rho; given it, omega returns it in Wirtinger mode or searches
+from rho + 1.  No size that failed in plain-sphere mode is searched in
+Wirtinger mode, and each certificate is the one the other order gives:
+omega alone searches from the bound up to one below the greedy set's
+size, and ``rho(d, omega_result=...)`` up to one below omega,
+reissuing omega's certificate when no smaller set saturates.
+
+The search relies on one invariant: every smaller size failed, in its
+own mode or in plain-sphere mode, or is excluded by the bound.  A
+candidate the prefix already colors is skipped: adding it changes
+nothing, so a set through it saturates only if a smaller set does, and
+by the invariant none does.
 
 Each search also keeps a memo of failures keyed by closed set
 (``GrowingClosure.mask``): the most further seeds known not to saturate
@@ -160,16 +178,17 @@ is unchanged.
 
 Both bounds hold for omega and rho alike and depend on the diagram, not
 on the saturating set they are read off, so ``_bounds`` keeps each
-diagram's while the diagram lives.  omega works them out on each call
-and rho reads them; rho works them out the same way only when omega has
-not run on that diagram.  They are grown on a Wirtinger
-``GrowingClosure`` of their own, dropped once they are read.  The Fox
+diagram's while the diagram lives.  omega alone works them out on each
+call; rho, and omega given rho's result, read them, and work them out
+the same way only when no call has left them.  They are grown on a
+Wirtinger ``GrowingClosure`` of their own, dropped once they are read.
+The Fox
 bound is read off the greedy set's log.  The coloring search grows with
 the count of seeds it colors, and the greedy set has more than omega,
 so when the Fox bound is below its size the greedy seeds are walked
 back from the last one grown, each whose removal leaves a saturating
 set is dropped, and what is left is colored: an irredundant saturating
-set, often of omega seeds, whose move log ``saturate`` writes when a
+set of m seeds, often omega, whose move log ``saturate`` writes when a
 seed was dropped.  The coloring uses at most one point more than that
 set has seeds, and the prune's union-find has a point for each one up
 to the highest the coloring uses.  The witnesses stay the answers when
@@ -648,6 +667,7 @@ class _Bounds(NamedTuple):
     lower: int  # the larger of the Fox and transposition bounds
     rank: int  # the transposition coloring's m - orbits, or 0
     ends: tuple[tuple[int, int], ...]  # that coloring, or ()
+    m: int  # seeds of the irredundant subset, which bound omega and rho
 
 
 # diagram -> its _Bounds, dropped with the diagram; immutable values only,
@@ -664,7 +684,7 @@ def _bounds(d: Diagram, deadline: float | None) -> _Bounds:
     shrunk set's size its transposition coloring is searched, which
     raises ComputeTimeout past `deadline`."""
     state = GrowingClosure(d, WIRTINGER)
-    greedy = _grow(state, d.search_order)
+    greedy = seeds = _grow(state, d.search_order)
     _, log = saturate(d, greedy, WIRTINGER)
     witness = Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
                           seeds=tuple(sorted(greedy)), moves=log)
@@ -678,26 +698,23 @@ def _bounds(d: Diagram, deadline: float | None) -> _Bounds:
             rank, ends = transposition_coloring(d, seeds, moves, deadline,
                                                 lower)
             lower = max(lower, rank)
-    _shared[d] = bounds = _Bounds(witness, lower, rank, ends)
+    _shared[d] = bounds = _Bounds(witness, lower, rank, ends, len(seeds))
     return bounds
 
 
-def _search(d: Diagram, mode: str, dual: DualGraph | None,
-            bounds: _Bounds, witness: Certificate,
-            deadline: float | None) -> tuple[int, Certificate]:
-    """(k, certificate) for the first seed set, by size from the bound up
-    to one less than `witness`'s size and then in search order, whose
-    closure in `mode` colors every strand; when there is none, `witness`,
-    whose seeds saturate in either mode, reissued in `mode`.  Only when
-    the bound is below the witness's size does it build its closure, in
-    plain-sphere mode on `dual`, built when None.  The bounds'
-    transposition coloring prunes prefixes.  Sizes below the bound fail
-    and the witness's size saturates, so on timeout the message names
-    that interval."""
-    upper, ends = len(witness.seeds), bounds.ends
-    if bounds.lower >= upper:
-        return upper, witness._replace(mode=mode)
-    name = "omega" if mode == WIRTINGER else "rho"
+def _search(d: Diagram, mode: str, dual: DualGraph | None, bounds: _Bounds,
+            sizes: range, deadline: float | None,
+            proved: tuple[tuple[str, int], ...]) -> Certificate | None:
+    """The certificate of the first seed set, by size in `sizes` and then
+    in search order, whose closure in `mode` colors every strand, or None.
+    Every smaller size must fail in `mode`.  Only when `sizes` is not
+    empty does it build its closure, in plain-sphere mode on `dual`,
+    built when None.  The bounds' transposition coloring prunes prefixes.
+    A timeout at size k names, for each (invariant, upper bound) of
+    `proved`, the interval from k to that bound."""
+    if not sizes:
+        return None
+    ends = bounds.ends
     order = d.search_order
     over, under = d.crossing_masks
     n, full = d.n, (1 << d.n) - 1
@@ -738,8 +755,9 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             if deadline is not None and time.monotonic() > deadline:
                 # k is the size being searched: see the invariant above
                 raise ComputeTimeout(
-                    f"seed-set search exceeded its deadline; proved "
-                    f"{name} >= {k}, {name} <= {upper}")
+                    "seed-set search exceeded its deadline; proved "
+                    + ", ".join(f"{name} >= {k}, {name} <= {upper}"
+                                for name, upper in proved))
             mark = state.add(s)
             chosen.append(s)
             mask = state.mask
@@ -761,46 +779,90 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
         return False
 
     try:
-        for k in range(bounds.lower, upper):
+        for k in sizes:
             if extend(0, k, k - bounds.rank):
                 colored_set, log = saturate(d, chosen, mode, state.dual)
                 assert len(colored_set) == d.n
-                return k, Certificate(
+                return Certificate(
                     diagram_hash=d.content_hash, mode=mode,
                     seeds=tuple(sorted(chosen)), moves=log,
                 )
-        return upper, witness._replace(mode=mode)
+        return None
     finally:
         del extend  # it calls itself through a cell: free it without a GC pass
 
 
-def omega(d: Diagram, deadline: float | None = None):
+def _same_diagram(d: Diagram, cert: Certificate, what: str) -> None:
+    """Refuse a result of another diagram: reissued, it would carry this
+    diagram's hash and the other's moves, and not verify."""
+    if cert.diagram_hash != d.content_hash:
+        raise ValueError(f"{what} certifies diagram {cert.diagram_hash}"
+                         f", not this one, {d.content_hash}")
+
+
+def omega(d: Diagram, deadline: float | None = None, rho_result=None):
     """Smallest k whose some k-seed set Wirtinger-saturates the diagram.
 
     Returns (k, certificate).  The search is bounded by a greedy
     saturating set: strands in search order, skipping colored ones.
-    omega works out that set and the diagram's lower bound, which rho
-    reads, on every call.
+    Alone, omega works out that set and the diagram's lower bound, which
+    rho reads, and searches from the bound.
+
+    `rho_result`, a rho result of this diagram, starts omega from rho.
+    Its certificate has no loop move exactly when omega = rho, and omega
+    then returns it in Wirtinger mode; otherwise omega searches from
+    rho + 1 on the bounds rho left, as no smaller set saturates in
+    either mode.
     """
-    bounds = _bounds(d, deadline)
-    return _search(d, WIRTINGER, None, bounds, bounds.witness, deadline)
+    if rho_result is None:
+        bounds = _bounds(d, deadline)
+        start = bounds.lower
+    else:
+        r, rcert = rho_result
+        _same_diagram(d, rcert, "rho_result")
+        if not any(move.kind == "L" for move in rcert.moves):
+            return r, rcert._replace(mode=WIRTINGER)
+        bounds = _shared.get(d) or _bounds(d, deadline)
+        start = r + 1
+    witness = bounds.witness
+    upper = len(witness.seeds)
+    cert = _search(d, WIRTINGER, None, bounds, range(start, upper), deadline,
+                   (("omega", upper),)) or witness
+    return len(cert.seeds), cert
 
 
 def rho(d: Diagram, dual: DualGraph | None = None,
         deadline: float | None = None, omega_result=None):
     """Smallest k whose some k-seed set plain-sphere-saturates the diagram.
 
-    Loop moves dominate Wirtinger moves, so rho <= omega, and the omega
-    certificate bounds the search: when no smaller seed set works it is
-    reissued as a plain-sphere certificate (its Wirtinger moves remain
-    valid there).  The search starts at the diagram's lower bound and is
-    pruned by its transposition coloring, both as omega left them for
-    this diagram, or worked out here when omega has not run on it.
-    `omega_result` must be an omega result of this diagram.
+    Returns (k, certificate).  The search starts at the diagram's lower
+    bound and is pruned by its transposition coloring, both as an earlier
+    call left them for this diagram, or worked out here.
+
+    Without `omega_result`, plain-sphere mode runs first, up to one less
+    than the irredundant greedy subset's size, and the certificate has
+    no loop move exactly when omega = rho, when it is omega's too (see
+    the module docstring and ``omega``'s `rho_result`).  With an omega
+    result of this diagram the search stops below omega, and when no
+    smaller set saturates omega's certificate is reissued (its Wirtinger
+    moves remain valid in plain-sphere mode).
     """
-    _, wcert = omega_result if omega_result is not None else omega(d, deadline)
-    if wcert.diagram_hash != d.content_hash:
-        raise ValueError(f"omega_result certifies diagram {wcert.diagram_hash}"
-                         f", not this one, {d.content_hash}")
     bounds = _shared.get(d) or _bounds(d, deadline)
-    return _search(d, PLAINSPHERE, dual, bounds, wcert, deadline)
+    if omega_result is not None:
+        _, wcert = omega_result
+        _same_diagram(d, wcert, "omega_result")
+        upper = len(wcert.seeds)
+        cert = _search(d, PLAINSPHERE, dual, bounds,
+                       range(bounds.lower, upper), deadline,
+                       (("rho", upper),)) or wcert
+        return len(cert.seeds), cert._replace(mode=PLAINSPHERE)
+    m, witness = bounds.m, bounds.witness
+    cert = _search(d, PLAINSPHERE, dual, bounds, range(bounds.lower, m),
+                   deadline, (("rho", m), ("omega", m)))
+    if cert is not None and not any(move.kind == "L" for move in cert.moves):
+        return len(cert.seeds), cert
+    k = m if cert is None else len(cert.seeds)
+    wcert = witness if k == len(witness.seeds) else _search(
+        d, WIRTINGER, None, bounds, range(k, k + 1), deadline,
+        (("rho", k), ("omega", m)))
+    return k, cert if wcert is None else wcert._replace(mode=PLAINSPHERE)

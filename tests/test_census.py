@@ -7,8 +7,10 @@ import errno
 import gc
 import json
 import os
+import sys
 import time
 import types
+from collections import Counter
 
 import pytest
 
@@ -18,6 +20,7 @@ from plainsphere.census import (ALREADY_RECORDED, CHUNK_ROWS, NAME_TAKEN,
                                 RECORD_COLUMNS, CensusOptions, TableRow,
                                 _process_row, existing_records, ingest,
                                 run_census, write_records, write_summary)
+from plainsphere.certificate import WIRTINGER
 from plainsphere.diagram import parse_pd
 from plainsphere.errors import FileUnreadable, MissingColumns
 
@@ -118,21 +121,35 @@ class TestRunCensus:
         assert reason is None and record["millis"] == 1.23
 
     def test_omega_searched_once_per_row(self, monkeypatch):
-        import plainsphere.census
+        """Each row runs rho and then omega from rho's result, once each.
+        Where omega = rho at most one Wirtinger search runs: none when
+        rho's first set has no loop move, else one at rho's size, inside
+        rho.  Only k14n1527 (omega 4, rho 3) runs a second, from rho + 1,
+        inside omega."""
         import plainsphere.engine
-        calls = []
-        real = plainsphere.engine.omega
+        calls, searches = Counter(), Counter()
+        for name in ("omega", "rho"):
+            monkeypatch.setattr(
+                plainsphere.census, name,
+                lambda *args, _real=getattr(plainsphere.census, name),
+                _name=name, **kwargs: calls.update([_name])
+                or _real(*args, **kwargs))
+        search = plainsphere.engine._search
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(d, mode, dual, bounds, sizes, *args):
+            if mode == WIRTINGER and sizes:
+                searches[d.content_hash] += 1
+            return search(d, mode, dual, bounds, sizes, *args)
 
-        # rho would reach omega through the engine's global, not the census's
-        monkeypatch.setattr(plainsphere.census, "omega", counted)
-        monkeypatch.setattr(plainsphere.engine, "omega", counted)
-        rows = ingest(table_path("fixtures_small.csv"))
-        records, _ = run_census(rows, small_options(jobs=1))
-        assert len(calls) == len(records) == 25
+        monkeypatch.setattr(plainsphere.engine, "_search", counted)
+        rows = (ingest(table_path("fixtures_small.csv"))
+                + ingest(table_path("slice14.csv")))
+        records, summary = run_census(rows, small_options(jobs=1))
+        assert len(records) == 30 and summary["gap_count"] == 1
+        assert calls == {"omega": 30, "rho": 30}
+        by_row = {r["name"]: searches[r["diagram_hash"]] for r in records}
+        assert by_row.pop("k14n1527") == 2
+        assert set(by_row.values()) == {0, 1}
 
     def test_unexpected_error_skips_only_its_row(self, monkeypatch):
         import plainsphere.census
@@ -395,6 +412,32 @@ class TestPersistence:
         before = len(os.listdir("/proc/self/fd"))
         with pytest.raises(OSError):
             run_census(rows, small_options(jobs=2))
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="lists open files through /proc")
+    def test_pool_waits_on_descriptors_past_1023(self):
+        """With 1030 descriptors of /dev/null held open, the workers' pipe
+        ends are numbered past 1023, which ``select.select`` refuses: the
+        pool still gives the serial records, leaves no child and closes
+        every descriptor it opened."""
+        import resource
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("the soft limit on open files is below 1100")
+        rows = ingest(table_path("fixtures_small.csv"))
+        serial, _ = run_census(rows, small_options(jobs=1))
+        before = len(os.listdir("/proc/self/fd"))
+        held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1030)]
+        try:
+            assert max(held) >= 1024
+            pooled, _ = run_census(rows, small_options(jobs=2))
+        finally:
+            for fd in held:
+                os.close(fd)
+        strip = lambda r: {k: v for k, v in r.items() if k != "millis"}
+        assert [strip(r) for r in pooled] == [strip(r) for r in serial]
         assert len(os.listdir("/proc/self/fd")) == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

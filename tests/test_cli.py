@@ -178,27 +178,46 @@ class TestCompute:
 
     def test_k14_rho_alone(self, capsys, tmp_path, monkeypatch):
         """``--invariant rho`` prints no omega, and the rho, seeds and
-        certificate of ``--invariant both``: omega runs either way, and
-        rho starts from its result."""
-        passed = []
+        certificate of ``--invariant both``: rho runs first either way,
+        with no omega result, and only ``both`` runs omega, from rho's
+        result.  ``--invariant omega`` runs omega alone and prints the
+        omega and seeds of ``both``."""
+        calls = []
 
         def rho(*args, **kwargs):
-            passed.append(kwargs["omega_result"])
-            return engine.rho(*args, **kwargs)
+            calls.append(("rho", kwargs.get("omega_result")))
+            calls.append(("rho ->", engine.rho(*args, **kwargs)))
+            return calls[-1][1]
+
+        def omega(*args, **kwargs):
+            calls.append(("omega", kwargs.get("rho_result")))
+            return engine.omega(*args, **kwargs)
 
         monkeypatch.setattr(cli, "rho", rho)
-        docs, certs = {}, {}
-        for invariant in ("both", "rho"):
+        monkeypatch.setattr(cli, "omega", omega)
+        docs, certs, called = {}, {}, {}
+        for invariant in ("both", "rho", "omega"):
             cert = tmp_path / f"{invariant}.cert"
+            calls.clear()
             code, out, _ = run(capsys, "compute", "--pd", K14_PD,
                                "--invariant", invariant, "--format", "json",
                                "--certificate", str(cert))
             assert code == EXIT_OK
             docs[invariant], certs[invariant] = json.loads(out), cert.read_text()
+            called[invariant] = calls[:]
         assert docs["rho"]["omega"] is None and docs["rho"]["rho"] == 3
         assert docs["rho"]["rho_seeds"] == docs["both"]["rho_seeds"]
         assert certs["rho"] == certs["both"]
-        assert len(passed) == 2 and None not in passed
+        result = called["both"][1][1]
+        assert called["both"] == [("rho", None), ("rho ->", result),
+                                  ("omega", result)]
+        assert called["rho"] == [("rho", None), ("rho ->", result)]
+        assert called["omega"] == [("omega", None)]
+        assert docs["omega"]["rho"] is None
+        assert ((docs["omega"]["omega"], docs["omega"]["omega_seeds"])
+                == (docs["both"]["omega"], docs["both"]["omega_seeds"])
+                == (4, [0, 2, 10, 13]))
+        assert "mode: wirtinger" in certs["omega"]
 
 
 class TestComputeVerifyLoop:

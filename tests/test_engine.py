@@ -299,6 +299,16 @@ class TestSearch:
         assert trefoil.content_hash in str(info.value)
         assert hopf.content_hash in str(info.value)
 
+    def test_omega_refuses_a_foreign_rho_result(self, all_diagrams):
+        """omega returns a rho certificate without a loop move as its
+        own, so a rho result of another diagram would come back under
+        this diagram's hash: omega refuses it, naming both hashes."""
+        hopf, trefoil = all_diagrams["hopf"], all_diagrams["trefoil"]
+        with pytest.raises(ValueError) as info:
+            omega(hopf, rho_result=rho(trefoil))
+        assert trefoil.content_hash in str(info.value)
+        assert hopf.content_hash in str(info.value)
+
     def test_deadline_raises(self, k14):
         with pytest.raises(ComputeTimeout):
             omega(k14, deadline=time.monotonic() - 1.0)
@@ -332,6 +342,33 @@ class TestSearch:
                 assert next(ticks) == deadline + 2
                 assert str(info.value).endswith(
                     f"proved {name} >= {k}, {name} <= {upper}")
+
+    def test_deadline_in_rho_first_names_omega_too(self, monkeypatch, k14,
+                                                   k14_dual):
+        """rho without an omega result searches plain-sphere mode from
+        k14n1527's coloring bound, 2, up to one below its irredundant
+        greedy subset's 4 seeds, which saturate in either mode.  A size
+        that fails in plain-sphere mode fails in Wirtinger mode too, so a
+        timeout there names omega's interval beside rho's.  Size 2 takes
+        87 adds and size 3 9, the last of them finding rho's set; its log
+        has a loop move, so a Wirtinger search of size 3 follows, and a
+        timeout in it names rho = 3 and omega's interval."""
+        import plainsphere.engine
+        omega(k14)  # the bounds are shared: no coloring reads the clock
+        for deadline, proved in (
+                (85, "rho >= 2, rho <= 4, omega >= 2, omega <= 4"),
+                (86, "rho >= 3, rho <= 4, omega >= 3, omega <= 4"),
+                (95, "rho >= 3, rho <= 3, omega >= 3, omega <= 4")):
+            ticks = itertools.count()  # one tick per clock read
+            monkeypatch.setattr(plainsphere.engine, "time",
+                                types.SimpleNamespace(
+                                    monotonic=lambda: next(ticks)))
+            with pytest.raises(ComputeTimeout) as info:
+                rho(k14, dual=k14_dual, deadline=deadline)
+            # deadline + 1 seeds added, then the expiry
+            assert next(ticks) == deadline + 2
+            assert str(info.value) == (
+                "seed-set search exceeded its deadline; proved " + proved)
 
     def test_deadline_names_the_transposition_bound(self, monkeypatch):
         """braid-0305 has coloring bound 2, transposition bound 3 and

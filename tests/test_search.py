@@ -62,17 +62,18 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
     transposition bounds, so every size below the answer is compared
     with the reference; the transposition coloring still prunes
     prefixes.  omega works the bounds out afresh, so the patched omega
-    refills the shared values rho reads; the greedy-witness rho runs on a
-    freshly parsed diagram, where rho works them out itself.  Each search
-    records the size it starts at, which must be 1; a search whose bound
-    reaches its witness's size searches nothing and records nothing."""
+    refills the shared values rho reads; the greedy-witness rho and the
+    plain-sphere-first rho run on freshly parsed diagrams, where rho
+    works them out itself.  Each search records the sizes it tries,
+    which must start at 1; a search with no size to try records
+    nothing."""
     starts = []  # (mode, first size) of each search under the patch
     search = plainsphere.engine._search
 
-    def recorded(d, mode, state, bounds, witness, *args):
-        if bounds.lower < len(witness.seeds):
-            starts.append((mode, bounds.lower))
-        return search(d, mode, state, bounds, witness, *args)
+    def recorded(d, mode, dual, bounds, sizes, *args):
+        if sizes:
+            starts.append((mode, sizes.start))
+        return search(d, mode, dual, bounds, sizes, *args)
 
     def patched(patch):
         patch.setattr(plainsphere.engine, "coloring_bound", lambda *args: 1)
@@ -106,6 +107,27 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
         assert starts == [(PLAINSPHERE, 1)] * (upper > 1), name
         want = oracles.reference_search(d, PLAINSPHERE, g, range(1, upper))
         assert (r, rcert.seeds) == (want or (upper, greedy.seeds)), name
+        # plain-sphere mode first: from 1 to one below the irredundant
+        # subset's size, then Wirtinger mode at rho's size only when the
+        # first set's log has a loop move or no smaller size saturated
+        # (and that size is below the greedy set's), and omega from rho
+        # + 1 only when rho's certificate has a loop move
+        m = len(shrunk_greedy(d, greedy))
+        fresh = parse_pd(d.serialize())
+        starts.clear()
+        with monkeypatch.context() as patch:
+            patched(patch)
+            got = rho(fresh, dual=build_dual(fresh))
+            assert omega(fresh, rho_result=got) == (w, wcert), name
+        assert got == rho(d, dual=g, omega_result=(w, wcert)), name
+        looped = any(move.kind == "L" for move in got[1].moves)
+        first = oracles.reference_search(d, PLAINSPHERE, g, range(1, m))
+        checked = (m < upper if first is None else
+                   len(oracles.closure(d, first[1], WIRTINGER)) < d.n)
+        assert starts == ([(PLAINSPHERE, 1)] * (m > 1)
+                          + [(WIRTINGER, got[0])] * checked
+                          + [(WIRTINGER, got[0] + 1)]
+                          * (looped and got[0] + 1 < upper)), name
 
 
 def greedy_certificate(d):
@@ -134,16 +156,21 @@ def shrunk_greedy(d, greedy):
 
 def test_values_match_brute_force_oracle(search_cases):
     """omega through 10 crossings; rho through 8, where enumerating
-    every dual cycle stays under a second."""
+    every dual cycle stays under a second; in both orders: omega first,
+    and rho first with omega from its result."""
     checked = 0
     for name, d, g in search_cases:
         if d.n > 10:
             continue
         w, wcert = omega(d)
         assert w == oracles.oracle_omega(d), name
+        # rho first, as census and compute run them, on a fresh diagram
+        fresh = parse_pd(d.serialize())
+        first = rho(fresh, dual=build_dual(fresh))
+        assert omega(fresh, rho_result=first)[0] == w, name
         if d.n <= 8:
             r, _ = rho(d, dual=g, omega_result=(w, wcert))
-            assert r == oracles.oracle_rho(d, g), name
+            assert r == first[0] == oracles.oracle_rho(d, g), name
             checked += 1
     assert checked >= 40
 
@@ -208,6 +235,51 @@ def test_search_work_on_frozen_rows(monkeypatch):
     assert (adds[True], adds[False]) == (41783, 79306)
 
 
+def test_search_work_on_frozen_rows_in_census_order(monkeypatch):
+    """The adds over the same rows in the order ``psk census`` and ``psk
+    compute`` run them, rho and then omega from rho's result, bounds
+    included: 10583 in Wirtinger mode and 82305 in plain-sphere mode.
+    The plain-sphere search stops below the irredundant greedy subset's
+    size, and no Wirtinger search proves again a size that failed in
+    plain-sphere mode."""
+    adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
+    add = GrowingClosure.add
+    monkeypatch.setattr(GrowingClosure, "add",
+                        lambda state, s: adds.update([state.dual is None])
+                        or add(state, s))
+    for item in frozen_rows("manifest.jsonl").values():
+        if item["kind"] != "reject":
+            d = parse_pd(item["pd"])
+            omega(d, rho_result=rho(d, dual=build_dual(d)))
+    assert (adds[True], adds[False]) == (10583, 82305)
+
+
+def test_frozen_rows_in_census_order():
+    """rho and then omega from rho's result, the order ``freeze.py
+    --check`` does not run, give every manifest row's values and every
+    stored certificate byte for byte.  rho's certificate has a loop move
+    exactly when omega > rho, on 4 rows."""
+    manifest = frozen_rows("manifest.jsonl")
+    certs = frozen_rows("certs.jsonl")
+    rows = stored = gaps = 0
+    for name, item in manifest.items():
+        if item["kind"] == "reject":
+            continue
+        d = parse_pd(item["pd"])
+        r, rcert = rho(d, dual=build_dual(d))
+        w, wcert = omega(d, rho_result=(r, rcert))
+        assert (w, r) == (item["omega"], item["rho"]), name
+        looped = any(move.kind == "L" for move in rcert.moves)
+        assert looped == (w > r), name
+        gaps += looped
+        rows += 1
+        if name in certs:
+            assert serialize_certificate(wcert) == certs[name]["omega"], name
+            assert serialize_certificate(rcert) == certs[name]["rho"], name
+            stored += 2
+    assert (rows, stored, gaps) == (468, 934, 4)
+
+
 @pytest.mark.parametrize("neutral", [False, True])
 def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
                                                  neutral):
@@ -233,7 +305,8 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     would have skipped.  The trace keeps its own memo of failed closed
     sets, and a prefix it cuts counts no seeds left.  The adds that grow
     the greedy set and shrink it (``_irredundant``), made before the
-    search starts, are not traced."""
+    search starts, are not traced.  Both orders run: omega first, and
+    rho first with omega from its result."""
     if neutral:
         monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                             lambda d, *args: (1, ((0, 1),) * d.n))
@@ -303,13 +376,14 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         assert stack[-1][0] == state.mask, name
         stack[-1][2] |= child[0]
 
-    def traced_search(d, search_mode, state, bounds, *args):
+    def traced_search(d, search_mode, state, bounds, sizes, *args):
         nonlocal order, diagram, mode
         order, diagram, mode = d.search_order, d, search_mode
         memo.clear()
-        stack.append([0, -1, 0, bounds.lower, ()])  # the size searched first
+        if sizes:
+            stack.append([0, -1, 0, sizes.start, ()])  # the first size
         try:
-            result = search(d, mode, state, bounds, *args)
+            result = search(d, mode, state, bounds, sizes, *args)
             if len(stack) == 1 and stack[0][1] >= 0:  # no size saturated
                 finish(stack[0])
             return result
@@ -323,6 +397,8 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     diagram, mode = None, None
     for name, d, g in search_cases:
         rho(d, dual=g, omega_result=omega(d))
+        fresh = parse_pd(d.serialize())  # and rho first, as census runs them
+        omega(fresh, rho_result=rho(fresh, dual=build_dual(fresh)))
     assert (skipped > 0 and unfired > 0) or not neutral
 
 
