@@ -154,8 +154,8 @@ def _process_row(task: tuple[str, str, int | None, int | None]
     try:
         d = parse_pd(pd_text)
         g = build_dual(d)
-        r, rcert = rho(d, dual=g, deadline=deadline)
-        w, _ = omega(d, deadline=deadline, rho_result=(r, rcert))
+        r, _ = rho(d, dual=g, deadline=deadline)
+        w, _ = omega(d, deadline=deadline)  # from rho's result
         assert r <= w <= d.n
     except ComputeTimeout:
         return None, None

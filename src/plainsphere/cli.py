@@ -110,16 +110,15 @@ def cmd_compute(args) -> int:
     result = {"n": d.n, "strands": len(d.strands),
               "omega": None, "rho": None,
               "omega_seeds": None, "rho_seeds": None}
-    # rho runs first and omega starts from its result; omega alone
-    # searches from the bounds.  The certificate is rho's when rho ran.
-    rho_result = None
+    # rho runs first, and omega reads its result off the diagram's bounds;
+    # the certificate is rho's, or omega's with --invariant omega
     if args.invariant != "omega":
-        rho_result = r, cert = rho(d, dual=dual, deadline=deadline)
+        r, cert = rho(d, dual=dual, deadline=deadline)
         result["rho"], result["rho_seeds"] = r, list(cert.seeds)
     if args.invariant != "rho":
-        w, wcert = omega(d, deadline=deadline, rho_result=rho_result)
+        w, wcert = omega(d, deadline=deadline)
         result["omega"], result["omega_seeds"] = w, list(wcert.seeds)
-        if rho_result is None:
+        if args.invariant == "omega":
             cert = wcert
     result["millis"] = round((time.monotonic() - started) * 1000.0, 3)
     result["certificate"] = None
@@ -238,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariant", choices=("omega", "rho", "both"),
                    default="both")
     p.add_argument("--certificate",
-                   help="write the certificate of the last computed invariant here")
+                   help="write rho's certificate here, or omega's with "
+                        "--invariant omega")
     p.add_argument("--format", choices=("json", "csv", "plain"),
                    default="plain")
     p.add_argument("--timeout-ms", type=_at_least(0))

@@ -63,20 +63,21 @@ its first leaf.  When no size is left to try, the search builds no
 Loop moves dominate Wirtinger moves, so a set that does not
 plain-sphere-saturate does not Wirtinger-saturate either, and
 rho <= omega <= m.  ``psk census`` and ``psk compute`` therefore call
-``rho(d)`` first and then ``omega(d, rho_result=...)``.  rho searches
-plain-sphere mode from the diagram's lower bound up to m - 1.  A first
-set whose log has no loop move Wirtinger-saturates, so omega = rho, and
-no Wirtinger search runs.  Otherwise, or when no set below m saturates
-and rho = m, one Wirtinger search of rho's size decides whether
-omega = rho, and its first set, omega's certificate, is reissued as
-rho's; at the greedy set's size that set is the first, and is taken
-without a search.  So rho's certificate has no loop move exactly when
-omega = rho; given it, omega returns it in Wirtinger mode or searches
-from rho + 1.  No size that failed in plain-sphere mode is searched in
-Wirtinger mode, and each certificate is the one the other order gives:
-omega alone searches from the bound up to one below the greedy set's
-size, and ``rho(d, omega_result=...)`` up to one below omega,
-reissuing omega's certificate when no smaller set saturates.
+``rho(d)`` first and then ``omega(d)``.  rho searches plain-sphere mode
+from the diagram's lower bound up to m - 1.  A first set whose log has
+no loop move Wirtinger-saturates, so omega = rho, and no Wirtinger
+search runs.  Otherwise, or when no set below m saturates and rho = m,
+one Wirtinger search of rho's size decides whether omega = rho, and its
+first set, omega's certificate, is reissued as rho's; at the greedy
+set's size that set is the first, and is taken without a search.  So
+rho's certificate has no loop move exactly when omega = rho.  rho keeps
+its result with the diagram's bounds (``_Bounds.rho``), and omega after
+it returns that certificate in Wirtinger mode or searches from rho + 1.
+No size that failed in plain-sphere mode is searched in Wirtinger mode,
+and omega's certificate, rho's too when omega = rho, is the one omega
+alone finds from the bound up to one below the greedy set's size: each
+set of rho's size before the first plain-sphere-saturating one fails in
+both modes, so that set, when it Wirtinger-saturates, is omega's first.
 
 The search relies on one invariant: every smaller size failed, in its
 own mode or in plain-sphere mode, or is excluded by the bound.  A
@@ -178,20 +179,19 @@ is unchanged.
 
 Both bounds hold for omega and rho alike and depend on the diagram, not
 on the saturating set they are read off, so ``_bounds`` keeps each
-diagram's while the diagram lives.  omega alone works them out on each
-call; rho, and omega given rho's result, read them, and work them out
-the same way only when no call has left them.  They are grown on a
-Wirtinger ``GrowingClosure`` of their own, dropped once they are read.
-The Fox
-bound is read off the greedy set's log.  The coloring search grows with
-the count of seeds it colors, and the greedy set has more than omega,
-so when the Fox bound is below its size the greedy seeds are walked
-back from the last one grown, each whose removal leaves a saturating
-set is dropped, and what is left is colored: an irredundant saturating
-set of m seeds, often omega, whose move log ``saturate`` writes when a
-seed was dropped.  The coloring uses at most one point more than that
-set has seeds, and the prune's union-find has a point for each one up
-to the highest the coloring uses.  The witnesses stay the answers when
+diagram's while the diagram lives, and rho's result with them once rho
+has run.  omega and rho read them, and work them out only when no call
+has left them.  They are grown on a Wirtinger ``GrowingClosure`` of
+their own, dropped once they are read.  The Fox bound is read off the
+greedy set's log.  The coloring search grows with the count of seeds it
+colors, and the greedy set has more than omega, so when the Fox bound
+is below its size the greedy seeds are walked back from the last one
+grown, each whose removal leaves a saturating set is dropped, and what
+is left is colored: an irredundant saturating set of m seeds, often
+omega, whose move log ``saturate`` writes when a seed was dropped.  The
+coloring uses at most one point more than that set has seeds, and the
+prune's union-find has a point for each one up to the highest the
+coloring uses.  The witnesses stay the answers when
 no smaller set saturates, so certificates do not depend on the coloring.
 When the Fox bound already equals the colored set's size it is omega
 itself, and so rho too, as rho lies between it and omega; no bound can
@@ -662,12 +662,13 @@ def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
 
 
 class _Bounds(NamedTuple):
-    """One diagram's lower-bound work, as omega and rho read it."""
+    """One diagram's bounds and rho's result, as omega and rho read them."""
     witness: Certificate  # the greedy saturating set, in Wirtinger mode
     lower: int  # the larger of the Fox and transposition bounds
     rank: int  # the transposition coloring's m - orbits, or 0
     ends: tuple[tuple[int, int], ...]  # that coloring, or ()
     m: int  # seeds of the irredundant subset, which bound omega and rho
+    rho: tuple[int, Certificate] | None = None  # rho's result, once found
 
 
 # diagram -> its _Bounds, dropped with the diagram; immutable values only,
@@ -707,11 +708,11 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None, bounds: _Bounds,
             proved: tuple[tuple[str, int], ...]) -> Certificate | None:
     """The certificate of the first seed set, by size in `sizes` and then
     in search order, whose closure in `mode` colors every strand, or None.
-    Every smaller size must fail in `mode`.  Only when `sizes` is not
-    empty does it build its closure, in plain-sphere mode on `dual`,
-    built when None.  The bounds' transposition coloring prunes prefixes.
-    A timeout at size k names, for each (invariant, upper bound) of
-    `proved`, the interval from k to that bound."""
+    Every smaller size must fail in `mode` or in plain-sphere mode.  Only
+    when `sizes` is not empty does it build its closure, in plain-sphere
+    mode on `dual`, built when None.  The bounds' transposition coloring
+    prunes prefixes.  A timeout at size k names, for each (invariant,
+    upper bound) of `proved`, the interval from k to that bound."""
     if not sizes:
         return None
     ends = bounds.ends
@@ -792,42 +793,26 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None, bounds: _Bounds,
         del extend  # it calls itself through a cell: free it without a GC pass
 
 
-def _same_diagram(d: Diagram, cert: Certificate, what: str) -> None:
-    """Refuse a result of another diagram: reissued, it would carry this
-    diagram's hash and the other's moves, and not verify."""
-    if cert.diagram_hash != d.content_hash:
-        raise ValueError(f"{what} certifies diagram {cert.diagram_hash}"
-                         f", not this one, {d.content_hash}")
-
-
-def omega(d: Diagram, deadline: float | None = None, rho_result=None):
+def omega(d: Diagram, deadline: float | None = None):
     """Smallest k whose some k-seed set Wirtinger-saturates the diagram.
 
-    Returns (k, certificate).  The search is bounded by a greedy
-    saturating set: strands in search order, skipping colored ones.
-    Alone, omega works out that set and the diagram's lower bound, which
-    rho reads, and searches from the bound.
-
-    `rho_result`, a rho result of this diagram, starts omega from rho.
-    Its certificate has no loop move exactly when omega = rho, and omega
-    then returns it in Wirtinger mode; otherwise omega searches from
-    rho + 1 on the bounds rho left, as no smaller set saturates in
-    either mode.
+    Returns (k, certificate), searching from the diagram's lower bound
+    up to one below the greedy set's size, whose set is the answer when
+    no smaller one saturates, or after ``rho`` from rho's result (see
+    the module docstring).  A timeout names the irredundant greedy
+    subset's size as the upper bound proved.
     """
-    if rho_result is None:
-        bounds = _bounds(d, deadline)
-        start = bounds.lower
-    else:
-        r, rcert = rho_result
-        _same_diagram(d, rcert, "rho_result")
+    bounds = _shared.get(d) or _bounds(d, deadline)
+    start = bounds.lower
+    if bounds.rho is not None:
+        r, rcert = bounds.rho
         if not any(move.kind == "L" for move in rcert.moves):
             return r, rcert._replace(mode=WIRTINGER)
-        bounds = _shared.get(d) or _bounds(d, deadline)
         start = r + 1
     witness = bounds.witness
-    upper = len(witness.seeds)
-    cert = _search(d, WIRTINGER, None, bounds, range(start, upper), deadline,
-                   (("omega", upper),)) or witness
+    cert = _search(d, WIRTINGER, None, bounds,
+                   range(start, len(witness.seeds)), deadline,
+                   (("omega", bounds.m),)) or witness
     return len(cert.seeds), cert
 
 
@@ -835,34 +820,23 @@ def rho(d: Diagram, dual: DualGraph | None = None,
         deadline: float | None = None, omega_result=None):
     """Smallest k whose some k-seed set plain-sphere-saturates the diagram.
 
-    Returns (k, certificate).  The search starts at the diagram's lower
-    bound and is pruned by its transposition coloring, both as an earlier
-    call left them for this diagram, or worked out here.
-
-    Without `omega_result`, plain-sphere mode runs first, up to one less
-    than the irredundant greedy subset's size, and the certificate has
-    no loop move exactly when omega = rho, when it is omega's too (see
-    the module docstring and ``omega``'s `rho_result`).  With an omega
-    result of this diagram the search stops below omega, and when no
-    smaller set saturates omega's certificate is reissued (its Wirtinger
-    moves remain valid in plain-sphere mode).
+    Returns (k, certificate), searching plain-sphere mode first (see the
+    module docstring); the certificate has no loop move exactly when
+    omega = rho.  The result is kept with the diagram's bounds, for
+    ``omega`` and for a later call.  `omega_result` is not read: the
+    benchmark's freeze script still passes one.
     """
     bounds = _shared.get(d) or _bounds(d, deadline)
-    if omega_result is not None:
-        _, wcert = omega_result
-        _same_diagram(d, wcert, "omega_result")
-        upper = len(wcert.seeds)
-        cert = _search(d, PLAINSPHERE, dual, bounds,
-                       range(bounds.lower, upper), deadline,
-                       (("rho", upper),)) or wcert
-        return len(cert.seeds), cert._replace(mode=PLAINSPHERE)
-    m, witness = bounds.m, bounds.witness
-    cert = _search(d, PLAINSPHERE, dual, bounds, range(bounds.lower, m),
-                   deadline, (("rho", m), ("omega", m)))
-    if cert is not None and not any(move.kind == "L" for move in cert.moves):
-        return len(cert.seeds), cert
-    k = m if cert is None else len(cert.seeds)
-    wcert = witness if k == len(witness.seeds) else _search(
-        d, WIRTINGER, None, bounds, range(k, k + 1), deadline,
-        (("rho", k), ("omega", m)))
-    return k, cert if wcert is None else wcert._replace(mode=PLAINSPHERE)
+    if bounds.rho is None:
+        m, witness = bounds.m, bounds.witness
+        cert = _search(d, PLAINSPHERE, dual, bounds, range(bounds.lower, m),
+                       deadline, (("rho", m), ("omega", m)))
+        if cert is None or any(move.kind == "L" for move in cert.moves):
+            k = m if cert is None else len(cert.seeds)
+            wcert = witness if k == len(witness.seeds) else _search(
+                d, WIRTINGER, None, bounds, range(k, k + 1), deadline,
+                (("rho", k), ("omega", m)))
+            if wcert is not None:
+                cert = wcert._replace(mode=PLAINSPHERE)
+        _shared[d] = bounds = bounds._replace(rho=(len(cert.seeds), cert))
+    return bounds.rho

@@ -37,7 +37,7 @@ def engine_results(all_rows):
         d = parse_pd(pd_text)
         g = build_dual(d)
         w, wcert = omega(d)
-        r, rcert = rho(d, dual=g, omega_result=(w, wcert))
+        r, rcert = rho(d, dual=g)
         out[name] = (d, g, w, r, wcert, rcert)
     return out
 
@@ -45,7 +45,7 @@ def engine_results(all_rows):
 def test_criterion_1_reference_diagram(k14, k14_dual):
     started = time.monotonic()
     w, wcert = omega(k14)
-    r, rcert = rho(k14, dual=k14_dual, omega_result=(w, wcert))
+    r, rcert = rho(k14, dual=k14_dual)
     ok_w = verify(k14, wcert, k14_dual).ok
     ok_r = verify(k14, rcert, k14_dual).ok
     elapsed = time.monotonic() - started

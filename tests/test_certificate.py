@@ -187,7 +187,7 @@ class TestVerifyAccepts:
         for name, d in all_diagrams.items():
             g = build_dual(d)
             w, wcert = omega(d)
-            r, rcert = rho(d, dual=g, omega_result=(w, wcert))
+            r, rcert = rho(d, dual=g)
             assert verify(d, wcert, g).ok, name
             assert verify(d, rcert, g).ok, name
 

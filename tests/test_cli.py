@@ -179,19 +179,20 @@ class TestCompute:
     def test_k14_rho_alone(self, capsys, tmp_path, monkeypatch):
         """``--invariant rho`` prints no omega, and the rho, seeds and
         certificate of ``--invariant both``: rho runs first either way,
-        with no omega result, and only ``both`` runs omega, from rho's
-        result.  ``--invariant omega`` runs omega alone and prints the
-        omega and seeds of ``both``."""
+        and only ``both`` runs omega after it, on the same diagram, from
+        the result rho keeps with it.  ``--invariant omega`` runs omega
+        alone and prints the omega and seeds of ``both``.  ``both``
+        writes rho's certificate, in plain-sphere mode, and ``omega``
+        omega's, in Wirtinger mode."""
         calls = []
 
-        def rho(*args, **kwargs):
-            calls.append(("rho", kwargs.get("omega_result")))
-            calls.append(("rho ->", engine.rho(*args, **kwargs)))
-            return calls[-1][1]
+        def rho(d, **kwargs):
+            calls.append(("rho", d, sorted(kwargs)))
+            return engine.rho(d, **kwargs)
 
-        def omega(*args, **kwargs):
-            calls.append(("omega", kwargs.get("rho_result")))
-            return engine.omega(*args, **kwargs)
+        def omega(d, **kwargs):
+            calls.append(("omega", d, sorted(kwargs)))
+            return engine.omega(d, **kwargs)
 
         monkeypatch.setattr(cli, "rho", rho)
         monkeypatch.setattr(cli, "omega", omega)
@@ -208,15 +209,16 @@ class TestCompute:
         assert docs["rho"]["omega"] is None and docs["rho"]["rho"] == 3
         assert docs["rho"]["rho_seeds"] == docs["both"]["rho_seeds"]
         assert certs["rho"] == certs["both"]
-        result = called["both"][1][1]
-        assert called["both"] == [("rho", None), ("rho ->", result),
-                                  ("omega", result)]
-        assert called["rho"] == [("rho", None), ("rho ->", result)]
-        assert called["omega"] == [("omega", None)]
+        d = called["both"][0][1]
+        assert called["both"] == [("rho", d, ["deadline", "dual"]),
+                                  ("omega", d, ["deadline"])]
+        assert [name for name, _, _ in called["rho"]] == ["rho"]
+        assert [name for name, _, _ in called["omega"]] == ["omega"]
         assert docs["omega"]["rho"] is None
         assert ((docs["omega"]["omega"], docs["omega"]["omega_seeds"])
                 == (docs["both"]["omega"], docs["both"]["omega_seeds"])
                 == (4, [0, 2, 10, 13]))
+        assert "mode: plainsphere" in certs["both"]
         assert "mode: wirtinger" in certs["omega"]
 
 

@@ -264,7 +264,7 @@ class TestSearch:
 
     def test_k14_values(self, k14, k14_dual):
         w, wcert = omega(k14)
-        r, rcert = rho(k14, dual=k14_dual, omega_result=(w, wcert))
+        r, rcert = rho(k14, dual=k14_dual)
         assert (w, r) == (4, 3)
         assert len(wcert.seeds) == 4 and len(rcert.seeds) == 3
 
@@ -277,84 +277,61 @@ class TestSearch:
                             lambda d: calls.append(1) or serialize(d))
         d = parse_pd(K14_PD)  # not the shared fixture: its hash is cached
         w, wcert = omega(d)
-        _, rcert = rho(d, omega_result=(w, wcert))
+        _, rcert = rho(d)
         serialize_certificate(wcert) + serialize_certificate(rcert)
         assert len(calls) == 1
 
     def test_rho_reuses_omega_witness_when_equal(self, trefoil, trefoil_dual):
         w, wcert = omega(trefoil)
-        r, rcert = rho(trefoil, dual=trefoil_dual, omega_result=(w, wcert))
+        r, rcert = rho(trefoil, dual=trefoil_dual)
         assert r == w and rcert.seeds == wcert.seeds
         assert rcert.mode == PLAINSPHERE
         assert all(m.kind == "W" for m in rcert.moves)
 
-    def test_rho_refuses_a_foreign_omega_result(self, all_diagrams):
-        """rho reissues the omega certificate when no smaller set
-        saturates, so an omega result of another diagram would come back
-        under this diagram's hash with the other's moves, and not verify:
-        rho refuses it, naming both hashes."""
-        hopf, trefoil = all_diagrams["hopf"], all_diagrams["trefoil"]
-        with pytest.raises(ValueError) as info:
-            rho(hopf, omega_result=omega(trefoil))
-        assert trefoil.content_hash in str(info.value)
-        assert hopf.content_hash in str(info.value)
-
-    def test_omega_refuses_a_foreign_rho_result(self, all_diagrams):
-        """omega returns a rho certificate without a loop move as its
-        own, so a rho result of another diagram would come back under
-        this diagram's hash: omega refuses it, naming both hashes."""
-        hopf, trefoil = all_diagrams["hopf"], all_diagrams["trefoil"]
-        with pytest.raises(ValueError) as info:
-            omega(hopf, rho_result=rho(trefoil))
-        assert trefoil.content_hash in str(info.value)
-        assert hopf.content_hash in str(info.value)
-
-    def test_deadline_raises(self, k14):
+    def test_deadline_raises(self):
+        d = parse_pd(K14_PD)  # not the shared fixture: rho may have run on it
         with pytest.raises(ComputeTimeout):
-            omega(k14, deadline=time.monotonic() - 1.0)
+            omega(d, deadline=time.monotonic() - 1.0)
 
-    def test_rho_deadline_raises(self, k14, k14_dual):
+    def test_rho_deadline_raises(self):
+        d = parse_pd(K14_PD)
         with pytest.raises(ComputeTimeout):
-            rho(k14, dual=k14_dual, deadline=time.monotonic() - 1.0)
+            rho(d, deadline=time.monotonic() - 1.0)
 
-    def test_deadline_expires_mid_search(self, monkeypatch, k14, k14_dual):
-        """The coloring bound of k14n1527 is 2, its greedy set 5, omega 4
-        and rho 3.  Size 2 takes 28 adds in the omega search, which skips
-        the last seeds that fire no Wirtinger move unadded, and 87 in the
-        rho search, which adds them: a deadline after all but one of them
-        proves only the bound, one after all of them proves size 2
-        fails."""
-        import plainsphere.engine
-        known = omega(k14)
-        runs = (("omega", 5, 28, lambda deadline: omega(k14, deadline)),
-                ("rho", 4, 87, lambda deadline: rho(
-                    k14, dual=k14_dual, deadline=deadline,
-                    omega_result=known)))
-        for name, upper, adds, run in runs:
-            for deadline, k in ((adds - 2, 2), (adds - 1, 3)):
-                ticks = itertools.count()  # one tick per clock read
-                monkeypatch.setattr(plainsphere.engine, "time",
-                                    types.SimpleNamespace(
-                                        monotonic=lambda: next(ticks)))
-                with pytest.raises(ComputeTimeout) as info:
-                    run(deadline)
-                # deadline + 1 seeds added, then the expiry
-                assert next(ticks) == deadline + 2
-                assert str(info.value).endswith(
-                    f"proved {name} >= {k}, {name} <= {upper}")
+    def test_deadline_expires_mid_search(self, monkeypatch):
+        """The coloring bound of k14n1527 is 2, its greedy set 5, its
+        irredundant subset 4, omega 4 and rho 3.  Size 2 takes 28 adds in
+        the omega search, which skips the last seeds that fire no
+        Wirtinger move unadded: a deadline after all but one of them
+        proves only the bound, one after all of them proves size 2 fails.
+        The irredundant subset saturates, so omega <= 4.  Each run is on
+        a freshly parsed diagram, whose bounds omega works out; the rho
+        search's ticks are in the next test."""
+        for deadline, k in ((26, 2), (27, 3)):
+            d = parse_pd(K14_PD)
+            ticks = itertools.count()  # one tick per clock read
+            monkeypatch.setattr(plainsphere.engine, "time",
+                                types.SimpleNamespace(
+                                    monotonic=lambda: next(ticks)))
+            with pytest.raises(ComputeTimeout) as info:
+                omega(d, deadline)
+            # deadline + 1 seeds added, then the expiry
+            assert next(ticks) == deadline + 2
+            assert str(info.value).endswith(
+                f"proved omega >= {k}, omega <= 4")
 
-    def test_deadline_in_rho_first_names_omega_too(self, monkeypatch, k14,
-                                                   k14_dual):
-        """rho without an omega result searches plain-sphere mode from
-        k14n1527's coloring bound, 2, up to one below its irredundant
-        greedy subset's 4 seeds, which saturate in either mode.  A size
-        that fails in plain-sphere mode fails in Wirtinger mode too, so a
-        timeout there names omega's interval beside rho's.  Size 2 takes
-        87 adds and size 3 9, the last of them finding rho's set; its log
-        has a loop move, so a Wirtinger search of size 3 follows, and a
-        timeout in it names rho = 3 and omega's interval."""
-        import plainsphere.engine
-        omega(k14)  # the bounds are shared: no coloring reads the clock
+    def test_deadline_in_rho_first_names_omega_too(self, monkeypatch):
+        """rho searches plain-sphere mode from k14n1527's coloring bound,
+        2, up to one below its irredundant greedy subset's 4 seeds, which
+        saturate in either mode.  A size that fails in plain-sphere mode
+        fails in Wirtinger mode too, so a timeout there names omega's
+        interval beside rho's.  Size 2 takes 87 adds and size 3 9, the
+        last of them finding rho's set; its log has a loop move, so a
+        Wirtinger search of size 3 follows, and a timeout in it names
+        rho = 3 and omega's interval.  A timed-out rho keeps no result,
+        so each run searches again."""
+        d = parse_pd(K14_PD)
+        omega(d)  # the bounds are shared: no coloring reads the clock
         for deadline, proved in (
                 (85, "rho >= 2, rho <= 4, omega >= 2, omega <= 4"),
                 (86, "rho >= 3, rho <= 4, omega >= 3, omega <= 4"),
@@ -364,7 +341,7 @@ class TestSearch:
                                 types.SimpleNamespace(
                                     monotonic=lambda: next(ticks)))
             with pytest.raises(ComputeTimeout) as info:
-                rho(k14, dual=k14_dual, deadline=deadline)
+                rho(d, deadline=deadline)
             # deadline + 1 seeds added, then the expiry
             assert next(ticks) == deadline + 2
             assert str(info.value) == (
@@ -372,7 +349,8 @@ class TestSearch:
 
     def test_deadline_names_the_transposition_bound(self, monkeypatch):
         """braid-0305 has coloring bound 2, transposition bound 3 and
-        omega = rho = 4, so a rho search cut short has proved rho >= 3."""
+        omega = rho = 4, the size of its irredundant greedy subset, so a
+        rho search cut short has proved rho >= 3 and omega >= 3."""
         import plainsphere.engine
         from conftest import frozen_rows
         d = parse_pd(frozen_rows("manifest.jsonl")["braid-0305"]["pd"])
@@ -383,8 +361,9 @@ class TestSearch:
         monkeypatch.setattr(plainsphere.engine, "time", types.SimpleNamespace(
             monotonic=lambda: next(ticks)))
         with pytest.raises(ComputeTimeout) as info:
-            rho(d, dual=g, deadline=5, omega_result=known)
-        assert str(info.value).endswith("proved rho >= 3, rho <= 4")
+            rho(d, dual=g, deadline=5)
+        assert str(info.value).endswith(
+            "proved rho >= 3, rho <= 4, omega >= 3, omega <= 4")
 
     def test_omega_deadline_names_the_transposition_bound(self, monkeypatch):
         """braid-0305's greedy set has 4 seeds, coloring bound 2 and
@@ -452,16 +431,16 @@ class TestSharedBounds:
 
     @pytest.mark.parametrize("name", ["k14n1527", "braid-0305"])
     def test_bounds_worked_out_once(self, monkeypatch, name):
-        """omega followed by rho(omega_result=...), and rho on its own,
-        each call both bounds once.  braid-0305's bound is 3 and its rho
-        4, so its rho searches size 3 on omega's coloring."""
+        """omega followed by rho, and rho on its own, each call both
+        bounds once.  braid-0305's bound is 3 and its rho 4, so its rho
+        searches size 3 on omega's coloring."""
         pd = (K14_PD if name == "k14n1527"
               else frozen_rows("manifest.jsonl")[name]["pd"])
         once = {"coloring_bound": 1, "transposition_coloring": 1}
         calls = count_bound_calls(monkeypatch)
         d = parse_pd(pd)
         w, wcert = omega(d)
-        r, rcert = rho(d, omega_result=(w, wcert))
+        r, rcert = rho(d)
         assert calls == once
         calls.clear()
         assert rho(parse_pd(pd)) == (r, rcert)
@@ -485,7 +464,7 @@ class TestSharedBounds:
             d = parse_pd(item["pd"])
             calls.clear()
             w, wcert = omega(d)
-            r, rcert = rho(d, dual=build_dual(d), omega_result=(w, wcert))
+            r, rcert = rho(d, dual=build_dual(d))
             assert (w, r) == (item["omega"], item["rho"]), name
             assert max(calls.values()) == 1, name
             total += calls
@@ -493,8 +472,7 @@ class TestSharedBounds:
             fresh = parse_pd(item["pd"])
             assert fresh not in plainsphere.engine._shared
             calls.clear()
-            got, got_cert = rho(fresh, dual=build_dual(fresh),
-                                omega_result=(w, wcert))
+            got, got_cert = rho(fresh, dual=build_dual(fresh))
             assert calls == once, name  # the same work, done by rho itself
             assert got == r, name
             assert (serialize_certificate(got_cert)
@@ -504,18 +482,61 @@ class TestSharedBounds:
         assert total == {"coloring_bound": 468, "transposition_coloring": 294}
 
     def test_shared_bounds_die_with_the_diagram(self):
-        """The shared values keep no reference to their diagram, so it is
-        collected once omega and rho are done with it."""
+        """The shared values, rho's result among them, keep no reference
+        to their diagram, so it is collected once omega and rho are done
+        with it."""
         d = parse_pd(K14_PD)
-        rho(d, omega_result=omega(d))
-        rho(d)
-        assert d in plainsphere.engine._shared
+        result = rho(d)
+        omega(d)
+        assert plainsphere.engine._shared[d].rho == result
         ref = weakref.ref(d)
+        gc.collect()  # other tests' diagrams go now, not with this one
         kept = len(plainsphere.engine._shared)
         del d
         gc.collect()
         assert ref() is None
         assert len(plainsphere.engine._shared) == kept - 1
+
+    def test_rho_twice_builds_no_closure(self, monkeypatch):
+        """A second rho on a diagram returns the first one's result, kept
+        with the bounds, and builds no closure and works out no bound."""
+        d = parse_pd(K14_PD)
+        first = rho(d)
+        built = []
+        init = GrowingClosure.__init__
+        monkeypatch.setattr(GrowingClosure, "__init__",
+                            lambda state, *args: built.append(args[1])
+                            or init(state, *args))
+        calls = count_bound_calls(monkeypatch)
+        assert rho(d) == first
+        assert not built and not calls
+
+    @pytest.mark.parametrize("name", ["k14n1527", "braid-0305"])
+    def test_omega_after_rho_reads_its_result(self, monkeypatch, name):
+        """omega after rho reads rho's result off the diagram's bounds.
+        braid-0305 has omega = rho = 4, so omega runs no search and
+        returns rho's certificate in Wirtinger mode.  k14n1527's rho
+        certificate has a loop move, so omega runs one Wirtinger search,
+        from rho + 1 = 4 up to one below its greedy set's 5 seeds.  Either
+        way omega gives what it gives alone."""
+        pd = (K14_PD if name == "k14n1527"
+              else frozen_rows("manifest.jsonl")[name]["pd"])
+        searched = []
+        search = plainsphere.engine._search
+        monkeypatch.setattr(plainsphere.engine, "_search",
+                            lambda d, mode, dual, bounds, sizes, *rest:
+                            searched.append((mode, sizes))
+                            or search(d, mode, dual, bounds, sizes, *rest))
+        alone = omega(parse_pd(pd))
+        d = parse_pd(pd)
+        r, rcert = rho(d)
+        searched.clear()
+        assert omega(d) == alone
+        if name == "k14n1527":
+            assert searched == [(WIRTINGER, range(4, 5))]
+        else:
+            assert searched == []
+            assert alone == (r, rcert._replace(mode=WIRTINGER))
 
 
 class TestColoringBound:

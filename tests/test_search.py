@@ -24,7 +24,7 @@ from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
 from plainsphere.errors import PlainSphereError
 
 import oracles
-from conftest import BRAID30_WORD, frozen_rows, perfbench_module
+from conftest import BRAID30_WORD, K14_PD, frozen_rows, perfbench_module
 
 braids = perfbench_module("braids")
 
@@ -61,12 +61,11 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
     """Both searches run from size 1 here, not from the coloring and
     transposition bounds, so every size below the answer is compared
     with the reference; the transposition coloring still prunes
-    prefixes.  omega works the bounds out afresh, so the patched omega
-    refills the shared values rho reads; the greedy-witness rho and the
-    plain-sphere-first rho run on freshly parsed diagrams, where rho
-    works them out itself.  Each search records the sizes it tries,
-    which must start at 1; a search with no size to try records
-    nothing."""
+    prefixes.  Each order runs on a freshly parsed diagram, where the
+    first call works the bounds out under the patch: omega alone, and
+    rho first with omega from its result.  Each search records the sizes
+    it tries, which must start at 1; a search with no size to try
+    records nothing."""
     starts = []  # (mode, first size) of each search under the patch
     search = plainsphere.engine._search
 
@@ -82,31 +81,17 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
         patch.setattr(plainsphere.engine, "_search", recorded)
 
     for name, d, g in search_cases:
-        w, wcert = omega(d)
+        greedy = greedy_certificate(d)
+        upper = len(greedy.seeds)
+        w, wcert = omega(parse_pd(d.serialize()))
         want = oracles.reference_search(d, WIRTINGER, None, range(1, d.n + 1))
         assert (w, wcert.seeds) == want, name
-        greedy = greedy_certificate(d)
-        starts.clear()
-        with monkeypatch.context() as patch:
-            patched(patch)
-            assert omega(d) == (w, wcert), name
-            r, rcert = rho(d, dual=g, omega_result=(w, wcert))
-        assert starts == ([(WIRTINGER, 1)] * (len(greedy.seeds) > 1)
-                          + [(PLAINSPHERE, 1)] * (w > 1)), name
-        want = oracles.reference_search(d, PLAINSPHERE, g, range(1, w))
-        assert (r, rcert.seeds) == (want or (w, wcert.seeds)), name
-        # a greedy witness has more seeds, so the search reaches sizes
-        # where sets saturate, and the prune must keep the first of them
-        upper = len(greedy.seeds)
         fresh = parse_pd(d.serialize())
         starts.clear()
         with monkeypatch.context() as patch:
             patched(patch)
-            r, rcert = rho(fresh, dual=build_dual(fresh),
-                           omega_result=(None, greedy))
-        assert starts == [(PLAINSPHERE, 1)] * (upper > 1), name
-        want = oracles.reference_search(d, PLAINSPHERE, g, range(1, upper))
-        assert (r, rcert.seeds) == (want or (upper, greedy.seeds)), name
+            assert omega(fresh) == (w, wcert), name
+        assert starts == [(WIRTINGER, 1)] * (upper > 1), name
         # plain-sphere mode first: from 1 to one below the irredundant
         # subset's size, then Wirtinger mode at rho's size only when the
         # first set's log has a loop move or no smaller size saturated
@@ -117,17 +102,20 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
         starts.clear()
         with monkeypatch.context() as patch:
             patched(patch)
-            got = rho(fresh, dual=build_dual(fresh))
-            assert omega(fresh, rho_result=got) == (w, wcert), name
-        assert got == rho(d, dual=g, omega_result=(w, wcert)), name
-        looped = any(move.kind == "L" for move in got[1].moves)
+            r, rcert = rho(fresh, dual=build_dual(fresh))
+            assert omega(fresh) == (w, wcert), name
+        # the first plain-sphere-saturating set below omega, or else
+        # omega's certificate: the one a search below omega would reissue
+        want = oracles.reference_search(d, PLAINSPHERE, g, range(1, w))
+        assert (r, rcert.seeds) == (want or (w, wcert.seeds)), name
+        looped = any(move.kind == "L" for move in rcert.moves)
         first = oracles.reference_search(d, PLAINSPHERE, g, range(1, m))
         checked = (m < upper if first is None else
                    len(oracles.closure(d, first[1], WIRTINGER)) < d.n)
         assert starts == ([(PLAINSPHERE, 1)] * (m > 1)
-                          + [(WIRTINGER, got[0])] * checked
-                          + [(WIRTINGER, got[0] + 1)]
-                          * (looped and got[0] + 1 < upper)), name
+                          + [(WIRTINGER, r)] * checked
+                          + [(WIRTINGER, r + 1)]
+                          * (looped and r + 1 < upper)), name
 
 
 def greedy_certificate(d):
@@ -156,92 +144,99 @@ def shrunk_greedy(d, greedy):
 
 def test_values_match_brute_force_oracle(search_cases):
     """omega through 10 crossings; rho through 8, where enumerating
-    every dual cycle stays under a second; in both orders: omega first,
-    and rho first with omega from its result."""
+    every dual cycle stays under a second; omega alone, and after rho
+    as census and compute run them, each on a fresh diagram."""
     checked = 0
     for name, d, g in search_cases:
         if d.n > 10:
             continue
-        w, wcert = omega(d)
+        w, _ = omega(parse_pd(d.serialize()))
         assert w == oracles.oracle_omega(d), name
-        # rho first, as census and compute run them, on a fresh diagram
         fresh = parse_pd(d.serialize())
-        first = rho(fresh, dual=build_dual(fresh))
-        assert omega(fresh, rho_result=first)[0] == w, name
+        r, _ = rho(fresh, dual=build_dual(fresh))
+        assert omega(fresh)[0] == w, name
         if d.n <= 8:
-            r, _ = rho(d, dual=g, omega_result=(w, wcert))
-            assert r == first[0] == oracles.oracle_rho(d, g), name
+            assert r == oracles.oracle_rho(d, g), name
             checked += 1
     assert checked >= 40
 
 
-def test_failure_memo_prunes(monkeypatch, k14, k14_dual, all_diagrams):
+def test_failure_memo_prunes(monkeypatch):
     """The memo of failed closed sets and the skips of candidates that a
     failed sibling's closed set colors and of last seeds that fire no
-    Wirtinger move cut the adds.  k14n1527's omega takes 223 adds: 5 for
-    the greedy set, 17 to shrink it to 4 seeds, and 201 in the search
-    (359 without the last-seed skip, 511 without either skip), which
-    their transposition bound, 1, does not prune.  Its rho takes 96 (123
-    without the sibling skip, which the memo alone does not cut: its one
-    failing size is 2, and no two one-seed prefixes close to the same
-    set).  braid-0053's transposition bound is 4 = omega, so its omega
-    search starts at the size that saturates, 16 adds in all, and its
-    rho search adds nothing.
+    Wirtinger move cut the adds.  Each diagram is freshly parsed, and
+    omega runs alone, then rho on its bounds.  k14n1527's omega takes 223
+    adds: 5 for the greedy set, 17 to shrink it to 4 seeds, and 201 in
+    the search (359 without the last-seed skip, 511 without either
+    skip), which their transposition bound, 1, does not prune.  Its rho
+    takes 96 in plain-sphere mode (123 without the sibling skip, which
+    the memo alone does not cut: its one failing size is 2, and no two
+    one-seed prefixes close to the same set), and 168 in the Wirtinger
+    search of size 3 that its looped set calls for.  braid-0053's
+    transposition bound is 4 = omega, so its omega search starts at the
+    size that saturates, 16 adds in all, and its rho adds nothing.
     On sum5_9 both bounds are 2 and rho = omega = 3: its omega takes 45
-    adds, and its rho 46, 62 with the coloring's prefix prune
-    neutralised (70 and 103 without the sibling skip)."""
-    adds = []
-    add = GrowingClosure.add
-    monkeypatch.setattr(GrowingClosure, "add",
-                        lambda state, s: adds.append(s) or add(state, s))
-
-    def searched(d, g):
-        """(omega, rho), omega's adds and rho's adds."""
-        adds.clear()
-        w, wcert = omega(d)
-        omega_adds = len(adds)
-        r, _ = rho(d, dual=g, omega_result=(w, wcert))
-        return (w, r), omega_adds, len(adds) - omega_adds
-
-    values, omega_adds, rho_adds = searched(k14, k14_dual)
-    assert values == (4, 3)
-    assert omega_adds == 223 and rho_adds == 96
-    braid = parse_pd(frozen_rows("manifest.jsonl")["braid-0053"]["pd"])
-    values, omega_adds, rho_adds = searched(braid, build_dual(braid))
-    assert values == (4, 4)
-    assert omega_adds == 16 and rho_adds == 0
-    d = all_diagrams["sum5_9"]
-    assert searched(d, build_dual(d)) == ((3, 3), 45, 46)
-    monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
-                        lambda d, *args: (1, ((0, 1),) * d.n))
-    assert searched(d, build_dual(d))[::2] == ((3, 3), 62)
-
-
-def test_search_work_on_frozen_rows(monkeypatch):
-    """The adds of omega and rho over the 468 frozen rows, their bounds
-    and searches included: 41783 in Wirtinger mode and 79306 in
-    plain-sphere mode.  rho reads omega's bounds, so all its adds are
-    its search's.  A change to the closure or the search that keeps the
-    values but costs more adds shows here."""
+    adds, and its rho 46 in plain-sphere mode, 62 with the coloring's
+    prefix prune neutralised (70 and 103 without the sibling skip), and
+    7 in Wirtinger mode."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
                         lambda state, s: adds.update([state.dual is None])
                         or add(state, s))
+    rows = frozen_rows("manifest.jsonl")
+
+    def searched(pd):
+        """(omega, rho), omega's adds and rho's plain-sphere and
+        Wirtinger adds."""
+        d = parse_pd(pd)
+        adds.clear()
+        w, _ = omega(d)
+        omega_adds = adds[True]
+        adds.clear()
+        r, _ = rho(d, dual=build_dual(d))
+        return (w, r), omega_adds, adds[False], adds[True]
+
+    assert searched(K14_PD) == ((4, 3), 223, 96, 168)
+    assert searched(rows["braid-0053"]["pd"]) == ((4, 4), 16, 0, 0)
+    sum5_9 = rows["slice14.sum5_9"]["pd"]
+    assert searched(sum5_9) == ((3, 3), 45, 46, 7)
+    monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
+                        lambda d, *args: (1, ((0, 1),) * d.n))
+    assert searched(sum5_9)[::2] == ((3, 3), 62)
+
+
+def test_search_work_on_frozen_rows(monkeypatch):
+    """The adds over the 468 frozen rows in the order ``freeze.py`` runs
+    them, omega alone and then rho, bounds and searches included: 45277
+    in Wirtinger mode and 82305 in plain-sphere mode.  omega alone makes
+    41783 of them, as it did when rho searched below omega's result
+    instead (41783 and 79306 then), and rho reads omega's bounds, so all
+    its adds are its searches'.  A change to the closure or the search
+    that keeps the values but costs more adds shows here."""
+    adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
+    add = GrowingClosure.add
+    monkeypatch.setattr(GrowingClosure, "add",
+                        lambda state, s: adds.update([state.dual is None])
+                        or add(state, s))
+    alone = 0  # omega's adds
     for item in frozen_rows("manifest.jsonl").values():
         if item["kind"] != "reject":
             d = parse_pd(item["pd"])
-            rho(d, dual=build_dual(d), omega_result=omega(d))
-    assert (adds[True], adds[False]) == (41783, 79306)
+            before = adds[True]
+            omega(d)
+            alone += adds[True] - before
+            rho(d, dual=build_dual(d))
+    assert (alone, adds[True], adds[False]) == (41783, 45277, 82305)
 
 
 def test_search_work_on_frozen_rows_in_census_order(monkeypatch):
     """The adds over the same rows in the order ``psk census`` and ``psk
-    compute`` run them, rho and then omega from rho's result, bounds
-    included: 10583 in Wirtinger mode and 82305 in plain-sphere mode.
-    The plain-sphere search stops below the irredundant greedy subset's
-    size, and no Wirtinger search proves again a size that failed in
-    plain-sphere mode."""
+    compute`` run them, rho and then omega from the result rho keeps
+    with the diagram's bounds, bounds included: 10583 in Wirtinger mode
+    and 82305 in plain-sphere mode.  The plain-sphere search stops below
+    the irredundant greedy subset's size, and no Wirtinger search proves
+    again a size that failed in plain-sphere mode."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -250,7 +245,8 @@ def test_search_work_on_frozen_rows_in_census_order(monkeypatch):
     for item in frozen_rows("manifest.jsonl").values():
         if item["kind"] != "reject":
             d = parse_pd(item["pd"])
-            omega(d, rho_result=rho(d, dual=build_dual(d)))
+            rho(d, dual=build_dual(d))
+            omega(d)
     assert (adds[True], adds[False]) == (10583, 82305)
 
 
@@ -267,7 +263,7 @@ def test_frozen_rows_in_census_order():
             continue
         d = parse_pd(item["pd"])
         r, rcert = rho(d, dual=build_dual(d))
-        w, wcert = omega(d, rho_result=(r, rcert))
+        w, wcert = omega(d)
         assert (w, r) == (item["omega"], item["rho"]), name
         looped = any(move.kind == "L" for move in rcert.moves)
         assert looped == (w > r), name
@@ -305,8 +301,9 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     would have skipped.  The trace keeps its own memo of failed closed
     sets, and a prefix it cuts counts no seeds left.  The adds that grow
     the greedy set and shrink it (``_irredundant``), made before the
-    search starts, are not traced.  Both orders run: omega first, and
-    rho first with omega from its result."""
+    search starts, are not traced.  Both orders run, each on a freshly
+    parsed diagram: omega alone and then rho, and rho first with omega
+    from its result."""
     if neutral:
         monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                             lambda d, *args: (1, ((0, 1),) * d.n))
@@ -395,10 +392,13 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     monkeypatch.setattr(plainsphere.engine, "_search", traced_search)
     order: list[int] = []
     diagram, mode = None, None
-    for name, d, g in search_cases:
-        rho(d, dual=g, omega_result=omega(d))
+    for name, d, _ in search_cases:
+        fresh = parse_pd(d.serialize())
+        omega(fresh)
+        rho(fresh, dual=build_dual(fresh))
         fresh = parse_pd(d.serialize())  # and rho first, as census runs them
-        omega(fresh, rho_result=rho(fresh, dual=build_dual(fresh)))
+        rho(fresh, dual=build_dual(fresh))
+        omega(fresh)
     assert (skipped > 0 and unfired > 0) or not neutral
 
 
@@ -417,7 +417,7 @@ def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
     calls = 0
     for name, d, _ in search_cases:
         colored.clear()
-        omega(d)
+        omega(parse_pd(d.serialize()))  # it works the bounds out
         if not colored:
             continue  # the coloring bound equals the subset's size
         (seeds,) = colored
@@ -437,7 +437,7 @@ def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
 def test_witness_bound_reached_searches_nothing(monkeypatch):
     """On trefoil sum #k the greedy set has k + 1 seeds and its coloring
     bound is k + 1, so omega adds only the greedy set's seeds, and rho
-    adds none and builds no dual."""
+    adds none and builds no dual: the greedy set is its certificate."""
     adds = []
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -449,7 +449,7 @@ def test_witness_bound_reached_searches_nothing(monkeypatch):
         w, wcert = omega(d)
         assert (w, len(adds)) == (k + 1, k + 1), k
         adds.clear()
-        assert rho(d, omega_result=(w, wcert))[0] == k + 1
+        assert rho(d) == (k + 1, wcert._replace(mode=PLAINSPHERE))
         assert not adds, k
 
 
@@ -457,27 +457,33 @@ def test_each_search_builds_its_own_closure(monkeypatch, all_diagrams):
     """The bounds grow the greedy set on a Wirtinger closure of their
     own, and each search builds one closure in its mode only when the
     bound is below its witness's size: on trefoil sum #k neither search
-    builds one, on sum5_9 (bounds 2, omega = rho = 3) both do, and rho
-    on a fresh diagram works the bounds out on a closure of their own."""
+    builds one; on sum5_9 (bounds 2, omega = rho = 3), omega alone does,
+    and rho on its bounds searches plain-sphere mode below its
+    irredundant subset's 3 seeds and then Wirtinger mode at 3.  rho on a
+    fresh diagram works the bounds out on a closure of their own, and
+    omega after it builds none: rho's certificate is omega's."""
     built = []
     init = GrowingClosure.__init__
     monkeypatch.setattr(GrowingClosure, "__init__",
                         lambda state, d, mode, *rest: built.append(mode)
                         or init(state, d, mode, *rest))
 
-    def closures(d, omega_result=None):
+    def closures(pd, *calls):
+        d = parse_pd(pd)
         built.clear()
-        rho(d, omega_result=omega_result or omega(d))
+        for call in calls:
+            call(d)
         return built
 
     for k in range(1, 4):
-        d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(k)))
-        assert closures(d) == [WIRTINGER], k
-    d = all_diagrams["sum5_9"]
-    assert closures(d) == [WIRTINGER, WIRTINGER, PLAINSPHERE]
-    result = omega(d)
-    assert closures(parse_pd(d.serialize()), result) == [WIRTINGER,
-                                                          PLAINSPHERE]
+        pd = braids.braid_pd(*braids.trefoil_sum_word(k))
+        assert closures(pd, omega, rho) == [WIRTINGER], k
+        assert closures(pd, rho, omega) == [WIRTINGER], k
+    pd = all_diagrams["sum5_9"].serialize()
+    assert closures(pd, omega) == [WIRTINGER, WIRTINGER]
+    assert closures(pd, omega, rho) == [WIRTINGER, WIRTINGER, PLAINSPHERE,
+                                        WIRTINGER]
+    assert closures(pd, rho, omega) == [WIRTINGER, PLAINSPHERE, WIRTINGER]
 
 
 @pytest.mark.parametrize("name", ["hopf", "borromean", "chain3"])
@@ -510,7 +516,7 @@ def test_frozen_certificates_reproduced():
         d = parse_pd(item["pd"])
         g = build_dual(d)
         w, wcert = omega(d)
-        r, rcert = rho(d, dual=g, omega_result=(w, wcert))
+        r, rcert = rho(d, dual=g)
         assert (w, r) == (item["omega"], item["rho"]), name
         assert serialize_certificate(wcert) == certs[name]["omega"], name
         assert serialize_certificate(rcert) == certs[name]["rho"], name
