@@ -16,8 +16,9 @@ that dies costs only the chunk it was computing: each of its rows is
 skipped with the reason ``worker died: exit N`` (``signal N`` when a
 signal ended it) and gets no record, so a resume computes it, and a new
 worker takes the chunks left.  Tables and records are read as UTF-8, a
-leading BOM dropped, and ``psk census`` opens the records file for
-append before it computes any row, so an unwritable path costs no work.
+leading BOM dropped, and ``psk census`` opens its records and summary
+files for append before it computes any row, so an unwritable path
+costs no work.
 
 Records are written while the table runs: ``psk census`` appends each
 chunk's records as the chunk finishes (each row's, in a serial run), so
@@ -37,7 +38,8 @@ name and diagram hash already appear together in the records file, so
 long sweeps can run in append-only slices; a row whose name is recorded
 for another diagram is skipped with its own reason and never computed
 under that name, and one whose PD text no longer parses with its parse
-error.  The tabulated bridge number is never consulted by the search
+error; a records file that appended rows would not line up with is
+refused.  The tabulated bridge number is never consulted by the search
 itself; it is only compared against the results afterwards, keeping the
 lower-bound check honest.
 """
@@ -45,6 +47,7 @@ lower-bound check honest.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
@@ -86,21 +89,17 @@ class CensusOptions(NamedTuple):
     resume: Mapping[str, str] = MappingProxyType({})  # name -> hash
 
 
-def _read_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
-    """(header, rows) of a CSV file; a leading UTF-8 BOM is dropped."""
+def ingest(path: str) -> list[TableRow]:
+    """Read a census table; structural problems raise, row problems don't.
+    A leading UTF-8 BOM is dropped."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
-            return reader.fieldnames or [], list(reader)
+            header, raw_rows = reader.fieldnames or [], list(reader)
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FileUnreadable(f"cannot parse {path}: {exc}") from exc
-
-
-def ingest(path: str) -> list[TableRow]:
-    """Read a census table; structural problems raise, row problems don't."""
-    header, raw_rows = _read_csv(path)
     missing = {"name", "pd_notation"} - set(header)
     if missing:
         raise MissingColumns(f"{path}: missing columns {sorted(missing)}")
@@ -366,16 +365,36 @@ def run_census(rows: list[TableRow], options: CensusOptions,
 
 
 def existing_records(path: str) -> dict[str, str]:
-    """Name -> diagram hash of each row of a records CSV (for resume)."""
-    if not os.path.exists(path):
+    """Name -> diagram hash of each row of a records CSV (for resume).
+    A file appended records would not line up with is refused, naming the
+    line: a header other than ``RECORD_COLUMNS``, a row of another width
+    or a last line cut short, as a killed sweep leaves it."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except FileNotFoundError:
         return {}
-    header, rows = _read_csv(path)
-    if not header:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise FileUnreadable(f"cannot parse {path}: {exc}") from exc
+    if not rows:
         return {}  # empty file: nothing was recorded
-    if "diagram_hash" not in header:
-        raise FileUnreadable(
-            f"{path}: records have no diagram_hash column; rerun with --fresh")
-    return {row["name"]: row["diagram_hash"] for row in rows if row.get("name")}
+    odd = [line for line, row in rows if len(row) != len(RECORD_COLUMNS)]
+    if tuple(rows[0][1]) != RECORD_COLUMNS:
+        problem = (f"line {rows[0][0]}: header is not "
+                   + ",".join(RECORD_COLUMNS))
+    elif not text.endswith("\n"):
+        problem = f"line {rows[-1][0]}: cut short"
+    elif odd:
+        problem = f"line {odd[0]}: not {len(RECORD_COLUMNS)} fields"
+    else:
+        return {row[0]: row[-1] for _, row in rows[1:] if row[0]}
+    raise FileUnreadable(f"{path}, {problem}; records cannot be appended: "
+                         "delete or mend that line, or rerun with --fresh")
 
 
 def write_records(path: str, records: list[dict], append: bool) -> None:

@@ -14,10 +14,10 @@ edge joins fk back to f0, and each hop fi -> fi+1 crosses some edge of a
 strand that is colored at that point of the replay.  ``Move`` and the
 mode names live here; the engine imports them to build certificates.
 
-The verifier replays moves with direct edge-table scans and never
-touches the engine's union-find or search code, so an engine bug cannot
-vouch for itself.  Rejections carry one of the fixed reason strings in
-``REASONS`` plus a human-readable detail.
+The verifier replays moves with direct edge-table scans and a set of
+its own, and never touches the engine's union-find or search code, so
+an engine bug cannot vouch for itself.  Rejections carry one of the
+fixed reason strings in ``REASONS`` plus a human-readable detail.
 """
 
 from __future__ import annotations
@@ -182,11 +182,13 @@ def verify(d: Diagram, cert: Certificate,
     """Replay `cert` against `d` and accept only a complete valid coloring.
 
     The replay keeps its own colored set and re-checks every move
-    against the diagram's raw tables.
+    against the diagram's raw tables; with a loop move it also keeps the
+    face pairs its colored strands' edges join, for the loops' hops.
     """
     if cert.mode not in MODES:
         raise SchemaError(f"unknown certificate mode {cert.mode!r}")
-    if any(m.kind == "L" for m in cert.moves) and cert.mode == WIRTINGER:
+    loops = any(m.kind == "L" for m in cert.moves)
+    if loops and cert.mode == WIRTINGER:
         raise SchemaError("loop move in a wirtinger-mode certificate")
     if cert.diagram_hash != d.content_hash:
         return _reject(HASH_MISMATCH,
@@ -195,12 +197,15 @@ def verify(d: Diagram, cert: Certificate,
     if dual is None and cert.mode == PLAINSPHERE:
         dual = build_dual(d)
     colored: set[int] = set()
+    joined: set[frozenset[int]] = set()  # grown only when loops need it
     for s in cert.seeds:
         if not 0 <= s < d.n:
             return _reject(UNKNOWN_STRAND, f"seed {s} is not a strand id")
         if s in colored:
             return _reject(TARGET_ALREADY_COLORED, f"seed {s} repeated")
         colored.add(s)
+        if loops:
+            joined.update(frozenset(t[1:]) for t in dual.strand_edges[s])
     if not colored:
         return _reject(INCOMPLETE_COLORING, "certificate has no seeds")
     for idx, m in enumerate(cert.moves):
@@ -212,10 +217,13 @@ def verify(d: Diagram, cert: Certificate,
         if m.kind == "W":
             result = _check_wirtinger(d, colored, m, where)
         else:
-            result = _check_loop(d, dual, colored, m, where)
+            result = _check_loop(d, dual, joined, m, where)
         if result is not None:
             return result
         colored.add(m.target)
+        if loops:
+            joined.update(frozenset(t[1:])
+                          for t in dual.strand_edges[m.target])
     if len(colored) != d.n:
         missing = sorted(set(range(d.n)) - colored)
         return _reject(INCOMPLETE_COLORING,
@@ -247,8 +255,8 @@ def _check_wirtinger(d: Diagram, colored: set[int], m: Move,
     return None
 
 
-def _check_loop(d: Diagram, dual: DualGraph, colored: set[int], m: Move,
-                where: str) -> VerifyResult | None:
+def _check_loop(d: Diagram, dual: DualGraph, joined: set[frozenset[int]],
+                m: Move, where: str) -> VerifyResult | None:
     if m.edge is None or m.edge not in dual.edge_faces:
         return _reject(CYCLE_TARGET_COUNT_NEQ1,
                        f"{where}: no such edge {m.edge}")
@@ -267,8 +275,7 @@ def _check_loop(d: Diagram, dual: DualGraph, colored: set[int], m: Move,
                        f"{where}: target edge {m.edge} does not join the "
                        f"cycle's end faces")
     for f1, f2 in zip(faces, faces[1:]):
-        hop = dual.pair_edges.get(frozenset((f1, f2)), [])
-        if not any(d.edge_to_strand[e] in colored for e in hop):
+        if frozenset((f1, f2)) not in joined:
             return _reject(CYCLE_EDGE_UNCOLORED,
                            f"{where}: no colored edge between faces "
                            f"{f1} and {f2}")

@@ -160,9 +160,15 @@ def _print_compute(result: dict, fmt: str) -> None:
 def cmd_census(args) -> int:
     rows = ingest(args.input)
     resume = {} if args.fresh else existing_records(args.records)
+    if args.summary:  # probed as the records are, and left as it was
+        new = not os.path.exists(args.summary)
+        with open(args.summary, "a", encoding="utf-8"):
+            pass
+        if new:
+            os.remove(args.summary)
     created = not os.path.exists(args.records)
     with open(args.records, "a", encoding="utf-8"):
-        pass  # an unwritable records path fails before any row is computed
+        pass  # an unwritable output fails before any row is computed
     options = CensusOptions(
         max_crossings=args.max_crossings,
         jobs=args.jobs or 1,

@@ -33,11 +33,11 @@ would hash: a list of each label's first dart gives ``mate``, the flood
 marks crossings, and the strand walk marks each label with its strand.
 
 Tables that only some callers read are computed on first read and kept
-with the diagram: ``components`` maps each edge to an id shared exactly
-by the edges of its link component (with ``n_components``);
-``crossing_masks`` gives each strand's crossings as bit masks, by role,
-which every closure and the logged saturation of the diagram read; and
-``search_order`` is the strand order the seed-set searches share.
+with the diagram: ``n_components`` counts the link components by
+walking ``x -> mate[x] ^ 2``; ``crossing_masks`` gives each strand's
+crossings as bit masks, by role, which every closure and the logged
+saturation of the diagram read; and ``search_order`` is the strand
+order the seed-set searches share.
 
 ``parse_pd`` reads the text in one pass: a single ``TUPLE_RE.split``
 yields both the text between tuples, which must be separators, and the
@@ -128,22 +128,20 @@ class Diagram:
     # -- queries ---------------------------------------------------------
 
     @cached_property
-    def components(self) -> dict[int, int]:
-        """Edge -> link component id.  x -> mate[x] ^ 2 goes straight on
-        through the next crossing, so its orbit from any dart meets each
-        edge of one component once; the component's id is the dart it
-        starts from."""
-        components: dict[int, int] = {}
-        for start in range(4 * self.n):
-            x = start
-            while self.label[x] not in components:
-                components[self.label[x]] = start
-                x = self.mate[x] ^ 2
-        return components
-
-    @cached_property
     def n_components(self) -> int:
-        return len(set(self.components.values()))
+        """The number of link components.  x -> mate[x] ^ 2 goes straight
+        on through the next crossing, so its orbit from any dart meets
+        each edge of one component once."""
+        seen = bytearray(2 * self.n + 1)  # by label
+        count = 0
+        for start in range(4 * self.n):
+            if seen[self.label[start]]:
+                continue
+            count, x = count + 1, start
+            while not seen[self.label[x]]:
+                seen[self.label[x]] = 1
+                x = self.mate[x] ^ 2
+        return count
 
     @cached_property
     def crossing_masks(self) -> CrossingMasks:

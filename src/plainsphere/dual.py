@@ -13,69 +13,32 @@ from darts 0, 1, 2, ...
 The dual graph has one vertex per face and one edge per projection
 edge, joining the two faces that traverse it.  Parallel dual edges are
 kept distinct because each stands for a different way a loop can cross
-the diagram.  Self-loops would require a bridge in the projection,
-which connected 4-valent (hence Eulerian) graphs do not have.
+the diagram.
 
 ``build_dual`` is the one face walk, and it keeps no face's edges: it
 gives each dart the face it is passed in, and an edge's two faces are
 read at its second dart, as the first dart's face and the current one.
-``edge_faces`` lists the edges in the order the walk first passes them.
-``edge_masks``, each strand's edges and each face's bordering edges as
-bit masks, is computed on first read for the plain-sphere closures and
-kept with the dual.
+``edge_faces`` lists the edges in the order the walk first passes them,
+and ``strand_edges`` each strand's edges with their faces.  A
+``DualGraph`` holds nothing else: each other view is built by its one
+reader, as the plain-sphere closure builds its bit masks.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .diagram import Diagram
 from .errors import EulerViolation
 
 
-class DualGraph:
-    """Dual multigraph of a diagram's face structure."""
-
-    def __init__(self, diagram: Diagram, n_faces: int,
-                 edge_faces: dict[int, tuple[int, int]]):
-        self.n_faces = n_faces
-        self.edge_faces = edge_faces
-        self.strand_edges: list[tuple[tuple[int, int, int], ...]] = [
-            tuple((e,) + edge_faces[e] for e in edges)
-            for edges in diagram.strands
-        ]
-
-    @cached_property
-    def pair_edges(self) -> dict[frozenset[int], list[int]]:
-        """Unordered face pair -> the edges joining them, ascending.  Only
-        the verifier reads it, so it is built on first read."""
-        pairs: dict[frozenset[int], list[int]] = {}
-        for e in sorted(self.edge_faces):
-            pairs.setdefault(frozenset(self.edge_faces[e]), []).append(e)
-        return pairs
-
-    @cached_property
-    def edge_masks(self) -> EdgeMasks:
-        """The strands' dual edges and the faces' borders as bit masks
-        over edge labels."""
-        strand_bits = []
-        rim = [0] * self.n_faces
-        for edges in self.strand_edges:
-            bits = 0
-            for e, a, b in edges:
-                bits |= 1 << e
-                rim[a] |= 1 << e
-                rim[b] |= 1 << e
-            strand_bits.append(bits)
-        return EdgeMasks(tuple(strand_bits), tuple(rim))
-
-
-class EdgeMasks(NamedTuple):
-    """Bit e of ``strand[s]`` is set iff edge e belongs to strand s, and
-    of ``rim[f]`` iff edge e borders face f."""
-    strand: tuple[int, ...]
-    rim: tuple[int, ...]
+class DualGraph(NamedTuple):
+    """Dual multigraph of a diagram's face structure: the face count,
+    each edge's two faces, and each strand's edges in walk order as
+    (edge, face, face) triples."""
+    n_faces: int
+    edge_faces: dict[int, tuple[int, int]]
+    strand_edges: list[tuple[tuple[int, int, int], ...]]
 
 
 def build_dual(d: Diagram) -> DualGraph:
@@ -111,4 +74,6 @@ def build_dual(d: Diagram) -> DualGraph:
             "the PD code does not describe a diagram in the sphere"
         )
     assert len(edge_faces) == 2 * d.n
-    return DualGraph(d, f, edge_faces)
+    strand_edges = [tuple((e,) + edge_faces[e] for e in edges)
+                    for edges in d.strands]
+    return DualGraph(f, edge_faces, strand_edges)

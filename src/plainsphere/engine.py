@@ -26,12 +26,11 @@ closure two ways:
   loop move is only decided, not built: a union-find tracks the
   connected face classes of that subgraph, each with a mask of the edges
   it borders, and the uncolored edges that two classes both border are
-  those their union passes.  A trail undoes the unions.  The masks are
-  tables of the diagram (``Diagram.crossing_masks``) and of its dual
-  (``DualGraph.edge_masks``), built on first read and shared by every
-  closure of that diagram; a closure copies only the face masks it
-  changes.  A move's target is read off the lowest bit of a mask, a
-  crossing's in ``Diagram.under_strands`` or an edge's in
+  those their union passes.  A trail undoes the unions.  The crossing
+  masks are a table of the diagram (``Diagram.crossing_masks``) that
+  every closure of it shares; a plain-sphere closure builds its own edge
+  masks from the dual.  A move's target is read off the lowest bit of a
+  mask, a crossing's in ``Diagram.under_strands`` or an edge's in
   ``Diagram.edge_to_strand``, as ``saturate`` reads its crossings.
 
 * ``saturate`` builds the move log a certificate replays, with a fixed
@@ -344,14 +343,19 @@ class GrowingClosure:
         self.mask = self.xo = self.xu = self.xe = 0
         self.bit = tuple(1 << s for s in range(d.n))
         self.over, self.under = d.crossing_masks
+        # as bit masks over edges: each strand's, and each face's border
+        self._rim = [0] * (dual.n_faces if plain else 0)
         if plain:
             self._edges = dual.strand_edges
-            self._edge_bits, rim = dual.edge_masks
+            self._edge_bits = [sum(1 << e for e, _, _ in edges)
+                               for edges in dual.strand_edges]
+            for e, (a, b) in dual.edge_faces.items():
+                self._rim[a] |= 1 << e
+                self._rim[b] |= 1 << e
         else:  # Wirtinger mode joins no faces: no strand has a dual edge
-            self._edges, self._edge_bits, rim = ((),) * d.n, (0,) * d.n, ()
-        self._parent = list(range(len(rim)))
-        self._size = [1] * len(rim)
-        self._rim = list(rim)
+            self._edges, self._edge_bits = ((),) * d.n, (0,) * d.n
+        self._parent = list(range(len(self._rim)))
+        self._size = [1] * len(self._rim)
         self._trail: list[tuple[int, int]] = []
 
     def add(self, s: int) -> tuple[int, int, int, int, int]:

@@ -29,10 +29,11 @@ the move log.
 
 ``odd_components`` checks a loop move's face cycle against the link
 components: a dual cycle is a cut of the projection, so it crosses each
-closed component an even number of times.  It takes each hop's edge
-from ``DualGraph.pair_edges``; any of the parallel edges will do, since
-a closed curve through two of them would cross a component that owned
-only one exactly once.
+closed component an even number of times.  It takes each hop's lowest
+edge between the two faces from ``DualGraph.edge_faces``; any of the
+parallel edges will do, since a closed curve through two of them would
+cross a component that owned only one exactly once.  The components are
+``oracle_link_components``'s.
 
 ``reference_transposition_coloring`` is the engine's transposition
 coloring as it was before its crossing checks moved from the end of
@@ -210,13 +211,16 @@ def loop_witness(d: Diagram, g: DualGraph, colored: set[int],
 
 def odd_components(d: Diagram, g: DualGraph, move: Move) -> set[int]:
     """The link components a loop move's cycle crosses an odd number of
-    times, counting the target edge and one edge per face hop."""
+    times, counting the target edge and one edge per face hop, as
+    indices into ``oracle_link_components``."""
+    component = {e: i for i, edges in enumerate(oracle_link_components(d))
+                 for e in edges}
     faces = move.cycle_faces
-    hops = [g.pair_edges[frozenset(pair)][0]
-            for pair in zip(faces, faces[1:])]
+    hops = [min(e for e, pair in g.edge_faces.items() if set(pair) == {a, b})
+            for a, b in zip(faces, faces[1:])]
     odd: set[int] = set()
     for e in hops + [move.edge]:
-        odd ^= {d.components[e]}
+        odd ^= {component[e]}
     return odd
 
 

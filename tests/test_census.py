@@ -595,6 +595,20 @@ class TestPersistence:
         with pytest.raises(FileUnreadable):
             existing_records(str(path))
 
+    def test_records_row_of_another_width_refused(self, tmp_path):
+        """Records appended under a row of another width would not line
+        up with it: the file is refused, naming that row's line."""
+        path = tmp_path / "records.csv"
+        write_records(str(path), [dict.fromkeys(RECORD_COLUMNS, i)
+                                  for i in range(3)], append=False)
+        assert existing_records(str(path)) == {"0": "0", "1": "1", "2": "2"}
+        lines = path.read_bytes().split(b"\r\n")
+        lines[2] = b"1,1,1"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(FileUnreadable,
+                           match=f"line 3: not {len(RECORD_COLUMNS)} fields"):
+            existing_records(str(path))
+
     def test_append_mode(self, tmp_path):
         rec_path = tmp_path / "records.csv"
         rows = ingest(table_path("slice14.csv"))

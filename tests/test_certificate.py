@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from plainsphere import omega, rho
+from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import (CYCLE_EDGE_UNCOLORED, CYCLE_NOT_SIMPLE,
                                      CYCLE_TARGET_COUNT_NEQ1, HASH_MISMATCH,
                                      INCOMPLETE_COLORING,
@@ -183,7 +183,6 @@ class TestSerialization:
 
 class TestVerifyAccepts:
     def test_engine_certificates_verify(self, all_diagrams):
-        from plainsphere import build_dual
         for name, d in all_diagrams.items():
             g = build_dual(d)
             w, wcert = omega(d)
@@ -330,3 +329,32 @@ class TestVerifyRejects:
                            (Move("L", 2, edge=6, cycle_faces=(1, 2, 3, 4)),))
         with pytest.raises(SchemaError):
             verify(trefoil, cert)
+
+
+class TestParallelEdges:
+    """A hop between two faces joined by parallel dual edges needs only
+    one of them on a colored strand."""
+
+    def test_kinked_unknot_hop(self):
+        # edges 2 (strand 1) and 4 (strand 0) both join faces 0 and 2
+        d = parse_pd("X(2,1,1,4) X(3,4,2,3)")
+        cert = Certificate(d.content_hash, PLAINSPHERE, (1,),
+                           (Move("L", 0, edge=4, cycle_faces=(0, 2)),))
+        assert verify(d, cert).ok
+
+    @pytest.mark.parametrize("target,edge", [(1, 8), (5, 2)])
+    def test_granny_hop(self, all_diagrams, target, edge):
+        # edges 8 (strand 1) and 2 (strand 5) both join faces 0 and 3
+        d = all_diagrams["granny"]
+        g = build_dual(d)
+        assert [(e, d.edge_to_strand[e]) for e, pair in g.edge_faces.items()
+                if set(pair) == {0, 3}] == [(8, 1), (2, 5)]
+        move = Move("L", target, edge=edge, cycle_faces=(0, 3))
+        others = tuple(s for s in range(d.n) if s != target)
+        cert = Certificate(d.content_hash, PLAINSPHERE, others, (move,))
+        assert verify(d, cert, g).ok
+        neither = tuple(s for s in others if s not in (1, 5))
+        res = verify(d, cert._replace(seeds=neither), g)
+        assert res.reason == CYCLE_EDGE_UNCOLORED
+        assert res.detail == ("move 0 (L %d): no colored edge between "
+                              "faces 0 and 3" % target)

@@ -361,6 +361,35 @@ class TestCensusCommand:
         assert run(capsys, "census", "--input", table_path("slice14.csv"),
                    "--records", str(records), "--fresh")[0] == EXIT_OK
 
+    def test_resume_refuses_a_cut_records_file(self, capsys, tmp_path):
+        """A sweep killed mid-write leaves its last record cut short; a
+        resume must not glue the next record onto it."""
+        records = tmp_path / "records.csv"
+        args = ("census", "--input", table_path("fixtures_small.csv"),
+                "--records", str(records))
+        assert run(capsys, *args, "--fresh")[0] == EXIT_OK
+        lines = records.read_bytes().split(b"\r\n")
+        assert len(lines) == 27  # header, 25 records and the final ""
+        cut = b"\r\n".join(lines[:7]) + b"\r\n" + lines[7][:20]
+        records.write_bytes(cut)
+        code, _, err = run(capsys, *args)
+        assert code == EXIT_PARSE
+        assert f"{records}, line 8: cut short" in err and "--fresh" in err
+        assert records.read_bytes() == cut
+
+    def test_resume_refuses_a_foreign_header(self, capsys, tmp_path):
+        """Rows of RECORD_COLUMNS under another header would be read
+        under that header's names."""
+        records = tmp_path / "records.csv"
+        data = b"name,diagram_hash,omega\r\nk,00ff,2\r\n"
+        records.write_bytes(data)
+        code, _, err = run(capsys, "census",
+                           "--input", table_path("slice14.csv"),
+                           "--records", str(records))
+        assert code == EXIT_PARSE
+        assert f"{records}, line 1: header is not" in err
+        assert records.read_bytes() == data
+
     def test_fresh_recomputes(self, capsys, tmp_path):
         records = tmp_path / "records.csv"
         args = ("census", "--input", table_path("slice14.csv"),
@@ -390,7 +419,9 @@ class TestCensusCommand:
         assert code == EXIT_EMPTY_CENSUS and "no processable rows" in err
         assert not new.exists()
         old = tmp_path / "old.csv"
-        for data in (b"", b"name,diagram_hash\nk,00ff\n"):
+        for data in (b"", b"name,n,strands,omega,rho,beta_ref,strict_gap,"
+                          b"bound_ok,millis,diagram_hash\r\n"
+                          b"k,3,3,2,2,,0,,1.0,00ff\r\n"):
             old.write_bytes(data)
             for fresh in ((), ("--fresh",)):
                 assert run(capsys, "census", "--input", str(empty),
@@ -416,16 +447,51 @@ class TestCensusCommand:
         assert err.startswith("error: FileNotFoundError: ")
 
     def test_unwritable_summary_keeps_records(self, capsys, tmp_path):
+        """The summary path is opened before any row is computed: an
+        unwritable one leaves the records file as it was."""
         table = tmp_path / "t.csv"
-        table.write_text(f'name,pd_notation\nk,"{TREFOIL_PD}"\n')
+        table.write_text(f'name,pd_notation\nk,"{TREFOIL_PD}"\n'
+                         f'h,"{HOPF_PD}"\n')
         records = tmp_path / "r.csv"
+        assert run(capsys, "census", "--input", table_path("slice14.csv"),
+                   "--records", str(records))[0] == EXIT_OK
+        before = records.read_bytes()
         code, _, err = run(capsys, "census", "--input", str(table),
                            "--records", str(records),
                            "--summary", str(tmp_path / "no" / "s.json"))
         assert code == EXIT_PARSE
         assert err.startswith("error: FileNotFoundError: ")
-        with open(records, newline="") as fh:
-            assert [r["name"] for r in csv.DictReader(fh)] == ["k"]
+        assert records.read_bytes() == before
+
+    def test_summary_directory_computes_nothing(self, capsys, tmp_path,
+                                                monkeypatch):
+        """A summary path that cannot be written fails before any row is
+        computed, and leaves no records file behind."""
+        calls = []
+        monkeypatch.setattr(census, "rho",
+                            lambda *args, **kwargs: calls.append(args))
+        records = tmp_path / "r.csv"
+        code, _, err = run(capsys, "census",
+                           "--input", table_path("slice14.csv"),
+                           "--records", str(records),
+                           "--summary", str(tmp_path))
+        assert code == EXIT_PARSE and calls == []
+        assert err.startswith("error: IsADirectoryError: ")
+        assert not records.exists()
+
+    def test_empty_census_leaves_no_summary(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("name,pd_notation\n")
+        summary = tmp_path / "s.json"
+        code, _, _ = run(capsys, "census", "--input", str(empty),
+                         "--records", str(tmp_path / "r.csv"),
+                         "--summary", str(summary))
+        assert code == EXIT_EMPTY_CENSUS and not summary.exists()
+        summary.write_bytes(b"{}\n")
+        code, _, _ = run(capsys, "census", "--input", str(empty),
+                         "--records", str(tmp_path / "r.csv"),
+                         "--summary", str(summary))
+        assert code == EXIT_EMPTY_CENSUS and summary.read_bytes() == b"{}\n"
 
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_jobs_below_one_exit_two(self, capsys, tmp_path, value):

@@ -67,8 +67,9 @@ class TestDualGraph:
         # edges 2 and 4 of this kinked unknot border the same two faces
         # and must stay distinct dual edges
         g = build_dual(parse_pd("X(2,1,1,4) X(3,4,2,3)"))
-        assert g.pair_edges[frozenset((0, 2))] == [2, 4]
-        assert sum(len(v) for v in g.pair_edges.values()) == 4
+        assert sorted(e for e, pair in g.edge_faces.items()
+                      if set(pair) == {0, 2}) == [2, 4]
+        assert len(g.edge_faces) == 4
 
     def test_strand_edges_agree_with_strands(self, k14, k14_dual):
         for s, edges in enumerate(k14.strands):

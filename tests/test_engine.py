@@ -69,8 +69,8 @@ class TestMoves:
         assert set(k14_dual.edge_faces[move.edge]) == {faces[0], faces[-1]}
         for f1, f2 in zip(faces, faces[1:]):
             assert any(k14.edge_to_strand[e] in K14_STAGE_FIXPOINT
-                       for e in k14_dual.pair_edges.get(frozenset((f1, f2)),
-                                                        ()))
+                       for e, pair in k14_dual.edge_faces.items()
+                       if set(pair) == {f1, f2})
 
     def test_empty_seed_set_rejected(self, trefoil):
         with pytest.raises(ValueError):
