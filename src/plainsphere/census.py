@@ -91,11 +91,18 @@ class CensusOptions(NamedTuple):
 
 def ingest(path: str) -> list[TableRow]:
     """Read a census table; structural problems raise, row problems don't.
-    A leading UTF-8 BOM is dropped."""
+    A leading UTF-8 BOM is dropped, and so is a blank line.  Each row is
+    numbered by the first line it spans, as a quoted field may span
+    more."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            header, raw_rows = reader.fieldnames or [], list(reader)
+            reader = csv.reader(fh)
+            header, raw_rows = next(reader, []), []
+            first = reader.line_num + 1
+            for fields in reader:
+                if fields:  # a blank line reads as no fields
+                    raw_rows.append((first, dict(zip(header, fields))))
+                first = reader.line_num + 1
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:
@@ -105,7 +112,7 @@ def ingest(path: str) -> list[TableRow]:
         raise MissingColumns(f"{path}: missing columns {sorted(missing)}")
     rows = []
     first_line: dict[str, int] = {}
-    for i, raw in enumerate(raw_rows, start=2):
+    for i, raw in raw_rows:
         name = (raw.get("name") or "").strip()
         pd_text = (raw.get("pd_notation") or "").strip()
         beta_text = (raw.get("bridge_number") or "").strip()
@@ -154,7 +161,7 @@ def _process_row(task: tuple[str, str, int | None, int | None]
         d = parse_pd(pd_text)
         g = build_dual(d)
         r, _ = rho(d, dual=g, deadline=deadline)
-        w, _ = omega(d, deadline=deadline)  # from rho's result
+        w, _ = omega(d, deadline=deadline)  # read off rho's computation
         assert r <= w <= d.n
     except ComputeTimeout:
         return None, None

@@ -110,7 +110,7 @@ def cmd_compute(args) -> int:
     result = {"n": d.n, "strands": len(d.strands),
               "omega": None, "rho": None,
               "omega_seeds": None, "rho_seeds": None}
-    # rho runs first, and omega reads its result off the diagram's bounds;
+    # the first call works out both invariants, and omega reads its half;
     # the certificate is rho's, or omega's with --invariant omega
     if args.invariant != "omega":
         r, cert = rho(d, dual=dual, deadline=deadline)

@@ -54,29 +54,27 @@ closure by the next seed and undoes it on backtrack; the first set that
 saturates is the answer.  A Wirtinger-saturating set, whose seeds
 saturate in either mode, bounds the sizes: the greedy saturating set
 (strands in search order, skipping colored ones) or its irredundant
-subset (below), of m seeds.  When no smaller set saturates, omega
-reissues the greedy set, the set a search of its size would find first,
+subset (below), of m seeds.  When no smaller set saturates, the greedy
+set is omega's answer, the set a search of its size would find first,
 its first leaf.  When no size is left to try, the search builds no
-``GrowingClosure``, nor rho a dual.
+``GrowingClosure``, nor a dual.
 
 Loop moves dominate Wirtinger moves, so a set that does not
 plain-sphere-saturate does not Wirtinger-saturate either, and
-rho <= omega <= m.  ``psk census`` and ``psk compute`` therefore call
-``rho(d)`` first and then ``omega(d)``.  rho searches plain-sphere mode
-from the diagram's lower bound up to m - 1.  A first set whose log has
-no loop move Wirtinger-saturates, so omega = rho, and no Wirtinger
-search runs.  Otherwise, or when no set below m saturates and rho = m,
-one Wirtinger search of rho's size decides whether omega = rho, and its
-first set, omega's certificate, is reissued as rho's; at the greedy
-set's size that set is the first, and is taken without a search.  So
-rho's certificate has no loop move exactly when omega = rho.  rho keeps
-its result with the diagram's bounds (``_Bounds.rho``), and omega after
-it returns that certificate in Wirtinger mode or searches from rho + 1.
-No size that failed in plain-sphere mode is searched in Wirtinger mode,
-and omega's certificate, rho's too when omega = rho, is the one omega
-alone finds from the bound up to one below the greedy set's size: each
-set of rho's size before the first plain-sphere-saturating one fails in
-both modes, so that set, when it Wirtinger-saturates, is omega's first.
+rho <= omega <= m.  So omega is rho's search continued in Wirtinger
+mode, and one computation (``_invariants``) gives both: ``rho(d)`` and
+``omega(d)`` each read half of its pair, whichever is called first.  It
+searches plain-sphere mode from the diagram's lower bound up to m - 1.
+A first set whose log has no loop move Wirtinger-saturates, so
+omega = rho, and no Wirtinger search runs: every set before it fails in
+plain-sphere mode, so in Wirtinger mode too, and it is omega's first
+set as well.  Otherwise one Wirtinger search runs from rho's size, or
+from m when no set below m saturates and rho = m, up to one below the
+greedy set's size.  When its set has that first size, omega = rho and
+the set is reissued as rho's certificate.  So rho's certificate has no
+loop move exactly when omega = rho, and no size that failed in
+plain-sphere mode is searched in Wirtinger mode.  ``_shared`` keeps the
+pair while the diagram lives; a timeout keeps nothing.
 
 The search relies on one invariant: every smaller size failed, in its
 own mode or in plain-sphere mode, or is excluded by the bound.  A
@@ -176,25 +174,22 @@ search returns.  A pruned prefix cannot
 saturate, so the failure memo stays sound and the first saturating set
 is unchanged.
 
-Both bounds hold for omega and rho alike and depend on the diagram, not
-on the saturating set they are read off, so ``_bounds`` keeps each
-diagram's while the diagram lives, and rho's result with them once rho
-has run.  omega and rho read them, and work them out only when no call
-has left them.  They are grown on a Wirtinger ``GrowingClosure`` of
-their own, dropped once they are read.  The Fox bound is read off the
-greedy set's log.  The coloring search grows with the count of seeds it
-colors, and the greedy set has more than omega, so when the Fox bound
-is below its size the greedy seeds are walked back from the last one
-grown, each whose removal leaves a saturating set is dropped, and what
-is left is colored: an irredundant saturating set of m seeds, often
-omega, whose move log ``saturate`` writes when a seed was dropped.  The
-coloring uses at most one point more than that set has seeds, and the
-prune's union-find has a point for each one up to the highest the
-coloring uses.  The witnesses stay the answers when
-no smaller set saturates, so certificates do not depend on the coloring.
-When the Fox bound already equals the colored set's size it is omega
-itself, and so rho too, as rho lies between it and omega; no bound can
-exceed it, and no coloring is searched.
+Both bounds hold for omega and rho alike, so ``_bounds`` works them out
+once for both searches, on a Wirtinger ``GrowingClosure`` of its own,
+dropped once they are read.  The Fox bound is read off the greedy set's
+log.  The coloring search grows with the count of seeds it colors, and
+the greedy set has more than omega, so when the Fox bound is below its
+size the greedy seeds are walked back from the last one grown, each
+whose removal leaves a saturating set is dropped, and what is left is
+colored: an irredundant saturating set of m seeds, often omega, whose
+move log ``saturate`` writes when a seed was dropped.  The coloring uses
+at most one point more than that set has seeds, and the prune's
+union-find has a point for each one up to the highest the coloring
+uses.  The witnesses stay the answers when no smaller set saturates, so
+certificates do not depend on the coloring.  When the Fox bound already
+equals the colored set's size it is omega itself, and so rho too, as rho
+lies between it and omega; no bound can exceed it, and no coloring is
+searched.
 """
 
 from __future__ import annotations
@@ -202,7 +197,7 @@ from __future__ import annotations
 import time
 from functools import cache
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
 from .certificate import MODES, PLAINSPHERE, WIRTINGER, Certificate, Move
@@ -665,24 +660,18 @@ def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
     return kept
 
 
-class _Bounds(NamedTuple):
-    """One diagram's bounds and rho's result, as omega and rho read them."""
-    witness: Certificate  # the greedy saturating set, in Wirtinger mode
-    lower: int  # the larger of the Fox and transposition bounds
-    rank: int  # the transposition coloring's m - orbits, or 0
-    ends: tuple[tuple[int, int], ...]  # that coloring, or ()
-    m: int  # seeds of the irredundant subset, which bound omega and rho
-    rho: tuple[int, Certificate] | None = None  # rho's result, once found
+# diagram -> ((rho, certificate), (omega, certificate)), dropped with the
+# diagram; immutable values only, so a finished row keeps no closure alive
+_shared: WeakKeyDictionary = WeakKeyDictionary()
 
 
-# diagram -> its _Bounds, dropped with the diagram; immutable values only,
-# so a finished row keeps no closure alive
-_shared: WeakKeyDictionary[Diagram, _Bounds] = WeakKeyDictionary()
-
-
-def _bounds(d: Diagram, deadline: float | None) -> _Bounds:
-    """The greedy saturating set, grown on a Wirtinger closure of its
-    own, and the diagram's lower bound, stored in ``_shared``.
+def _bounds(d: Diagram, deadline: float | None
+            ) -> tuple[Certificate, int, tuple[int, tuple], int]:
+    """(witness, lower, coloring, m): the greedy saturating set, grown on a
+    Wirtinger closure of its own, as a Wirtinger certificate; the
+    diagram's lower bound; the transposition coloring, as
+    ``transposition_coloring`` returns it, or (0, ()); and the size m of
+    the irredundant subset, which bounds omega and rho.
 
     The Fox bound is read off the greedy set's log; below the set's
     size, ``_irredundant`` shrinks the set on that closure, and below the
@@ -694,32 +683,34 @@ def _bounds(d: Diagram, deadline: float | None) -> _Bounds:
     witness = Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
                           seeds=tuple(sorted(greedy)), moves=log)
     lower = coloring_bound(d, witness.seeds, log)
-    rank, ends = 0, ()
+    coloring = 0, ()
     if lower < len(greedy):
         seeds = _irredundant(state, greedy)  # in the order they were grown
         if lower < len(seeds):  # else lower is omega, and no bound exceeds it
             moves = log if len(seeds) == len(greedy) else saturate(
                 d, seeds, WIRTINGER)[1]
-            rank, ends = transposition_coloring(d, seeds, moves, deadline,
-                                                lower)
-            lower = max(lower, rank)
-    _shared[d] = bounds = _Bounds(witness, lower, rank, ends, len(seeds))
-    return bounds
+            coloring = transposition_coloring(d, seeds, moves, deadline,
+                                              lower)
+            lower = max(lower, coloring[0])
+    return witness, lower, coloring, len(seeds)
 
 
-def _search(d: Diagram, mode: str, dual: DualGraph | None, bounds: _Bounds,
-            sizes: range, deadline: float | None,
+def _search(d: Diagram, mode: str, dual: DualGraph | None,
+            coloring: tuple[int, tuple], sizes: range,
+            deadline: float | None,
             proved: tuple[tuple[str, int], ...]) -> Certificate | None:
     """The certificate of the first seed set, by size in `sizes` and then
     in search order, whose closure in `mode` colors every strand, or None.
     Every smaller size must fail in `mode` or in plain-sphere mode.  Only
     when `sizes` is not empty does it build its closure, in plain-sphere
-    mode on `dual`, built when None.  The bounds' transposition coloring
-    prunes prefixes.  A timeout at size k names, for each (invariant,
-    upper bound) of `proved`, the interval from k to that bound."""
+    mode on `dual`, built when None.  The transposition `coloring`, as
+    ``_bounds`` returns it, prunes prefixes.  A timeout at size k names,
+    for each (invariant, upper bound) of `proved`, the interval from k to
+    that bound, or the bound alone when it is below k: an earlier search
+    proved the invariant equal to it."""
     if not sizes:
         return None
-    ends = bounds.ends
+    rank, ends = coloring
     order = d.search_order
     over, under = d.crossing_masks
     n, full = d.n, (1 << d.n) - 1
@@ -761,7 +752,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None, bounds: _Bounds,
                 # k is the size being searched: see the invariant above
                 raise ComputeTimeout(
                     "seed-set search exceeded its deadline; proved "
-                    + ", ".join(f"{name} >= {k}, {name} <= {upper}"
+                    + ", ".join(f"{name} >= {min(k, upper)}, {name} <= {upper}"
                                 for name, upper in proved))
             mark = state.add(s)
             chosen.append(s)
@@ -785,7 +776,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None, bounds: _Bounds,
 
     try:
         for k in sizes:
-            if extend(0, k, k - bounds.rank):
+            if extend(0, k, k - rank):
                 colored_set, log = saturate(d, chosen, mode, state.dual)
                 assert len(colored_set) == d.n
                 return Certificate(
@@ -797,50 +788,46 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None, bounds: _Bounds,
         del extend  # it calls itself through a cell: free it without a GC pass
 
 
+def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
+                ) -> tuple[tuple[int, Certificate], tuple[int, Certificate]]:
+    """((rho, certificate), (omega, certificate)), worked out on the first
+    call for `d` and kept in ``_shared``: plain-sphere mode first, then at
+    most one Wirtinger search (see the module docstring)."""
+    found = _shared.get(d)
+    if found is None:
+        witness, lower, coloring, m = _bounds(d, deadline)
+        cert = _search(d, PLAINSPHERE, dual, coloring, range(lower, m),
+                       deadline, (("rho", m), ("omega", m)))
+        if cert is None or any(move.kind == "L" for move in cert.moves):
+            k = m if cert is None else len(cert.seeds)
+            wcert = _search(d, WIRTINGER, None, coloring,
+                            range(k, len(witness.seeds)), deadline,
+                            (("rho", k), ("omega", m))) or witness
+            if len(wcert.seeds) == k:
+                cert = wcert._replace(mode=PLAINSPHERE)
+        else:
+            wcert = cert._replace(mode=WIRTINGER)
+        _shared[d] = found = ((len(cert.seeds), cert),
+                              (len(wcert.seeds), wcert))
+    return found
+
+
 def omega(d: Diagram, deadline: float | None = None):
     """Smallest k whose some k-seed set Wirtinger-saturates the diagram.
 
-    Returns (k, certificate), searching from the diagram's lower bound
-    up to one below the greedy set's size, whose set is the answer when
-    no smaller one saturates, or after ``rho`` from rho's result (see
-    the module docstring).  A timeout names the irredundant greedy
-    subset's size as the upper bound proved.
+    Returns (k, certificate), computed with rho's (``_invariants``).  A
+    timeout names the interval proved of each invariant.
     """
-    bounds = _shared.get(d) or _bounds(d, deadline)
-    start = bounds.lower
-    if bounds.rho is not None:
-        r, rcert = bounds.rho
-        if not any(move.kind == "L" for move in rcert.moves):
-            return r, rcert._replace(mode=WIRTINGER)
-        start = r + 1
-    witness = bounds.witness
-    cert = _search(d, WIRTINGER, None, bounds,
-                   range(start, len(witness.seeds)), deadline,
-                   (("omega", bounds.m),)) or witness
-    return len(cert.seeds), cert
+    return _invariants(d, None, deadline)[1]
 
 
 def rho(d: Diagram, dual: DualGraph | None = None,
         deadline: float | None = None, omega_result=None):
     """Smallest k whose some k-seed set plain-sphere-saturates the diagram.
 
-    Returns (k, certificate), searching plain-sphere mode first (see the
-    module docstring); the certificate has no loop move exactly when
-    omega = rho.  The result is kept with the diagram's bounds, for
-    ``omega`` and for a later call.  `omega_result` is not read: the
-    benchmark's freeze script still passes one.
+    Returns (k, certificate), computed with omega's (``_invariants``); the
+    certificate has no loop move exactly when omega = rho.
+    `omega_result` is not read: the benchmark's freeze script still
+    passes one.
     """
-    bounds = _shared.get(d) or _bounds(d, deadline)
-    if bounds.rho is None:
-        m, witness = bounds.m, bounds.witness
-        cert = _search(d, PLAINSPHERE, dual, bounds, range(bounds.lower, m),
-                       deadline, (("rho", m), ("omega", m)))
-        if cert is None or any(move.kind == "L" for move in cert.moves):
-            k = m if cert is None else len(cert.seeds)
-            wcert = witness if k == len(witness.seeds) else _search(
-                d, WIRTINGER, None, bounds, range(k, k + 1), deadline,
-                (("rho", k), ("omega", m)))
-            if wcert is not None:
-                cert = wcert._replace(mode=PLAINSPHERE)
-        _shared[d] = bounds = bounds._replace(rho=(len(cert.seeds), cert))
-    return bounds.rho
+    return _invariants(d, dual, deadline)[0]

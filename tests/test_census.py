@@ -85,6 +85,37 @@ class TestIngest:
         assert summary["skipped_rows"] == [
             {"name": "k", "reason": "duplicate name 'k' (first on line 2)"}]
 
+    def test_lines_counted_past_blank_lines(self, tmp_path):
+        """Blank lines are skipped but counted: rows on lines 3, 5 and 6
+        keep those numbers, and the duplicate's reason names line 3."""
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "name,pd_notation,bridge_number\n"
+            "\n"
+            f'k,"{TREFOIL_PD}",2\n'
+            "\n"
+            'k,"X(2,1,3,4) X(4,3,1,2)",2\n'
+            ',"X(2,1,3,4) X(4,3,1,2)",2\n'
+        )
+        rows = ingest(str(path))
+        assert [(r.name, r.line) for r in rows] == [("k", 3), ("k", 5),
+                                                    ("", 6)]
+        assert rows[1].problem == "duplicate name 'k' (first on line 3)"
+        assert rows[2].problem == "missing name or pd_notation"
+
+    def test_row_numbered_by_its_first_line(self, tmp_path):
+        """A quoted field that spans lines 2 and 3 puts its row on line
+        2, and the next row on line 4."""
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "name,pd_notation\n"
+            'k,"X(1,4,2,5) X(3,6,4,1)\nX(5,2,6,3)"\n'
+            "k,X(1,2,2,1)\n"
+        )
+        rows = ingest(str(path))
+        assert [r.line for r in rows] == [2, 4]
+        assert rows[1].problem == "duplicate name 'k' (first on line 2)"
+
     def test_missing_bridge_column_is_fine(self, tmp_path):
         path = tmp_path / "t.csv"
         table = f'name,pd_notation\ntrefoil,"{TREFOIL_PD}"\n'
@@ -121,11 +152,11 @@ class TestRunCensus:
         assert reason is None and record["millis"] == 1.23
 
     def test_omega_searched_once_per_row(self, monkeypatch):
-        """Each row runs rho and then omega from rho's result, once each.
-        Where omega = rho at most one Wirtinger search runs: none when
-        rho's first set has no loop move, else one at rho's size, inside
-        rho.  Only k14n1527 (omega 4, rho 3) runs a second, from rho + 1,
-        inside omega."""
+        """Each row runs rho and then omega, which reads rho's result, once
+        each.  At most one Wirtinger search runs per row: none when rho's
+        first set has no loop move, else one from rho's size, inside rho.
+        On k14n1527 (omega 4, rho 3) that one search tries sizes 3 and
+        4."""
         import plainsphere.engine
         calls, searches = Counter(), Counter()
         for name in ("omega", "rho"):
@@ -136,10 +167,10 @@ class TestRunCensus:
                 or _real(*args, **kwargs))
         search = plainsphere.engine._search
 
-        def counted(d, mode, dual, bounds, sizes, *args):
+        def counted(d, mode, dual, coloring, sizes, *args):
             if mode == WIRTINGER and sizes:
                 searches[d.content_hash] += 1
-            return search(d, mode, dual, bounds, sizes, *args)
+            return search(d, mode, dual, coloring, sizes, *args)
 
         monkeypatch.setattr(plainsphere.engine, "_search", counted)
         rows = (ingest(table_path("fixtures_small.csv"))
@@ -148,7 +179,7 @@ class TestRunCensus:
         assert len(records) == 30 and summary["gap_count"] == 1
         assert calls == {"omega": 30, "rho": 30}
         by_row = {r["name"]: searches[r["diagram_hash"]] for r in records}
-        assert by_row.pop("k14n1527") == 2
+        assert by_row["k14n1527"] == 1
         assert set(by_row.values()) == {0, 1}
 
     def test_unexpected_error_skips_only_its_row(self, monkeypatch):

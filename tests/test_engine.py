@@ -300,14 +300,15 @@ class TestSearch:
 
     def test_deadline_expires_mid_search(self, monkeypatch):
         """The coloring bound of k14n1527 is 2, its greedy set 5, its
-        irredundant subset 4, omega 4 and rho 3.  Size 2 takes 28 adds in
-        the omega search, which skips the last seeds that fire no
-        Wirtinger move unadded: a deadline after all but one of them
-        proves only the bound, one after all of them proves size 2 fails.
-        The irredundant subset saturates, so omega <= 4.  Each run is on
-        a freshly parsed diagram, whose bounds omega works out; the rho
-        search's ticks are in the next test."""
-        for deadline, k in ((26, 2), (27, 3)):
+        irredundant subset 4, omega 4 and rho 3.  omega runs rho's
+        plain-sphere search first, from the bound up to 3, and a size
+        that fails there fails in Wirtinger mode too, so a timeout names
+        both invariants' intervals.  Size 2 takes 87 adds: a deadline
+        after all but one of them proves only the bound, one after all
+        of them proves size 2 fails.  The irredundant subset saturates,
+        so omega <= 4 and rho <= 4.  Each run is on a freshly parsed
+        diagram, whose bounds omega works out."""
+        for deadline, k in ((85, 2), (86, 3)):
             d = parse_pd(K14_PD)
             ticks = itertools.count()  # one tick per clock read
             monkeypatch.setattr(plainsphere.engine, "time",
@@ -318,7 +319,7 @@ class TestSearch:
             # deadline + 1 seeds added, then the expiry
             assert next(ticks) == deadline + 2
             assert str(info.value).endswith(
-                f"proved omega >= {k}, omega <= 4")
+                f"proved rho >= {k}, rho <= 4, omega >= {k}, omega <= 4")
 
     def test_deadline_in_rho_first_names_omega_too(self, monkeypatch):
         """rho searches plain-sphere mode from k14n1527's coloring bound,
@@ -327,11 +328,10 @@ class TestSearch:
         fails in Wirtinger mode too, so a timeout there names omega's
         interval beside rho's.  Size 2 takes 87 adds and size 3 9, the
         last of them finding rho's set; its log has a loop move, so a
-        Wirtinger search of size 3 follows, and a timeout in it names
-        rho = 3 and omega's interval.  A timed-out rho keeps no result,
-        so each run searches again."""
+        Wirtinger search from size 3 follows, and a timeout in it names
+        rho = 3 and omega's interval.  A timeout keeps nothing, so each
+        run on the same diagram searches again."""
         d = parse_pd(K14_PD)
-        omega(d)  # the bounds are shared: no coloring reads the clock
         for deadline, proved in (
                 (85, "rho >= 2, rho <= 4, omega >= 2, omega <= 4"),
                 (86, "rho >= 3, rho <= 4, omega >= 3, omega <= 4"),
@@ -346,6 +346,29 @@ class TestSearch:
             assert next(ticks) == deadline + 2
             assert str(info.value) == (
                 "seed-set search exceeded its deadline; proved " + proved)
+            assert d not in plainsphere.engine._shared
+
+    def test_deadline_past_rho_names_it(self, monkeypatch):
+        """k14n1527's one Wirtinger search runs from rho's size, 3, where
+        it takes 168 adds, to 4, where omega's set is found.  The 96
+        plain-sphere adds come first, so a deadline of 262 ticks ends it
+        at size 3 and one of 263 at size 4; either way the timeout names
+        rho = 3, which the plain-sphere search proved, beside omega's
+        interval, whether omega or rho was called."""
+        for call, deadline, proved in (
+                (omega, 262, "rho >= 3, rho <= 3, omega >= 3, omega <= 4"),
+                (omega, 263, "rho >= 3, rho <= 3, omega >= 4, omega <= 4"),
+                (rho, 263, "rho >= 3, rho <= 3, omega >= 4, omega <= 4")):
+            d = parse_pd(K14_PD)
+            ticks = itertools.count()  # one tick per clock read
+            monkeypatch.setattr(plainsphere.engine, "time",
+                                types.SimpleNamespace(
+                                    monotonic=lambda: next(ticks)))
+            with pytest.raises(ComputeTimeout) as info:
+                call(d, deadline=deadline)
+            assert next(ticks) == deadline + 2
+            assert str(info.value) == (
+                "seed-set search exceeded its deadline; proved " + proved)
 
     def test_deadline_names_the_transposition_bound(self, monkeypatch):
         """braid-0305 has coloring bound 2, transposition bound 3 and
@@ -353,22 +376,23 @@ class TestSearch:
         rho search cut short has proved rho >= 3 and omega >= 3."""
         import plainsphere.engine
         from conftest import frozen_rows
-        d = parse_pd(frozen_rows("manifest.jsonl")["braid-0305"]["pd"])
-        g = build_dual(d)
-        known = omega(d)
+        pd = frozen_rows("manifest.jsonl")["braid-0305"]["pd"]
+        known = omega(parse_pd(pd))
+        d = parse_pd(pd)
         assert coloring_bound(d, known[1].seeds, known[1].moves) == 2
         ticks = itertools.count()
         monkeypatch.setattr(plainsphere.engine, "time", types.SimpleNamespace(
             monotonic=lambda: next(ticks)))
         with pytest.raises(ComputeTimeout) as info:
-            rho(d, dual=g, deadline=5)
+            rho(d, dual=build_dual(d), deadline=5)
         assert str(info.value).endswith(
             "proved rho >= 3, rho <= 4, omega >= 3, omega <= 4")
 
     def test_omega_deadline_names_the_transposition_bound(self, monkeypatch):
         """braid-0305's greedy set has 4 seeds, coloring bound 2 and
         transposition bound 3, and omega is 4, so an omega search cut
-        short has proved omega >= 3."""
+        short, in rho's plain-sphere search, has proved omega >= 3 and
+        rho >= 3."""
         import plainsphere.engine
         from conftest import frozen_rows
         d = parse_pd(frozen_rows("manifest.jsonl")["braid-0305"]["pd"])
@@ -377,7 +401,8 @@ class TestSearch:
             monotonic=lambda: next(ticks)))
         with pytest.raises(ComputeTimeout) as info:
             omega(d, deadline=5)
-        assert str(info.value).endswith("proved omega >= 3, omega <= 4")
+        assert str(info.value).endswith(
+            "proved rho >= 3, rho <= 4, omega >= 3, omega <= 4")
 
     def test_deadline_expires_mid_coloring(self, monkeypatch):
         """The 30-crossing braid's greedy set shrinks to 7 seeds with Fox
@@ -426,14 +451,15 @@ def count_bound_calls(monkeypatch) -> Counter:
 
 
 class TestSharedBounds:
-    """omega works out each diagram's lower bound and transposition
-    coloring once, and rho reads them."""
+    """The first of omega and rho on a diagram works out its lower bound
+    and transposition coloring once, and both invariants from them; the
+    other reads its answer."""
 
     @pytest.mark.parametrize("name", ["k14n1527", "braid-0305"])
     def test_bounds_worked_out_once(self, monkeypatch, name):
         """omega followed by rho, and rho on its own, each call both
-        bounds once.  braid-0305's bound is 3 and its rho 4, so its rho
-        searches size 3 on omega's coloring."""
+        bounds once.  braid-0305's bound is 3 and its rho 4, so its
+        plain-sphere search tries size 3 on the one coloring."""
         pd = (K14_PD if name == "k14n1527"
               else frozen_rows("manifest.jsonl")[name]["pd"])
         once = {"coloring_bound": 1, "transposition_coloring": 1}
@@ -445,12 +471,14 @@ class TestSharedBounds:
         calls.clear()
         assert rho(parse_pd(pd)) == (r, rcert)
         assert calls == once
+        assert plainsphere.engine._shared[d] == ((r, rcert), (w, wcert))
         want, lower = ((4, 3), 2) if name == "k14n1527" else ((4, 4), 3)
-        assert ((w, r), plainsphere.engine._shared[d].lower) == (want, lower)
+        assert ((w, r), plainsphere.engine._bounds(d, None)[1]) == (want,
+                                                                    lower)
 
     def test_rho_without_shared_bounds_on_frozen_rows(self, monkeypatch):
         """On every frozen row, rho on a freshly parsed diagram, which has
-        no shared bounds and works them out itself, gives the value and
+        no shared result and works it out itself, gives the value and
         certificate text of rho on the diagram omega ran on.  omega and rho
         together call each bound at most once per row: the Fox bound on
         all 468 rows, the transposition coloring on the 294 whose Fox
@@ -482,13 +510,11 @@ class TestSharedBounds:
         assert total == {"coloring_bound": 468, "transposition_coloring": 294}
 
     def test_shared_bounds_die_with_the_diagram(self):
-        """The shared values, rho's result among them, keep no reference
-        to their diagram, so it is collected once omega and rho are done
-        with it."""
+        """The shared pair of answers keeps no reference to its diagram,
+        so it is collected once omega and rho are done with it."""
         d = parse_pd(K14_PD)
         result = rho(d)
-        omega(d)
-        assert plainsphere.engine._shared[d].rho == result
+        assert plainsphere.engine._shared[d] == (result, omega(d))
         ref = weakref.ref(d)
         gc.collect()  # other tests' diagrams go now, not with this one
         kept = len(plainsphere.engine._shared)
@@ -499,7 +525,7 @@ class TestSharedBounds:
 
     def test_rho_twice_builds_no_closure(self, monkeypatch):
         """A second rho on a diagram returns the first one's result, kept
-        with the bounds, and builds no closure and works out no bound."""
+        in ``_shared``, and builds no closure and works out no bound."""
         d = parse_pd(K14_PD)
         first = rho(d)
         built = []
@@ -513,29 +539,36 @@ class TestSharedBounds:
 
     @pytest.mark.parametrize("name", ["k14n1527", "braid-0305"])
     def test_omega_after_rho_reads_its_result(self, monkeypatch, name):
-        """omega after rho reads rho's result off the diagram's bounds.
-        braid-0305 has omega = rho = 4, so omega runs no search and
-        returns rho's certificate in Wirtinger mode.  k14n1527's rho
-        certificate has a loop move, so omega runs one Wirtinger search,
-        from rho + 1 = 4 up to one below its greedy set's 5 seeds.  Either
-        way omega gives what it gives alone."""
+        """omega and rho run the same searches whichever comes first, and
+        the second call runs none.  k14n1527's rho certificate has a loop
+        move, so one Wirtinger search runs, from rho = 3 up to one below
+        its greedy set's 5 seeds.  braid-0305 has no plain-sphere set
+        below its irredundant subset's 4 seeds, the greedy set's size, so
+        its Wirtinger search has no size to try: the greedy set is both
+        answers."""
         pd = (K14_PD if name == "k14n1527"
               else frozen_rows("manifest.jsonl")[name]["pd"])
         searched = []
         search = plainsphere.engine._search
         monkeypatch.setattr(plainsphere.engine, "_search",
-                            lambda d, mode, dual, bounds, sizes, *rest:
+                            lambda d, mode, dual, coloring, sizes, *rest:
                             searched.append((mode, sizes))
-                            or search(d, mode, dual, bounds, sizes, *rest))
+                            or search(d, mode, dual, coloring, sizes, *rest))
         alone = omega(parse_pd(pd))
+        searches = searched[:]
         d = parse_pd(pd)
+        searched.clear()
         r, rcert = rho(d)
+        assert searched == searches
         searched.clear()
         assert omega(d) == alone
+        assert searched == []
         if name == "k14n1527":
-            assert searched == [(WIRTINGER, range(4, 5))]
+            assert searches == [(PLAINSPHERE, range(2, 4)),
+                                (WIRTINGER, range(3, 5))]
         else:
-            assert searched == []
+            assert searches == [(PLAINSPHERE, range(3, 4)),
+                                (WIRTINGER, range(4, 4))]
             assert alone == (r, rcert._replace(mode=WIRTINGER))
 
 

@@ -62,17 +62,17 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
     transposition bounds, so every size below the answer is compared
     with the reference; the transposition coloring still prunes
     prefixes.  Each order runs on a freshly parsed diagram, where the
-    first call works the bounds out under the patch: omega alone, and
-    rho first with omega from its result.  Each search records the sizes
-    it tries, which must start at 1; a search with no size to try
-    records nothing."""
+    first call works both invariants out under the patch: omega alone,
+    and rho first with omega reading its result.  Each search records
+    the sizes it tries, which must start at 1; a search with no size to
+    try records nothing."""
     starts = []  # (mode, first size) of each search under the patch
     search = plainsphere.engine._search
 
-    def recorded(d, mode, dual, bounds, sizes, *args):
+    def recorded(d, mode, dual, coloring, sizes, *args):
         if sizes:
             starts.append((mode, sizes.start))
-        return search(d, mode, dual, bounds, sizes, *args)
+        return search(d, mode, dual, coloring, sizes, *args)
 
     def patched(patch):
         patch.setattr(plainsphere.engine, "coloring_bound", lambda *args: 1)
@@ -91,12 +91,11 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
         with monkeypatch.context() as patch:
             patched(patch)
             assert omega(fresh) == (w, wcert), name
-        assert starts == [(WIRTINGER, 1)] * (upper > 1), name
+        alone = starts[:]
         # plain-sphere mode first: from 1 to one below the irredundant
-        # subset's size, then Wirtinger mode at rho's size only when the
-        # first set's log has a loop move or no smaller size saturated
-        # (and that size is below the greedy set's), and omega from rho
-        # + 1 only when rho's certificate has a loop move
+        # subset's size, then Wirtinger mode from rho's size only when
+        # the first set's log has a loop move or no smaller size
+        # saturated (and that size is below the greedy set's)
         m = len(shrunk_greedy(d, greedy))
         fresh = parse_pd(d.serialize())
         starts.clear()
@@ -104,18 +103,16 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
             patched(patch)
             r, rcert = rho(fresh, dual=build_dual(fresh))
             assert omega(fresh) == (w, wcert), name
+        assert starts == alone, name
         # the first plain-sphere-saturating set below omega, or else
         # omega's certificate: the one a search below omega would reissue
         want = oracles.reference_search(d, PLAINSPHERE, g, range(1, w))
         assert (r, rcert.seeds) == (want or (w, wcert.seeds)), name
-        looped = any(move.kind == "L" for move in rcert.moves)
         first = oracles.reference_search(d, PLAINSPHERE, g, range(1, m))
         checked = (m < upper if first is None else
                    len(oracles.closure(d, first[1], WIRTINGER)) < d.n)
         assert starts == ([(PLAINSPHERE, 1)] * (m > 1)
-                          + [(WIRTINGER, r)] * checked
-                          + [(WIRTINGER, r + 1)]
-                          * (looped and r + 1 < upper)), name
+                          + [(WIRTINGER, r)] * checked), name
 
 
 def greedy_certificate(d):
@@ -165,20 +162,20 @@ def test_failure_memo_prunes(monkeypatch):
     """The memo of failed closed sets and the skips of candidates that a
     failed sibling's closed set colors and of last seeds that fire no
     Wirtinger move cut the adds.  Each diagram is freshly parsed, and
-    omega runs alone, then rho on its bounds.  k14n1527's omega takes 223
-    adds: 5 for the greedy set, 17 to shrink it to 4 seeds, and 201 in
-    the search (359 without the last-seed skip, 511 without either
-    skip), which their transposition bound, 1, does not prune.  Its rho
-    takes 96 in plain-sphere mode (123 without the sibling skip, which
-    the memo alone does not cut: its one failing size is 2, and no two
-    one-seed prefixes close to the same set), and 168 in the Wirtinger
-    search of size 3 that its looped set calls for.  braid-0053's
-    transposition bound is 4 = omega, so its omega search starts at the
-    size that saturates, 16 adds in all, and its rho adds nothing.
-    On sum5_9 both bounds are 2 and rho = omega = 3: its omega takes 45
-    adds, and its rho 46 in plain-sphere mode, 62 with the coloring's
-    prefix prune neutralised (70 and 103 without the sibling skip), and
-    7 in Wirtinger mode."""
+    omega runs first, working both invariants out, so rho after it adds
+    nothing.  k14n1527 takes 195 Wirtinger adds: 5 for the greedy set,
+    17 to shrink it to 4 seeds, and 173 in the search from rho = 3, 168
+    at size 3 and 5 at size 4 (272 without the last-seed skip, 238
+    without the sibling skip), which their transposition bound, 1, does
+    not prune.  Before it, 96 adds in plain-sphere mode (123 without the
+    sibling skip, which the memo alone does not cut: its one failing size
+    is 2, and no two one-seed prefixes close to the same set).
+    braid-0053's transposition bound is 4 = omega, so it searches
+    nothing: 16 adds in all.  On sum5_9 both bounds are 2 and
+    rho = omega = 3: 46 adds in plain-sphere mode, 62 with the
+    coloring's prefix prune neutralised (70 and 103 without the sibling
+    skip), and 23 in Wirtinger mode, 7 of them in the search at size 3
+    that its looped set calls for."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -187,56 +184,34 @@ def test_failure_memo_prunes(monkeypatch):
     rows = frozen_rows("manifest.jsonl")
 
     def searched(pd):
-        """(omega, rho), omega's adds and rho's plain-sphere and
-        Wirtinger adds."""
+        """(omega, rho) and the Wirtinger and plain-sphere adds."""
         d = parse_pd(pd)
         adds.clear()
         w, _ = omega(d)
-        omega_adds = adds[True]
-        adds.clear()
         r, _ = rho(d, dual=build_dual(d))
-        return (w, r), omega_adds, adds[False], adds[True]
+        return (w, r), adds[True], adds[False]
 
-    assert searched(K14_PD) == ((4, 3), 223, 96, 168)
-    assert searched(rows["braid-0053"]["pd"]) == ((4, 4), 16, 0, 0)
+    assert searched(K14_PD) == ((4, 3), 195, 96)
+    assert searched(rows["braid-0053"]["pd"]) == ((4, 4), 16, 0)
     sum5_9 = rows["slice14.sum5_9"]["pd"]
-    assert searched(sum5_9) == ((3, 3), 45, 46, 7)
+    assert searched(sum5_9) == ((3, 3), 23, 46)
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                         lambda d, *args: (1, ((0, 1),) * d.n))
     assert searched(sum5_9)[::2] == ((3, 3), 62)
 
 
-def test_search_work_on_frozen_rows(monkeypatch):
-    """The adds over the 468 frozen rows in the order ``freeze.py`` runs
-    them, omega alone and then rho, bounds and searches included: 45277
-    in Wirtinger mode and 82305 in plain-sphere mode.  omega alone makes
-    41783 of them, as it did when rho searched below omega's result
-    instead (41783 and 79306 then), and rho reads omega's bounds, so all
-    its adds are its searches'.  A change to the closure or the search
-    that keeps the values but costs more adds shows here."""
-    adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
-    add = GrowingClosure.add
-    monkeypatch.setattr(GrowingClosure, "add",
-                        lambda state, s: adds.update([state.dual is None])
-                        or add(state, s))
-    alone = 0  # omega's adds
-    for item in frozen_rows("manifest.jsonl").values():
-        if item["kind"] != "reject":
-            d = parse_pd(item["pd"])
-            before = adds[True]
-            omega(d)
-            alone += adds[True] - before
-            rho(d, dual=build_dual(d))
-    assert (alone, adds[True], adds[False]) == (41783, 45277, 82305)
-
-
-def test_search_work_on_frozen_rows_in_census_order(monkeypatch):
-    """The adds over the same rows in the order ``psk census`` and ``psk
-    compute`` run them, rho and then omega from the result rho keeps
-    with the diagram's bounds, bounds included: 10583 in Wirtinger mode
-    and 82305 in plain-sphere mode.  The plain-sphere search stops below
-    the irredundant greedy subset's size, and no Wirtinger search proves
-    again a size that failed in plain-sphere mode."""
+@pytest.mark.parametrize("omega_first", [True, False],
+                         ids=["freeze", "census"])
+def test_search_work_on_frozen_rows(monkeypatch, omega_first):
+    """The adds over the 468 frozen rows, bounds and searches included,
+    in the order ``freeze.py`` runs them, omega and then rho, and in the
+    order ``psk census`` and ``psk compute`` run them, rho and then omega:
+    10583 in Wirtinger mode and 82305 in plain-sphere mode either way, as
+    the first call works both invariants out.  The plain-sphere search
+    stops below the irredundant greedy subset's size, and no Wirtinger
+    search proves again a size that failed in plain-sphere mode.  A
+    change to the closure or the search that keeps the values but costs
+    more adds shows here."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -245,8 +220,12 @@ def test_search_work_on_frozen_rows_in_census_order(monkeypatch):
     for item in frozen_rows("manifest.jsonl").values():
         if item["kind"] != "reject":
             d = parse_pd(item["pd"])
-            rho(d, dual=build_dual(d))
-            omega(d)
+            if omega_first:
+                omega(d)
+                rho(d, dual=build_dual(d))
+            else:
+                rho(d, dual=build_dual(d))
+                omega(d)
     assert (adds[True], adds[False]) == (10583, 82305)
 
 
@@ -301,9 +280,8 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     would have skipped.  The trace keeps its own memo of failed closed
     sets, and a prefix it cuts counts no seeds left.  The adds that grow
     the greedy set and shrink it (``_irredundant``), made before the
-    search starts, are not traced.  Both orders run, each on a freshly
-    parsed diagram: omega alone and then rho, and rho first with omega
-    from its result."""
+    search starts, are not traced.  Each case runs on a freshly parsed
+    diagram, where rho runs both searches."""
     if neutral:
         monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                             lambda d, *args: (1, ((0, 1),) * d.n))
@@ -373,14 +351,14 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         assert stack[-1][0] == state.mask, name
         stack[-1][2] |= child[0]
 
-    def traced_search(d, search_mode, state, bounds, sizes, *args):
+    def traced_search(d, search_mode, dual, coloring, sizes, *args):
         nonlocal order, diagram, mode
         order, diagram, mode = d.search_order, d, search_mode
         memo.clear()
         if sizes:
             stack.append([0, -1, 0, sizes.start, ()])  # the first size
         try:
-            result = search(d, mode, state, bounds, sizes, *args)
+            result = search(d, mode, dual, coloring, sizes, *args)
             if len(stack) == 1 and stack[0][1] >= 0:  # no size saturated
                 finish(stack[0])
             return result
@@ -394,11 +372,7 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     diagram, mode = None, None
     for name, d, _ in search_cases:
         fresh = parse_pd(d.serialize())
-        omega(fresh)
         rho(fresh, dual=build_dual(fresh))
-        fresh = parse_pd(d.serialize())  # and rho first, as census runs them
-        rho(fresh, dual=build_dual(fresh))
-        omega(fresh)
     assert (skipped > 0 and unfired > 0) or not neutral
 
 
@@ -457,11 +431,10 @@ def test_each_search_builds_its_own_closure(monkeypatch, all_diagrams):
     """The bounds grow the greedy set on a Wirtinger closure of their
     own, and each search builds one closure in its mode only when the
     bound is below its witness's size: on trefoil sum #k neither search
-    builds one; on sum5_9 (bounds 2, omega = rho = 3), omega alone does,
-    and rho on its bounds searches plain-sphere mode below its
-    irredundant subset's 3 seeds and then Wirtinger mode at 3.  rho on a
-    fresh diagram works the bounds out on a closure of their own, and
-    omega after it builds none: rho's certificate is omega's."""
+    builds one; on sum5_9 (bounds 2, omega = rho = 3) the first call,
+    omega or rho, searches plain-sphere mode below its irredundant
+    subset's 3 seeds and then Wirtinger mode from 3, and the second
+    builds none."""
     built = []
     init = GrowingClosure.__init__
     monkeypatch.setattr(GrowingClosure, "__init__",
@@ -480,10 +453,8 @@ def test_each_search_builds_its_own_closure(monkeypatch, all_diagrams):
         assert closures(pd, omega, rho) == [WIRTINGER], k
         assert closures(pd, rho, omega) == [WIRTINGER], k
     pd = all_diagrams["sum5_9"].serialize()
-    assert closures(pd, omega) == [WIRTINGER, WIRTINGER]
-    assert closures(pd, omega, rho) == [WIRTINGER, WIRTINGER, PLAINSPHERE,
-                                        WIRTINGER]
-    assert closures(pd, rho, omega) == [WIRTINGER, PLAINSPHERE, WIRTINGER]
+    for calls in ((omega,), (omega, rho), (rho, omega)):
+        assert closures(pd, *calls) == [WIRTINGER, PLAINSPHERE, WIRTINGER]
 
 
 @pytest.mark.parametrize("name", ["hopf", "borromean", "chain3"])
