@@ -110,10 +110,11 @@ def cmd_compute(args) -> int:
     result = {"n": d.n, "strands": len(d.strands),
               "omega": None, "rho": None,
               "omega_seeds": None, "rho_seeds": None}
-    # the first call works out both invariants, and omega reads its half;
-    # the certificate is rho's, or omega's with --invariant omega
+    # rho works out both invariants on the dual loaded here, and omega
+    # reads its half; the certificate is rho's, or omega's with
+    # --invariant omega
+    r, cert = rho(d, dual=dual, deadline=deadline)
     if args.invariant != "omega":
-        r, cert = rho(d, dual=dual, deadline=deadline)
         result["rho"], result["rho_seeds"] = r, list(cert.seeds)
     if args.invariant != "rho":
         w, wcert = omega(d, deadline=deadline)

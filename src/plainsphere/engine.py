@@ -160,8 +160,8 @@ colors a check reads are set, and the moves it skips are replayed
 before any later step reads them.  The search tries the same colorings
 in the same order and finds the same best one, so the bound and the
 prune below are unchanged.  The search reads the clock once per
-``_CLOCK_EVERY`` nodes and, past the deadline, names what it has
-proved: at least the Fox bound or its best so far, at most its seeds.
+``_CLOCK_EVERY`` nodes and, past the deadline, stops with its best
+bound so far.
 
 The coloring found also prunes the search.  A prefix whose colors leave
 more orbits than orbits(all colors) plus the seeds it has left cannot
@@ -174,22 +174,28 @@ search returns.  A pruned prefix cannot
 saturate, so the failure memo stays sound and the first saturating set
 is unchanged.
 
-Both bounds hold for omega and rho alike, so ``_bounds`` works them out
-once for both searches, on a Wirtinger ``GrowingClosure`` of its own,
-dropped once they are read.  The Fox bound is read off the greedy set's
-log.  The coloring search grows with the count of seeds it colors, and
-the greedy set has more than omega, so when the Fox bound is below its
-size the greedy seeds are walked back from the last one grown, each
-whose removal leaves a saturating set is dropped, and what is left is
-colored: an irredundant saturating set of m seeds, often omega, whose
-move log ``saturate`` writes when a seed was dropped.  The coloring uses
-at most one point more than that set has seeds, and the prune's
-union-find has a point for each one up to the highest the coloring
-uses.  The witnesses stay the answers when no smaller set saturates, so
-certificates do not depend on the coloring.  When the Fox bound already
-equals the colored set's size it is omega itself, and so rho too, as rho
-lies between it and omega; no bound can exceed it, and no coloring is
-searched.
+Both bounds hold for omega and rho alike, so ``_invariants`` works them
+out once for both searches, on a Wirtinger ``GrowingClosure`` of its
+own.  The Fox bound is read off the greedy set's log.  The coloring
+search grows with the count of seeds it colors, and the greedy set has
+more than omega, so when the Fox bound is below its size the greedy
+seeds are walked back from the last one grown, each whose removal leaves
+a saturating set is dropped, and what is left is colored: an irredundant
+saturating set of m seeds, often omega, whose move log ``saturate``
+writes when a seed was dropped.  The coloring uses at most one point
+more than that set has seeds, and the prune's union-find has a point for
+each one up to the highest the coloring uses.  The witnesses stay the
+answers when no smaller set saturates, so certificates do not depend on
+the coloring.  When the Fox bound already equals the colored set's size
+it is omega itself, and so rho too, as rho lies between it and omega; no
+bound can exceed it, and no coloring is searched.
+
+So a timeout, too, proves its bounds of rho and omega together, and
+``_invariants`` alone words it.  The coloring stops with its best bound
+and a search with the size it was at, every smaller size having failed;
+neither names an invariant.  Until rho is found, the larger of that and
+the Fox bound bounds both from below, and m from above; in the
+Wirtinger search rho is found, and the size bounds omega alone.
 """
 
 from __future__ import annotations
@@ -536,7 +542,7 @@ def _transposition_tables(m: int) -> tuple:
 
 def transposition_coloring(d: Diagram, seeds: Sequence[int],
                            moves: Iterable[Move],
-                           deadline: float | None = None, known: int = 0
+                           deadline: float | None = None
                            ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(m - orbits, coloring) for a transposition coloring of the diagram
     on m <= len(seeds) + 1 points whose m - orbits is largest: the
@@ -553,9 +559,8 @@ def transposition_coloring(d: Diagram, seeds: Sequence[int],
     Branches that cannot beat the best coloring found are cut, and the
     search ends when m - orbits reaches len(seeds).
 
-    Past `deadline` it raises ComputeTimeout naming what is proved of
-    omega: at least the best bound found so far or `known`, a lower
-    bound proved before (the Fox bound), and at most len(seeds).
+    Past `deadline` it raises ComputeTimeout with its stage and the best
+    bound found so far, which ``_invariants`` words.
     """
     k = len(seeds)
     ends, conj, options = _transposition_tables(k + 1)
@@ -596,9 +601,7 @@ def transposition_coloring(d: Diagram, seeds: Sequence[int],
         visits += 1
         if (deadline is not None and not visits & _CLOCK_EVERY - 1
                 and time.monotonic() > deadline):
-            raise ComputeTimeout(
-                f"transposition coloring exceeded its deadline; proved "
-                f"omega >= {max(known, best_rank)}, omega <= {k}")
+            raise ComputeTimeout("transposition coloring", best_rank)
         s, steps_here = seeds[i], steps[i]
         for t, used_points, merged in options[points]:
             if merged is None:
@@ -665,49 +668,17 @@ def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
 _shared: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _bounds(d: Diagram, deadline: float | None
-            ) -> tuple[Certificate, int, tuple[int, tuple], int]:
-    """(witness, lower, coloring, m): the greedy saturating set, grown on a
-    Wirtinger closure of its own, as a Wirtinger certificate; the
-    diagram's lower bound; the transposition coloring, as
-    ``transposition_coloring`` returns it, or (0, ()); and the size m of
-    the irredundant subset, which bounds omega and rho.
-
-    The Fox bound is read off the greedy set's log; below the set's
-    size, ``_irredundant`` shrinks the set on that closure, and below the
-    shrunk set's size its transposition coloring is searched, which
-    raises ComputeTimeout past `deadline`."""
-    state = GrowingClosure(d, WIRTINGER)
-    greedy = seeds = _grow(state, d.search_order)
-    _, log = saturate(d, greedy, WIRTINGER)
-    witness = Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
-                          seeds=tuple(sorted(greedy)), moves=log)
-    lower = coloring_bound(d, witness.seeds, log)
-    coloring = 0, ()
-    if lower < len(greedy):
-        seeds = _irredundant(state, greedy)  # in the order they were grown
-        if lower < len(seeds):  # else lower is omega, and no bound exceeds it
-            moves = log if len(seeds) == len(greedy) else saturate(
-                d, seeds, WIRTINGER)[1]
-            coloring = transposition_coloring(d, seeds, moves, deadline,
-                                              lower)
-            lower = max(lower, coloring[0])
-    return witness, lower, coloring, len(seeds)
-
-
 def _search(d: Diagram, mode: str, dual: DualGraph | None,
             coloring: tuple[int, tuple], sizes: range,
-            deadline: float | None,
-            proved: tuple[tuple[str, int], ...]) -> Certificate | None:
+            deadline: float | None) -> Certificate | None:
     """The certificate of the first seed set, by size in `sizes` and then
     in search order, whose closure in `mode` colors every strand, or None.
     Every smaller size must fail in `mode` or in plain-sphere mode.  Only
     when `sizes` is not empty does it build its closure, in plain-sphere
     mode on `dual`, built when None.  The transposition `coloring`, as
-    ``_bounds`` returns it, prunes prefixes.  A timeout at size k names,
-    for each (invariant, upper bound) of `proved`, the interval from k to
-    that bound, or the bound alone when it is below k: an earlier search
-    proved the invariant equal to it."""
+    ``transposition_coloring`` returns it, or (0, ()), prunes prefixes.
+    Past `deadline` it raises ComputeTimeout with its stage and the size
+    it was searching, which ``_invariants`` words."""
     if not sizes:
         return None
     rank, ends = coloring
@@ -750,10 +721,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
                     continue  # too many orbits left: see the module docstring
             if deadline is not None and time.monotonic() > deadline:
                 # k is the size being searched: see the invariant above
-                raise ComputeTimeout(
-                    "seed-set search exceeded its deadline; proved "
-                    + ", ".join(f"{name} >= {min(k, upper)}, {name} <= {upper}"
-                                for name, upper in proved))
+                raise ComputeTimeout("seed-set search", k)
             mark = state.add(s)
             chosen.append(s)
             mask = state.mask
@@ -791,24 +759,46 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
 def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
                 ) -> tuple[tuple[int, Certificate], tuple[int, Certificate]]:
     """((rho, certificate), (omega, certificate)), worked out on the first
-    call for `d` and kept in ``_shared``: plain-sphere mode first, then at
-    most one Wirtinger search (see the module docstring)."""
+    call for `d` and kept in ``_shared``: the bounds, on a Wirtinger
+    closure of their own, plain-sphere mode, then at most one Wirtinger
+    search.  A timeout in any of them is worded here (see the module
+    docstring)."""
     found = _shared.get(d)
-    if found is None:
-        witness, lower, coloring, m = _bounds(d, deadline)
+    if found is not None:
+        return found
+    state = GrowingClosure(d, WIRTINGER)
+    greedy = seeds = _grow(state, d.search_order)
+    _, log = saturate(d, greedy, WIRTINGER)
+    witness = Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
+                          seeds=tuple(sorted(greedy)), moves=log)
+    lower = coloring_bound(d, witness.seeds, log)
+    if lower < len(greedy):
+        seeds = _irredundant(state, greedy)  # in the order they were grown
+    m, coloring, known_rho = len(seeds), (0, ()), None
+    try:
+        if lower < m:  # else lower is omega, and no bound exceeds it
+            moves = log if m == len(greedy) else saturate(
+                d, seeds, WIRTINGER)[1]
+            coloring = transposition_coloring(d, seeds, moves, deadline)
+            lower = max(lower, coloring[0])
         cert = _search(d, PLAINSPHERE, dual, coloring, range(lower, m),
-                       deadline, (("rho", m), ("omega", m)))
+                       deadline)
         if cert is None or any(move.kind == "L" for move in cert.moves):
-            k = m if cert is None else len(cert.seeds)
+            known_rho = m if cert is None else len(cert.seeds)
             wcert = _search(d, WIRTINGER, None, coloring,
-                            range(k, len(witness.seeds)), deadline,
-                            (("rho", k), ("omega", m))) or witness
-            if len(wcert.seeds) == k:
+                            range(known_rho, len(greedy)), deadline) or witness
+            if len(wcert.seeds) == known_rho:
                 cert = wcert._replace(mode=PLAINSPHERE)
         else:
             wcert = cert._replace(mode=WIRTINGER)
-        _shared[d] = found = ((len(cert.seeds), cert),
-                              (len(wcert.seeds), wcert))
+    except ComputeTimeout as exc:
+        stage, k = exc.args  # k: a lower bound its stage proved
+        k = max(lower, k)
+        low, high = (k, m) if known_rho is None else (known_rho, known_rho)
+        raise ComputeTimeout(
+            f"{stage} exceeded its deadline; proved rho >= {low}, "
+            f"rho <= {high}, omega >= {k}, omega <= {m}") from None
+    _shared[d] = found = ((len(cert.seeds), cert), (len(wcert.seeds), wcert))
     return found
 
 

@@ -111,7 +111,8 @@ class TestCompute:
                            "--timeout-ms", "1")
         assert code == EXIT_TIMEOUT and "deadline" in err
         # the interval the search proved before time ran out
-        assert re.search(r"proved (omega|rho) >= \d+, \1 <= \d+", err)
+        assert re.search(r"proved rho >= \d+, rho <= \d+, "
+                         r"omega >= \d+, omega <= \d+$", err.strip())
 
     def test_timeout_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PSK_TIMEOUT_MS", "1")
@@ -178,12 +179,13 @@ class TestCompute:
 
     def test_k14_rho_alone(self, capsys, tmp_path, monkeypatch):
         """``--invariant rho`` prints no omega, and the rho, seeds and
-        certificate of ``--invariant both``: rho runs first either way,
-        and only ``both`` runs omega after it, on the same diagram, from
-        the result rho keeps with it.  ``--invariant omega`` runs omega
-        alone and prints the omega and seeds of ``both``.  ``both``
-        writes rho's certificate, in plain-sphere mode, and ``omega``
-        omega's, in Wirtinger mode."""
+        certificate of ``--invariant both``: rho runs first, on the
+        loaded dual, for every ``--invariant``, and ``both`` and
+        ``omega`` run omega after it, on the same diagram, from the
+        result rho keeps with it.  ``--invariant omega`` prints no rho,
+        and the omega and seeds of ``both``.  ``both`` writes rho's
+        certificate, in plain-sphere mode, and ``omega`` omega's, in
+        Wirtinger mode."""
         calls = []
 
         def rho(d, **kwargs):
@@ -209,17 +211,35 @@ class TestCompute:
         assert docs["rho"]["omega"] is None and docs["rho"]["rho"] == 3
         assert docs["rho"]["rho_seeds"] == docs["both"]["rho_seeds"]
         assert certs["rho"] == certs["both"]
-        d = called["both"][0][1]
-        assert called["both"] == [("rho", d, ["deadline", "dual"]),
-                                  ("omega", d, ["deadline"])]
+        for invariant in ("both", "omega"):
+            d = called[invariant][0][1]
+            assert called[invariant] == [("rho", d, ["deadline", "dual"]),
+                                         ("omega", d, ["deadline"])]
         assert [name for name, _, _ in called["rho"]] == ["rho"]
-        assert [name for name, _, _ in called["omega"]] == ["omega"]
         assert docs["omega"]["rho"] is None
         assert ((docs["omega"]["omega"], docs["omega"]["omega_seeds"])
                 == (docs["both"]["omega"], docs["both"]["omega_seeds"])
                 == (4, [0, 2, 10, 13]))
         assert "mode: plainsphere" in certs["both"]
         assert "mode: wirtinger" in certs["omega"]
+
+    def test_one_dual_per_compute(self, capsys, monkeypatch):
+        """Every ``--invariant`` builds the dual once, where the diagram
+        is loaded, and hands it to rho, which works out omega too."""
+        built = []
+
+        def counted(name, real):
+            return lambda d: built.append(name) or real(d)
+
+        monkeypatch.setattr(cli, "build_dual", counted("cli", cli.build_dual))
+        monkeypatch.setattr(engine, "build_dual",
+                            counted("engine", engine.build_dual))
+        for invariant in ("both", "rho", "omega"):
+            built.clear()
+            code, _, _ = run(capsys, "compute", "--pd", K14_PD,
+                             "--invariant", invariant)
+            assert code == EXIT_OK
+            assert built == ["cli"], invariant
 
 
 class TestComputeVerifyLoop:

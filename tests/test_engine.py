@@ -409,19 +409,20 @@ class TestSearch:
         bound 6, and coloring them takes thousands of search nodes; the
         coloring reads the clock once per ``_CLOCK_EVERY`` nodes, and it
         is the first to read it.  A deadline it meets at its second read
-        stops it there, having proved the Fox bound and the 7 seeds."""
+        stops it there, having proved the Fox bound and the 7 seeds, of
+        rho and omega alike, whether omega or rho was called."""
         d = parse_pd(braids.braid_pd(BRAID30_WORD, 8))
-        for deadline in (0, 3):
+        for call, deadline in itertools.product((omega, rho), (0, 3)):
             ticks = itertools.count()  # one tick per clock read
             monkeypatch.setattr(plainsphere.engine, "time",
                                 types.SimpleNamespace(
                                     monotonic=lambda: next(ticks)))
             with pytest.raises(ComputeTimeout) as info:
-                omega(d, deadline)
+                call(d, deadline=deadline)
             assert next(ticks) == deadline + 2
             assert str(info.value) == (
-                "transposition coloring exceeded its deadline; "
-                "proved omega >= 6, omega <= 7")
+                "transposition coloring exceeded its deadline; proved "
+                "rho >= 6, rho <= 7, omega >= 6, omega <= 7")
         assert d not in plainsphere.engine._shared
 
     def test_values_on_known_rows(self, all_rows, all_diagrams):
@@ -459,11 +460,20 @@ class TestSharedBounds:
     def test_bounds_worked_out_once(self, monkeypatch, name):
         """omega followed by rho, and rho on its own, each call both
         bounds once.  braid-0305's bound is 3 and its rho 4, so its
-        plain-sphere search tries size 3 on the one coloring."""
+        plain-sphere search tries size 3 on the one coloring.  That
+        search starts from the diagram's lower bound."""
         pd = (K14_PD if name == "k14n1527"
               else frozen_rows("manifest.jsonl")[name]["pd"])
         once = {"coloring_bound": 1, "transposition_coloring": 1}
         calls = count_bound_calls(monkeypatch)
+        starts = []  # each search's mode and first size
+        search = plainsphere.engine._search
+
+        def traced(d, mode, dual, coloring, sizes, deadline):
+            starts.append((mode, sizes.start))
+            return search(d, mode, dual, coloring, sizes, deadline)
+
+        monkeypatch.setattr(plainsphere.engine, "_search", traced)
         d = parse_pd(pd)
         w, wcert = omega(d)
         r, rcert = rho(d)
@@ -473,8 +483,7 @@ class TestSharedBounds:
         assert calls == once
         assert plainsphere.engine._shared[d] == ((r, rcert), (w, wcert))
         want, lower = ((4, 3), 2) if name == "k14n1527" else ((4, 4), 3)
-        assert ((w, r), plainsphere.engine._bounds(d, None)[1]) == (want,
-                                                                    lower)
+        assert (w, r) == want and starts[0] == (PLAINSPHERE, lower)
 
     def test_rho_without_shared_bounds_on_frozen_rows(self, monkeypatch):
         """On every frozen row, rho on a freshly parsed diagram, which has
