@@ -7,7 +7,9 @@ Exit codes are part of the contract:
   unreadable file) or an output that cannot be written
 * 3 structurally unsupported diagram (split projection, closed over-component)
 * 4 computation timed out
-* 5 census input had no processable rows
+* 5 census had no row to compute or resume: each failed the table's own
+  checks (missing field, duplicate name, bad bridge number,
+  ``--max-crossings``); a row whose PD text does not parse is computed
 * 6 certificate rejected
 * 7 certificate rejected specifically for a diagram-hash mismatch
 

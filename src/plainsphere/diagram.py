@@ -25,12 +25,13 @@ projection is connected when ``mate[x] // 4`` reaches every crossing.
 
 A ``Diagram`` keeps each derived fact in one flat table indexed by id:
 ``pd`` holds the tuples as given, ``strands[s]`` is strand s's edges in
-walk order, ``edge_to_strand`` inverts it, ``under_strands[c]`` and
-``over_strand[c]`` give crossing c's two under-strands and its
+walk order, ``edge_to_strand[e]`` edge e's strand, ``under_strands[c]``
+and ``over_strand[c]`` crossing c's two under-strands and its
 over-strand (the triple a Wirtinger move conditions on).  The
 constructor indexes lists by label or crossing where a dict or a set
 would hash: a list of each label's first dart gives ``mate``, the flood
-marks crossings, and the strand walk marks each label with its strand.
+marks crossings, and the strand walk marks each label with its strand,
+which is ``edge_to_strand`` (-1 at 0, which labels no edge).
 
 Tables that only some callers read are computed on first read and kept
 with the diagram: ``n_components`` counts the link components by
@@ -118,8 +119,7 @@ class Diagram:
             )
         assert len(strands) == n
         self.strands: tuple[tuple[int, ...], ...] = tuple(strands)
-        self.edge_to_strand: dict[int, int] = {
-            e: s for s, edges in enumerate(strands) for e in edges}
+        self.edge_to_strand: tuple[int, ...] = tuple(owner)
         # The edge at an under slot belongs to the strand that ends there.
         self.under_strands: tuple[tuple[int, int], ...] = tuple(
             (owner[t[0]], owner[t[2]]) for t in tuples)
@@ -157,17 +157,15 @@ class Diagram:
 
     @cached_property
     def search_order(self) -> tuple[int, ...]:
-        """Strands by descending over-degree, ties by id.
-
-        Strands that pass over many crossings enable many Wirtinger moves,
-        so trying them first tends to hit a spanning seed set sooner.  The
-        seed-set search is exhaustive per size, so this is purely a
-        speedup.
+        """Strands by descending over-degree, ties by id: a stable sort by
+        length, as a strand passes over a crossing between each two of its
+        edges.  Strands that pass over many crossings enable many
+        Wirtinger moves, so trying them first tends to hit a spanning seed
+        set sooner.  The seed-set search is exhaustive per size, so this
+        is purely a speedup.
         """
-        degree = [0] * self.n
-        for o in self.over_strand:
-            degree[o] += 1
-        return tuple(sorted(range(self.n), key=lambda s: (-degree[s], s)))
+        return tuple(sorted(range(self.n),
+                            key=lambda s: -len(self.strands[s])))
 
     def serialize(self) -> str:
         """Canonical one-line form; ``parse_pd`` round-trips it."""

@@ -17,9 +17,9 @@ the diagram.
 
 ``build_dual`` is the one face walk, and it keeps no face's edges: it
 gives each dart the face it is passed in, and an edge's two faces are
-read at its second dart, as the first dart's face and the current one.
-``edge_faces`` lists the edges in the order the walk first passes them,
-and ``strand_edges`` each strand's edges with their faces.  A
+read at its second dart, as the first dart's face and the current one,
+so ``edge_faces`` gets each edge once, keyed by label, and
+``strand_edges`` gives each strand's edges with their faces.  A
 ``DualGraph`` holds nothing else: each other view is built by its one
 reader, as the plain-sphere closure builds its bit masks.
 """
@@ -46,14 +46,14 @@ def build_dual(d: Diagram) -> DualGraph:
 
     One walk traces the faces, numbering them in the order it reaches
     them, and gives each dart the face it is passed in; an edge's two
-    faces are its two darts' faces, the earlier one first.  Raises
+    faces, the earlier one first, are written at its second dart.  Raises
     EulerViolation unless it traces n + 2 faces.  That count alone puts
     the diagram in the sphere, where a connected 4-valent projection has
     no bridge, so every edge borders two distinct faces.
     """
     label, mate = d.label, d.mate
     face = [-1] * (4 * d.n)  # dart y -> the face whose walk passes y
-    edge_faces: dict[int, tuple[int, int] | None] = {}
+    edge_faces: dict[int, tuple[int, int]] = {}
     f = 0
     for start in range(4 * d.n):
         y = start + 1 if start & 3 != 3 else start - 3
@@ -62,9 +62,7 @@ def build_dual(d: Diagram) -> DualGraph:
         while face[y] < 0:
             face[y] = f
             x = mate[y]
-            if face[x] < 0:
-                edge_faces[label[y]] = None  # keeps first-passed order
-            else:
+            if face[x] >= 0:  # the edge's second dart
                 edge_faces[label[y]] = (face[x], f)
             y = x + 1 if x & 3 != 3 else x - 3
         f += 1

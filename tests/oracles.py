@@ -444,9 +444,10 @@ def conjugate(o: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
 
 def oracle_tables(text: str) -> dict:
     """pd, label, mate, strands, edge_to_strand, under_strands,
-    over_strand, n_faces, edge_faces and strand_edges, as ``Diagram`` and
-    ``DualGraph`` number and order them, from well-formed PD text alone:
-    its numbers, four to a crossing."""
+    over_strand, n_faces, edge_faces, strand_edges and search_order, as
+    ``Diagram`` and ``DualGraph`` number and order them, from well-formed
+    PD text alone: its numbers, four to a crossing.  The search order is
+    by descending over-degree, ties by id."""
     numbers = iter(map(int, re.findall(r"[0-9]+", text)))
     pd = tuple(zip(numbers, numbers, numbers, numbers))
     n = len(pd)
@@ -499,14 +500,16 @@ def oracle_tables(text: str) -> dict:
         "label": tuple(e for t in pd for e in t),
         "mate": mate,
         "strands": tuple(strands),
-        "edge_to_strand": {e: s for s, edges in enumerate(strands)
-                           for e in edges},
+        "edge_to_strand": tuple(owner.get(e, -1)
+                                for e in range(2 * n + 1)),
         "under_strands": tuple((owner[t[0]], owner[t[2]]) for t in pd),
         "over_strand": tuple(owner[t[1]] for t in pd),
         "n_faces": len(faces),
         "edge_faces": edge_faces,
         "strand_edges": [tuple((e,) + edge_faces[e] for e in edges)
                          for edges in strands],
+        "search_order": tuple(sorted(range(n), key=lambda s: (
+            -sum(owner[t[1]] == s for t in pd), s))),
     }
 
 

@@ -347,8 +347,8 @@ class TestParallelEdges:
         # edges 8 (strand 1) and 2 (strand 5) both join faces 0 and 3
         d = all_diagrams["granny"]
         g = build_dual(d)
-        assert [(e, d.edge_to_strand[e]) for e, pair in g.edge_faces.items()
-                if set(pair) == {0, 3}] == [(8, 1), (2, 5)]
+        assert {(e, d.edge_to_strand[e]) for e, pair in g.edge_faces.items()
+                if set(pair) == {0, 3}} == {(8, 1), (2, 5)}
         move = Move("L", target, edge=edge, cycle_faces=(0, 3))
         others = tuple(s for s in range(d.n) if s != target)
         cert = Certificate(d.content_hash, PLAINSPHERE, others, (move,))
