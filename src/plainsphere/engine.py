@@ -43,8 +43,13 @@ closure two ways:
   decides and builds it: for the first uncolored strand that has a loop
   move, from one face of its first such edge in walk order to the other,
   through the colored strands' dual edges in the order they were
-  colored.  It runs once per found certificate, where the search's
+  colored.  It runs once per returned certificate, where the search's
   closures run once per seed set, so it keeps no union-find.
+
+The bounds walk the Wirtinger closure a third way, ``_derivation``: it
+grows the closure seed by seed in order, skips a seed the earlier ones
+color, fires the lowest crossing of ``xo & xu`` as ``GrowingClosure``
+does, and keeps the moves each seed adds.
 
 omega and rho share one search over the sizes its caller names.  Seed
 sets are tried by size, then in strand search order (the order of
@@ -123,15 +128,15 @@ a plain-sphere saturating set generate the group.  Mod 2 a coloring is
 constant on each link component, so the bound is never below the
 component count.
 
-The bound is read off any Wirtinger-saturating set of m seeds and its
-move log, with no n x n elimination: replaying the log writes each
-strand's color as an integer linear form in the seed colors, and the m
-crossings no move used give an m x m relation matrix R whose solutions
-mod p are exactly the mod-p colorings.  Its dimension is m minus the
-number of invariant factors of R that p does not divide.  A prime that
-divides the first invariant factor other than 1 divides every later one
-(zeros included), so the maximum over p is m minus the number of
-invariant factors equal to 1, and no list of primes is needed.
+The bound is read off any Wirtinger-saturating seed set, with no n x n
+elimination: its derivation writes each strand's color as an integer
+linear form in the colors of the m seeds it adds, and the m crossings no
+move used give an m x m relation matrix R whose solutions mod p are
+exactly the mod-p colorings.  Its dimension is m minus the number of
+invariant factors of R that p does not divide.  A prime that divides the
+first invariant factor other than 1 divides every later one (zeros
+included), so the maximum over p is m minus the number of invariant
+factors equal to 1, and no list of primes is needed.
 
 The transposition bound (``transposition_coloring``) colors each strand
 with a transposition of S_m so that o a o = b at every crossing, o the
@@ -146,22 +151,22 @@ seed joins at most two orbits, so the set has at least m - orbits
 seeds.  This is the type-A case of the bound in Baader, Blair and
 Kjuchukova, "Coxeter groups and meridional rank of links".  A coloring
 is fixed by its seeds' colors, so a depth first search over a
-saturating set's transpositions, replaying its move log, finds the best
-one.  It uses at most one point more than the set has seeds, enough for
-one orbit that reaches the seed count.
+saturating set's transpositions, following its derivation, finds the
+best one.  It uses at most one point more than the set has seeds,
+enough for one orbit that reaches the seed count.
 
-Each seed's color is followed by the moves whose inputs it completes,
-in log order, and each crossing no move used is a check that o a o = b
-holds there.  A check runs right after the step, the seed or a move,
-that colors the last of its three strands, so a failing one drops the
-coloring before the rest of that seed's moves are replayed.  Where it
-runs changes nothing else: a coloring fails if any check fails, the
-colors a check reads are set, and the moves it skips are replayed
-before any later step reads them.  The search tries the same colorings
-in the same order and finds the same best one, so the bound and the
-prune below are unchanged.  The search reads the clock once per
-``_CLOCK_EVERY`` nodes and, past the deadline, stops with its best
-bound so far.
+Each seed's color is followed by the moves the derivation adds with it,
+and each crossing no move used is a check that o a o = b holds there.
+A check runs right after the step, the seed or a move, that colors the
+last of its three strands: at the first seed whose closure colors them,
+so a failing one drops the coloring before the rest of that seed's moves
+are made.  Where it runs changes nothing else: a coloring fails if any
+check fails, and the colors a check reads are set.  The search tries the
+same colorings in the same order and finds the same best one as a search
+that checks every crossing at the end, so the bound and the prune below
+do not depend on it.  The search reads the clock once per
+``_CLOCK_EVERY`` nodes and, past the deadline, stops with its best bound
+so far.
 
 The coloring found also prunes the search.  A prefix whose colors leave
 more orbits than orbits(all colors) plus the seeds it has left cannot
@@ -175,20 +180,21 @@ saturate, so the failure memo stays sound and the first saturating set
 is unchanged.
 
 Both bounds hold for omega and rho alike, so ``_invariants`` works them
-out once for both searches, on a Wirtinger ``GrowingClosure`` of its
-own.  The Fox bound is read off the greedy set's log.  The coloring
-search grows with the count of seeds it colors, and the greedy set has
-more than omega, so when the Fox bound is below its size the greedy
-seeds are walked back from the last one grown, each whose removal leaves
-a saturating set is dropped, and what is left is colored: an irredundant
-saturating set of m seeds, often omega, whose move log ``saturate``
-writes when a seed was dropped.  The coloring uses at most one point
-more than that set has seeds, and the prune's union-find has a point for
-each one up to the highest the coloring uses.  The witnesses stay the
-answers when no smaller set saturates, so certificates do not depend on
-the coloring.  When the Fox bound already equals the colored set's size
-it is omega itself, and so rho too, as rho lies between it and omega; no
-bound can exceed it, and no coloring is searched.
+out once for both searches, from derivations alone: the greedy set is
+the seeds the derivation of the whole search order adds, and the Fox
+bound is read off it.  The coloring search grows with the count of seeds
+it colors, and the greedy set has more than omega, so when the Fox bound
+is below its size the greedy seeds are walked back from the last one
+grown, each whose removal leaves a saturating set, one derivation each,
+is dropped, and what is left is colored: an irredundant saturating set
+of m seeds, often omega.  The coloring uses at most one point more than
+that set has seeds, and the prune's union-find has a point for each one
+up to the highest the coloring uses.  The witnesses stay the answers
+when no smaller set saturates, so certificates do not depend on the
+coloring; ``saturate`` writes a certificate only for an answer
+(``_certificate``).  When the Fox bound already equals the colored set's
+size it is omega itself, and so rho too, as rho lies between it and
+omega; no bound can exceed it, and no coloring is searched.
 
 So a timeout, too, proves its bounds of rho and omega together, and
 ``_invariants`` alone words it.  The coloring stops with its best bound
@@ -332,8 +338,6 @@ class GrowingClosure:
     unions made since.  A missing dual is built.
     """
 
-    EMPTY = (0, 0, 0, 0, 0)  # the mark of the empty closure
-
     def __init__(self, d: Diagram, mode: str, dual: DualGraph | None = None):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -421,47 +425,65 @@ class GrowingClosure:
             rim[b] = old
 
 
-def coloring_bound(d: Diagram, seeds: Sequence[int],
-                   moves: Iterable[Move]) -> int:
+def _derivation(d: Diagram, seeds: Iterable[int]
+                ) -> tuple[list[int], list[list[tuple[int, int, int]]],
+                           list[int], bool]:
+    """The Wirtinger closure of `seeds`, grown in order: (the seeds added,
+    for each the (target, over, other) moves it adds, over and other the
+    two strands a move reads, the crossings no move used, ascending, and
+    whether every strand is colored).  A seed the earlier ones color is
+    skipped, and each move fires at the lowest crossing of ``xo & xu``,
+    as in ``GrowingClosure``."""
+    over, under = d.crossing_masks
+    unders, overs = d.under_strands, d.over_strand
+    mask = xo = xu = used = 0
+    added, moves = [], []
+    for s in seeds:
+        if mask >> s & 1:
+            continue
+        added.append(s)
+        moves.append(steps := [])
+        while True:
+            mask |= 1 << s
+            xo |= over[s]
+            xu ^= under[s]
+            fire = xo & xu
+            if not fire:
+                break
+            c = (fire & -fire).bit_length() - 1
+            used |= 1 << c
+            u1, u2 = unders[c]
+            s, other = (u2, u1) if mask >> u1 & 1 else (u1, u2)
+            steps.append((s, overs[c], other))
+    unused = [c for c in range(d.n) if not used >> c & 1]
+    return added, moves, unused, mask == (1 << d.n) - 1
+
+
+def coloring_bound(d: Diagram, seeds: Iterable[int]) -> int:
     """The Fox-coloring lower bound on omega and rho: the largest
     dimension, over all primes p, of the space of mod-p colorings.
 
-    `seeds` must Wirtinger-saturate the diagram through `moves`.  The
-    replay writes every strand's color as an integer linear form in the
-    m seed colors; the m crossings no move used give an m x m relation
-    matrix R, and the bound is m minus the number of invariant factors
-    of R equal to 1 (see the module docstring).
+    `seeds` must Wirtinger-saturate the diagram.  Their derivation
+    (``_derivation``) writes every strand's color as an integer linear
+    form in the colors of the m seeds it adds; the m crossings no move
+    used give an m x m relation matrix R, and the bound is m minus the
+    number of invariant factors of R equal to 1 (see the module
+    docstring).
     """
-    m = len(seeds)
+    added, moves, unused, full = _derivation(d, seeds)
+    if not full:
+        raise ValueError("seeds do not color every strand")
+    m = len(added)
     form: list[tuple[int, ...] | None] = [None] * d.n
-    for i, s in enumerate(seeds):
+    for i, s in enumerate(added):
         form[s] = tuple(int(i == j) for j in range(m))
-    steps, unused = _replay(d, moves)
-    for target, over, other in steps:
+    for target, over, other in (step for steps in moves for step in steps):
         form[target] = tuple(2 * o - u for o, u in zip(form[over],
                                                        form[other]))
-    if None in form:
-        raise ValueError("seeds and moves do not color every strand")
     rows = [[2 * o - a - b for o, a, b in zip(form[d.over_strand[c]],
                                                form[u1], form[u2])]
             for c in unused for u1, u2 in [d.under_strands[c]]]
     return m - _unit_invariant_factors(rows)
-
-
-def _replay(d: Diagram, moves: Iterable[Move]
-            ) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """A Wirtinger move log as (target, over, other) steps, over and other
-    the two strands each move reads, and the crossings no move used,
-    ascending: the checks a coloring of the seeds must pass."""
-    steps, used = [], bytearray(d.n)
-    for mv in moves:
-        if mv.kind != "W":
-            raise ValueError("the lower bounds replay Wirtinger moves only")
-        u1, u2 = d.under_strands[mv.crossing]
-        steps.append((mv.target, d.over_strand[mv.crossing],
-                      u2 if mv.target == u1 else u1))
-        used[mv.crossing] = 1
-    return steps, [c for c in range(d.n) if not used[c]]
 
 
 def _unit_invariant_factors(a: list[list[int]]) -> int:
@@ -540,55 +562,46 @@ def _transposition_tables(m: int) -> tuple:
     return ends, tuple(conj), options
 
 
-def transposition_coloring(d: Diagram, seeds: Sequence[int],
-                           moves: Iterable[Move],
+def transposition_coloring(d: Diagram, seeds: Iterable[int],
                            deadline: float | None = None
                            ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(m - orbits, coloring) for a transposition coloring of the diagram
-    on m <= len(seeds) + 1 points whose m - orbits is largest: the
-    transposition lower bound on rho and omega, and one coloring, as the
-    two points of each strand's transposition, that attains it.
+    on m <= k + 1 points whose m - orbits is largest, k the seeds that
+    ``_derivation`` adds: the transposition lower bound on rho and omega,
+    and one coloring, as the two points of each strand's transposition,
+    that attains it.
 
-    `seeds` must Wirtinger-saturate the diagram through `moves`.  A depth
-    first search colors the seeds in order, canonically: the first is
-    (0 1), and a later one takes only used points or the next unused
-    ones.  Each move is replayed at the first seed that colors both
-    strands it reads, and each crossing no move used is checked right
-    after the step that colors the last of its strands, so a coloring
-    that fails there is dropped before the moves after it are replayed.
-    Branches that cannot beat the best coloring found are cut, and the
-    search ends when m - orbits reaches len(seeds).
+    `seeds` must Wirtinger-saturate the diagram.  A depth first search
+    colors the added seeds in order, canonically: the first is (0 1), and
+    a later one takes only used points or the next unused ones.  Each
+    seed's moves follow its color, and each crossing no move used is
+    checked right after the step that colors the last of its strands, so
+    a coloring that fails there is dropped before the moves after it are
+    made.  Branches that cannot beat the best coloring found are cut, and
+    the search ends when m - orbits reaches k.
 
     Past `deadline` it raises ComputeTimeout with its stage and the best
     bound found so far, which ``_invariants`` words.
     """
+    seeds, moves, unused, _ = _derivation(d, seeds)
     k = len(seeds)
     ends, conj, options = _transposition_tables(k + 1)
-    stage = [0] * d.n  # the seed after which each strand has its color
-    for i, s in enumerate(seeds):
-        stage[s] = i
-    replay: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
-    replayed, unused = _replay(d, moves)
-    for move in replayed:
-        target, over, other = move
-        stage[target] = i = max(stage[over], stage[other])
-        replay[i].append(move)
     # when[s]: the step that colors s, counting each seed and then the
-    # moves replayed after it; a check (~u2, over, u1) goes right after
-    # the step that colors the last of its strands
+    # moves it adds; a check (~u2, over, u1) goes right after the step
+    # that colors the last of its strands
     when, step = [0] * d.n, 0
-    for i, s in enumerate(seeds):
-        for t in (s, *(target for target, _, _ in replay[i])):
+    for s, added in zip(seeds, moves):
+        for t in (s, *(target for target, _, _ in added)):
             when[t], step = step, step + 1
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(step)]
     for c in unused:
         (u1, u2), over = d.under_strands[c], d.over_strand[c]
         checks[max(when[over], when[u1], when[u2])].append((~u2, over, u1))
     steps: list[list[tuple[int, int, int]]] = []
-    for i, s in enumerate(seeds):
+    for s, added in zip(seeds, moves):
         steps.append(checks[when[s]][:])
-        for move in replay[i]:
-            steps[i] += move, *checks[when[move[0]]]
+        for move in added:
+            steps[-1] += move, *checks[when[move[0]]]
     color = [0] * d.n
     best_rank, best_color = 0, color
     visits = 0
@@ -637,30 +650,26 @@ def transposition_coloring(d: Diagram, seeds: Sequence[int],
     return best_rank, tuple(ends[t] for t in best_color)
 
 
-def _grow(state: GrowingClosure, seeds: Iterable[int]) -> list[int]:
-    """Add to `state`, in order, each of `seeds` it does not color yet;
-    returns the seeds added."""
-    added = []
-    for s in seeds:
-        if not state.mask >> s & 1:
-            state.add(s)
-            added.append(s)
-    return added
-
-
-def _irredundant(state: GrowingClosure, seeds: Sequence[int]) -> list[int]:
-    """`seeds`, which saturate in `state`'s mode, less each seed, walked
-    in reverse, whose removal still leaves a saturating set; each try
-    grows from the empty closure.  No seed of the result can be dropped:
-    closures are monotone, and each was kept by a superset."""
-    full = (1 << len(state.bit)) - 1
+def _irredundant(d: Diagram, seeds: Sequence[int]) -> list[int]:
+    """`seeds`, which Wirtinger-saturate the diagram, less each seed,
+    walked in reverse, whose removal still leaves a saturating set.  No
+    seed of the result can be dropped: closures are monotone, and each
+    was kept by a superset."""
     kept = list(seeds)
     for s in reversed(seeds):
-        state.undo(state.EMPTY)
-        _grow(state, [t for t in kept if t != s])
-        if state.mask == full:
+        if _derivation(d, [t for t in kept if t != s])[3]:
             kept.remove(s)
     return kept
+
+
+def _certificate(d: Diagram, seeds: Sequence[int], mode: str,
+                 dual: DualGraph | None) -> Certificate:
+    """The certificate of `seeds`, which saturate in `mode`: the move log
+    ``saturate`` writes."""
+    colored, log = saturate(d, seeds, mode, dual)
+    assert len(colored) == d.n
+    return Certificate(diagram_hash=d.content_hash, mode=mode,
+                       seeds=tuple(sorted(seeds)), moves=log)
 
 
 # diagram -> ((rho, certificate), (omega, certificate)), dropped with the
@@ -745,12 +754,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     try:
         for k in sizes:
             if extend(0, k, k - rank):
-                colored_set, log = saturate(d, chosen, mode, state.dual)
-                assert len(colored_set) == d.n
-                return Certificate(
-                    diagram_hash=d.content_hash, mode=mode,
-                    seeds=tuple(sorted(chosen)), moves=log,
-                )
+                return _certificate(d, chosen, mode, state.dual)
         return None
     finally:
         del extend  # it calls itself through a cell: free it without a GC pass
@@ -759,34 +763,28 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
 def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
                 ) -> tuple[tuple[int, Certificate], tuple[int, Certificate]]:
     """((rho, certificate), (omega, certificate)), worked out on the first
-    call for `d` and kept in ``_shared``: the bounds, on a Wirtinger
-    closure of their own, plain-sphere mode, then at most one Wirtinger
-    search.  A timeout in any of them is worded here (see the module
-    docstring)."""
+    call for `d` and kept in ``_shared``: the bounds, from derivations of
+    their seeds, plain-sphere mode, then at most one Wirtinger search.  A
+    timeout in any of them is worded here (see the module docstring)."""
     found = _shared.get(d)
     if found is not None:
         return found
-    state = GrowingClosure(d, WIRTINGER)
-    greedy = seeds = _grow(state, d.search_order)
-    _, log = saturate(d, greedy, WIRTINGER)
-    witness = Certificate(diagram_hash=d.content_hash, mode=WIRTINGER,
-                          seeds=tuple(sorted(greedy)), moves=log)
-    lower = coloring_bound(d, witness.seeds, log)
+    greedy = seeds = _derivation(d, d.search_order)[0]
+    lower = coloring_bound(d, greedy)
     if lower < len(greedy):
-        seeds = _irredundant(state, greedy)  # in the order they were grown
+        seeds = _irredundant(d, greedy)  # in the order they were grown
     m, coloring, known_rho = len(seeds), (0, ()), None
     try:
         if lower < m:  # else lower is omega, and no bound exceeds it
-            moves = log if m == len(greedy) else saturate(
-                d, seeds, WIRTINGER)[1]
-            coloring = transposition_coloring(d, seeds, moves, deadline)
+            coloring = transposition_coloring(d, seeds, deadline)
             lower = max(lower, coloring[0])
         cert = _search(d, PLAINSPHERE, dual, coloring, range(lower, m),
                        deadline)
         if cert is None or any(move.kind == "L" for move in cert.moves):
             known_rho = m if cert is None else len(cert.seeds)
             wcert = _search(d, WIRTINGER, None, coloring,
-                            range(known_rho, len(greedy)), deadline) or witness
+                            range(known_rho, len(greedy)), deadline
+                            ) or _certificate(d, greedy, WIRTINGER, None)
             if len(wcert.seeds) == known_rho:
                 cert = wcert._replace(mode=PLAINSPHERE)
         else:

@@ -20,7 +20,8 @@ K14_PD = (
 )
 
 # An 8-strand braid whose closure (30 crossings, Fox bound 6, omega = rho
-# = 7) takes the longest transposition coloring: of 7 seeds.
+# = 7) has the most seeds to color of the inputs here, 7, though its
+# transposition coloring takes only 10 search nodes.
 BRAID30_WORD = [7, -4, 6, -6, -4, -6, 3, -3, -1, -7, -3, 1, 3, -2, 6, -1,
                 -7, 5, -3, 3, -5, -4, 6, 1, -7, 1, 1, 7, -1, 4]
 

@@ -19,13 +19,13 @@ each crossing, read off the raw tuples.
 ``oracle_coloring_bound`` takes the Fox-coloring bound from the dense
 crossing x strand matrix: its rank modulo each prime that divides an
 entry of an integer diagonal form of it, where the engine reduces an
-m x m relation matrix from a saturating set's move log.
+m x m relation matrix from a saturating set's derivation.
 
 ``oracle_transposition_bound`` colors a saturating set's seeds with
 every tuple of transpositions of S_m, m one more than the seed count,
 with no symmetry breaking, and propagates each through the raw
-crossing tables, where the engine colors seeds canonically and replays
-the move log.
+crossing tables, where the engine colors seeds canonically and follows
+their derivation.
 
 ``odd_components`` checks a loop move's face cycle against the link
 components: a dual cycle is a cut of the projection, so it crosses each
@@ -36,10 +36,10 @@ cross a component that owned only one exactly once.  The components are
 ``oracle_link_components``'s.
 
 ``reference_transposition_coloring`` is the engine's transposition
-coloring as it was before its crossing checks moved from the end of
-each seed's replay to the step that completes them: the same depth
-first search over the same colorings, so the engine must return the
-identical bound and coloring.
+coloring as it was when it replayed ``saturate``'s move log and checked
+each crossing after the whole replay of the seed that completes it: the
+same depth first search over the same colorings, so the engine must
+return the identical bound and coloring.
 
 ``oracle_tables`` builds a diagram's flat tables and its dual straight
 from the PD text: a dart is a (crossing, slot) pair, and the other end

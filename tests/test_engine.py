@@ -379,7 +379,7 @@ class TestSearch:
         pd = frozen_rows("manifest.jsonl")["braid-0305"]["pd"]
         known = omega(parse_pd(pd))
         d = parse_pd(pd)
-        assert coloring_bound(d, known[1].seeds, known[1].moves) == 2
+        assert coloring_bound(d, known[1].seeds) == 2
         ticks = itertools.count()
         monkeypatch.setattr(plainsphere.engine, "time", types.SimpleNamespace(
             monotonic=lambda: next(ticks)))
@@ -405,13 +405,14 @@ class TestSearch:
             "proved rho >= 3, rho <= 4, omega >= 3, omega <= 4")
 
     def test_deadline_expires_mid_coloring(self, monkeypatch):
-        """The 30-crossing braid's greedy set shrinks to 7 seeds with Fox
-        bound 6, and coloring them takes thousands of search nodes; the
-        coloring reads the clock once per ``_CLOCK_EVERY`` nodes, and it
-        is the first to read it.  A deadline it meets at its second read
-        stops it there, having proved the Fox bound and the 7 seeds, of
+        """braid-0067's greedy set has 5 seeds, none of which can be
+        dropped, Fox bound 2 and omega = rho = 3.  Coloring the 5 seeds
+        takes 343 search nodes; the coloring reads the clock once per
+        ``_CLOCK_EVERY`` nodes, and it is the first to read it.  A
+        deadline it meets at its second read, or at its fifth and last,
+        stops it there, having proved the Fox bound and the 5 seeds, of
         rho and omega alike, whether omega or rho was called."""
-        d = parse_pd(braids.braid_pd(BRAID30_WORD, 8))
+        d = parse_pd(frozen_rows("manifest.jsonl")["braid-0067"]["pd"])
         for call, deadline in itertools.product((omega, rho), (0, 3)):
             ticks = itertools.count()  # one tick per clock read
             monkeypatch.setattr(plainsphere.engine, "time",
@@ -422,8 +423,50 @@ class TestSearch:
             assert next(ticks) == deadline + 2
             assert str(info.value) == (
                 "transposition coloring exceeded its deadline; proved "
+                "rho >= 2, rho <= 5, omega >= 2, omega <= 5")
+        assert d not in plainsphere.engine._shared
+
+    def test_braid30_deadline_expires_in_the_search(self, monkeypatch):
+        """The 30-crossing braid's greedy set has 7 seeds, none of which
+        can be dropped, and Fox bound 6; their coloring reads no clock (see
+        ``test_braid30_coloring_reads_no_clock``), so the plain-sphere
+        search, which reads it once per seed added, is the first to.  A
+        deadline it meets at its second read stops it at size 6, having
+        proved the same interval of rho and omega."""
+        d = parse_pd(braids.braid_pd(BRAID30_WORD, 8))
+        for call in (omega, rho):
+            ticks = itertools.count()  # one tick per clock read
+            monkeypatch.setattr(plainsphere.engine, "time",
+                                types.SimpleNamespace(
+                                    monotonic=lambda: next(ticks)))
+            with pytest.raises(ComputeTimeout) as info:
+                call(d, deadline=0)
+            assert next(ticks) == 2
+            assert str(info.value) == (
+                "seed-set search exceeded its deadline; proved "
                 "rho >= 6, rho <= 7, omega >= 6, omega <= 7")
         assert d not in plainsphere.engine._shared
+
+    def test_braid30_coloring_reads_no_clock(self, monkeypatch):
+        """Each seed of the 30-crossing braid's 7 makes its own moves and
+        checks the crossings its closure completes, so colorings that
+        fail are dropped at the seed that dooms them, and the coloring
+        reaches its bound, 6, in fewer than ``_CLOCK_EVERY`` nodes: with
+        a far deadline it never reads the clock."""
+        colored = []
+        color = plainsphere.engine.transposition_coloring
+        monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
+                            lambda d, seeds, *rest: colored.append(seeds)
+                            or color(d, seeds, *rest))
+        d = parse_pd(braids.braid_pd(BRAID30_WORD, 8))
+        assert omega(d)[0] == 7
+        (seeds,) = colored
+        reads = []
+        monkeypatch.setattr(plainsphere.engine, "time",
+                            types.SimpleNamespace(
+                                monotonic=lambda: reads.append(1) or 0.0))
+        assert color(d, seeds, deadline=1.0)[0] == 6
+        assert (len(seeds), len(reads)) == (7, 0)
 
     def test_values_on_known_rows(self, all_rows, all_diagrams):
         """omega == rho on every bundled diagram except the gap witness."""
@@ -583,24 +626,18 @@ class TestSharedBounds:
 
 class TestColoringBound:
     def test_trefoil_mod_3(self, trefoil):
-        """Mod 3 the trefoil has a two-dimensional coloring space."""
-        _, log = saturate(trefoil, (0, 1), WIRTINGER)
-        assert coloring_bound(trefoil, (0, 1), log) == 2
-        assert coloring_bound(trefoil, range(3), ()) == 2
+        """Mod 3 the trefoil has a two-dimensional coloring space.  Two
+        seeds color the third strand, which the derivation then skips."""
+        assert coloring_bound(trefoil, (0, 1)) == 2
+        assert coloring_bound(trefoil, range(3)) == 2
 
     def test_mod_2_counts_components(self, all_diagrams):
         """Mod 2 a coloring is constant on each component, so the bound
         is at least the component count; on these links it is that."""
         for name in ("unknot1", "hopf", "chain3"):
             d = all_diagrams[name]
-            assert coloring_bound(d, range(d.n), ()) == d.n_components
-
-    def test_loop_move_rejected(self, k14, k14_dual):
-        _, rcert = rho(k14, dual=k14_dual)
-        assert any(m.kind == "L" for m in rcert.moves)
-        with pytest.raises(ValueError):
-            coloring_bound(k14, rcert.seeds, rcert.moves)
+            assert coloring_bound(d, range(d.n)) == d.n_components
 
     def test_unsaturated_seeds_rejected(self, trefoil):
         with pytest.raises(ValueError):
-            coloring_bound(trefoil, (0,), ())
+            coloring_bound(trefoil, (0,))

@@ -126,16 +126,17 @@ def test_dropping_any_seed_breaks_the_certificate(case):
 @settings(deadline=None)
 @given(diagram_and_seeds())
 def test_coloring_bound_is_a_diagram_invariant(case):
-    """Every Wirtinger-saturating seed set gives the bound of the whole
-    strand set, whose relation matrix is the full crossing x strand one,
-    and has at least that many seeds."""
+    """Every Wirtinger-saturating seed set gives the dense-matrix oracle's
+    bound and has at least that many seeds, in any order and with seeds
+    the earlier ones color, which the derivation skips: here the seeds
+    reversed, then every strand."""
     name, d, g, _, seeds = case
-    colored, log = saturate(d, seeds, WIRTINGER)
-    if len(colored) < d.n:
+    if len(closure(d, seeds, WIRTINGER)) < d.n:
         return  # the bound needs a saturating set
-    bound = coloring_bound(d, seeds, log)
-    assert bound == coloring_bound(d, range(d.n), ()) <= len(seeds), (
-        name, seeds)
+    want = oracles.oracle_coloring_bound(d)
+    assert coloring_bound(d, seeds) == want <= len(seeds), (name, seeds)
+    redundant = seeds[::-1] + tuple(range(d.n))
+    assert coloring_bound(d, redundant) == want, (name, seeds)
 
 
 @settings(deadline=None)

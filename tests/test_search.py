@@ -163,19 +163,20 @@ def test_failure_memo_prunes(monkeypatch):
     failed sibling's closed set colors and of last seeds that fire no
     Wirtinger move cut the adds.  Each diagram is freshly parsed, and
     omega runs first, working both invariants out, so rho after it adds
-    nothing.  k14n1527 takes 195 Wirtinger adds: 5 for the greedy set,
-    17 to shrink it to 4 seeds, and 173 in the search from rho = 3, 168
+    nothing.  The bounds grow and shrink the greedy set by walks
+    (``_derivation``), not on a closure, so every add is a search's.
+    k14n1527 takes 173 Wirtinger adds in the search from rho = 3, 168
     at size 3 and 5 at size 4 (272 without the last-seed skip, 238
     without the sibling skip), which their transposition bound, 1, does
     not prune.  Before it, 96 adds in plain-sphere mode (123 without the
     sibling skip, which the memo alone does not cut: its one failing size
     is 2, and no two one-seed prefixes close to the same set).
     braid-0053's transposition bound is 4 = omega, so it searches
-    nothing: 16 adds in all.  On sum5_9 both bounds are 2 and
+    nothing: no adds at all.  On sum5_9 both bounds are 2 and
     rho = omega = 3: 46 adds in plain-sphere mode, 62 with the
     coloring's prefix prune neutralised (70 and 103 without the sibling
-    skip), and 23 in Wirtinger mode, 7 of them in the search at size 3
-    that its looped set calls for."""
+    skip), and 7 in Wirtinger mode, in the search at size 3 that its
+    looped set calls for."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -191,10 +192,10 @@ def test_failure_memo_prunes(monkeypatch):
         r, _ = rho(d, dual=build_dual(d))
         return (w, r), adds[True], adds[False]
 
-    assert searched(K14_PD) == ((4, 3), 195, 96)
-    assert searched(rows["braid-0053"]["pd"]) == ((4, 4), 16, 0)
+    assert searched(K14_PD) == ((4, 3), 173, 96)
+    assert searched(rows["braid-0053"]["pd"]) == ((4, 4), 0, 0)
     sum5_9 = rows["slice14.sum5_9"]["pd"]
-    assert searched(sum5_9) == ((3, 3), 23, 46)
+    assert searched(sum5_9) == ((3, 3), 7, 46)
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                         lambda d, *args: (1, ((0, 1),) * d.n))
     assert searched(sum5_9)[::2] == ((3, 3), 62)
@@ -203,15 +204,16 @@ def test_failure_memo_prunes(monkeypatch):
 @pytest.mark.parametrize("omega_first", [True, False],
                          ids=["freeze", "census"])
 def test_search_work_on_frozen_rows(monkeypatch, omega_first):
-    """The adds over the 468 frozen rows, bounds and searches included,
-    in the order ``freeze.py`` runs them, omega and then rho, and in the
-    order ``psk census`` and ``psk compute`` run them, rho and then omega:
-    10583 in Wirtinger mode and 82305 in plain-sphere mode either way, as
-    the first call works both invariants out.  The plain-sphere search
-    stops below the irredundant greedy subset's size, and no Wirtinger
-    search proves again a size that failed in plain-sphere mode.  A
-    change to the closure or the search that keeps the values but costs
-    more adds shows here."""
+    """The adds over the 468 frozen rows, in the order ``freeze.py`` runs
+    them, omega and then rho, and in the order ``psk census`` and ``psk
+    compute`` run them, rho and then omega: 3506 in Wirtinger mode and
+    82305 in plain-sphere mode either way, as the first call works both
+    invariants out.  Every add is a search's, as the bounds walk their
+    seeds (``_derivation``) and build no closure.  The plain-sphere
+    search stops below the irredundant greedy subset's size, and no
+    Wirtinger search proves again a size that failed in plain-sphere
+    mode.  A change to the closure or the search that keeps the values
+    but costs more adds shows here."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -226,7 +228,7 @@ def test_search_work_on_frozen_rows(monkeypatch, omega_first):
             else:
                 rho(d, dual=build_dual(d))
                 omega(d)
-    assert (adds[True], adds[False]) == (10583, 82305)
+    assert (adds[True], adds[False]) == (3506, 82305)
 
 
 def test_frozen_rows_in_census_order():
@@ -278,10 +280,10 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     the empty prefix, at a smaller position, or, after a Wirtinger size 1
     that added no seed, with a seed that colors only itself, which size 1
     would have skipped.  The trace keeps its own memo of failed closed
-    sets, and a prefix it cuts counts no seeds left.  The adds that grow
-    the greedy set and shrink it (``_irredundant``), made before the
-    search starts, are not traced.  Each case runs on a freshly parsed
-    diagram, where rho runs both searches."""
+    sets, and a prefix it cuts counts no seeds left.  The bounds grow
+    and shrink the greedy set by walks, with no closure, so every add is
+    a search's.  Each case runs on a freshly parsed diagram, where rho
+    runs both searches."""
     if neutral:
         monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
                             lambda d, *args: (1, ((0, 1),) * d.n))
@@ -410,8 +412,9 @@ def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
 
 def test_witness_bound_reached_searches_nothing(monkeypatch):
     """On trefoil sum #k the greedy set has k + 1 seeds and its coloring
-    bound is k + 1, so omega adds only the greedy set's seeds, and rho
-    adds none and builds no dual: the greedy set is its certificate."""
+    bound is k + 1, so neither omega nor rho adds a seed, as the bounds
+    walk the greedy set with no closure, and rho builds no dual: the
+    greedy set is its certificate."""
     adds = []
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -421,20 +424,19 @@ def test_witness_bound_reached_searches_nothing(monkeypatch):
         d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(k)))
         adds.clear()
         w, wcert = omega(d)
-        assert (w, len(adds)) == (k + 1, k + 1), k
+        assert (w, len(adds)) == (k + 1, 0), k
         adds.clear()
         assert rho(d) == (k + 1, wcert._replace(mode=PLAINSPHERE))
         assert not adds, k
 
 
 def test_each_search_builds_its_own_closure(monkeypatch, all_diagrams):
-    """The bounds grow the greedy set on a Wirtinger closure of their
-    own, and each search builds one closure in its mode only when the
-    bound is below its witness's size: on trefoil sum #k neither search
-    builds one; on sum5_9 (bounds 2, omega = rho = 3) the first call,
-    omega or rho, searches plain-sphere mode below its irredundant
-    subset's 3 seeds and then Wirtinger mode from 3, and the second
-    builds none."""
+    """The bounds walk the greedy set with no closure, and each search
+    builds one closure in its mode only when the bound is below its
+    witness's size: on trefoil sum #k no closure is built; on sum5_9
+    (bounds 2, omega = rho = 3) the first call, omega or rho, searches
+    plain-sphere mode below its irredundant subset's 3 seeds and then
+    Wirtinger mode from 3, and the second builds none."""
     built = []
     init = GrowingClosure.__init__
     monkeypatch.setattr(GrowingClosure, "__init__",
@@ -450,11 +452,11 @@ def test_each_search_builds_its_own_closure(monkeypatch, all_diagrams):
 
     for k in range(1, 4):
         pd = braids.braid_pd(*braids.trefoil_sum_word(k))
-        assert closures(pd, omega, rho) == [WIRTINGER], k
-        assert closures(pd, rho, omega) == [WIRTINGER], k
+        assert closures(pd, omega, rho) == [], k
+        assert closures(pd, rho, omega) == [], k
     pd = all_diagrams["sum5_9"].serialize()
     for calls in ((omega,), (omega, rho), (rho, omega)):
-        assert closures(pd, *calls) == [WIRTINGER, PLAINSPHERE, WIRTINGER]
+        assert closures(pd, *calls) == [PLAINSPHERE, WIRTINGER]
 
 
 @pytest.mark.parametrize("name", ["hopf", "borromean", "chain3"])
@@ -513,7 +515,7 @@ def test_coloring_bound_on_frozen_rows():
         d = parse_pd(item["pd"])
         wcert = (deserialize_certificate(certs[name]["omega"])
                  if name in certs else omega(d)[1])  # trefoil sum #6
-        bound = coloring_bound(d, wcert.seeds, wcert.moves)
+        bound = coloring_bound(d, wcert.seeds)
         assert bound == oracles.oracle_coloring_bound(d), name
         assert d.n_components <= bound <= item["rho"], name
         if item["kind"] == "trefoil_sum":
@@ -538,7 +540,7 @@ def test_transposition_bound_on_frozen_rows():
         d = parse_pd(item["pd"])
         wcert = (deserialize_certificate(certs[name]["omega"])
                  if name in certs else omega(d)[1])  # trefoil sum #6
-        bound, ends = transposition_coloring(d, wcert.seeds, wcert.moves)
+        bound, ends = transposition_coloring(d, wcert.seeds)
         assert 1 <= bound <= item["rho"], name
         for u1, u2, over in oracles.crossing_tables(d):
             assert oracles.conjugate(ends[over], ends[u1]) == ends[u2], name
@@ -554,7 +556,7 @@ def test_transposition_bound_on_frozen_rows():
                 d, wcert.seeds), name
             oracle_checked += 1
         checked += 1
-        fox = coloring_bound(d, wcert.seeds, wcert.moves)
+        fox = coloring_bound(d, wcert.seeds)
         reaches_rho += max(fox, bound) == item["rho"]
     assert (checked, oracle_checked, reaches_rho) == (468, 329, 263)
 
@@ -573,9 +575,8 @@ def test_omega_transposition_bound_on_frozen_rows():
         d = parse_pd(item["pd"])
         greedy = greedy_certificate(d)
         seeds = shrunk_greedy(d, greedy)
-        fox = coloring_bound(d, greedy.seeds, greedy.moves)
-        bound, _ = transposition_coloring(
-            d, seeds, saturate(d, seeds, WIRTINGER)[1])
+        fox = coloring_bound(d, greedy.seeds)
+        bound, _ = transposition_coloring(d, seeds)
         assert max(fox, bound) <= item["omega"], name
         checked += 1
         exact += len(seeds) == item["omega"]
@@ -585,17 +586,19 @@ def test_omega_transposition_bound_on_frozen_rows():
 
 
 def test_coloring_matches_the_reference(monkeypatch):
-    """The coloring checks each crossing no move used right after the
-    step that colors the last of its strands, where the reference checks
-    it after the seed's whole replay.  A check that fails sooner only
+    """The coloring makes each seed's moves as its derivation adds them
+    and checks each crossing no move used right after the step that
+    colors the last of its strands, where the reference replays the move
+    log ``saturate`` writes and checks each crossing after the whole
+    replay of the seed that completes it.  A check that runs sooner only
     drops the same coloring sooner, so on every frozen row omega colors
     (294 of the 468) and on the 30-crossing braid, the bound and the
     coloring are the reference's: they decide the search's prune."""
     colored = []
     color = transposition_coloring
 
-    def recorded(d, seeds, moves, *rest):
-        colored.append((d, seeds, moves, color(d, seeds, moves, *rest)))
+    def recorded(d, seeds, *rest):
+        colored.append((d, seeds, color(d, seeds, *rest)))
         return colored[-1][-1]
 
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
@@ -606,6 +609,6 @@ def test_coloring_matches_the_reference(monkeypatch):
     assert len(colored) == 294
     w, _ = omega(parse_pd(braids.braid_pd(BRAID30_WORD, 8)))
     assert (w, len(colored[-1][1]), colored[-1][-1][0]) == (7, 7, 6)
-    for d, seeds, moves, got in colored:
+    for d, seeds, got in colored:
         assert got == oracles.reference_transposition_coloring(
-            d, seeds, moves), d.serialize()
+            d, seeds, saturate(d, seeds, WIRTINGER)[1]), d.serialize()
