@@ -46,10 +46,10 @@ closure two ways:
   colored.  It runs once per returned certificate, where the search's
   closures run once per seed set, so it keeps no union-find.
 
-The bounds walk the Wirtinger closure a third way, ``_derivation``: it
-grows the closure seed by seed in order, skips a seed the earlier ones
-color, fires the lowest crossing of ``xo & xu`` as ``GrowingClosure``
-does, and keeps the moves each seed adds.
+The bounds take the Wirtinger closure a third way, as a derivation, not
+as seeds: ``_derivation`` grows it seed by seed in order, skips a seed
+the earlier ones color, fires the lowest crossing of ``xo & xu`` as
+``GrowingClosure`` does, and keeps the moves each seed adds.
 
 omega and rho share one search over the sizes its caller names.  Seed
 sets are tried by size, then in strand search order (the order of
@@ -180,21 +180,19 @@ saturate, so the failure memo stays sound and the first saturating set
 is unchanged.
 
 Both bounds hold for omega and rho alike, so ``_invariants`` works them
-out once for both searches, from derivations alone: the greedy set is
-the seeds the derivation of the whole search order adds, and the Fox
-bound is read off it.  The coloring search grows with the count of seeds
-it colors, and the greedy set has more than omega, so when the Fox bound
-is below its size the greedy seeds are walked back from the last one
-grown, each whose removal leaves a saturating set, one derivation each,
-is dropped, and what is left is colored: an irredundant saturating set
-of m seeds, often omega.  The coloring uses at most one point more than
-that set has seeds, and the prune's union-find has a point for each one
-up to the highest the coloring uses.  The witnesses stay the answers
-when no smaller set saturates, so certificates do not depend on the
-coloring; ``saturate`` writes a certificate only for an answer
-(``_certificate``).  When the Fox bound already equals the colored set's
-size it is omega itself, and so rho too, as rho lies between it and
-omega; no bound can exceed it, and no coloring is searched.
+out once for both searches.  The derivation of the whole search order
+adds the greedy set, and the Fox bound reads it.  The coloring grows
+with the count of seeds it colors, and the greedy set has more than
+omega, so when the Fox bound is below its size ``_irredundant`` walks
+the greedy seeds back from the last one grown and drops each whose
+removal leaves a saturating set, one derivation each.  The coloring
+reads the derivation of the set it keeps, the last one it accepted or
+the greedy one: an irredundant saturating set of m seeds, often omega,
+colored on at most m + 1 points, each a point of the prune's union-find.
+Certificates do not depend on the coloring: the witnesses stay the
+answers when no smaller set saturates, and ``saturate`` writes one only
+for an answer (``_certificate``).  A Fox bound equal to m is omega, and
+so rho too, as rho lies between it and omega; no coloring is searched.
 
 So a timeout, too, proves its bounds of rho and omega together, and
 ``_invariants`` alone words it.  The coloring stops with its best bound
@@ -209,7 +207,7 @@ from __future__ import annotations
 import time
 from functools import cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from .certificate import MODES, PLAINSPHERE, WIRTINGER, Certificate, Move
@@ -425,15 +423,18 @@ class GrowingClosure:
             rim[b] = old
 
 
-def _derivation(d: Diagram, seeds: Iterable[int]
-                ) -> tuple[list[int], list[list[tuple[int, int, int]]],
-                           list[int], bool]:
-    """The Wirtinger closure of `seeds`, grown in order: (the seeds added,
-    for each the (target, over, other) moves it adds, over and other the
-    two strands a move reads, the crossings no move used, ascending, and
-    whether every strand is colored).  A seed the earlier ones color is
-    skipped, and each move fires at the lowest crossing of ``xo & xu``,
-    as in ``GrowingClosure``."""
+class Derivation(NamedTuple):
+    """A Wirtinger closure grown seed by seed, as ``_derivation`` walks it."""
+    seeds: list[int]  # the seeds added, in order
+    moves: list[list[tuple[int, int, int]]]  # per seed (target, over, other)
+    unused: list[int]  # the crossings no move used, ascending
+    full: bool  # whether every strand is colored
+
+
+def _derivation(d: Diagram, seeds: Iterable[int]) -> Derivation:
+    """The Wirtinger closure of `seeds`, grown in order: a seed the earlier
+    ones color is skipped, and each move fires at the lowest crossing of
+    ``xo & xu``, as in ``GrowingClosure``."""
     over, under = d.crossing_masks
     unders, overs = d.under_strands, d.over_strand
     mask = xo = xu = used = 0
@@ -456,21 +457,18 @@ def _derivation(d: Diagram, seeds: Iterable[int]
             s, other = (u2, u1) if mask >> u1 & 1 else (u1, u2)
             steps.append((s, overs[c], other))
     unused = [c for c in range(d.n) if not used >> c & 1]
-    return added, moves, unused, mask == (1 << d.n) - 1
+    return Derivation(added, moves, unused, mask == (1 << d.n) - 1)
 
 
-def coloring_bound(d: Diagram, seeds: Iterable[int]) -> int:
+def coloring_bound(d: Diagram, derivation: Derivation) -> int:
     """The Fox-coloring lower bound on omega and rho: the largest
     dimension, over all primes p, of the space of mod-p colorings.
 
-    `seeds` must Wirtinger-saturate the diagram.  Their derivation
-    (``_derivation``) writes every strand's color as an integer linear
-    form in the colors of the m seeds it adds; the m crossings no move
-    used give an m x m relation matrix R, and the bound is m minus the
-    number of invariant factors of R equal to 1 (see the module
-    docstring).
+    `derivation` must color every strand.  The bound is m, the seeds it
+    adds, less the invariant factors equal to 1 of the m x m relation
+    matrix of the crossings no move used (see the module docstring).
     """
-    added, moves, unused, full = _derivation(d, seeds)
+    added, moves, unused, full = derivation
     if not full:
         raise ValueError("seeds do not color every strand")
     m = len(added)
@@ -562,28 +560,29 @@ def _transposition_tables(m: int) -> tuple:
     return ends, tuple(conj), options
 
 
-def transposition_coloring(d: Diagram, seeds: Iterable[int],
+def transposition_coloring(d: Diagram, derivation: Derivation,
                            deadline: float | None = None
                            ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(m - orbits, coloring) for a transposition coloring of the diagram
     on m <= k + 1 points whose m - orbits is largest, k the seeds that
-    ``_derivation`` adds: the transposition lower bound on rho and omega,
+    `derivation` adds: the transposition lower bound on rho and omega,
     and one coloring, as the two points of each strand's transposition,
     that attains it.
 
-    `seeds` must Wirtinger-saturate the diagram.  A depth first search
-    colors the added seeds in order, canonically: the first is (0 1), and
+    `derivation` must color every strand.  A depth first search colors
+    the seeds it adds in order, canonically: the first is (0 1), and
     a later one takes only used points or the next unused ones.  Each
-    seed's moves follow its color, and each crossing no move used is
-    checked right after the step that colors the last of its strands, so
-    a coloring that fails there is dropped before the moves after it are
-    made.  Branches that cannot beat the best coloring found are cut, and
-    the search ends when m - orbits reaches k.
+    seed's moves follow its color, with each crossing check right after
+    the step that completes it (see the module docstring).  Branches that
+    cannot beat the best coloring found are cut, and the search ends when
+    m - orbits reaches k.
 
     Past `deadline` it raises ComputeTimeout with its stage and the best
     bound found so far, which ``_invariants`` words.
     """
-    seeds, moves, unused, _ = _derivation(d, seeds)
+    seeds, moves, unused, full = derivation
+    if not full:
+        raise ValueError("seeds do not color every strand")
     k = len(seeds)
     ends, conj, options = _transposition_tables(k + 1)
     # when[s]: the step that colors s, counting each seed and then the
@@ -650,20 +649,21 @@ def transposition_coloring(d: Diagram, seeds: Iterable[int],
     return best_rank, tuple(ends[t] for t in best_color)
 
 
-def _irredundant(d: Diagram, seeds: Sequence[int]) -> list[int]:
-    """`seeds`, which Wirtinger-saturate the diagram, less each seed,
-    walked in reverse, whose removal still leaves a saturating set.  No
-    seed of the result can be dropped: closures are monotone, and each
-    was kept by a superset."""
-    kept = list(seeds)
-    for s in reversed(seeds):
-        if _derivation(d, [t for t in kept if t != s])[3]:
-            kept.remove(s)
+def _irredundant(d: Diagram, greedy: Derivation) -> Derivation:
+    """The derivation of the `greedy` seeds less each seed, walked in
+    reverse, whose removal still leaves a saturating set: the last set
+    kept, or `greedy`.  No seed of the result can be dropped: closures are
+    monotone, and each was kept by a superset."""
+    kept = greedy
+    for s in reversed(greedy.seeds):
+        shrunk = _derivation(d, [t for t in kept.seeds if t != s])
+        if shrunk.full:
+            kept = shrunk
     return kept
 
 
 def _certificate(d: Diagram, seeds: Sequence[int], mode: str,
-                 dual: DualGraph | None) -> Certificate:
+                 dual: DualGraph | None = None) -> Certificate:
     """The certificate of `seeds`, which saturate in `mode`: the move log
     ``saturate`` writes."""
     colored, log = saturate(d, seeds, mode, dual)
@@ -763,28 +763,28 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
 def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
                 ) -> tuple[tuple[int, Certificate], tuple[int, Certificate]]:
     """((rho, certificate), (omega, certificate)), worked out on the first
-    call for `d` and kept in ``_shared``: the bounds, from derivations of
-    their seeds, plain-sphere mode, then at most one Wirtinger search.  A
+    call for `d` and kept in ``_shared``: the bounds, each read off one
+    derivation, plain-sphere mode, then at most one Wirtinger search.  A
     timeout in any of them is worded here (see the module docstring)."""
     found = _shared.get(d)
     if found is not None:
         return found
-    greedy = seeds = _derivation(d, d.search_order)[0]
+    greedy = kept = _derivation(d, d.search_order)
     lower = coloring_bound(d, greedy)
-    if lower < len(greedy):
-        seeds = _irredundant(d, greedy)  # in the order they were grown
-    m, coloring, known_rho = len(seeds), (0, ()), None
+    if lower < len(greedy.seeds):
+        kept = _irredundant(d, greedy)
+    m, coloring, known_rho = len(kept.seeds), (0, ()), None
     try:
         if lower < m:  # else lower is omega, and no bound exceeds it
-            coloring = transposition_coloring(d, seeds, deadline)
+            coloring = transposition_coloring(d, kept, deadline)
             lower = max(lower, coloring[0])
         cert = _search(d, PLAINSPHERE, dual, coloring, range(lower, m),
                        deadline)
         if cert is None or any(move.kind == "L" for move in cert.moves):
             known_rho = m if cert is None else len(cert.seeds)
             wcert = _search(d, WIRTINGER, None, coloring,
-                            range(known_rho, len(greedy)), deadline
-                            ) or _certificate(d, greedy, WIRTINGER, None)
+                            range(known_rho, len(greedy.seeds)), deadline
+                            ) or _certificate(d, greedy.seeds, WIRTINGER)
             if len(wcert.seeds) == known_rho:
                 cert = wcert._replace(mode=PLAINSPHERE)
         else:

@@ -6,11 +6,13 @@ import csv
 import importlib.resources
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from plainsphere import Diagram, DualGraph, build_dual, parse_pd
+from plainsphere import (Diagram, DualGraph, PlainSphereError, build_dual,
+                         parse_pd)
 
 TREFOIL_PD = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 K14_PD = (
@@ -36,6 +38,27 @@ def perfbench_module(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+BRAIDS = perfbench_module("braids")
+
+
+def small_braid(index: int, max_crossings: int = 15
+                ) -> tuple[Diagram, DualGraph]:
+    """Seeded random braid closure on 2-5 strands, at most `max_crossings`,
+    and its dual."""
+    rng = random.Random(f"small-braid-{index}")
+    while True:
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(strands + 1, max_crossings))]
+        if len({abs(g) for g in word}) < strands - 1:
+            continue  # split closure
+        try:
+            d = parse_pd(BRAIDS.braid_pd(word, strands))
+            return d, build_dual(d)
+        except PlainSphereError:
+            continue
 
 
 def frozen_rows(filename: str) -> dict[str, dict]:

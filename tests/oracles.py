@@ -8,6 +8,14 @@ re-derived from the raw crossing tuples.  Seed-set searches run in
 plain strand-id order with no heuristics.  Practical only for small
 diagrams, which is the point.
 
+``bridge_closure`` reaches the plain-sphere closure with no dual and no
+faces, by planar duality: the cycles of the dual are the bonds (minimal
+cuts) of the projection, the graph on the crossings whose edges are the
+PD labels.  So a dual cycle through one edge of an uncolored strand and
+otherwise through colored strands' edges exists exactly when that edge
+is a bridge of the projection restricted to the uncolored strands'
+edges (Oxley, "Matroid Theory", on planar duality).
+
 ``saturate_random`` and ``loops_first_log`` build moves from the same
 raw tables: a Wirtinger move at a crossing of ``crossing_tables``, a
 loop move with the witness a breadth-first search finds through the
@@ -180,6 +188,41 @@ def plainsphere_fixpoint(d: Diagram, g: DualGraph,
                 colored.add(s)
                 changed = True
     return colored
+
+
+def bridge_closure(d: Diagram, seeds) -> set[int]:
+    """`seeds` and every strand bridge peeling colors: while an uncolored
+    strand has an edge that is a bridge of the projection restricted to
+    the uncolored strands' edges, color it.  Each round colors the
+    strands of all its bridges, as deleting edges keeps a bridge one.  An
+    edge is a bridge when a search from one of its crossings that does
+    not cross it misses the other; a kink's edge never is."""
+    ends: dict[int, tuple[int, ...]] = {}
+    for c, labels in enumerate(d.pd):
+        for e in labels:
+            ends[e] = ends.get(e, ()) + (c,)
+    colored = set(seeds)
+    while True:
+        live = [e for e in ends if d.edge_to_strand[e] not in colored]
+        hops: dict[int, list[tuple[int, int]]] = {}
+        for e in live:
+            a, b = ends[e]
+            hops.setdefault(a, []).append((e, b))
+            hops.setdefault(b, []).append((e, a))
+        peeled = set()
+        for e in live:
+            a, b = ends[e]
+            seen, stack = {a}, [a]
+            while stack:
+                for f, c in hops[stack.pop()]:
+                    if f != e and c not in seen:
+                        seen.add(c)
+                        stack.append(c)
+            if b not in seen:
+                peeled.add(d.edge_to_strand[e])
+        if not peeled:
+            return colored
+        colored |= peeled
 
 
 def loop_witness(d: Diagram, g: DualGraph, colored: set[int],

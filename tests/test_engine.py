@@ -16,7 +16,8 @@ from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import serialize_certificate, verify
 from plainsphere.diagram import Diagram
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                coloring_bound, saturate)
+                                _derivation, coloring_bound, saturate,
+                                transposition_coloring)
 from plainsphere.errors import ComputeTimeout
 
 from conftest import BRAID30_WORD, K14_PD, frozen_rows, perfbench_module
@@ -379,7 +380,7 @@ class TestSearch:
         pd = frozen_rows("manifest.jsonl")["braid-0305"]["pd"]
         known = omega(parse_pd(pd))
         d = parse_pd(pd)
-        assert coloring_bound(d, known[1].seeds) == 2
+        assert coloring_bound(d, _derivation(d, known[1].seeds)) == 2
         ticks = itertools.count()
         monkeypatch.setattr(plainsphere.engine, "time", types.SimpleNamespace(
             monotonic=lambda: next(ticks)))
@@ -456,17 +457,18 @@ class TestSearch:
         colored = []
         color = plainsphere.engine.transposition_coloring
         monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
-                            lambda d, seeds, *rest: colored.append(seeds)
-                            or color(d, seeds, *rest))
+                            lambda d, derivation, *rest:
+                            colored.append(derivation)
+                            or color(d, derivation, *rest))
         d = parse_pd(braids.braid_pd(BRAID30_WORD, 8))
         assert omega(d)[0] == 7
-        (seeds,) = colored
+        (derivation,) = colored
         reads = []
         monkeypatch.setattr(plainsphere.engine, "time",
                             types.SimpleNamespace(
                                 monotonic=lambda: reads.append(1) or 0.0))
-        assert color(d, seeds, deadline=1.0)[0] == 6
-        assert (len(seeds), len(reads)) == (7, 0)
+        assert color(d, derivation, deadline=1.0)[0] == 6
+        assert (len(derivation.seeds), len(reads)) == (7, 0)
 
     def test_values_on_known_rows(self, all_rows, all_diagrams):
         """omega == rho on every bundled diagram except the gap witness."""
@@ -628,16 +630,25 @@ class TestColoringBound:
     def test_trefoil_mod_3(self, trefoil):
         """Mod 3 the trefoil has a two-dimensional coloring space.  Two
         seeds color the third strand, which the derivation then skips."""
-        assert coloring_bound(trefoil, (0, 1)) == 2
-        assert coloring_bound(trefoil, range(3)) == 2
+        assert coloring_bound(trefoil, _derivation(trefoil, (0, 1))) == 2
+        assert coloring_bound(trefoil, _derivation(trefoil, range(3))) == 2
 
     def test_mod_2_counts_components(self, all_diagrams):
         """Mod 2 a coloring is constant on each component, so the bound
         is at least the component count; on these links it is that."""
         for name in ("unknot1", "hopf", "chain3"):
             d = all_diagrams[name]
-            assert coloring_bound(d, range(d.n)) == d.n_components
+            bound = coloring_bound(d, _derivation(d, range(d.n)))
+            assert bound == d.n_components
 
-    def test_unsaturated_seeds_rejected(self, trefoil):
-        with pytest.raises(ValueError):
-            coloring_bound(trefoil, (0,))
+    def test_unsaturated_seeds_rejected(self, trefoil, k14):
+        """Both bounds need a derivation that colors every strand: one
+        seed of the trefoil, or of k14n1527, whose Wirtinger closure is
+        that seed alone, colors no other strand, and a coloring of it
+        would bound nothing."""
+        for d in (trefoil, k14):
+            derivation = _derivation(d, (0,))
+            assert not derivation.full
+            for bound in (coloring_bound, transposition_coloring):
+                with pytest.raises(ValueError):
+                    bound(d, derivation)

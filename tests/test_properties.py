@@ -3,8 +3,10 @@
 Each property is drawn from the invariants the algorithms rely on:
 monotone moves, order-independent saturation, Wirtinger moves being a
 special case of loop moves, loop parity across link components,
-complete saturation logs verifying as certificates, and the coloring
-bound being the same from every saturating seed set.  One more runs over
+complete saturation logs verifying as certificates, the coloring bound
+being the same from every saturating seed set, and the plain-sphere
+closure being the one bridge peeling in the projection reaches
+(``oracles.bridge_closure``, with no dual).  One more runs over
 seeded random label codes: every diagram ``build_dual`` accepts has two
 distinct faces on each edge, which loop moves and their witness cycles
 rely on.
@@ -13,18 +15,19 @@ rely on.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
 from plainsphere import PlainSphereError, build_dual, parse_pd
 from plainsphere.certificate import Certificate, deserialize_certificate, \
     serialize_certificate, verify
-from plainsphere.engine import (MODES, PLAINSPHERE, WIRTINGER,
+from plainsphere.engine import (MODES, PLAINSPHERE, WIRTINGER, _derivation,
                                 _unit_invariant_factors, coloring_bound,
                                 saturate)
 
 import oracles
-from conftest import load_table
+from conftest import load_table, small_braid
 from oracles import closure
 
 SMALL = {}
@@ -32,6 +35,20 @@ for _name, _pd, _ in load_table("fixtures_small.csv"):
     _d = parse_pd(_pd)
     _g = build_dual(_d)
     SMALL[_name] = (_d, _g, oracles.enumerate_simple_cycles(_g))
+
+# (diagram, dual) by name: every bundled row and 40 small random braid
+# closures, as in test_search
+PROJECTED = {}
+for _table in ("fixtures_small.csv", "bridge_table_10.csv", "slice14.csv"):
+    for _name, _pd, _ in load_table(_table):
+        _d = parse_pd(_pd)
+        PROJECTED.setdefault(_name, (_d, build_dual(_d)))
+for _i in range(40):
+    PROJECTED[f"small-braid-{_i}"] = small_braid(_i)
+# the bundled rows of at most 8 crossings, where enumerating every dual
+# cycle stays cheap
+UP_TO_8 = sorted(name for name, (d, _) in PROJECTED.items()
+                 if d.n <= 8 and not name.startswith("small-braid-"))
 
 
 @st.composite
@@ -134,9 +151,45 @@ def test_coloring_bound_is_a_diagram_invariant(case):
     if len(closure(d, seeds, WIRTINGER)) < d.n:
         return  # the bound needs a saturating set
     want = oracles.oracle_coloring_bound(d)
-    assert coloring_bound(d, seeds) == want <= len(seeds), (name, seeds)
+    bound = coloring_bound(d, _derivation(d, seeds))
+    assert bound == want <= len(seeds), (name, seeds)
     redundant = seeds[::-1] + tuple(range(d.n))
-    assert coloring_bound(d, redundant) == want, (name, seeds)
+    assert coloring_bound(d, _derivation(d, redundant)) == want, (name, seeds)
+
+
+@cache
+def dual_cycles(name: str) -> list[tuple[int, ...]]:
+    return oracles.enumerate_simple_cycles(PROJECTED[name][1])
+
+
+@st.composite
+def projected_and_seeds(draw, names):
+    name = draw(st.sampled_from(names))
+    d, g = PROJECTED[name]
+    seeds = draw(st.sets(st.integers(0, d.n - 1), min_size=1))
+    return name, d, g, seeds
+
+
+@settings(deadline=None)
+@given(projected_and_seeds(sorted(PROJECTED)))
+def test_bridge_closure_matches_growing_closure(case):
+    """Bridge peeling in the projection, with no dual and no faces,
+    reaches the plain-sphere closure ``GrowingClosure`` keeps, on every
+    bundled row and the small random braids."""
+    name, d, g, seeds = case
+    want = closure(d, seeds, PLAINSPHERE, g)
+    assert oracles.bridge_closure(d, seeds) == want, (name, seeds)
+
+
+@settings(deadline=None)
+@given(projected_and_seeds(UP_TO_8))
+def test_bridge_closure_matches_cycle_oracle(case):
+    """On the bundled rows of at most 8 crossings, bridge peeling reaches
+    the fixpoint of loop moves checked against every simple dual cycle,
+    the literal definition."""
+    name, d, g, seeds = case
+    want = oracles.plainsphere_fixpoint(d, g, dual_cycles(name), seeds)
+    assert oracles.bridge_closure(d, seeds) == want, (name, seeds)
 
 
 @settings(deadline=None)

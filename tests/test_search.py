@@ -9,7 +9,6 @@ certificate text for every row it stores certificates for.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 
 import pytest
@@ -19,29 +18,14 @@ from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import (Certificate, deserialize_certificate,
                                      serialize_certificate)
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
-                                coloring_bound, saturate,
+                                _derivation, coloring_bound, saturate,
                                 transposition_coloring)
-from plainsphere.errors import PlainSphereError
 
 import oracles
-from conftest import BRAID30_WORD, K14_PD, frozen_rows, perfbench_module
+from conftest import (BRAID30_WORD, K14_PD, frozen_rows, perfbench_module,
+                      small_braid)
 
 braids = perfbench_module("braids")
-
-def small_braid(index: int, max_crossings: int = 15):
-    """Seeded random braid closure on 2-5 strands, at most `max_crossings`."""
-    rng = random.Random(f"small-braid-{index}")
-    while True:
-        strands = rng.randint(2, 5)
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
-                for _ in range(rng.randint(strands + 1, max_crossings))]
-        if len({abs(g) for g in word}) < strands - 1:
-            continue  # split closure
-        try:
-            d = parse_pd(braids.braid_pd(word, strands))
-            return d, build_dual(d)
-        except PlainSphereError:
-            continue
 
 
 @pytest.fixture(scope="module")
@@ -213,12 +197,22 @@ def test_search_work_on_frozen_rows(monkeypatch, omega_first):
     search stops below the irredundant greedy subset's size, and no
     Wirtinger search proves again a size that failed in plain-sphere
     mode.  A change to the closure or the search that keeps the values
-    but costs more adds shows here."""
+    but costs more adds shows here.
+
+    The bounds walk 2096 seed sets: per row the greedy set, which the
+    Fox bound reads, and each shrunk set ``_irredundant`` tries, the last
+    one it keeps being what the transposition coloring reads.  Each set
+    is walked once, so a bound that walks its seeds again shows here
+    (2858 when both bounds derived their own)."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
                         lambda state, s: adds.update([state.dual is None])
                         or add(state, s))
+    walks = []
+    monkeypatch.setattr(plainsphere.engine, "_derivation",
+                        lambda d, seeds: walks.append(1)
+                        or _derivation(d, seeds))
     for item in frozen_rows("manifest.jsonl").values():
         if item["kind"] != "reject":
             d = parse_pd(item["pd"])
@@ -228,7 +222,7 @@ def test_search_work_on_frozen_rows(monkeypatch, omega_first):
             else:
                 rho(d, dual=build_dual(d))
                 omega(d)
-    assert (adds[True], adds[False]) == (3506, 82305)
+    assert (adds[True], adds[False], len(walks)) == (3506, 82305, 2096)
 
 
 def test_frozen_rows_in_census_order():
@@ -388,8 +382,9 @@ def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
     colored = []
     color = transposition_coloring
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
-                        lambda d, seeds, *rest: colored.append(tuple(seeds))
-                        or color(d, seeds, *rest))
+                        lambda d, derivation, *rest:
+                        colored.append(tuple(derivation.seeds))
+                        or color(d, derivation, *rest))
     calls = 0
     for name, d, _ in search_cases:
         colored.clear()
@@ -515,7 +510,7 @@ def test_coloring_bound_on_frozen_rows():
         d = parse_pd(item["pd"])
         wcert = (deserialize_certificate(certs[name]["omega"])
                  if name in certs else omega(d)[1])  # trefoil sum #6
-        bound = coloring_bound(d, wcert.seeds)
+        bound = coloring_bound(d, _derivation(d, wcert.seeds))
         assert bound == oracles.oracle_coloring_bound(d), name
         assert d.n_components <= bound <= item["rho"], name
         if item["kind"] == "trefoil_sum":
@@ -540,7 +535,8 @@ def test_transposition_bound_on_frozen_rows():
         d = parse_pd(item["pd"])
         wcert = (deserialize_certificate(certs[name]["omega"])
                  if name in certs else omega(d)[1])  # trefoil sum #6
-        bound, ends = transposition_coloring(d, wcert.seeds)
+        derivation = _derivation(d, wcert.seeds)
+        bound, ends = transposition_coloring(d, derivation)
         assert 1 <= bound <= item["rho"], name
         for u1, u2, over in oracles.crossing_tables(d):
             assert oracles.conjugate(ends[over], ends[u1]) == ends[u2], name
@@ -556,7 +552,7 @@ def test_transposition_bound_on_frozen_rows():
                 d, wcert.seeds), name
             oracle_checked += 1
         checked += 1
-        fox = coloring_bound(d, wcert.seeds)
+        fox = coloring_bound(d, derivation)
         reaches_rho += max(fox, bound) == item["rho"]
     assert (checked, oracle_checked, reaches_rho) == (468, 329, 263)
 
@@ -575,8 +571,8 @@ def test_omega_transposition_bound_on_frozen_rows():
         d = parse_pd(item["pd"])
         greedy = greedy_certificate(d)
         seeds = shrunk_greedy(d, greedy)
-        fox = coloring_bound(d, greedy.seeds)
-        bound, _ = transposition_coloring(d, seeds)
+        fox = coloring_bound(d, _derivation(d, greedy.seeds))
+        bound, _ = transposition_coloring(d, _derivation(d, seeds))
         assert max(fox, bound) <= item["omega"], name
         checked += 1
         exact += len(seeds) == item["omega"]
@@ -597,8 +593,8 @@ def test_coloring_matches_the_reference(monkeypatch):
     colored = []
     color = transposition_coloring
 
-    def recorded(d, seeds, *rest):
-        colored.append((d, seeds, color(d, seeds, *rest)))
+    def recorded(d, derivation, *rest):
+        colored.append((d, derivation.seeds, color(d, derivation, *rest)))
         return colored[-1][-1]
 
     monkeypatch.setattr(plainsphere.engine, "transposition_coloring",
