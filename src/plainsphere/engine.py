@@ -43,8 +43,8 @@ closure two ways:
   decides and builds it: for the first uncolored strand that has a loop
   move, from one face of its first such edge in walk order to the other,
   through the colored strands' dual edges in the order they were
-  colored.  It runs once per returned certificate, where the search's
-  closures run once per seed set, so it keeps no union-find.
+  colored.  It runs only for a certificate that is asked for, where the
+  search's closures run once per seed set, so it keeps no union-find.
 
 The bounds take the Wirtinger closure a third way, as a derivation, not
 as seeds: ``_derivation`` grows it seed by seed in order, skips a seed
@@ -67,19 +67,33 @@ its first leaf.  When no size is left to try, the search builds no
 Loop moves dominate Wirtinger moves, so a set that does not
 plain-sphere-saturate does not Wirtinger-saturate either, and
 rho <= omega <= m.  So omega is rho's search continued in Wirtinger
-mode, and one computation (``_invariants``) gives both: ``rho(d)`` and
-``omega(d)`` each read half of its pair, whichever is called first.  It
-searches plain-sphere mode from the diagram's lower bound up to m - 1.
-A first set whose log has no loop move Wirtinger-saturates, so
-omega = rho, and no Wirtinger search runs: every set before it fails in
-plain-sphere mode, so in Wirtinger mode too, and it is omega's first
-set as well.  Otherwise one Wirtinger search runs from rho's size, or
-from m when no set below m saturates and rho = m, up to one below the
-greedy set's size.  When its set has that first size, omega = rho and
-the set is reissued as rho's certificate.  So rho's certificate has no
-loop move exactly when omega = rho, and no size that failed in
-plain-sphere mode is searched in Wirtinger mode.  ``_shared`` keeps the
-pair while the diagram lives; a timeout keeps nothing.
+mode, and one computation (``_invariants``) gives both values:
+``rho(d)`` and ``omega(d)`` each read one, whichever is called first.
+It searches plain-sphere mode from the diagram's lower bound up to
+m - 1.  When no set below m saturates, rho = m, so omega = m too, and
+no Wirtinger search runs.  A first set whose derivation colors every
+strand Wirtinger-saturates, so omega = rho, and no Wirtinger search
+runs: every set before it fails in plain-sphere mode, so in Wirtinger
+mode too, and it is omega's first set as well.  Otherwise one
+Wirtinger search runs from rho's size up to one below the greedy set's
+size.  When its set has rho's size, omega = rho and the set is rho's
+certificate too.  So rho's certificate has no loop move exactly when
+omega = rho, and no size that failed in plain-sphere mode is searched
+in Wirtinger mode.
+
+Certificates are built apart (``_certified``), only when ``rho`` or
+``omega`` is asked for one, as ``psk compute`` and the benchmark's
+freeze script ask and a census does not.  When rho = omega = m the
+values name no seeds, so the certificate step picks them first: the
+Wirtinger search from m up to one below the greedy set's size, whose
+first set in search order has m seeds, or the greedy set when that
+range is empty, the same set whichever call comes first.  ``saturate``
+then writes the log.  A set that Wirtinger-saturates has the same log
+in both modes, as ``saturate`` in plain-sphere mode makes every
+Wirtinger move before any loop move, so when rho's and omega's sets are
+one set, one ``saturate`` writes both certificates.  ``_shared`` keeps
+the values, the seeds and each certificate built while the diagram
+lives; a timeout adds nothing to it.
 
 The search relies on one invariant: every smaller size failed, in its
 own mode or in plain-sphere mode, or is excluded by the bound.  A
@@ -191,15 +205,18 @@ the greedy one: an irredundant saturating set of m seeds, often omega,
 colored on at most m + 1 points, each a point of the prune's union-find.
 Certificates do not depend on the coloring: the witnesses stay the
 answers when no smaller set saturates, and ``saturate`` writes one only
-for an answer (``_certificate``).  A Fox bound equal to m is omega, and
-so rho too, as rho lies between it and omega; no coloring is searched.
+for an answer that is asked for (``_certified``).  A Fox bound equal to
+m is omega, and so rho too, as rho lies between it and omega; no
+coloring is searched.
 
 So a timeout, too, proves its bounds of rho and omega together, and
-``_invariants`` alone words it.  The coloring stops with its best bound
-and a search with the size it was at, every smaller size having failed;
+``_invariants`` words it.  The coloring stops with its best bound and a
+search with the size it was at, every smaller size having failed;
 neither names an invariant.  Until rho is found, the larger of that and
 the Fox bound bounds both from below, and m from above; in the
-Wirtinger search rho is found, and the size bounds omega alone.
+Wirtinger search rho is found, and the size bounds omega alone.  The
+search that picks a certificate's seeds runs when both values are
+known, so ``_certified`` names them exactly.
 """
 
 from __future__ import annotations
@@ -672,22 +689,37 @@ def _certificate(d: Diagram, seeds: Sequence[int], mode: str,
                        seeds=tuple(sorted(seeds)), moves=log)
 
 
-# diagram -> ((rho, certificate), (omega, certificate)), dropped with the
-# diagram; immutable values only, so a finished row keeps no closure alive
+class _Found(NamedTuple):
+    """What ``_invariants`` works out for a diagram, kept in ``_shared``."""
+    rho: int
+    omega: int
+    # (rho's, omega's) certificate seeds, sorted; None when rho = omega
+    # = m, where the certificates pick them
+    seeds: tuple[tuple[int, ...], tuple[int, ...]] | None
+    # what picks them: the Wirtinger search from m with this coloring, or
+    # else the greedy seeds
+    coloring: tuple[int, tuple]
+    greedy: tuple[int, ...]
+    # [rho's, omega's], each filled in when first asked for
+    certificates: list[Certificate | None]
+
+
+# diagram -> _Found, dropped with the diagram; values, seeds and
+# certificates only, so a finished row keeps no closure alive
 _shared: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _search(d: Diagram, mode: str, dual: DualGraph | None,
             coloring: tuple[int, tuple], sizes: range,
-            deadline: float | None) -> Certificate | None:
-    """The certificate of the first seed set, by size in `sizes` and then
-    in search order, whose closure in `mode` colors every strand, or None.
+            deadline: float | None) -> tuple[int, ...] | None:
+    """The sorted seeds of the first set, by size in `sizes` and then in
+    search order, whose closure in `mode` colors every strand, or None.
     Every smaller size must fail in `mode` or in plain-sphere mode.  Only
     when `sizes` is not empty does it build its closure, in plain-sphere
     mode on `dual`, built when None.  The transposition `coloring`, as
     ``transposition_coloring`` returns it, or (0, ()), prunes prefixes.
     Past `deadline` it raises ComputeTimeout with its stage and the size
-    it was searching, which ``_invariants`` words."""
+    it was searching, which its caller words."""
     if not sizes:
         return None
     rank, ends = coloring
@@ -754,68 +786,120 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     try:
         for k in sizes:
             if extend(0, k, k - rank):
-                return _certificate(d, chosen, mode, state.dual)
+                return tuple(sorted(chosen))
         return None
     finally:
         del extend  # it calls itself through a cell: free it without a GC pass
 
 
+def _timeout(stage: str, rho_low: int, rho_high: int, omega_low: int,
+             omega_high: int) -> ComputeTimeout:
+    """The timeout of `stage`, naming the intervals it proved."""
+    return ComputeTimeout(
+        f"{stage} exceeded its deadline; proved rho >= {rho_low}, "
+        f"rho <= {rho_high}, omega >= {omega_low}, omega <= {omega_high}")
+
+
 def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
-                ) -> tuple[tuple[int, Certificate], tuple[int, Certificate]]:
-    """((rho, certificate), (omega, certificate)), worked out on the first
-    call for `d` and kept in ``_shared``: the bounds, each read off one
-    derivation, plain-sphere mode, then at most one Wirtinger search.  A
-    timeout in any of them is worded here (see the module docstring)."""
+                ) -> _Found:
+    """rho and omega, with the certificate seeds found on the way, worked
+    out on the first call for `d` and kept in ``_shared``: the bounds,
+    each read off one derivation, plain-sphere mode, then a Wirtinger
+    search only when omega is not yet known.  A timeout in any of them is
+    worded here (see the module docstring)."""
     found = _shared.get(d)
     if found is not None:
         return found
     greedy = kept = _derivation(d, d.search_order)
+    witness = tuple(sorted(greedy.seeds))
     lower = coloring_bound(d, greedy)
-    if lower < len(greedy.seeds):
+    if lower < len(witness):
         kept = _irredundant(d, greedy)
     m, coloring, known_rho = len(kept.seeds), (0, ()), None
     try:
         if lower < m:  # else lower is omega, and no bound exceeds it
             coloring = transposition_coloring(d, kept, deadline)
             lower = max(lower, coloring[0])
-        cert = _search(d, PLAINSPHERE, dual, coloring, range(lower, m),
-                       deadline)
-        if cert is None or any(move.kind == "L" for move in cert.moves):
-            known_rho = m if cert is None else len(cert.seeds)
-            wcert = _search(d, WIRTINGER, None, coloring,
-                            range(known_rho, len(greedy.seeds)), deadline
-                            ) or _certificate(d, greedy.seeds, WIRTINGER)
-            if len(wcert.seeds) == known_rho:
-                cert = wcert._replace(mode=PLAINSPHERE)
+        seeds = _search(d, PLAINSPHERE, dual, coloring, range(lower, m),
+                        deadline)
+        if seeds is None:  # rho = omega = m: a certificate picks the seeds
+            values, pair = (m, m), None
+        elif _derivation(d, seeds).full:  # it Wirtinger-saturates too
+            values, pair = (len(seeds), len(seeds)), (seeds, seeds)
         else:
-            wcert = cert._replace(mode=WIRTINGER)
+            known_rho = len(seeds)
+            wseeds = _search(d, WIRTINGER, None, coloring,
+                             range(known_rho, len(witness)), deadline
+                             ) or witness
+            if len(wseeds) == known_rho:
+                seeds = wseeds
+            values, pair = (known_rho, len(wseeds)), (seeds, wseeds)
     except ComputeTimeout as exc:
         stage, k = exc.args  # k: a lower bound its stage proved
         k = max(lower, k)
         low, high = (k, m) if known_rho is None else (known_rho, known_rho)
-        raise ComputeTimeout(
-            f"{stage} exceeded its deadline; proved rho >= {low}, "
-            f"rho <= {high}, omega >= {k}, omega <= {m}") from None
-    _shared[d] = found = ((len(cert.seeds), cert), (len(wcert.seeds), wcert))
+        raise _timeout(stage, low, high, k, m) from None
+    _shared[d] = found = _Found(*values, pair, coloring, witness,
+                                [None, None])
     return found
 
 
-def omega(d: Diagram, deadline: float | None = None):
+def _certified(d: Diagram, found: _Found, mode: str,
+               dual: DualGraph | None, deadline: float | None
+               ) -> Certificate:
+    """`mode`'s certificate of `found`, built on the first call and kept
+    in it.  When rho = omega = m it first picks the seeds: the first
+    Wirtinger-saturating set of size m in search order."""
+    i = mode == WIRTINGER  # [rho's, omega's]
+    certificates = found.certificates
+    if certificates[i] is not None:
+        return certificates[i]
+    seeds = found.seeds
+    if seeds is None:
+        try:
+            picked = _search(d, WIRTINGER, None, found.coloring,
+                             range(found.omega, len(found.greedy)), deadline
+                             ) or found.greedy
+        except ComputeTimeout as exc:  # both values are known
+            raise _timeout(exc.args[0], found.rho, found.rho, found.omega,
+                           found.omega) from None
+        seeds = picked, picked
+    if seeds[0] == seeds[1]:
+        # the set Wirtinger-saturates, so ``saturate`` writes the same log
+        # in plain-sphere mode: it makes every Wirtinger move first
+        cert = _certificate(d, seeds[1], WIRTINGER)
+        certificates[:] = cert._replace(mode=PLAINSPHERE), cert
+    else:
+        certificates[i] = _certificate(d, seeds[i], mode, dual)
+    return certificates[i]
+
+
+def omega(d: Diagram, deadline: float | None = None, *,
+          certificate: bool = True):
     """Smallest k whose some k-seed set Wirtinger-saturates the diagram.
 
-    Returns (k, certificate), computed with rho's (``_invariants``).  A
-    timeout names the interval proved of each invariant.
+    Returns (k, certificate), computed with rho's (``_invariants``), or
+    (k, None) with `certificate` false, which builds no certificate and
+    runs no search that only picks one's seeds.  A timeout names the
+    interval proved of each invariant.  The keyword is the interim form
+    of one entry point that returns both values and builds certificates
+    only on request (ROADMAP item 1).
     """
-    return _invariants(d, None, deadline)[1]
+    found = _invariants(d, None, deadline)
+    return found.omega, (_certified(d, found, WIRTINGER, None, deadline)
+                         if certificate else None)
 
 
 def rho(d: Diagram, dual: DualGraph | None = None,
-        deadline: float | None = None, omega_result=None):
+        deadline: float | None = None, omega_result=None, *,
+        certificate: bool = True):
     """Smallest k whose some k-seed set plain-sphere-saturates the diagram.
 
-    Returns (k, certificate), computed with omega's (``_invariants``); the
-    certificate has no loop move exactly when omega = rho.
-    `omega_result` is not read: the benchmark's freeze script still
-    passes one.
+    Returns (k, certificate), computed with omega's (``_invariants``), or
+    (k, None) with `certificate` false, as for ``omega``; the certificate
+    has no loop move exactly when omega = rho.  `omega_result` is not
+    read: the benchmark's freeze script still passes one.
     """
-    return _invariants(d, dual, deadline)[0]
+    found = _invariants(d, dual, deadline)
+    return found.rho, (_certified(d, found, PLAINSPHERE, dual, deadline)
+                       if certificate else None)

@@ -14,7 +14,9 @@ cuts) of the projection, the graph on the crossings whose edges are the
 PD labels.  So a dual cycle through one edge of an uncolored strand and
 otherwise through colored strands' edges exists exactly when that edge
 is a bridge of the projection restricted to the uncolored strands'
-edges (Oxley, "Matroid Theory", on planar duality).
+edges (Oxley, "Matroid Theory", on planar duality).  ``bridges`` finds
+them by Tarjan's low-link search, and ``bridge_rho`` tries every seed
+set with that closure, with no prune and no engine code.
 
 ``saturate_random`` and ``loops_first_log`` build moves from the same
 raw tables: a Wirtinger move at a crossing of ``crossing_tables``, a
@@ -190,39 +192,88 @@ def plainsphere_fixpoint(d: Diagram, g: DualGraph,
     return colored
 
 
-def bridge_closure(d: Diagram, seeds) -> set[int]:
-    """`seeds` and every strand bridge peeling colors: while an uncolored
-    strand has an edge that is a bridge of the projection restricted to
-    the uncolored strands' edges, color it.  Each round colors the
-    strands of all its bridges, as deleting edges keeps a bridge one.  An
-    edge is a bridge when a search from one of its crossings that does
-    not cross it misses the other; a kink's edge never is."""
+def edge_ends(d: Diagram) -> dict[int, tuple[int, ...]]:
+    """Each PD label's two crossings, read off the raw tuples (one
+    crossing twice for a kink's edge)."""
     ends: dict[int, tuple[int, ...]] = {}
     for c, labels in enumerate(d.pd):
         for e in labels:
             ends[e] = ends.get(e, ()) + (c,)
+    return ends
+
+
+def bridges(hops: list[list[tuple[int, int]]]) -> set[int]:
+    """The bridges of the multigraph `hops` (per vertex, (edge, other
+    end) for each edge at it) by Tarjan's low-link depth first search.
+    The search leaves a vertex by every edge but the one it came in by,
+    so parallel edges close a cycle and a loop is never a bridge."""
+    order = [-1] * len(hops)
+    low = order[:]
+    found: set[int] = set()
+    count = 0
+    for root, out in enumerate(hops):
+        if order[root] >= 0 or not out:
+            continue
+        order[root] = low[root] = count
+        count += 1
+        stack = [(root, None, iter(out))]
+        while stack:
+            v, came, out = stack[-1]
+            for e, w in out:
+                if e == came:
+                    continue
+                if order[w] >= 0:
+                    if order[w] < low[v]:
+                        low[v] = order[w]
+                else:
+                    order[w] = low[w] = count
+                    count += 1
+                    stack.append((w, e, iter(hops[w])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    elif low[v] > order[u]:
+                        found.add(came)
+    return found
+
+
+def bridge_closure(d: Diagram, seeds,
+                   ends: dict[int, tuple[int, ...]] | None = None
+                   ) -> set[int]:
+    """`seeds` and every strand bridge peeling colors: while an uncolored
+    strand has an edge that is a bridge of the projection restricted to
+    the uncolored strands' edges, color it.  Each round colors the
+    strands of all its bridges, as deleting edges keeps a bridge one.
+    `ends` is ``edge_ends(d)``, built when None."""
+    if ends is None:
+        ends = edge_ends(d)
     colored = set(seeds)
     while True:
-        live = [e for e in ends if d.edge_to_strand[e] not in colored]
-        hops: dict[int, list[tuple[int, int]]] = {}
-        for e in live:
-            a, b = ends[e]
-            hops.setdefault(a, []).append((e, b))
-            hops.setdefault(b, []).append((e, a))
-        peeled = set()
-        for e in live:
-            a, b = ends[e]
-            seen, stack = {a}, [a]
-            while stack:
-                for f, c in hops[stack.pop()]:
-                    if f != e and c not in seen:
-                        seen.add(c)
-                        stack.append(c)
-            if b not in seen:
-                peeled.add(d.edge_to_strand[e])
+        hops: list[list[tuple[int, int]]] = [[] for _ in d.pd]
+        for e, (a, b) in ends.items():
+            if d.edge_to_strand[e] not in colored:
+                hops[a].append((e, b))
+                hops[b].append((e, a))
+        peeled = {d.edge_to_strand[e] for e in bridges(hops)}
         if not peeled:
             return colored
         colored |= peeled
+
+
+def bridge_rho(d: Diagram) -> int:
+    """rho by brute force: every seed set, by size and then in strand id
+    order, closed by ``bridge_closure``, with no prune, no bound, no
+    dual and no engine code."""
+    ends = edge_ends(d)
+    for k in range(1, d.n + 1):
+        for combo in combinations(range(d.n), k):
+            if len(bridge_closure(d, combo, ends)) == d.n:
+                return k
+    raise AssertionError("unreachable")
 
 
 def loop_witness(d: Diagram, g: DualGraph, colored: set[int],

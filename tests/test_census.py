@@ -7,10 +7,12 @@ import errno
 import gc
 import json
 import os
+import subprocess
 import sys
 import time
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from plainsphere.certificate import WIRTINGER
 from plainsphere.diagram import parse_pd
 from plainsphere.errors import FileUnreadable, MissingColumns
 
-from conftest import TREFOIL_PD, table_path
+from conftest import BRAID30_PD, TREFOIL_PD, table_path
 
 
 def small_options(**kw) -> CensusOptions:
@@ -153,10 +155,12 @@ class TestRunCensus:
 
     def test_omega_searched_once_per_row(self, monkeypatch):
         """Each row runs rho and then omega, which reads rho's result, once
-        each.  At most one Wirtinger search runs per row: none when rho's
-        first set has no loop move, else one from rho's size, inside rho.
-        On k14n1527 (omega 4, rho 3) that one search tries sizes 3 and
-        4."""
+        each, asking for values only.  At most one Wirtinger search runs
+        per row: none when rho's first set Wirtinger-saturates or no set
+        below the irredundant greedy subset's size m saturates, as then
+        omega = rho or omega = rho = m; else one from rho's size, inside
+        rho.  On k14n1527 (omega 4, rho 3) that one search tries sizes 3
+        and 4."""
         import plainsphere.engine
         calls, searches = Counter(), Counter()
         for name in ("omega", "rho"):
@@ -201,6 +205,22 @@ class TestRunCensus:
         assert summary["skipped_rows"] == [
             {"name": "trefoil",
              "reason": "error: AssertionError: engine invariant broken"}]
+
+    def test_impossible_values_skip_the_row_under_O(self):
+        """A rho above omega breaks rho <= omega: the row is skipped with
+        an ``error:`` reason and gets no record, also under ``python -O``,
+        which strips ``assert`` statements."""
+        src = Path(plainsphere.census.__file__).resolve().parents[1]
+        probe = ("import json, plainsphere.census as census; "
+                 "census.rho = lambda d, **kwargs: (d.n, None); "
+                 "print(json.dumps([__debug__, census._process_row("
+                 f"('trefoil', {TREFOIL_PD!r}, 2, None))]))")
+        out = subprocess.run([sys.executable, "-O", "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert json.loads(out) == [
+            False,  # -O is in force
+            [None, "error: impossible values rho=3, omega=2 on 3 strands"]]
 
     def test_results_independent_of_jobs(self):
         rows = ingest(table_path("fixtures_small.csv"))
@@ -266,13 +286,12 @@ class TestRunCensus:
             ("bad", "bad bridge_number 'two'")]
 
     def test_timeout_rows_never_fabricate(self):
-        rows = [r for r in ingest(table_path("slice14.csv"))
-                if r.name == "k14n1527"]
+        rows = [TableRow("braid30", BRAID30_PD, None, 2)]
         records, summary = run_census(
             rows, small_options(timeout_ms=1, jobs=1))
         assert records == []
         assert summary["timeout_count"] == 1
-        assert summary["timed_out_names"] == ["k14n1527"]
+        assert summary["timed_out_names"] == ["braid30"]
 
     def test_rows_leave_no_cyclic_garbage(self):
         """A computed row frees all it built when it returns, with no GC

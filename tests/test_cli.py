@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from plainsphere.cli import (EXIT_EMPTY_CENSUS, EXIT_HASH_MISMATCH, EXIT_OK,
                              EXIT_PARSE, EXIT_REJECTED, EXIT_TIMEOUT,
                              EXIT_UNSUPPORTED, main)
 
-from conftest import K14_PD, TREFOIL_PD, table_path
+from conftest import BRAID30_PD, K14_PD, TREFOIL_PD, table_path
 
 HOPF_PD = "X(2,1,3,4) X(4,3,1,2)"
 
@@ -107,16 +108,52 @@ class TestCompute:
         assert code == EXIT_UNSUPPORTED
 
     def test_timeout_flag(self, capsys):
-        code, _, err = run(capsys, "compute", "--pd", K14_PD,
+        code, _, err = run(capsys, "compute", "--pd", BRAID30_PD,
                            "--timeout-ms", "1")
         assert code == EXIT_TIMEOUT and "deadline" in err
         # the interval the search proved before time ran out
         assert re.search(r"proved rho >= \d+, rho <= \d+, "
                          r"omega >= \d+, omega <= \d+$", err.strip())
 
+    def test_timeout_in_the_seed_picking_search(self, capsys, monkeypatch):
+        """slice14's sum5_9 has no plain-sphere set below its irredundant
+        greedy subset's 3 seeds, so rho = omega = 3 is known after 46
+        seeds added in plain-sphere mode, and only a certificate runs
+        the Wirtinger search of size 3 (7 more) that picks its seeds.  On
+        a clock that ticks a millisecond per read, compute reads it
+        twice before the engine does, so a 47 ms deadline expires at the
+        first seed that search adds: exit 4, naming the exact values, as
+        before values and certificates were worked out apart.  A census
+        row asks for values only and completes.  A 40 ms deadline
+        expires in the plain-sphere search, and both time out."""
+        pd = next(row.pd_text for row in census.ingest(
+            table_path("slice14.csv")) if row.name == "sum5_9")
+
+        def restart_clock():
+            ticks = itertools.count()
+            clock = types.SimpleNamespace(
+                monotonic=lambda: next(ticks) / 1000)
+            for module in (cli, census, engine):
+                monkeypatch.setattr(module, "time", clock)
+
+        for ms, proved, row in (
+                (40, "rho >= 2, rho <= 3, omega >= 2, omega <= 3", None),
+                (47, "rho >= 3, rho <= 3, omega >= 3, omega <= 3", (3, 3))):
+            restart_clock()
+            code, _, err = run(capsys, "compute", "--pd", pd,
+                               "--timeout-ms", str(ms))
+            assert code == EXIT_TIMEOUT
+            assert err.strip() == (
+                "error: ComputeTimeout: seed-set search exceeded its "
+                f"deadline; proved {proved}")
+            restart_clock()
+            record, reason = census._process_row(("sum5_9", pd, 3, ms))
+            assert reason is None
+            assert row == (record and (record["rho"], record["omega"]))
+
     def test_timeout_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PSK_TIMEOUT_MS", "1")
-        code, _, _ = run(capsys, "compute", "--pd", K14_PD)
+        code, _, _ = run(capsys, "compute", "--pd", BRAID30_PD)
         assert code == EXIT_TIMEOUT
 
     def test_flag_beats_env(self, capsys, monkeypatch):

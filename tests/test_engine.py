@@ -526,7 +526,9 @@ class TestSharedBounds:
         calls.clear()
         assert rho(parse_pd(pd)) == (r, rcert)
         assert calls == once
-        assert plainsphere.engine._shared[d] == ((r, rcert), (w, wcert))
+        found = plainsphere.engine._shared[d]
+        assert (found.rho, found.omega, found.certificates) == (
+            r, w, [rcert, wcert])
         want, lower = ((4, 3), 2) if name == "k14n1527" else ((4, 4), 3)
         assert (w, r) == want and starts[0] == (PLAINSPHERE, lower)
 
@@ -564,11 +566,14 @@ class TestSharedBounds:
         assert total == {"coloring_bound": 468, "transposition_coloring": 294}
 
     def test_shared_bounds_die_with_the_diagram(self):
-        """The shared pair of answers keeps no reference to its diagram,
-        so it is collected once omega and rho are done with it."""
+        """The shared answers, both values and both certificates, keep no
+        reference to their diagram, so it is collected once omega and rho
+        are done with it."""
         d = parse_pd(K14_PD)
-        result = rho(d)
-        assert plainsphere.engine._shared[d] == (result, omega(d))
+        (r, rcert), (w, wcert) = rho(d), omega(d)
+        found = plainsphere.engine._shared[d]
+        assert (found.rho, found.omega, found.certificates) == (
+            r, w, [rcert, wcert])
         ref = weakref.ref(d)
         gc.collect()  # other tests' diagrams go now, not with this one
         kept = len(plainsphere.engine._shared)
@@ -594,12 +599,15 @@ class TestSharedBounds:
     @pytest.mark.parametrize("name", ["k14n1527", "braid-0305"])
     def test_omega_after_rho_reads_its_result(self, monkeypatch, name):
         """omega and rho run the same searches whichever comes first, and
-        the second call runs none.  k14n1527's rho certificate has a loop
-        move, so one Wirtinger search runs, from rho = 3 up to one below
-        its greedy set's 5 seeds.  braid-0305 has no plain-sphere set
+        the second call runs none; asked for values only, they skip the
+        search that only picks a certificate's seeds.  k14n1527's rho
+        certificate has a loop move, so one Wirtinger search runs, from
+        rho = 3 up to one below its greedy set's 5 seeds.  braid-0305
+        has no plain-sphere set
         below its irredundant subset's 4 seeds, the greedy set's size, so
         its Wirtinger search has no size to try: the greedy set is both
-        answers."""
+        answers, and a certificate runs that search, as rho = omega = 4
+        is known without it."""
         pd = (K14_PD if name == "k14n1527"
               else frozen_rows("manifest.jsonl")[name]["pd"])
         searched = []
@@ -617,12 +625,23 @@ class TestSharedBounds:
         searched.clear()
         assert omega(d) == alone
         assert searched == []
+        # values only: no search that only picks a certificate's seeds,
+        # which a later certificate runs
+        fresh = parse_pd(pd)
+        searched.clear()
+        assert rho(fresh, certificate=False) == (r, None)
+        assert omega(fresh, certificate=False) == (alone[0], None)
+        values = searched[:]
+        assert omega(fresh) == alone
+        assert searched == searches
         if name == "k14n1527":
             assert searches == [(PLAINSPHERE, range(2, 4)),
                                 (WIRTINGER, range(3, 5))]
+            assert values == searches
         else:
             assert searches == [(PLAINSPHERE, range(3, 4)),
                                 (WIRTINGER, range(4, 4))]
+            assert values == searches[:1]
             assert alone == (r, rcert._replace(mode=WIRTINGER))
 
 

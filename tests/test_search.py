@@ -22,6 +22,7 @@ from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
                                 transposition_coloring)
 
 import oracles
+import rho_sweep
 from conftest import (BRAID30_WORD, K14_PD, frozen_rows, perfbench_module,
                       small_braid)
 
@@ -142,6 +143,16 @@ def test_values_match_brute_force_oracle(search_cases):
     assert checked >= 40
 
 
+def test_rho_matches_bridge_brute_force_on_a_slice():
+    """Every tenth manifest line by position, a slice fixed by that rule
+    alone: its frozen rho, which a census reports with no certificate
+    behind it, equals ``oracles.bridge_rho``, a brute force that shares
+    no code with the engine.  CI sweeps all 468 rows with
+    ``tests/rho_sweep.py``."""
+    checked, wrong = rho_sweep.sweep(every=10)
+    assert (checked, wrong) == (47, [])
+
+
 def test_failure_memo_prunes(monkeypatch):
     """The memo of failed closed sets and the skips of candidates that a
     failed sibling's closed set colors and of last seeds that fire no
@@ -159,8 +170,8 @@ def test_failure_memo_prunes(monkeypatch):
     nothing: no adds at all.  On sum5_9 both bounds are 2 and
     rho = omega = 3: 46 adds in plain-sphere mode, 62 with the
     coloring's prefix prune neutralised (70 and 103 without the sibling
-    skip), and 7 in Wirtinger mode, in the search at size 3 that its
-    looped set calls for."""
+    skip), and 7 in Wirtinger mode, in the search at size 3 that picks
+    the certificates' seeds, as no smaller set saturates."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
@@ -185,44 +196,61 @@ def test_failure_memo_prunes(monkeypatch):
     assert searched(sum5_9)[::2] == ((3, 3), 62)
 
 
-@pytest.mark.parametrize("omega_first", [True, False],
-                         ids=["freeze", "census"])
-def test_search_work_on_frozen_rows(monkeypatch, omega_first):
+@pytest.mark.parametrize("order,want", [
+    ("freeze", (3506, 82305, 2146, 472)),
+    ("census", (3506, 82305, 2146, 472)),
+    ("census-values", (985, 82305, 2146, 0)),
+], ids=["freeze", "census", "census-values"])
+def test_search_work_on_frozen_rows(monkeypatch, order, want):
     """The adds over the 468 frozen rows, in the order ``freeze.py`` runs
-    them, omega and then rho, and in the order ``psk census`` and ``psk
-    compute`` run them, rho and then omega: 3506 in Wirtinger mode and
-    82305 in plain-sphere mode either way, as the first call works both
-    invariants out.  Every add is a search's, as the bounds walk their
-    seeds (``_derivation``) and build no closure.  The plain-sphere
-    search stops below the irredundant greedy subset's size, and no
-    Wirtinger search proves again a size that failed in plain-sphere
-    mode.  A change to the closure or the search that keeps the values
-    but costs more adds shows here.
+    them, omega and then rho, and in the census order, rho and then
+    omega, as ``psk compute`` runs them, each with its certificate:
+    3506 in Wirtinger mode and 82305 in plain-sphere mode either way, as
+    the first call works both invariants out and the first certificate
+    picks their seeds.
+    Every add is a search's, as the bounds walk their seeds
+    (``_derivation``) and build no closure.  The plain-sphere search
+    stops below the irredundant greedy subset's size, and no Wirtinger
+    search proves again a size that failed in plain-sphere mode.  A
+    change to the closure or the search that keeps the values but costs
+    more adds shows here.
 
-    The bounds walk 2096 seed sets: per row the greedy set, which the
-    Fox bound reads, and each shrunk set ``_irredundant`` tries, the last
-    one it keeps being what the transposition coloring reads.  Each set
-    is walked once, so a bound that walks its seeds again shows here
-    (2858 when both bounds derived their own)."""
+    ``psk census`` runs the census order asking for values only
+    (``certificate=False``): the same plain-sphere adds, and 985
+    Wirtinger adds, on the 7 rows where rho's set does not
+    Wirtinger-saturate and omega's value needs the search; no
+    ``saturate`` runs.  With certificates ``saturate`` runs 472 times,
+    once per row and once more on the 4 rows where omega > rho.
+
+    2146 seed sets are walked: per row the greedy set, which the Fox
+    bound reads, and each shrunk set ``_irredundant`` tries, the last
+    one it keeps being what the transposition coloring reads (2096 in
+    all), and on the 50 rows where the plain-sphere search finds a set,
+    that set, to tell whether it Wirtinger-saturates.  Each set is walked
+    once, so a bound that walks its seeds again shows here (2858 when
+    both bounds derived their own)."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
                         lambda state, s: adds.update([state.dual is None])
                         or add(state, s))
-    walks = []
+    walks, saturated = [], []
     monkeypatch.setattr(plainsphere.engine, "_derivation",
                         lambda d, seeds: walks.append(1)
                         or _derivation(d, seeds))
+    monkeypatch.setattr(plainsphere.engine, "saturate",
+                        lambda *args: saturated.append(1) or saturate(*args))
+    certificate = order != "census-values"
     for item in frozen_rows("manifest.jsonl").values():
         if item["kind"] != "reject":
             d = parse_pd(item["pd"])
-            if omega_first:
+            if order == "freeze":
                 omega(d)
                 rho(d, dual=build_dual(d))
             else:
-                rho(d, dual=build_dual(d))
-                omega(d)
-    assert (adds[True], adds[False], len(walks)) == (3506, 82305, 2096)
+                rho(d, dual=build_dual(d), certificate=certificate)
+                omega(d, certificate=certificate)
+    assert (adds[True], adds[False], len(walks), len(saturated)) == want
 
 
 def test_frozen_rows_in_census_order():
@@ -249,6 +277,28 @@ def test_frozen_rows_in_census_order():
             assert serialize_certificate(rcert) == certs[name]["rho"], name
             stored += 2
     assert (rows, stored, gaps) == (468, 934, 4)
+
+
+def test_values_only_match_certificates_on_frozen_rows():
+    """On every frozen row, rho and omega asked for values only, in
+    either call order, give the values of the certificate path, which
+    ``test_frozen_rows_in_census_order`` holds to the manifest."""
+    rows = 0
+    for name, item in frozen_rows("manifest.jsonl").items():
+        if item["kind"] == "reject":
+            continue
+        d = parse_pd(item["pd"])
+        (r, rcert), (w, wcert) = rho(d, dual=build_dual(d)), omega(d)
+        assert (len(rcert.seeds), len(wcert.seeds)) == (r, w), name
+        d = parse_pd(item["pd"])
+        assert (rho(d, dual=build_dual(d), certificate=False),
+                omega(d, certificate=False)) == ((r, None), (w, None)), name
+        d = parse_pd(item["pd"])
+        assert (omega(d, certificate=False),
+                rho(d, dual=build_dual(d), certificate=False)
+                ) == ((w, None), (r, None)), name
+        rows += 1
+    assert rows == 468
 
 
 @pytest.mark.parametrize("neutral", [False, True])
