@@ -114,8 +114,9 @@ def cmd_compute(args) -> int:
               "omega_seeds": None, "rho_seeds": None}
     # rho works out both invariants on the dual loaded here, and omega
     # reads its half; the certificate is rho's, or omega's with
-    # --invariant omega
-    r, cert = rho(d, dual=dual, deadline=deadline)
+    # --invariant omega, which builds none for rho
+    r, cert = rho(d, dual=dual, deadline=deadline,
+                  certificate=args.invariant != "omega")
     if args.invariant != "omega":
         result["rho"], result["rho_seeds"] = r, list(cert.seeds)
     if args.invariant != "rho":

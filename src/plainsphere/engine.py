@@ -59,41 +59,41 @@ closure by the next seed and undoes it on backtrack; the first set that
 saturates is the answer.  A Wirtinger-saturating set, whose seeds
 saturate in either mode, bounds the sizes: the greedy saturating set
 (strands in search order, skipping colored ones) or its irredundant
-subset (below), of m seeds.  When no smaller set saturates, the greedy
-set is omega's answer, the set a search of its size would find first,
-its first leaf.  When no size is left to try, the search builds no
-``GrowingClosure``, nor a dual.
+subset (below), of m seeds, so a search up to size m finds a set.  The
+greedy set is the first set of its size in search order, the first leaf
+of a search of that size.  When no size is left to try, the search
+builds no ``GrowingClosure``.
 
 Loop moves dominate Wirtinger moves, so a set that does not
 plain-sphere-saturate does not Wirtinger-saturate either, and
-rho <= omega <= m.  So omega is rho's search continued in Wirtinger
-mode, and one computation (``_invariants``) gives both values:
-``rho(d)`` and ``omega(d)`` each read one, whichever is called first.
-It searches plain-sphere mode from the diagram's lower bound up to
-m - 1.  When no set below m saturates, rho = m, so omega = m too, and
-no Wirtinger search runs.  A first set whose derivation colors every
-strand Wirtinger-saturates, so omega = rho, and no Wirtinger search
-runs: every set before it fails in plain-sphere mode, so in Wirtinger
-mode too, and it is omega's first set as well.  Otherwise one
-Wirtinger search runs from rho's size up to one below the greedy set's
-size.  When its set has rho's size, omega = rho and the set is rho's
-certificate too.  So rho's certificate has no loop move exactly when
-omega = rho, and no size that failed in plain-sphere mode is searched
-in Wirtinger mode.
+rho <= omega <= m.  So omega is rho's search continued in Wirtinger mode, and
+one computation (``_invariants``) gives both values: ``rho(d)`` and
+``omega(d)`` each read one, whichever is called first.  It searches
+plain-sphere mode from the diagram's lower bound up to m - 1.  When no
+set below m saturates, rho = m, so omega = m too, and no Wirtinger
+search runs.  A first set whose derivation colors every strand
+Wirtinger-saturates, so omega = rho, and no Wirtinger search runs: every
+set before it fails in plain-sphere mode, so in Wirtinger mode too, and
+it is omega's first set as well.  Otherwise one Wirtinger search runs
+from rho's size up to m.  When its set has rho's size, omega = rho and
+the set is rho's certificate too.  So rho's certificate has no loop move
+exactly when omega = rho, and no size that failed in plain-sphere mode
+is searched in Wirtinger mode.
 
 Certificates are built apart (``_certified``), only when ``rho`` or
 ``omega`` is asked for one, as ``psk compute`` and the benchmark's
-freeze script ask and a census does not.  When rho = omega = m the
-values name no seeds, so the certificate step picks them first: the
-Wirtinger search from m up to one below the greedy set's size, whose
-first set in search order has m seeds, or the greedy set when that
-range is empty, the same set whichever call comes first.  ``saturate``
-then writes the log.  A set that Wirtinger-saturates has the same log
-in both modes, as ``saturate`` in plain-sphere mode makes every
-Wirtinger move before any loop move, so when rho's and omega's sets are
-one set, one ``saturate`` writes both certificates.  ``_shared`` keeps
-the values, the seeds and each certificate built while the diagram
-lives; a timeout adds nothing to it.
+freeze script ask and a census does not.  When rho = omega = m, the
+greedy set is both certificates' set if it has m seeds; else the
+certificate step first picks them, by the Wirtinger search of size m,
+the same set whichever call comes first.  ``saturate`` then writes the
+log, in plain-sphere mode on the plain-sphere search's dual, which
+``_invariants`` builds only for that search and only when its caller
+gives none.  A set that Wirtinger-saturates has the same log in both
+modes, as ``saturate`` in plain-sphere mode makes every Wirtinger move
+before any loop move, so when rho's and omega's sets are one set, one
+``saturate`` writes both certificates.  ``_shared`` keeps the values,
+the seeds and each certificate built while the diagram lives; a timeout
+adds nothing to it.
 
 The search relies on one invariant: every smaller size failed, in its
 own mode or in plain-sphere mode, or is excluded by the bound.  A
@@ -203,9 +203,9 @@ removal leaves a saturating set, one derivation each.  The coloring
 reads the derivation of the set it keeps, the last one it accepted or
 the greedy one: an irredundant saturating set of m seeds, often omega,
 colored on at most m + 1 points, each a point of the prune's union-find.
-Certificates do not depend on the coloring: the witnesses stay the
-answers when no smaller set saturates, and ``saturate`` writes one only
-for an answer that is asked for (``_certified``).  A Fox bound equal to
+Certificates do not depend on the coloring, which prunes only sets that
+fail, and ``saturate`` writes one only for an answer that is asked for
+(``_certified``).  A Fox bound equal to
 m is omega, and so rho too, as rho lies between it and omega; no
 coloring is searched.
 
@@ -350,16 +350,14 @@ class GrowingClosure:
 
     ``add(s)`` colors s, saturates and returns a mark, the four masks and
     the trail's length; ``undo(mark)`` restores them and unlinks the
-    unions made since.  A missing dual is built.
+    unions made since.  Plain-sphere mode needs the dual.
     """
 
     def __init__(self, d: Diagram, mode: str, dual: DualGraph | None = None):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         plain = mode == PLAINSPHERE
-        if plain and dual is None:
-            dual = build_dual(d)
-        self.dual, self._d = dual, d
+        self._d = d
         self.mask = self.xo = self.xu = self.xe = 0
         self.bit = tuple(1 << s for s in range(d.n))
         self.over, self.under = d.crossing_masks
@@ -684,7 +682,9 @@ def _certificate(d: Diagram, seeds: Sequence[int], mode: str,
     """The certificate of `seeds`, which saturate in `mode`: the move log
     ``saturate`` writes."""
     colored, log = saturate(d, seeds, mode, dual)
-    assert len(colored) == d.n
+    if len(colored) < d.n:
+        raise ValueError(
+            f"seeds {sorted(seeds)} do not saturate in {mode} mode")
     return Certificate(diagram_hash=d.content_hash, mode=mode,
                        seeds=tuple(sorted(seeds)), moves=log)
 
@@ -694,12 +694,10 @@ class _Found(NamedTuple):
     rho: int
     omega: int
     # (rho's, omega's) certificate seeds, sorted; None when rho = omega
-    # = m, where the certificates pick them
+    # = m and the greedy set is larger, where the certificates pick them
     seeds: tuple[tuple[int, ...], tuple[int, ...]] | None
-    # what picks them: the Wirtinger search from m with this coloring, or
-    # else the greedy seeds
-    coloring: tuple[int, tuple]
-    greedy: tuple[int, ...]
+    coloring: tuple[int, tuple]  # the prune of that pick
+    dual: DualGraph | None  # the plain-sphere search's, or the caller's
     # [rho's, omega's], each filled in when first asked for
     certificates: list[Certificate | None]
 
@@ -716,7 +714,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     search order, whose closure in `mode` colors every strand, or None.
     Every smaller size must fail in `mode` or in plain-sphere mode.  Only
     when `sizes` is not empty does it build its closure, in plain-sphere
-    mode on `dual`, built when None.  The transposition `coloring`, as
+    mode on `dual`.  The transposition `coloring`, as
     ``transposition_coloring`` returns it, or (0, ()), prunes prefixes.
     Past `deadline` it raises ComputeTimeout with its stage and the size
     it was searching, which its caller words."""
@@ -811,26 +809,28 @@ def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
     if found is not None:
         return found
     greedy = kept = _derivation(d, d.search_order)
-    witness = tuple(sorted(greedy.seeds))
     lower = coloring_bound(d, greedy)
-    if lower < len(witness):
+    if lower < len(greedy.seeds):
         kept = _irredundant(d, greedy)
     m, coloring, known_rho = len(kept.seeds), (0, ()), None
     try:
         if lower < m:  # else lower is omega, and no bound exceeds it
             coloring = transposition_coloring(d, kept, deadline)
             lower = max(lower, coloring[0])
+        if lower < m and dual is None:
+            dual = build_dual(d)
         seeds = _search(d, PLAINSPHERE, dual, coloring, range(lower, m),
                         deadline)
-        if seeds is None:  # rho = omega = m: a certificate picks the seeds
+        if seeds is None:  # rho = omega = m
             values, pair = (m, m), None
+            if kept is greedy:  # the first set of size m: no search picks it
+                pair = (tuple(sorted(greedy.seeds)),) * 2
         elif _derivation(d, seeds).full:  # it Wirtinger-saturates too
             values, pair = (len(seeds), len(seeds)), (seeds, seeds)
         else:
             known_rho = len(seeds)
             wseeds = _search(d, WIRTINGER, None, coloring,
-                             range(known_rho, len(witness)), deadline
-                             ) or witness
+                             range(known_rho, m + 1), deadline)
             if len(wseeds) == known_rho:
                 seeds = wseeds
             values, pair = (known_rho, len(wseeds)), (seeds, wseeds)
@@ -839,17 +839,16 @@ def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
         k = max(lower, k)
         low, high = (k, m) if known_rho is None else (known_rho, known_rho)
         raise _timeout(stage, low, high, k, m) from None
-    _shared[d] = found = _Found(*values, pair, coloring, witness,
-                                [None, None])
+    _shared[d] = found = _Found(*values, pair, coloring, dual, [None, None])
     return found
 
 
 def _certified(d: Diagram, found: _Found, mode: str,
-               dual: DualGraph | None, deadline: float | None
-               ) -> Certificate:
+               deadline: float | None) -> Certificate:
     """`mode`'s certificate of `found`, built on the first call and kept
-    in it.  When rho = omega = m it first picks the seeds: the first
-    Wirtinger-saturating set of size m in search order."""
+    in it.  When `found` names no seeds it first picks them: the first
+    Wirtinger-saturating set of size m in search order.  A plain-sphere
+    log reads the search's dual."""
     i = mode == WIRTINGER  # [rho's, omega's]
     certificates = found.certificates
     if certificates[i] is not None:
@@ -858,8 +857,7 @@ def _certified(d: Diagram, found: _Found, mode: str,
     if seeds is None:
         try:
             picked = _search(d, WIRTINGER, None, found.coloring,
-                             range(found.omega, len(found.greedy)), deadline
-                             ) or found.greedy
+                             range(found.omega, found.omega + 1), deadline)
         except ComputeTimeout as exc:  # both values are known
             raise _timeout(exc.args[0], found.rho, found.rho, found.omega,
                            found.omega) from None
@@ -870,7 +868,7 @@ def _certified(d: Diagram, found: _Found, mode: str,
         cert = _certificate(d, seeds[1], WIRTINGER)
         certificates[:] = cert._replace(mode=PLAINSPHERE), cert
     else:
-        certificates[i] = _certificate(d, seeds[i], mode, dual)
+        certificates[i] = _certificate(d, seeds[i], mode, found.dual)
     return certificates[i]
 
 
@@ -886,7 +884,7 @@ def omega(d: Diagram, deadline: float | None = None, *,
     only on request (ROADMAP item 1).
     """
     found = _invariants(d, None, deadline)
-    return found.omega, (_certified(d, found, WIRTINGER, None, deadline)
+    return found.omega, (_certified(d, found, WIRTINGER, deadline)
                          if certificate else None)
 
 
@@ -901,5 +899,5 @@ def rho(d: Diagram, dual: DualGraph | None = None,
     read: the benchmark's freeze script still passes one.
     """
     found = _invariants(d, dual, deadline)
-    return found.rho, (_certified(d, found, PLAINSPHERE, dual, deadline)
+    return found.rho, (_certified(d, found, PLAINSPHERE, deadline)
                        if certificate else None)

@@ -222,8 +222,10 @@ class TestCompute:
         result rho keeps with it.  ``--invariant omega`` prints no rho,
         and the omega and seeds of ``both``.  ``both`` writes rho's
         certificate, in plain-sphere mode, and ``omega`` omega's, in
-        Wirtinger mode."""
-        calls = []
+        Wirtinger mode; ``omega`` asks rho for no certificate, so one
+        ``saturate`` writes omega's, where ``both`` runs one per
+        certificate."""
+        calls, saturated = [], []
 
         def rho(d, **kwargs):
             calls.append(("rho", d, sorted(kwargs)))
@@ -235,23 +237,32 @@ class TestCompute:
 
         monkeypatch.setattr(cli, "rho", rho)
         monkeypatch.setattr(cli, "omega", omega)
-        docs, certs, called = {}, {}, {}
+        saturate = engine.saturate
+        monkeypatch.setattr(
+            engine, "saturate", lambda d, seeds, mode, *rest:
+            saturated.append(mode) or saturate(d, seeds, mode, *rest))
+        docs, certs, called, logged = {}, {}, {}, {}
         for invariant in ("both", "rho", "omega"):
             cert = tmp_path / f"{invariant}.cert"
             calls.clear()
+            saturated.clear()
             code, out, _ = run(capsys, "compute", "--pd", K14_PD,
                                "--invariant", invariant, "--format", "json",
                                "--certificate", str(cert))
             assert code == EXIT_OK
             docs[invariant], certs[invariant] = json.loads(out), cert.read_text()
             called[invariant] = calls[:]
+            logged[invariant] = saturated[:]
         assert docs["rho"]["omega"] is None and docs["rho"]["rho"] == 3
         assert docs["rho"]["rho_seeds"] == docs["both"]["rho_seeds"]
         assert certs["rho"] == certs["both"]
         for invariant in ("both", "omega"):
             d = called[invariant][0][1]
-            assert called[invariant] == [("rho", d, ["deadline", "dual"]),
-                                         ("omega", d, ["deadline"])]
+            assert called[invariant] == [
+                ("rho", d, ["certificate", "deadline", "dual"]),
+                ("omega", d, ["deadline"])]
+        assert logged == {"both": ["plainsphere", "wirtinger"],
+                          "rho": ["plainsphere"], "omega": ["wirtinger"]}
         assert [name for name, _, _ in called["rho"]] == ["rho"]
         assert docs["omega"]["rho"] is None
         assert ((docs["omega"]["omega"], docs["omega"]["omega_seeds"])

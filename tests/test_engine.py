@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import time
 import types
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,8 @@ from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
                                 transposition_coloring)
 from plainsphere.errors import ComputeTimeout
 
-from conftest import BRAID30_WORD, K14_PD, frozen_rows, perfbench_module
+from conftest import (BRAID30_WORD, K14_PD, TREFOIL_PD, frozen_rows,
+                      perfbench_module)
 from oracles import closure
 
 braids = perfbench_module("braids")
@@ -72,6 +77,23 @@ class TestMoves:
             assert any(k14.edge_to_strand[e] in K14_STAGE_FIXPOINT
                        for e, pair in k14_dual.edge_faces.items()
                        if set(pair) == {f1, f2})
+
+    def test_unsaturated_certificate_refused_under_O(self):
+        """A certificate is written only for seeds that saturate, also
+        under ``python -O``, which strips ``assert`` statements: one seed
+        of the trefoil fires no move."""
+        src = Path(plainsphere.engine.__file__).resolve().parents[1]
+        probe = ("from plainsphere import parse_pd\n"
+                 "from plainsphere.engine import WIRTINGER, _certificate\n"
+                 f"d = parse_pd({TREFOIL_PD!r})\n"
+                 "try:\n"
+                 "    _certificate(d, (0,), WIRTINGER)\n"
+                 "except ValueError as exc:\n"
+                 "    print(__debug__, exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out == "False seeds [0] do not saturate in wirtinger mode\n"
 
     def test_empty_seed_set_rejected(self, trefoil):
         with pytest.raises(ValueError):
@@ -152,10 +174,6 @@ class TestGrowingClosure:
                 for mode in (WIRTINGER, PLAINSPHERE):
                     slow, _ = saturate(d, seeds, mode, g)
                     assert closure(d, seeds, mode, g) == slow, (pd, seeds)
-
-    def test_dual_built_when_missing(self, trefoil, trefoil_dual):
-        assert (closure(trefoil, (0,), PLAINSPHERE)
-                == closure(trefoil, (0,), PLAINSPHERE, trefoil_dual))
 
     def test_undo_restores_every_table(self, k14, k14_dual):
         """The masks, the face tables and the union trail, after each undo."""
@@ -582,6 +600,20 @@ class TestSharedBounds:
         assert ref() is None
         assert len(plainsphere.engine._shared) == kept - 1
 
+    def test_rho_without_a_dual_builds_one(self, monkeypatch):
+        """rho with no dual builds one for its plain-sphere search, and its
+        certificate, whose log on k14n1527 has a loop move, reads that
+        one too."""
+        built = []
+        real = plainsphere.engine.build_dual
+        monkeypatch.setattr(plainsphere.engine, "build_dual",
+                            lambda d: built.append(d) or real(d))
+        d = parse_pd(K14_PD)
+        r, cert = rho(d)
+        assert r == 3 and any(move.kind == "L" for move in cert.moves)
+        assert built == [d]
+        assert verify(d, cert).ok
+
     def test_rho_twice_builds_no_closure(self, monkeypatch):
         """A second rho on a diagram returns the first one's result, kept
         in ``_shared``, and builds no closure and works out no bound."""
@@ -602,12 +634,11 @@ class TestSharedBounds:
         the second call runs none; asked for values only, they skip the
         search that only picks a certificate's seeds.  k14n1527's rho
         certificate has a loop move, so one Wirtinger search runs, from
-        rho = 3 up to one below its greedy set's 5 seeds.  braid-0305
-        has no plain-sphere set
-        below its irredundant subset's 4 seeds, the greedy set's size, so
-        its Wirtinger search has no size to try: the greedy set is both
-        answers, and a certificate runs that search, as rho = omega = 4
-        is known without it."""
+        rho = 3 up to its irredundant subset's 4 seeds.  braid-0305 has
+        no plain-sphere set below its irredundant subset's 4 seeds, the
+        greedy set's size, so rho = omega = 4, and the greedy set, the
+        first set of that size, is both answers: no Wirtinger search
+        runs, for the values or for the certificates."""
         pd = (K14_PD if name == "k14n1527"
               else frozen_rows("manifest.jsonl")[name]["pd"])
         searched = []
@@ -639,9 +670,7 @@ class TestSharedBounds:
                                 (WIRTINGER, range(3, 5))]
             assert values == searches
         else:
-            assert searches == [(PLAINSPHERE, range(3, 4)),
-                                (WIRTINGER, range(4, 4))]
-            assert values == searches[:1]
+            assert searches == values == [(PLAINSPHERE, range(3, 4))]
             assert alone == (r, rcert._replace(mode=WIRTINGER))
 
 

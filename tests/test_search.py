@@ -80,7 +80,8 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
         # plain-sphere mode first: from 1 to one below the irredundant
         # subset's size, then Wirtinger mode from rho's size only when
         # the first set's log has a loop move or no smaller size
-        # saturated (and that size is below the greedy set's)
+        # saturated (and that size is below the greedy set's, whose set
+        # is the first of its size)
         m = len(shrunk_greedy(d, greedy))
         fresh = parse_pd(d.serialize())
         starts.clear()
@@ -172,10 +173,10 @@ def test_failure_memo_prunes(monkeypatch):
     coloring's prefix prune neutralised (70 and 103 without the sibling
     skip), and 7 in Wirtinger mode, in the search at size 3 that picks
     the certificates' seeds, as no smaller set saturates."""
-    adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
+    adds = Counter()  # True: Wirtinger; only plain-sphere closures join faces
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
-                        lambda state, s: adds.update([state.dual is None])
+                        lambda state, s: adds.update([not state._rim])
                         or add(state, s))
     rows = frozen_rows("manifest.jsonl")
 
@@ -197,15 +198,15 @@ def test_failure_memo_prunes(monkeypatch):
 
 
 @pytest.mark.parametrize("order,want", [
-    ("freeze", (3506, 82305, 2146, 472)),
-    ("census", (3506, 82305, 2146, 472)),
-    ("census-values", (985, 82305, 2146, 0)),
+    ("freeze", (3513, 82305, 2146, 472)),
+    ("census", (3513, 82305, 2146, 472)),
+    ("census-values", (992, 82305, 2146, 0)),
 ], ids=["freeze", "census", "census-values"])
 def test_search_work_on_frozen_rows(monkeypatch, order, want):
     """The adds over the 468 frozen rows, in the order ``freeze.py`` runs
     them, omega and then rho, and in the census order, rho and then
     omega, as ``psk compute`` runs them, each with its certificate:
-    3506 in Wirtinger mode and 82305 in plain-sphere mode either way, as
+    3513 in Wirtinger mode and 82305 in plain-sphere mode either way, as
     the first call works both invariants out and the first certificate
     picks their seeds.
     Every add is a search's, as the bounds walk their seeds
@@ -216,11 +217,14 @@ def test_search_work_on_frozen_rows(monkeypatch, order, want):
     more adds shows here.
 
     ``psk census`` runs the census order asking for values only
-    (``certificate=False``): the same plain-sphere adds, and 985
+    (``certificate=False``): the same plain-sphere adds, and 992
     Wirtinger adds, on the 7 rows where rho's set does not
     Wirtinger-saturate and omega's value needs the search; no
-    ``saturate`` runs.  With certificates ``saturate`` runs 472 times,
-    once per row and once more on the 4 rows where omega > rho.
+    ``saturate`` runs.  That search runs up to the size m of the set the
+    bounds keep, so on braid-0144 and braid-0411, where omega is the
+    greedy set's size, it ends by adding the greedy set, 7 adds in all.
+    With certificates ``saturate`` runs 472 times, once per row and once
+    more on the 4 rows where omega > rho.
 
     2146 seed sets are walked: per row the greedy set, which the Fox
     bound reads, and each shrunk set ``_irredundant`` tries, the last
@@ -229,10 +233,10 @@ def test_search_work_on_frozen_rows(monkeypatch, order, want):
     that set, to tell whether it Wirtinger-saturates.  Each set is walked
     once, so a bound that walks its seeds again shows here (2858 when
     both bounds derived their own)."""
-    adds = Counter()  # True: Wirtinger; only plain-sphere closures have a dual
+    adds = Counter()  # True: Wirtinger; only plain-sphere closures join faces
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
-                        lambda state, s: adds.update([state.dual is None])
+                        lambda state, s: adds.update([not state._rim])
                         or add(state, s))
     walks, saturated = [], []
     monkeypatch.setattr(plainsphere.engine, "_derivation",
