@@ -20,7 +20,8 @@ other dart carrying the same label, the far end of the edge.  Every
 structure is an integer walk over them: a strand follows ``mate`` and
 crosses over with ``x ^ 2`` until it lands on an even (under) slot; a
 face follows the next slot counterclockwise, then its ``mate`` (see
-``dual``); a link component is an orbit of ``x -> mate[x] ^ 2``; and the
+``dual``); a link component is an orbit of ``x -> mate[x] ^ 2``, and its
+strands meet end to end at the crossings' under slots; and the
 projection is connected when ``mate[x] // 4`` reaches every crossing.
 
 A ``Diagram`` keeps each derived fact in one flat table indexed by id:
@@ -34,11 +35,13 @@ marks crossings, and the strand walk marks each label with its strand,
 which is ``edge_to_strand`` (-1 at 0, which labels no edge).
 
 Tables that only some callers read are computed on first read and kept
-with the diagram: ``n_components`` counts the link components by
-walking ``x -> mate[x] ^ 2``; ``crossing_masks`` gives each strand's
-crossings as bit masks, by role, which every closure and the logged
-saturation of the diagram read; and ``search_order`` is the strand
-order the seed-set searches share.
+with the diagram: ``component_strands`` gives each link component's
+strands as a bit mask, by walking from each strand to the other
+under-strand of the crossing where it ends, and ``n_components`` counts
+them; ``crossing_masks`` gives each strand's crossings as bit masks, by
+role, which every closure and the logged saturation of the diagram
+read; and ``search_order`` is the strand order the seed-set searches
+share.
 
 ``parse_pd`` reads the text in one pass: a single ``TUPLE_RE.split``
 yields both the text between tuples, which must be separators, and the
@@ -128,20 +131,33 @@ class Diagram:
     # -- queries ---------------------------------------------------------
 
     @cached_property
+    def component_strands(self) -> tuple[int, ...]:
+        """Per link component, the bit mask of its strands.  A component
+        goes straight on through a crossing's two under slots, so one of
+        the crossing's under-strands ends there and the other starts:
+        each strand has two such neighbours, one at each end, and they
+        link the strands of each component into one cycle."""
+        ends: list[list[int]] = [[] for _ in range(self.n)]
+        for u1, u2 in self.under_strands:
+            ends[u1].append(u2)
+            ends[u2].append(u1)
+        seen = bytearray(self.n)
+        masks = []
+        for start in range(self.n):
+            mask, s = 0, start
+            while not seen[s]:  # round the cycle from start
+                seen[s] = 1
+                mask |= 1 << s
+                a, b = ends[s]
+                s = b if seen[a] else a
+            if mask:
+                masks.append(mask)
+        return tuple(masks)
+
+    @property
     def n_components(self) -> int:
-        """The number of link components.  x -> mate[x] ^ 2 goes straight
-        on through the next crossing, so its orbit from any dart meets
-        each edge of one component once."""
-        seen = bytearray(2 * self.n + 1)  # by label
-        count = 0
-        for start in range(4 * self.n):
-            if seen[self.label[start]]:
-                continue
-            count, x = count + 1, start
-            while not seen[self.label[x]]:
-                seen[self.label[x]] = 1
-                x = self.mate[x] ^ 2
-        return count
+        """The number of link components."""
+        return len(self.component_strands)
 
     @cached_property
     def crossing_masks(self) -> CrossingMasks:

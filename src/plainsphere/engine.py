@@ -125,9 +125,30 @@ In Wirtinger mode a last seed s that fires no move is skipped too,
 unless it is the only uncolored strand: cl(P + s) is then cl(P) + s,
 which misses some other strand.  The crossing masks of ``GrowingClosure``
 decide that without adding s.  In plain-sphere mode every last seed is
-added, as a loop move can fire where no Wirtinger move does.  Only
-failing sets are cut, by the memo and by these skips, so the first
-saturating set and its certificate are unchanged.
+added, as a loop move can fire where no Wirtinger move does.
+
+A saturating set has a seed on every link component.  Mod 2 a coloring
+is constant on each component, and any choice of one color per component
+is a coloring; a coloring is fixed by its seeds' colors (see the Fox
+bound below), so were some component seedless, the coloring that is 1
+there and 0 elsewhere would agree with 0 on every seed.  The link group
+says the same: the seeds generate it, and its abelianisation has one
+generator per component, a meridian's image being its own component's.
+So each prefix keeps ``seeded``, the strands of the components its seeds
+lie on (``Diagram.component_strands``), and ``spare``, its seeds left
+less its components with no seed: k - c at the root, one less after each
+seed on a component already seeded.  When ``spare`` is 0, every seed
+left must seed a component of its own, so ``seeded`` joins the prefix's
+dead mask, and the test that skips colored candidates skips those too,
+at no cost per candidate.  On a knot a prefix with a seed has as many
+seeds to spare as it has left, so the prune cuts nothing, and no
+component is tracked.  The memo's argument needs only that every set of
+the size in P's subtree or before it fails, whether tried or cut, as
+cl(P + T) = cl(M + T) whatever P's seeds are; a set this prune cuts
+cannot saturate, so the memo and the sibling skip, which reads it, stay
+sound.  Only failing sets are cut, by the memo, by these skips and by
+this prune, so the first saturating set and its certificate are
+unchanged.
 
 The Fox-coloring bound (``coloring_bound``) is the largest dimension,
 over all primes p, of the space of mod-p colorings, which give each
@@ -210,11 +231,14 @@ m is omega, and so rho too, as rho lies between it and omega; no
 coloring is searched.
 
 So a timeout, too, proves its bounds of rho and omega together, and
-``_invariants`` words it.  The coloring stops with its best bound and a
-search with the size it was at, every smaller size having failed;
-neither names an invariant.  Until rho is found, the larger of that and
-the Fox bound bounds both from below, and m from above; in the
-Wirtinger search rho is found, and the size bounds omega alone.  The
+``_invariants`` words it.  ``_irredundant`` reads the clock before each
+trial walk and stops with no bound of its own, the coloring with its
+best bound and a search with the size it was at, every smaller size
+having failed; none names an invariant.  Until rho is found, the larger
+of that and the Fox bound bounds both from below, and m from above, the
+greedy set's size until ``_irredundant`` returns; in the Wirtinger
+search rho is found, and the size bounds omega alone.  The greedy walk
+and the Fox bound read no clock.  The
 search that picks a certificate's seeds runs when both values are
 known, so ``_certified`` names them exactly.
 """
@@ -664,13 +688,20 @@ def transposition_coloring(d: Diagram, derivation: Derivation,
     return best_rank, tuple(ends[t] for t in best_color)
 
 
-def _irredundant(d: Diagram, greedy: Derivation) -> Derivation:
+def _irredundant(d: Diagram, greedy: Derivation,
+                 deadline: float | None) -> Derivation:
     """The derivation of the `greedy` seeds less each seed, walked in
     reverse, whose removal still leaves a saturating set: the last set
     kept, or `greedy`.  No seed of the result can be dropped: closures are
-    monotone, and each was kept by a superset."""
+    monotone, and each was kept by a superset.
+
+    Before each trial walk it reads the clock, and past `deadline` it
+    raises ComputeTimeout with its stage and no bound of its own, which
+    ``_invariants`` words."""
     kept = greedy
     for s in reversed(greedy.seeds):
+        if deadline is not None and time.monotonic() > deadline:
+            raise ComputeTimeout("irredundant subset", 0)
         shrunk = _derivation(d, [t for t in kept.seeds if t != s])
         if shrunk.full:
             kept = shrunk
@@ -715,8 +746,13 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     Every smaller size must fail in `mode` or in plain-sphere mode.  Only
     when `sizes` is not empty does it build its closure, in plain-sphere
     mode on `dual`.  The transposition `coloring`, as
-    ``transposition_coloring`` returns it, or (0, ()), prunes prefixes.
-    Past `deadline` it raises ComputeTimeout with its stage and the size
+    ``transposition_coloring`` returns it, or (0, ()), prunes prefixes,
+    and so does the link component count: a prefix with no seed to
+    spare skips the candidates on the components it already seeds, as a
+    set that leaves a component seedless cannot saturate.  Both cut only
+    failing sets, so the failure memo and the skip of what failed
+    siblings color stay sound (see the module docstring).  Past
+    `deadline` it raises ComputeTimeout with its stage and the size
     it was searching, which its caller words."""
     if not sizes:
         return None
@@ -732,13 +768,29 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     # a union-find over the coloring's points, undone on backtrack: the
     # orbits of the prefix's seeds
     parent = list(range(max((b for _, b in ends), default=0) + 1))
+    # per strand, its link component's strands; all 0 on a knot, where the
+    # prune cannot cut, so no component is ever marked seeded
+    components = d.component_strands
+    component = [0] * n
+    if len(components) > 1:
+        for c in components:
+            rest = c
+            while rest:
+                component[(rest & -rest).bit_length() - 1] = c
+                rest &= rest - 1
 
-    def extend(start: int, left: int, slack: int) -> bool:
+    def extend(start: int, left: int, slack: int, spare: int,
+               seeded: int) -> bool:
         # slack: how many of the `left` seeds may join no two orbits; when
         # slack >= left no prefix below can be pruned, so none is tracked
         track = slack < left
         # dead grows by failed candidates: see the module docstring
         dead = closed = state.mask
+        # seeded: the strands of the components the prefix seeds; spare:
+        # how many of the `left` seeds may go on one of them, so when none
+        # may, they are dead too: see the module docstring
+        if not spare:
+            dead |= seeded
         # in Wirtinger mode a last seed that fires no move colors only
         # itself, so it fails unless it is the one uncolored strand
         last = left == 1 and mode == WIRTINGER
@@ -771,7 +823,8 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
                 if mask == full:
                     return True
             elif failed.get(mask, -1) < left - 1:
-                if extend(i + 1, left - 1, slack - (not merged)):
+                if extend(i + 1, left - 1, slack - (not merged),
+                          spare - (seeded >> s & 1), seeded | component[s]):
                     return True
                 failed[mask] = left - 1
             dead |= mask
@@ -783,7 +836,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
 
     try:
         for k in sizes:
-            if extend(0, k, k - rank):
+            if extend(0, k, k - rank, k - len(components), 0):
                 return tuple(sorted(chosen))
         return None
     finally:
@@ -810,10 +863,11 @@ def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
         return found
     greedy = kept = _derivation(d, d.search_order)
     lower = coloring_bound(d, greedy)
-    if lower < len(greedy.seeds):
-        kept = _irredundant(d, greedy)
-    m, coloring, known_rho = len(kept.seeds), (0, ()), None
+    m, coloring, known_rho = len(greedy.seeds), (0, ()), None
     try:
+        if lower < m:
+            kept = _irredundant(d, greedy, deadline)
+            m = len(kept.seeds)
         if lower < m:  # else lower is omega, and no bound exceeds it
             coloring = transposition_coloring(d, kept, deadline)
             lower = max(lower, coloring[0])

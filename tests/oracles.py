@@ -16,7 +16,8 @@ otherwise through colored strands' edges exists exactly when that edge
 is a bridge of the projection restricted to the uncolored strands'
 edges (Oxley, "Matroid Theory", on planar duality).  ``bridges`` finds
 them by Tarjan's low-link search, and ``bridge_rho`` tries every seed
-set with that closure, with no prune and no engine code.
+set with that closure, with no prune and no engine code, and returns
+the first that saturates.
 
 ``saturate_random`` and ``loops_first_log`` build moves from the same
 raw tables: a Wirtinger move at a crossing of ``crossing_tables``, a
@@ -264,15 +265,15 @@ def bridge_closure(d: Diagram, seeds,
         colored |= peeled
 
 
-def bridge_rho(d: Diagram) -> int:
-    """rho by brute force: every seed set, by size and then in strand id
-    order, closed by ``bridge_closure``, with no prune, no bound, no
-    dual and no engine code."""
+def bridge_rho(d: Diagram) -> tuple[int, ...]:
+    """rho by brute force: the first seed set, by size and then in strand
+    id order, that ``bridge_closure`` closes to every strand, with no
+    prune, no bound, no dual and no engine code.  rho is its size."""
     ends = edge_ends(d)
     for k in range(1, d.n + 1):
         for combo in combinations(range(d.n), k):
             if len(bridge_closure(d, combo, ends)) == d.n:
-                return k
+                return combo
     raise AssertionError("unreachable")
 
 

@@ -9,6 +9,11 @@ faces, no prune, no bound and no engine code.  Each row of
 ``perfbench/data/manifest.jsonl`` with a value is checked, or every
 N-th line by position with ``--every N``, and the script exits 1 on
 any mismatch.  The tier-1 suite runs the ``--every 10`` slice.
+
+The first saturating set it finds must also put a seed on every link
+component (``oracles.oracle_link_components``): the engine's seed-set
+search skips every set that does not, and this checks that premise
+with no engine code.
 """
 
 from __future__ import annotations
@@ -29,19 +34,24 @@ MANIFEST = HERE.parent / "perfbench" / "data" / "manifest.jsonl"
 
 
 def sweep(every: int = 1) -> tuple[int, list[str]]:
-    """(rows checked, one line per mismatch) over every `every`-th
-    manifest line, by position from the first; reject rows have no
-    value and are passed over."""
+    """(rows checked, one line per mismatch or first set that misses a
+    link component) over every `every`-th manifest line, by position
+    from the first; reject rows have no value and are passed over."""
     with open(MANIFEST, encoding="utf-8") as fh:
         items = [json.loads(line) for line in fh][::every]
     checked, wrong = 0, []
     for item in items:
         if item["kind"] == "reject":
             continue
-        got = oracles.bridge_rho(parse_pd(item["pd"]))
-        if got != item["rho"]:
+        d = parse_pd(item["pd"])
+        seeds = oracles.bridge_rho(d)
+        if len(seeds) != item["rho"]:
             wrong.append(f"{item['name']}: rho {item['rho']} frozen, "
-                         f"{got} by brute force")
+                         f"{len(seeds)} by brute force")
+        for edges in oracles.oracle_link_components(d):
+            if not {d.edge_to_strand[e] for e in edges} & set(seeds):
+                wrong.append(f"{item['name']}: first set {seeds} has no "
+                             f"seed on the component of edge {edges[0]}")
         checked += 1
     return checked, wrong
 

@@ -16,6 +16,7 @@ from plainsphere.engine import PLAINSPHERE, WIRTINGER, Move
 from plainsphere.errors import SchemaError, VersionMismatch
 
 from conftest import frozen_rows
+from oracles import oracle_link_components
 
 TREFOIL_HASH = "baf2ba005daf456baa1905b37b6014a9cd355d769021818c68ba89b89e3d8898"
 
@@ -173,6 +174,25 @@ class TestSerialization:
                 cert = deserialize_certificate(text)
                 assert serialize_certificate(cert) == text, name
         assert len(rows) == 467
+
+    def test_stored_seeds_meet_every_component(self):
+        """The seed-set search skips every set that leaves a link component
+        with no seed, as no such set saturates: the seeds generate the
+        link group, whose abelianisation has one generator per component.
+        Every stored certificate, in both modes, has a seed on each
+        component that ``oracles.oracle_link_components`` merges from the
+        raw tuples, with no engine code."""
+        manifest = frozen_rows("manifest.jsonl")
+        checked = 0
+        for name, row in frozen_rows("certs.jsonl").items():
+            d = parse_pd(manifest[name]["pd"])
+            for text in (row["omega"], row["rho"]):
+                seeds = deserialize_certificate(text).seeds
+                for edges in oracle_link_components(d):
+                    assert {d.edge_to_strand[e] for e in edges} & set(
+                        seeds), name
+                checked += 1
+        assert checked == 934
 
     def test_loop_move_in_wirtinger_mode(self):
         text = TREFOIL_LOOP_CERT.replace("mode: plainsphere",

@@ -121,11 +121,13 @@ class TestCompute:
         seeds added in plain-sphere mode, and only a certificate runs
         the Wirtinger search of size 3 (7 more) that picks its seeds.  On
         a clock that ticks a millisecond per read, compute reads it
-        twice before the engine does, so a 47 ms deadline expires at the
-        first seed that search adds: exit 4, naming the exact values, as
-        before values and certificates were worked out apart.  A census
-        row asks for values only and completes.  A 40 ms deadline
-        expires in the plain-sphere search, and both time out."""
+        twice before the engine does, and the irredundant subset 4 times,
+        once per trial walk of the 4 greedy seeds, so a 51 ms deadline
+        expires at the first seed that search adds: exit 4, naming the
+        exact values, as before values and certificates were worked out
+        apart.  A census row asks for values only and completes.  A
+        44 ms deadline expires in the plain-sphere search, and both time
+        out."""
         pd = next(row.pd_text for row in census.ingest(
             table_path("slice14.csv")) if row.name == "sum5_9")
 
@@ -137,8 +139,8 @@ class TestCompute:
                 monkeypatch.setattr(module, "time", clock)
 
         for ms, proved, row in (
-                (40, "rho >= 2, rho <= 3, omega >= 2, omega <= 3", None),
-                (47, "rho >= 3, rho <= 3, omega >= 3, omega <= 3", (3, 3))):
+                (44, "rho >= 2, rho <= 3, omega >= 2, omega <= 3", None),
+                (51, "rho >= 3, rho <= 3, omega >= 3, omega <= 3", (3, 3))):
             restart_clock()
             code, _, err = run(capsys, "compute", "--pd", pd,
                                "--timeout-ms", str(ms))

@@ -8,7 +8,7 @@ from plainsphere import build_dual, parse_pd
 from plainsphere.errors import (ClosedOverComponent, DisconnectedProjection,
                                 EulerViolation, MalformedPD, PlainSphereError)
 
-from conftest import TREFOIL_PD, frozen_rows
+from conftest import TREFOIL_PD, frozen_rows, small_braid
 from oracles import oracle_link_components, oracle_tables
 
 TREFOIL_HASH = "baf2ba005daf456baa1905b37b6014a9cd355d769021818c68ba89b89e3d8898"
@@ -114,8 +114,12 @@ class TestAdjacency:
 class TestDartTable:
     def test_mate_and_components_on_all_rows(self):
         """On every manifest row that parses (the 42 bundled rows among
-        them), mate pairs the two darts of each label, and n_components
-        counts the oracle's link components."""
+        them) and 40 small random braid closures, mate pairs the two
+        darts of each label, and each link component's strand mask holds
+        the strands of one of the oracle's components, whose edges are
+        merged from the raw tuples, so n_components counts them; together
+        the masks hold every strand once.  373 of the 508 diagrams are
+        links."""
         parsed = {}
         for row in frozen_rows("manifest.jsonl").values():
             try:
@@ -124,14 +128,21 @@ class TestDartTable:
                 pass
         assert len(parsed) == 468
         assert sum(kind == "bundled" for kind, _ in parsed.values()) == 42
+        for i in range(40):
+            parsed[f"small-braid-{i}"] = ("braid", small_braid(i)[0])
+        links = 0
         for _, d in parsed.values():
             darts = range(4 * d.n)
             assert d.label == tuple(e for t in d.pd for e in t)
             assert all(d.mate[x] != x and d.mate[d.mate[x]] == x
                        and d.label[d.mate[x]] == d.label[x] for x in darts)
-            want = oracle_link_components(d)
+            want = sorted(sum({1 << d.edge_to_strand[e] for e in edges})
+                          for edges in oracle_link_components(d))
+            assert sorted(d.component_strands) == want, d.serialize()
             assert d.n_components == len(want), d.serialize()
-
+            assert sum(want) == (1 << d.n) - 1, d.serialize()
+            links += len(want) > 1
+        assert (len(parsed), links) == (508, 373)
 
     def test_tables_match_the_oracle(self, all_rows):
         """On every manifest row that parses and every bundled row, the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -322,12 +323,13 @@ class TestSearch:
         irredundant subset 4, omega 4 and rho 3.  omega runs rho's
         plain-sphere search first, from the bound up to 3, and a size
         that fails there fails in Wirtinger mode too, so a timeout names
-        both invariants' intervals.  Size 2 takes 87 adds: a deadline
-        after all but one of them proves only the bound, one after all
-        of them proves size 2 fails.  The irredundant subset saturates,
-        so omega <= 4 and rho <= 4.  Each run is on a freshly parsed
-        diagram, whose bounds omega works out."""
-        for deadline, k in ((85, 2), (86, 3)):
+        both invariants' intervals.  The irredundant subset reads the
+        clock 5 times first, once per trial walk.  Size 2 takes 87 adds:
+        a deadline after all but one of them proves only the bound, one
+        after all of them proves size 2 fails.  The irredundant subset
+        saturates, so omega <= 4 and rho <= 4.  Each run is on a freshly
+        parsed diagram, whose bounds omega works out."""
+        for deadline, k in ((90, 2), (91, 3)):
             d = parse_pd(K14_PD)
             ticks = itertools.count()  # one tick per clock read
             monkeypatch.setattr(plainsphere.engine, "time",
@@ -335,7 +337,7 @@ class TestSearch:
                                     monotonic=lambda: next(ticks)))
             with pytest.raises(ComputeTimeout) as info:
                 omega(d, deadline)
-            # deadline + 1 seeds added, then the expiry
+            # 5 trial walks and deadline - 4 seeds added, then the expiry
             assert next(ticks) == deadline + 2
             assert str(info.value).endswith(
                 f"proved rho >= {k}, rho <= 4, omega >= {k}, omega <= 4")
@@ -348,20 +350,21 @@ class TestSearch:
         interval beside rho's.  Size 2 takes 87 adds and size 3 9, the
         last of them finding rho's set; its log has a loop move, so a
         Wirtinger search from size 3 follows, and a timeout in it names
-        rho = 3 and omega's interval.  A timeout keeps nothing, so each
+        rho = 3 and omega's interval.  The irredundant subset's 5 trial
+        walks read the clock first.  A timeout keeps nothing, so each
         run on the same diagram searches again."""
         d = parse_pd(K14_PD)
         for deadline, proved in (
-                (85, "rho >= 2, rho <= 4, omega >= 2, omega <= 4"),
-                (86, "rho >= 3, rho <= 4, omega >= 3, omega <= 4"),
-                (95, "rho >= 3, rho <= 3, omega >= 3, omega <= 4")):
+                (90, "rho >= 2, rho <= 4, omega >= 2, omega <= 4"),
+                (91, "rho >= 3, rho <= 4, omega >= 3, omega <= 4"),
+                (100, "rho >= 3, rho <= 3, omega >= 3, omega <= 4")):
             ticks = itertools.count()  # one tick per clock read
             monkeypatch.setattr(plainsphere.engine, "time",
                                 types.SimpleNamespace(
                                     monotonic=lambda: next(ticks)))
             with pytest.raises(ComputeTimeout) as info:
                 rho(d, deadline=deadline)
-            # deadline + 1 seeds added, then the expiry
+            # 5 trial walks and deadline - 4 seeds added, then the expiry
             assert next(ticks) == deadline + 2
             assert str(info.value) == (
                 "seed-set search exceeded its deadline; proved " + proved)
@@ -369,15 +372,16 @@ class TestSearch:
 
     def test_deadline_past_rho_names_it(self, monkeypatch):
         """k14n1527's one Wirtinger search runs from rho's size, 3, where
-        it takes 168 adds, to 4, where omega's set is found.  The 96
-        plain-sphere adds come first, so a deadline of 262 ticks ends it
-        at size 3 and one of 263 at size 4; either way the timeout names
-        rho = 3, which the plain-sphere search proved, beside omega's
-        interval, whether omega or rho was called."""
+        it takes 168 adds, to 4, where omega's set is found.  The
+        irredundant subset's 5 trial walks and the 96 plain-sphere adds
+        read the clock first, so a deadline of 267 ticks ends it at size
+        3 and one of 268 at size 4; either way the timeout names rho = 3,
+        which the plain-sphere search proved, beside omega's interval,
+        whether omega or rho was called."""
         for call, deadline, proved in (
-                (omega, 262, "rho >= 3, rho <= 3, omega >= 3, omega <= 4"),
-                (omega, 263, "rho >= 3, rho <= 3, omega >= 4, omega <= 4"),
-                (rho, 263, "rho >= 3, rho <= 3, omega >= 4, omega <= 4")):
+                (omega, 267, "rho >= 3, rho <= 3, omega >= 3, omega <= 4"),
+                (omega, 268, "rho >= 3, rho <= 3, omega >= 4, omega <= 4"),
+                (rho, 268, "rho >= 3, rho <= 3, omega >= 4, omega <= 4")):
             d = parse_pd(K14_PD)
             ticks = itertools.count()  # one tick per clock read
             monkeypatch.setattr(plainsphere.engine, "time",
@@ -427,12 +431,13 @@ class TestSearch:
         """braid-0067's greedy set has 5 seeds, none of which can be
         dropped, Fox bound 2 and omega = rho = 3.  Coloring the 5 seeds
         takes 343 search nodes; the coloring reads the clock once per
-        ``_CLOCK_EVERY`` nodes, and it is the first to read it.  A
-        deadline it meets at its second read, or at its fifth and last,
-        stops it there, having proved the Fox bound and the 5 seeds, of
-        rho and omega alike, whether omega or rho was called."""
+        ``_CLOCK_EVERY`` nodes, after the irredundant subset's 5 reads,
+        one per trial walk.  A deadline the coloring meets at its second
+        read, or at its fifth and last, stops it there, having proved the
+        Fox bound and the 5 seeds, of rho and omega alike, whether omega
+        or rho was called."""
         d = parse_pd(frozen_rows("manifest.jsonl")["braid-0067"]["pd"])
-        for call, deadline in itertools.product((omega, rho), (0, 3)):
+        for call, deadline in itertools.product((omega, rho), (5, 8)):
             ticks = itertools.count()  # one tick per clock read
             monkeypatch.setattr(plainsphere.engine, "time",
                                 types.SimpleNamespace(
@@ -449,9 +454,10 @@ class TestSearch:
         """The 30-crossing braid's greedy set has 7 seeds, none of which
         can be dropped, and Fox bound 6; their coloring reads no clock (see
         ``test_braid30_coloring_reads_no_clock``), so the plain-sphere
-        search, which reads it once per seed added, is the first to.  A
-        deadline it meets at its second read stops it at size 6, having
-        proved the same interval of rho and omega."""
+        search, which reads it once per seed added, is the next to read
+        it after the irredundant subset's 7 trial walks.  A deadline it
+        meets at its second read stops it at size 6, having proved the
+        same interval of rho and omega."""
         d = parse_pd(braids.braid_pd(BRAID30_WORD, 8))
         for call in (omega, rho):
             ticks = itertools.count()  # one tick per clock read
@@ -459,8 +465,8 @@ class TestSearch:
                                 types.SimpleNamespace(
                                     monotonic=lambda: next(ticks)))
             with pytest.raises(ComputeTimeout) as info:
-                call(d, deadline=0)
-            assert next(ticks) == 2
+                call(d, deadline=7)
+            assert next(ticks) == 9
             assert str(info.value) == (
                 "seed-set search exceeded its deadline; proved "
                 "rho >= 6, rho <= 7, omega >= 6, omega <= 7")
@@ -487,6 +493,37 @@ class TestSearch:
                                 monotonic=lambda: reads.append(1) or 0.0))
         assert color(d, derivation, deadline=1.0)[0] == 6
         assert (len(derivation.seeds), len(reads)) == (7, 0)
+
+    def test_deadline_expires_in_the_irredundant_subset(self, monkeypatch):
+        """A 400-letter braid on 24 strands, its letters drawn with seed 3,
+        has a greedy set of 51 seeds and Fox bound 6, so the irredundant
+        subset tries to drop each of the 51 seeds with one walk, and reads
+        the clock before each walk; nothing reads it before.  A deadline
+        met at its first read, or at its 22nd, stops it there, after the
+        greedy walk and one trial walk per read before, having proved the
+        Fox bound and the greedy set's size, of rho and omega alike."""
+        rng = random.Random(3)
+        word = [rng.choice([1, -1]) * rng.randint(1, 23) for _ in range(400)]
+        pd = braids.braid_pd(word, 24)
+        walks = []
+        derive = plainsphere.engine._derivation
+        monkeypatch.setattr(plainsphere.engine, "_derivation",
+                            lambda d, seeds: walks.append(1)
+                            or derive(d, seeds))
+        for call, deadline in itertools.product((omega, rho), (-1, 20)):
+            d = parse_pd(pd)
+            ticks = itertools.count()  # one tick per clock read
+            monkeypatch.setattr(plainsphere.engine, "time",
+                                types.SimpleNamespace(
+                                    monotonic=lambda: next(ticks)))
+            walks.clear()
+            with pytest.raises(ComputeTimeout) as info:
+                call(d, deadline=deadline)
+            assert (next(ticks), len(walks)) == (deadline + 2, deadline + 2)
+            assert str(info.value) == (
+                "irredundant subset exceeded its deadline; proved "
+                "rho >= 6, rho <= 51, omega >= 6, omega <= 51")
+            assert d not in plainsphere.engine._shared
 
     def test_values_on_known_rows(self, all_rows, all_diagrams):
         """omega == rho on every bundled diagram except the gap witness."""

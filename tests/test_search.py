@@ -17,6 +17,7 @@ import plainsphere.engine
 from plainsphere import build_dual, omega, parse_pd, rho
 from plainsphere.certificate import (Certificate, deserialize_certificate,
                                      serialize_certificate)
+from plainsphere.diagram import Diagram
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
                                 _derivation, coloring_bound, saturate,
                                 transposition_coloring)
@@ -147,8 +148,9 @@ def test_values_match_brute_force_oracle(search_cases):
 def test_rho_matches_bridge_brute_force_on_a_slice():
     """Every tenth manifest line by position, a slice fixed by that rule
     alone: its frozen rho, which a census reports with no certificate
-    behind it, equals ``oracles.bridge_rho``, a brute force that shares
-    no code with the engine.  CI sweeps all 468 rows with
+    behind it, equals the size of the first set ``oracles.bridge_rho``
+    finds, a brute force that shares no code with the engine, and that
+    set seeds every link component.  CI sweeps all 468 rows with
     ``tests/rho_sweep.py``."""
     checked, wrong = rho_sweep.sweep(every=10)
     assert (checked, wrong) == (47, [])
@@ -198,17 +200,18 @@ def test_failure_memo_prunes(monkeypatch):
 
 
 @pytest.mark.parametrize("order,want", [
-    ("freeze", (3513, 82305, 2146, 472)),
-    ("census", (3513, 82305, 2146, 472)),
-    ("census-values", (992, 82305, 2146, 0)),
+    ("freeze", (2909, 68114, 2146, 472)),
+    ("census", (2909, 68114, 2146, 472)),
+    ("census-values", (991, 68114, 2146, 0)),
 ], ids=["freeze", "census", "census-values"])
 def test_search_work_on_frozen_rows(monkeypatch, order, want):
     """The adds over the 468 frozen rows, in the order ``freeze.py`` runs
     them, omega and then rho, and in the census order, rho and then
     omega, as ``psk compute`` runs them, each with its certificate:
-    3513 in Wirtinger mode and 82305 in plain-sphere mode either way, as
+    2909 in Wirtinger mode and 68114 in plain-sphere mode either way, as
     the first call works both invariants out and the first certificate
-    picks their seeds.
+    picks their seeds (3513 and 82305 before the component prune, which
+    ``test_component_prune_adds_no_work`` compares row by row).
     Every add is a search's, as the bounds walk their seeds
     (``_derivation``) and build no closure.  The plain-sphere search
     stops below the irredundant greedy subset's size, and no Wirtinger
@@ -217,12 +220,13 @@ def test_search_work_on_frozen_rows(monkeypatch, order, want):
     more adds shows here.
 
     ``psk census`` runs the census order asking for values only
-    (``certificate=False``): the same plain-sphere adds, and 992
-    Wirtinger adds, on the 7 rows where rho's set does not
-    Wirtinger-saturate and omega's value needs the search; no
-    ``saturate`` runs.  That search runs up to the size m of the set the
-    bounds keep, so on braid-0144 and braid-0411, where omega is the
-    greedy set's size, it ends by adding the greedy set, 7 adds in all.
+    (``certificate=False``): the same plain-sphere adds, and 991
+    Wirtinger adds (992 before the component prune), on the 7 rows
+    where rho's set does not Wirtinger-saturate and omega's value needs
+    the search; no ``saturate`` runs.  That search runs up to the size m
+    of the set the bounds keep, so on braid-0144 and braid-0411, where
+    omega is the greedy set's size, it ends by adding the greedy set, 7
+    adds in all.
     With certificates ``saturate`` runs 472 times, once per row and once
     more on the 4 rows where omega > rho.
 
@@ -255,6 +259,41 @@ def test_search_work_on_frozen_rows(monkeypatch, order, want):
                 rho(d, dual=build_dual(d), certificate=certificate)
                 omega(d, certificate=certificate)
     assert (adds[True], adds[False], len(walks), len(saturated)) == want
+
+
+def test_component_prune_adds_no_work(monkeypatch):
+    """The component prune only cuts: on every frozen row, values only,
+    omega and then rho make no more adds in either mode than with the
+    prune neutralised, where every strand counts as one component and
+    the search is the one before the prune, with its 992 Wirtinger and
+    82305 plain-sphere adds.  The values do not change, and braid-0270's
+    plain-sphere adds fall from 1192 to 431."""
+    adds = Counter()  # True: Wirtinger; only plain-sphere closures join faces
+    add = GrowingClosure.add
+    monkeypatch.setattr(GrowingClosure, "add",
+                        lambda state, s: adds.update([not state._rim])
+                        or add(state, s))
+
+    def work(pd):
+        """(omega, rho) and the Wirtinger and plain-sphere adds."""
+        d = parse_pd(pd)
+        adds.clear()
+        values = omega(d, certificate=False)[0], rho(d, certificate=False)[0]
+        return values, adds[True], adds[False]
+
+    rows = {name: item["pd"] for name, item in
+            frozen_rows("manifest.jsonl").items() if item["kind"] != "reject"}
+    pruned = {name: work(pd) for name, pd in rows.items()}
+    with monkeypatch.context() as patch:
+        patch.setattr(Diagram, "component_strands",
+                      property(lambda d: ((1 << d.n) - 1,)))
+        before = {name: work(pd) for name, pd in rows.items()}
+    for name, (values, wadds, padds) in pruned.items():
+        assert values == before[name][0], name
+        assert wadds <= before[name][1] and padds <= before[name][2], name
+    assert ([sum(row[i] for row in table.values()) for table in
+             (before, pruned) for i in (1, 2)] == [992, 82305, 991, 68114])
+    assert (before["braid-0270"][2], pruned["braid-0270"][2]) == (1192, 431)
 
 
 def test_frozen_rows_in_census_order():
@@ -313,12 +352,15 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     colors it.  With the transposition coloring neutralised, so that it
     prunes nothing and the search starts at the coloring bound, it also
     skips a candidate only then, when the failure memo cuts the prefix,
-    or, in Wirtinger mode only, when the candidate is a last seed that
-    colors only itself and leaves some other strand uncolored: each
-    candidate after the prefix's last seed that is not added, up to the
-    last one its size allows, is colored by one of those closed sets or
-    is such a last seed, which ``saturate`` from the prefix's seeds and
-    it confirms.
+    when the candidate lies on a link component the prefix already
+    seeds and the prefix has no seed to spare, or, in Wirtinger mode
+    only, when the candidate is a last seed that colors only itself and
+    leaves some other strand uncolored: each candidate after the
+    prefix's last seed that is not added, up to the last one its size
+    allows, is colored by one of those closed sets, or leaves more
+    components with no seed (``oracles.oracle_link_components``) than
+    seeds left after it, or is such a last seed, which ``saturate`` from
+    the prefix's seeds and it confirms.
 
     The trace replays the search's ``add`` and ``undo`` on a stack of
     prefixes [closed set, search-order position of the last seed or
@@ -340,19 +382,25 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     stack: list[list[int]] = []  # the prefixes, while a search runs
     memo: dict[int, int] = {}
     skipped = 0  # candidates only a failed sibling's closed set colors
+    uncovered = 0  # candidates that leave a component no seed can reach
     unfired = 0  # last seeds skipped as coloring only themselves
 
     def check(prefix, stop):
         """The candidates after the prefix's last one and before `stop`
-        are colored by the union of closed sets, or are last seeds that
+        are colored by the union of closed sets, leave more components
+        with no seed than seeds left after them, or are last seeds that
         color only themselves, in Wirtinger mode, and leave another
         strand uncolored."""
-        nonlocal skipped, unfired
+        nonlocal skipped, uncovered, unfired
         mask, last, dead, left, seeds = prefix
         for j in range(last + 1, stop):
             s = order[j]
             if dead >> s & 1:
                 skipped += not mask >> s & 1
+                continue
+            if len(components - {component[t] for t in seeds + (s,)}
+                   ) > left - 1:
+                uncovered += 1
                 continue
             assert (mode, left) == (WIRTINGER, 1), (name, s)
             fresh, _ = saturate(diagram, seeds + (s,), mode)
@@ -402,8 +450,11 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         stack[-1][2] |= child[0]
 
     def traced_search(d, search_mode, dual, coloring, sizes, *args):
-        nonlocal order, diagram, mode
+        nonlocal order, diagram, mode, component, components
         order, diagram, mode = d.search_order, d, search_mode
+        component = {d.edge_to_strand[e]: i for i, edges in enumerate(
+            oracles.oracle_link_components(d)) for e in edges}
+        components = set(component.values())
         memo.clear()
         if sizes:
             stack.append([0, -1, 0, sizes.start, ()])  # the first size
@@ -420,10 +471,12 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
     monkeypatch.setattr(plainsphere.engine, "_search", traced_search)
     order: list[int] = []
     diagram, mode = None, None
+    component: dict[int, int] = {}  # strand -> its link component
+    components: set[int] = set()
     for name, d, _ in search_cases:
         fresh = parse_pd(d.serialize())
         rho(fresh, dual=build_dual(fresh))
-    assert (skipped > 0 and unfired > 0) or not neutral
+    assert (skipped > 0 and uncovered > 0 and unfired > 0) or not neutral
 
 
 def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
