@@ -35,13 +35,13 @@ marks crossings, and the strand walk marks each label with its strand,
 which is ``edge_to_strand`` (-1 at 0, which labels no edge).
 
 Tables that only some callers read are computed on first read and kept
-with the diagram: ``component_strands`` gives each link component's
-strands as a bit mask, by walking from each strand to the other
-under-strand of the crossing where it ends, and ``n_components`` counts
-them; ``crossing_masks`` gives each strand's crossings as bit masks, by
-role, which every closure and the logged saturation of the diagram
-read; and ``search_order`` is the strand order the seed-set searches
-share.
+with the diagram: ``strand_component`` gives each strand its link
+component's strands as a bit mask, by walking from each strand to the
+other under-strand of the crossing where it ends, and ``n_components``
+counts the distinct masks; ``crossing_masks`` gives each strand's
+crossings as bit masks, by role, which every closure and the logged
+saturation of the diagram read; and ``search_order`` is the strand order
+the seed-set searches share.
 
 ``parse_pd`` reads the text in one pass: a single ``TUPLE_RE.split``
 yields both the text between tuples, which must be separators, and the
@@ -131,33 +131,34 @@ class Diagram:
     # -- queries ---------------------------------------------------------
 
     @cached_property
-    def component_strands(self) -> tuple[int, ...]:
-        """Per link component, the bit mask of its strands.  A component
-        goes straight on through a crossing's two under slots, so one of
-        the crossing's under-strands ends there and the other starts:
-        each strand has two such neighbours, one at each end, and they
-        link the strands of each component into one cycle."""
+    def strand_component(self) -> tuple[int, ...]:
+        """Per strand, the bit mask of its link component's strands.  A
+        component goes straight on through a crossing's two under slots,
+        so one of the crossing's under-strands ends there and the other
+        starts: each strand has two such neighbours, one at each end, and
+        they link the strands of each component into one cycle."""
         ends: list[list[int]] = [[] for _ in range(self.n)]
         for u1, u2 in self.under_strands:
             ends[u1].append(u2)
             ends[u2].append(u1)
         seen = bytearray(self.n)
-        masks = []
+        component = [0] * self.n
         for start in range(self.n):
-            mask, s = 0, start
+            cycle, s = [], start
             while not seen[s]:  # round the cycle from start
                 seen[s] = 1
-                mask |= 1 << s
+                cycle.append(s)
                 a, b = ends[s]
                 s = b if seen[a] else a
-            if mask:
-                masks.append(mask)
-        return tuple(masks)
+            mask = sum(1 << s for s in cycle)
+            for s in cycle:
+                component[s] = mask
+        return tuple(component)
 
     @property
     def n_components(self) -> int:
-        """The number of link components."""
-        return len(self.component_strands)
+        """The number of link components: distinct component masks."""
+        return len(set(self.strand_component))
 
     @cached_property
     def crossing_masks(self) -> CrossingMasks:

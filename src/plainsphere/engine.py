@@ -28,10 +28,12 @@ closure two ways:
   it borders, and the uncolored edges that two classes both border are
   those their union passes.  A trail undoes the unions.  The crossing
   masks are a table of the diagram (``Diagram.crossing_masks``) that
-  every closure of it shares; a plain-sphere closure builds its own edge
-  masks from the dual.  A move's target is read off the lowest bit of a
-  mask, a crossing's in ``Diagram.under_strands`` or an edge's in
-  ``Diagram.edge_to_strand``, as ``saturate`` reads its crossings.
+  every closure of it shares.  A closure given the dual is in
+  plain-sphere mode and builds its own edge masks from it; one given
+  none is in Wirtinger mode, with no faces and no edges.  A move's
+  target is read off the lowest bit of a mask, a crossing's in
+  ``Diagram.under_strands`` or an edge's in ``Diagram.edge_to_strand``,
+  as ``saturate`` reads its crossings.
 
 * ``saturate`` builds the move log a certificate replays, with a fixed
   policy: sweep the uncolored strands in id order, applying each one's
@@ -56,19 +58,23 @@ sets are tried by size, then in strand search order (the order of
 ``itertools.combinations`` over it), depth first on one
 ``GrowingClosure`` of the search's own that extends each prefix's
 closure by the next seed and undoes it on backtrack; the first set that
-saturates is the answer.  A Wirtinger-saturating set, whose seeds
-saturate in either mode, bounds the sizes: the greedy saturating set
-(strands in search order, skipping colored ones) or its irredundant
-subset (below), of m seeds, so a search up to size m finds a set.  The
-greedy set is the first set of its size in search order, the first leaf
-of a search of that size.  When no size is left to try, the search
-builds no ``GrowingClosure``.
+saturates is the answer.  A search given the dual runs in plain-sphere
+mode, and one given none in Wirtinger mode.  A Wirtinger-saturating set,
+whose seeds saturate in either mode, bounds the sizes: the greedy
+saturating set (strands in search order, skipping colored ones) or its
+irredundant subset (below), of m seeds, so a search up to size m finds a
+set.  The greedy set is the first set of its size in search order, the
+first leaf of a search of that size.  When no size is left to try, the
+search builds no ``GrowingClosure``.
 
 Loop moves dominate Wirtinger moves, so a set that does not
 plain-sphere-saturate does not Wirtinger-saturate either, and
 rho <= omega <= m.  So omega is rho's search continued in Wirtinger mode, and
 one computation (``_invariants``) gives both values: ``rho(d)`` and
-``omega(d)`` each read one, whichever is called first.  It searches
+``omega(d)`` each read one, whichever is called first.  It holds the
+dual throughout: its caller's, or one it builds first when the caller
+gives none, so a code that is not in the sphere is refused
+(``EulerViolation``) before any bound or search.  It searches
 plain-sphere mode from the diagram's lower bound up to m - 1.  When no
 set below m saturates, rho = m, so omega = m too, and no Wirtinger
 search runs.  A first set whose derivation colors every strand
@@ -86,14 +92,13 @@ freeze script ask and a census does not.  When rho = omega = m, the
 greedy set is both certificates' set if it has m seeds; else the
 certificate step first picks them, by the Wirtinger search of size m,
 the same set whichever call comes first.  ``saturate`` then writes the
-log, in plain-sphere mode on the plain-sphere search's dual, which
-``_invariants`` builds only for that search and only when its caller
-gives none.  A set that Wirtinger-saturates has the same log in both
-modes, as ``saturate`` in plain-sphere mode makes every Wirtinger move
-before any loop move, so when rho's and omega's sets are one set, one
-``saturate`` writes both certificates.  ``_shared`` keeps the values,
-the seeds and each certificate built while the diagram lives; a timeout
-adds nothing to it.
+log, in plain-sphere mode on the dual ``_invariants`` holds.  A set that
+Wirtinger-saturates has the same log in both modes, as ``saturate`` in
+plain-sphere mode makes every Wirtinger move before any loop move, so
+when rho's and omega's sets are one set, one ``saturate`` writes both
+certificates.  ``_shared`` keeps the values, the seeds and each
+certificate built while the diagram lives; a timeout adds nothing to
+it.
 
 The search relies on one invariant: every smaller size failed, in its
 own mode or in plain-sphere mode, or is excluded by the bound.  A
@@ -135,20 +140,19 @@ there and 0 elsewhere would agree with 0 on every seed.  The link group
 says the same: the seeds generate it, and its abelianisation has one
 generator per component, a meridian's image being its own component's.
 So each prefix keeps ``seeded``, the strands of the components its seeds
-lie on (``Diagram.component_strands``), and ``spare``, its seeds left
+lie on (``Diagram.strand_component``), and ``spare``, its seeds left
 less its components with no seed: k - c at the root, one less after each
 seed on a component already seeded.  When ``spare`` is 0, every seed
 left must seed a component of its own, so ``seeded`` joins the prefix's
 dead mask, and the test that skips colored candidates skips those too,
 at no cost per candidate.  On a knot a prefix with a seed has as many
-seeds to spare as it has left, so the prune cuts nothing, and no
-component is tracked.  The memo's argument needs only that every set of
-the size in P's subtree or before it fails, whether tried or cut, as
-cl(P + T) = cl(M + T) whatever P's seeds are; a set this prune cuts
-cannot saturate, so the memo and the sibling skip, which reads it, stay
-sound.  Only failing sets are cut, by the memo, by these skips and by
-this prune, so the first saturating set and its certificate are
-unchanged.
+seeds to spare as it has left, so the prune cuts nothing.  The memo's
+argument needs only that every set of the size in P's subtree or before
+it fails, whether tried or cut, as cl(P + T) = cl(M + T) whatever P's
+seeds are; a set this prune cuts cannot saturate, so the memo and the
+sibling skip, which reads it, stay sound.  Only failing sets are cut, by
+the memo, by these skips and by this prune, so the first saturating set
+and its certificate are unchanged.
 
 The Fox-coloring bound (``coloring_bound``) is the largest dimension,
 over all primes p, of the space of mod-p colorings, which give each
@@ -237,8 +241,8 @@ best bound and a search with the size it was at, every smaller size
 having failed; none names an invariant.  Until rho is found, the larger
 of that and the Fox bound bounds both from below, and m from above, the
 greedy set's size until ``_irredundant`` returns; in the Wirtinger
-search rho is found, and the size bounds omega alone.  The greedy walk
-and the Fox bound read no clock.  The
+search rho is found, and the size bounds omega alone.  The greedy walk,
+the Fox bound and ``build_dual`` read no clock.  The
 search that picks a certificate's seeds runs when both values are
 known, so ``_certified`` names them exactly.
 """
@@ -374,28 +378,25 @@ class GrowingClosure:
 
     ``add(s)`` colors s, saturates and returns a mark, the four masks and
     the trail's length; ``undo(mark)`` restores them and unlinks the
-    unions made since.  Plain-sphere mode needs the dual.
+    unions made since.  The closure is in plain-sphere mode exactly when
+    it is given the dual; with none it is in Wirtinger mode, a dual with
+    no faces and no edges.
     """
 
-    def __init__(self, d: Diagram, mode: str, dual: DualGraph | None = None):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        plain = mode == PLAINSPHERE
+    def __init__(self, d: Diagram, dual: DualGraph | None = None):
         self._d = d
         self.mask = self.xo = self.xu = self.xe = 0
         self.bit = tuple(1 << s for s in range(d.n))
         self.over, self.under = d.crossing_masks
+        dual = dual or DualGraph(0, {}, [()] * d.n)
+        self._edges = dual.strand_edges
         # as bit masks over edges: each strand's, and each face's border
-        self._rim = [0] * (dual.n_faces if plain else 0)
-        if plain:
-            self._edges = dual.strand_edges
-            self._edge_bits = [sum(1 << e for e, _, _ in edges)
-                               for edges in dual.strand_edges]
-            for e, (a, b) in dual.edge_faces.items():
-                self._rim[a] |= 1 << e
-                self._rim[b] |= 1 << e
-        else:  # Wirtinger mode joins no faces: no strand has a dual edge
-            self._edges, self._edge_bits = ((),) * d.n, (0,) * d.n
+        self._edge_bits = [sum(1 << e for e, _, _ in edges)
+                           for edges in self._edges]
+        self._rim = [0] * dual.n_faces
+        for e, (a, b) in dual.edge_faces.items():
+            self._rim[a] |= 1 << e
+            self._rim[b] |= 1 << e
         self._parent = list(range(len(self._rim)))
         self._size = [1] * len(self._rim)
         self._trail: list[tuple[int, int]] = []
@@ -728,7 +729,7 @@ class _Found(NamedTuple):
     # = m and the greedy set is larger, where the certificates pick them
     seeds: tuple[tuple[int, ...], tuple[int, ...]] | None
     coloring: tuple[int, tuple]  # the prune of that pick
-    dual: DualGraph | None  # the plain-sphere search's, or the caller's
+    dual: DualGraph  # the caller's, or the one ``_invariants`` built
     # [rho's, omega's], each filled in when first asked for
     certificates: list[Certificate | None]
 
@@ -738,29 +739,29 @@ class _Found(NamedTuple):
 _shared: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _search(d: Diagram, mode: str, dual: DualGraph | None,
-            coloring: tuple[int, tuple], sizes: range,
-            deadline: float | None) -> tuple[int, ...] | None:
+def _search(d: Diagram, dual: DualGraph | None, coloring: tuple[int, tuple],
+            sizes: range, deadline: float | None) -> tuple[int, ...] | None:
     """The sorted seeds of the first set, by size in `sizes` and then in
-    search order, whose closure in `mode` colors every strand, or None.
-    Every smaller size must fail in `mode` or in plain-sphere mode.  Only
-    when `sizes` is not empty does it build its closure, in plain-sphere
-    mode on `dual`.  The transposition `coloring`, as
-    ``transposition_coloring`` returns it, or (0, ()), prunes prefixes,
-    and so does the link component count: a prefix with no seed to
-    spare skips the candidates on the components it already seeds, as a
-    set that leaves a component seedless cannot saturate.  Both cut only
-    failing sets, so the failure memo and the skip of what failed
-    siblings color stay sound (see the module docstring).  Past
-    `deadline` it raises ComputeTimeout with its stage and the size
-    it was searching, which its caller words."""
+    search order, whose closure colors every strand, or None: in
+    plain-sphere mode on `dual`, or in Wirtinger mode when it is None.
+    Every smaller size must fail in that mode or in plain-sphere mode.
+    Only when `sizes` is not empty does it build its closure.  The
+    transposition `coloring`, as ``transposition_coloring`` returns it, or
+    (0, ()), prunes prefixes, and so does the link component count
+    (``Diagram.strand_component``): a prefix with no seed to spare skips
+    the candidates on the components it already seeds, as a set that
+    leaves a component seedless cannot saturate.  Both cut only failing
+    sets, so the failure memo and the skip of what failed siblings color
+    stay sound (see the module docstring).  Past `deadline` it raises
+    ComputeTimeout with its stage and the size it was searching, which
+    its caller words."""
     if not sizes:
         return None
     rank, ends = coloring
     order = d.search_order
     over, under = d.crossing_masks
     n, full = d.n, (1 << d.n) - 1
-    state = GrowingClosure(d, mode, dual)
+    state = GrowingClosure(d, dual)
     chosen: list[int] = []
     # closed set's mask -> most further seeds known not to saturate it;
     # valid for this mode and diagram only: see the module docstring
@@ -768,16 +769,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
     # a union-find over the coloring's points, undone on backtrack: the
     # orbits of the prefix's seeds
     parent = list(range(max((b for _, b in ends), default=0) + 1))
-    # per strand, its link component's strands; all 0 on a knot, where the
-    # prune cannot cut, so no component is ever marked seeded
-    components = d.component_strands
-    component = [0] * n
-    if len(components) > 1:
-        for c in components:
-            rest = c
-            while rest:
-                component[(rest & -rest).bit_length() - 1] = c
-                rest &= rest - 1
+    component = d.strand_component
 
     def extend(start: int, left: int, slack: int, spare: int,
                seeded: int) -> bool:
@@ -793,7 +785,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
             dead |= seeded
         # in Wirtinger mode a last seed that fires no move colors only
         # itself, so it fails unless it is the one uncolored strand
-        last = left == 1 and mode == WIRTINGER
+        last = left == 1 and dual is None
         xo, xu = state.xo, state.xu
         for i in range(start, n - left + 1):
             s = order[i]
@@ -836,7 +828,7 @@ def _search(d: Diagram, mode: str, dual: DualGraph | None,
 
     try:
         for k in sizes:
-            if extend(0, k, k - rank, k - len(components), 0):
+            if extend(0, k, k - rank, k - d.n_components, 0):
                 return tuple(sorted(chosen))
         return None
     finally:
@@ -861,6 +853,8 @@ def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
     found = _shared.get(d)
     if found is not None:
         return found
+    if dual is None:
+        dual = build_dual(d)
     greedy = kept = _derivation(d, d.search_order)
     lower = coloring_bound(d, greedy)
     m, coloring, known_rho = len(greedy.seeds), (0, ()), None
@@ -871,10 +865,7 @@ def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
         if lower < m:  # else lower is omega, and no bound exceeds it
             coloring = transposition_coloring(d, kept, deadline)
             lower = max(lower, coloring[0])
-        if lower < m and dual is None:
-            dual = build_dual(d)
-        seeds = _search(d, PLAINSPHERE, dual, coloring, range(lower, m),
-                        deadline)
+        seeds = _search(d, dual, coloring, range(lower, m), deadline)
         if seeds is None:  # rho = omega = m
             values, pair = (m, m), None
             if kept is greedy:  # the first set of size m: no search picks it
@@ -883,8 +874,8 @@ def _invariants(d: Diagram, dual: DualGraph | None, deadline: float | None
             values, pair = (len(seeds), len(seeds)), (seeds, seeds)
         else:
             known_rho = len(seeds)
-            wseeds = _search(d, WIRTINGER, None, coloring,
-                             range(known_rho, m + 1), deadline)
+            wseeds = _search(d, None, coloring, range(known_rho, m + 1),
+                             deadline)
             if len(wseeds) == known_rho:
                 seeds = wseeds
             values, pair = (known_rho, len(wseeds)), (seeds, wseeds)
@@ -910,7 +901,7 @@ def _certified(d: Diagram, found: _Found, mode: str,
     seeds = found.seeds
     if seeds is None:
         try:
-            picked = _search(d, WIRTINGER, None, found.coloring,
+            picked = _search(d, None, found.coloring,
                              range(found.omega, found.omega + 1), deadline)
         except ComputeTimeout as exc:  # both values are known
             raise _timeout(exc.args[0], found.rho, found.rho, found.omega,

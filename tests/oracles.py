@@ -17,7 +17,9 @@ is a bridge of the projection restricted to the uncolored strands'
 edges (Oxley, "Matroid Theory", on planar duality).  ``bridges`` finds
 them by Tarjan's low-link search, and ``bridge_rho`` tries every seed
 set with that closure, with no prune and no engine code, and returns
-the first that saturates.
+the first that saturates.  ``oracle_omega`` tries them the same way
+with ``wirtinger_fixpoint``, which reads one crossing table per
+diagram.
 
 ``saturate_random`` and ``loops_first_log`` build moves from the same
 raw tables: a Wirtinger move at a crossing of ``crossing_tables``, a
@@ -117,15 +119,22 @@ def wirtinger_crossing(d: Diagram, colored: set[int],
     return None
 
 
-def wirtinger_fixpoint(d: Diagram, seeds) -> set[int]:
+def wirtinger_fixpoint(d: Diagram, seeds,
+                       table: list[tuple[int, int, int]] | None = None
+                       ) -> set[int]:
+    """`seeds` and every strand Wirtinger moves color: while some
+    crossing of `table` (``crossing_tables(d)``, built when None) has
+    its over-strand and exactly one of two different under-strands
+    colored, color the other."""
+    if table is None:
+        table = crossing_tables(d)
     colored = set(seeds)
     changed = True
     while changed:
         changed = False
-        for s in range(d.n):
-            if (s not in colored
-                    and wirtinger_crossing(d, colored, s) is not None):
-                colored.add(s)
+        for u1, u2, over in table:
+            if over in colored and (u1 in colored) != (u2 in colored):
+                colored |= {u1, u2}
                 changed = True
     return colored
 
@@ -338,9 +347,14 @@ def colorable_moves(d: Diagram, g: DualGraph | None, colored: set[int],
 
 
 def oracle_omega(d: Diagram) -> int:
+    """omega by brute force: the size of the first seed set, by size and
+    then in strand id order, whose ``wirtinger_fixpoint`` over one
+    crossing table is every strand, with no prune, no bound and no
+    engine code."""
+    table = crossing_tables(d)
     for k in range(1, d.n + 1):
         for combo in combinations(range(d.n), k):
-            if len(wirtinger_fixpoint(d, combo)) == d.n:
+            if len(wirtinger_fixpoint(d, combo, table)) == d.n:
                 return k
     raise AssertionError("unreachable")
 
@@ -382,8 +396,9 @@ def loops_first_log(d: Diagram, g: DualGraph, seeds):
 
 def closure(d: Diagram, seeds, mode: str,
             dual: DualGraph | None = None) -> set[int]:
-    """The colored set `saturate` reaches from `seeds`, without the log."""
-    state = GrowingClosure(d, mode, dual)
+    """The colored set `saturate` reaches from `seeds`, without the log:
+    a closure given `dual` in plain-sphere mode only."""
+    state = GrowingClosure(d, dual if mode == PLAINSPHERE else None)
     for s in seeds:
         if not state.mask >> s & 1:
             state.add(s)

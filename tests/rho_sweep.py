@@ -1,11 +1,14 @@
-"""Check the frozen rho of every benchmark row against a brute force.
+"""Check the frozen rho and omega of every benchmark row against brute
+forces.
 
     python tests/rho_sweep.py             # all 468 rows, about 30 s
     python tests/rho_sweep.py --every 10  # manifest rows 0, 10, 20, ...
 
 ``oracles.bridge_rho`` tries every seed set, by size and then in strand
 id order, closed by bridge peeling in the projection: no dual, no
-faces, no prune, no bound and no engine code.  Each row of
+faces, no prune, no bound and no engine code.  ``oracles.oracle_omega``
+tries them in the same order, closed by Wirtinger moves over the
+diagram's crossing table, built once per row.  Each row of
 ``perfbench/data/manifest.jsonl`` with a value is checked, or every
 N-th line by position with ``--every N``, and the script exits 1 on
 any mismatch.  The tier-1 suite runs the ``--every 10`` slice.
@@ -48,6 +51,10 @@ def sweep(every: int = 1) -> tuple[int, list[str]]:
         if len(seeds) != item["rho"]:
             wrong.append(f"{item['name']}: rho {item['rho']} frozen, "
                          f"{len(seeds)} by brute force")
+        w = oracles.oracle_omega(d)
+        if w != item["omega"]:
+            wrong.append(f"{item['name']}: omega {item['omega']} frozen, "
+                         f"{w} by brute force")
         for edges in oracles.oracle_link_components(d):
             if not {d.edge_to_strand[e] for e in edges} & set(seeds):
                 wrong.append(f"{item['name']}: first set {seeds} has no "

@@ -115,10 +115,10 @@ class TestDartTable:
     def test_mate_and_components_on_all_rows(self):
         """On every manifest row that parses (the 42 bundled rows among
         them) and 40 small random braid closures, mate pairs the two
-        darts of each label, and each link component's strand mask holds
-        the strands of one of the oracle's components, whose edges are
-        merged from the raw tuples, so n_components counts them; together
-        the masks hold every strand once.  373 of the 508 diagrams are
+        darts of each label, and each strand's component mask holds the
+        strands of the oracle's component of its edges, which are merged
+        from the raw tuples, so n_components counts those components;
+        together they hold every strand once.  373 of the 508 diagrams are
         links."""
         parsed = {}
         for row in frozen_rows("manifest.jsonl").values():
@@ -136,12 +136,14 @@ class TestDartTable:
             assert d.label == tuple(e for t in d.pd for e in t)
             assert all(d.mate[x] != x and d.mate[d.mate[x]] == x
                        and d.label[d.mate[x]] == d.label[x] for x in darts)
-            want = sorted(sum({1 << d.edge_to_strand[e] for e in edges})
-                          for edges in oracle_link_components(d))
-            assert sorted(d.component_strands) == want, d.serialize()
-            assert d.n_components == len(want), d.serialize()
-            assert sum(want) == (1 << d.n) - 1, d.serialize()
-            links += len(want) > 1
+            masks = [sum({1 << d.edge_to_strand[e] for e in edges})
+                     for edges in oracle_link_components(d)]
+            assert d.strand_component == tuple(
+                next(m for m in masks if m >> s & 1) for s in range(d.n)
+            ), d.serialize()
+            assert d.n_components == len(masks), d.serialize()
+            assert sum(masks) == (1 << d.n) - 1, d.serialize()
+            links += len(masks) > 1
         assert (len(parsed), links) == (508, 373)
 
     def test_tables_match_the_oracle(self, all_rows):

@@ -23,7 +23,7 @@ from plainsphere.diagram import Diagram
 from plainsphere.engine import (PLAINSPHERE, WIRTINGER, GrowingClosure,
                                 _derivation, coloring_bound, saturate,
                                 transposition_coloring)
-from plainsphere.errors import ComputeTimeout
+from plainsphere.errors import ComputeTimeout, EulerViolation
 
 from conftest import (BRAID30_WORD, K14_PD, TREFOIL_PD, frozen_rows,
                       perfbench_module)
@@ -200,8 +200,8 @@ class TestGrowingClosure:
         for item in rows:
             d = parse_pd(item["pd"])
             g = build_dual(d)
-            for mode in (WIRTINGER, PLAINSPHERE):
-                state = GrowingClosure(d, mode, g)
+            for mode, dual in ((WIRTINGER, None), (PLAINSPHERE, g)):
+                state = GrowingClosure(d, dual)
                 for s in range(d.n):
                     first = state.add(s)
                     want, _ = saturate(d, (s,), mode, g)
@@ -229,7 +229,7 @@ def undo_check(d: Diagram, mode: str, dual, seeds):
     also be the OR, XOR and OR over the colored strands of their tables.
     Returns the snapshots, the last one taken with every seed added, and
     whether some add colored more than its seed."""
-    state = GrowingClosure(d, mode, dual)
+    state = GrowingClosure(d, dual)
 
     def snapshot():
         return (state.mask, state.xo, state.xu, state.xe,
@@ -569,9 +569,10 @@ class TestSharedBounds:
         starts = []  # each search's mode and first size
         search = plainsphere.engine._search
 
-        def traced(d, mode, dual, coloring, sizes, deadline):
-            starts.append((mode, sizes.start))
-            return search(d, mode, dual, coloring, sizes, deadline)
+        def traced(d, dual, coloring, sizes, deadline):
+            starts.append((WIRTINGER if dual is None else PLAINSPHERE,
+                           sizes.start))
+            return search(d, dual, coloring, sizes, deadline)
 
         monkeypatch.setattr(plainsphere.engine, "_search", traced)
         d = parse_pd(pd)
@@ -638,9 +639,9 @@ class TestSharedBounds:
         assert len(plainsphere.engine._shared) == kept - 1
 
     def test_rho_without_a_dual_builds_one(self, monkeypatch):
-        """rho with no dual builds one for its plain-sphere search, and its
-        certificate, whose log on k14n1527 has a loop move, reads that
-        one too."""
+        """rho with no dual builds one, which its plain-sphere search and
+        its certificate, whose log on k14n1527 has a loop move, both
+        read."""
         built = []
         real = plainsphere.engine.build_dual
         monkeypatch.setattr(plainsphere.engine, "build_dual",
@@ -651,6 +652,18 @@ class TestSharedBounds:
         assert built == [d]
         assert verify(d, cert).ok
 
+    @pytest.mark.parametrize("invariant", [rho, omega], ids=["rho", "omega"])
+    def test_no_dual_refuses_a_code_not_in_the_sphere(self, invariant):
+        """A code that parses but traces 3 faces, not 5: rho and omega with
+        no dual build one, which refuses the code before any bound or
+        search, and keep nothing.  When only the plain-sphere search built
+        the dual, and only when it ran, rho here gave a value and a
+        certificate that ``verify`` refuses."""
+        d = parse_pd("X(1,4,2,3) X(3,6,4,5) X(5,2,6,1)")
+        with pytest.raises(EulerViolation):
+            invariant(d)
+        assert d not in plainsphere.engine._shared
+
     def test_rho_twice_builds_no_closure(self, monkeypatch):
         """A second rho on a diagram returns the first one's result, kept
         in ``_shared``, and builds no closure and works out no bound."""
@@ -659,7 +672,7 @@ class TestSharedBounds:
         built = []
         init = GrowingClosure.__init__
         monkeypatch.setattr(GrowingClosure, "__init__",
-                            lambda state, *args: built.append(args[1])
+                            lambda state, *args: built.append(args)
                             or init(state, *args))
         calls = count_bound_calls(monkeypatch)
         assert rho(d) == first
@@ -681,9 +694,10 @@ class TestSharedBounds:
         searched = []
         search = plainsphere.engine._search
         monkeypatch.setattr(plainsphere.engine, "_search",
-                            lambda d, mode, dual, coloring, sizes, *rest:
-                            searched.append((mode, sizes))
-                            or search(d, mode, dual, coloring, sizes, *rest))
+                            lambda d, dual, coloring, sizes, *rest:
+                            searched.append((WIRTINGER if dual is None
+                                             else PLAINSPHERE, sizes))
+                            or search(d, dual, coloring, sizes, *rest))
         alone = omega(parse_pd(pd))
         searches = searched[:]
         d = parse_pd(pd)

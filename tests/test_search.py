@@ -55,10 +55,11 @@ def test_search_matches_reference_order(monkeypatch, search_cases):
     starts = []  # (mode, first size) of each search under the patch
     search = plainsphere.engine._search
 
-    def recorded(d, mode, dual, coloring, sizes, *args):
+    def recorded(d, dual, coloring, sizes, *args):
         if sizes:
-            starts.append((mode, sizes.start))
-        return search(d, mode, dual, coloring, sizes, *args)
+            starts.append((WIRTINGER if dual is None else PLAINSPHERE,
+                           sizes.start))
+        return search(d, dual, coloring, sizes, *args)
 
     def patched(patch):
         patch.setattr(plainsphere.engine, "coloring_bound", lambda *args: 1)
@@ -147,11 +148,11 @@ def test_values_match_brute_force_oracle(search_cases):
 
 def test_rho_matches_bridge_brute_force_on_a_slice():
     """Every tenth manifest line by position, a slice fixed by that rule
-    alone: its frozen rho, which a census reports with no certificate
-    behind it, equals the size of the first set ``oracles.bridge_rho``
-    finds, a brute force that shares no code with the engine, and that
-    set seeds every link component.  CI sweeps all 468 rows with
-    ``tests/rho_sweep.py``."""
+    alone: its frozen rho and omega, which a census reports with no
+    certificate behind them, equal the size of the first set
+    ``oracles.bridge_rho`` finds and ``oracles.oracle_omega``, brute
+    forces that share no code with the engine, and rho's set seeds every
+    link component.  CI sweeps all 468 rows with ``tests/rho_sweep.py``."""
     checked, wrong = rho_sweep.sweep(every=10)
     assert (checked, wrong) == (47, [])
 
@@ -264,9 +265,10 @@ def test_search_work_on_frozen_rows(monkeypatch, order, want):
 def test_component_prune_adds_no_work(monkeypatch):
     """The component prune only cuts: on every frozen row, values only,
     omega and then rho make no more adds in either mode than with the
-    prune neutralised, where every strand counts as one component and
-    the search is the one before the prune, with its 992 Wirtinger and
-    82305 plain-sphere adds.  The values do not change, and braid-0270's
+    prune neutralised, where every strand's component mask holds every
+    strand, so ``n_components`` counts one component, and the search is
+    the one before the prune, with its 992 Wirtinger and 82305
+    plain-sphere adds.  The values do not change, and braid-0270's
     plain-sphere adds fall from 1192 to 431."""
     adds = Counter()  # True: Wirtinger; only plain-sphere closures join faces
     add = GrowingClosure.add
@@ -285,8 +287,9 @@ def test_component_prune_adds_no_work(monkeypatch):
             frozen_rows("manifest.jsonl").items() if item["kind"] != "reject"}
     pruned = {name: work(pd) for name, pd in rows.items()}
     with monkeypatch.context() as patch:
-        patch.setattr(Diagram, "component_strands",
-                      property(lambda d: ((1 << d.n) - 1,)))
+        patch.setattr(Diagram, "strand_component",
+                      property(lambda d: ((1 << d.n) - 1,) * d.n))
+        assert parse_pd(rows["braid-0270"]).n_components == 1
         before = {name: work(pd) for name, pd in rows.items()}
     for name, (values, wadds, padds) in pruned.items():
         assert values == before[name][0], name
@@ -449,9 +452,10 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         assert stack[-1][0] == state.mask, name
         stack[-1][2] |= child[0]
 
-    def traced_search(d, search_mode, dual, coloring, sizes, *args):
+    def traced_search(d, dual, coloring, sizes, *args):
         nonlocal order, diagram, mode, component, components
-        order, diagram, mode = d.search_order, d, search_mode
+        order, diagram = d.search_order, d
+        mode = WIRTINGER if dual is None else PLAINSPHERE
         component = {d.edge_to_strand[e]: i for i, edges in enumerate(
             oracles.oracle_link_components(d)) for e in edges}
         components = set(component.values())
@@ -459,7 +463,7 @@ def test_search_skips_what_failed_siblings_color(monkeypatch, search_cases,
         if sizes:
             stack.append([0, -1, 0, sizes.start, ()])  # the first size
         try:
-            result = search(d, mode, dual, coloring, sizes, *args)
+            result = search(d, dual, coloring, sizes, *args)
             if len(stack) == 1 and stack[0][1] >= 0:  # no size saturated
                 finish(stack[0])
             return result
@@ -515,21 +519,26 @@ def test_omega_colors_an_irredundant_greedy_subset(monkeypatch,
 def test_witness_bound_reached_searches_nothing(monkeypatch):
     """On trefoil sum #k the greedy set has k + 1 seeds and its coloring
     bound is k + 1, so neither omega nor rho adds a seed, as the bounds
-    walk the greedy set with no closure, and rho builds no dual: the
-    greedy set is its certificate."""
-    adds = []
+    walk the greedy set with no closure.  omega, given no dual, builds
+    the one the diagram's answers hold, and rho after it builds none:
+    the greedy set is its certificate."""
+    adds, built = [], []
     add = GrowingClosure.add
     monkeypatch.setattr(GrowingClosure, "add",
                         lambda state, s: adds.append(s) or add(state, s))
-    monkeypatch.setattr(plainsphere.engine, "build_dual", None)
+    real = plainsphere.engine.build_dual
+    monkeypatch.setattr(plainsphere.engine, "build_dual",
+                        lambda d: built.append(d) or real(d))
     for k in range(1, 6):
         d = parse_pd(braids.braid_pd(*braids.trefoil_sum_word(k)))
         adds.clear()
+        built.clear()
         w, wcert = omega(d)
-        assert (w, len(adds)) == (k + 1, 0), k
+        assert (w, len(adds), built) == (k + 1, 0, [d]), k
         adds.clear()
+        built.clear()
         assert rho(d) == (k + 1, wcert._replace(mode=PLAINSPHERE))
-        assert not adds, k
+        assert not adds and not built, k
 
 
 def test_each_search_builds_its_own_closure(monkeypatch, all_diagrams):
@@ -542,8 +551,9 @@ def test_each_search_builds_its_own_closure(monkeypatch, all_diagrams):
     built = []
     init = GrowingClosure.__init__
     monkeypatch.setattr(GrowingClosure, "__init__",
-                        lambda state, d, mode, *rest: built.append(mode)
-                        or init(state, d, mode, *rest))
+                        lambda state, d, dual=None: built.append(
+                            WIRTINGER if dual is None else PLAINSPHERE)
+                        or init(state, d, dual))
 
     def closures(pd, *calls):
         d = parse_pd(pd)
